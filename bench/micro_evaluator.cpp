@@ -2,8 +2,7 @@
  * @file
  * Micro-benchmark for the parallel, batched Monte-Carlo evaluation engine:
  * wall time of evaluateNonIdealAccuracy with the global pool disabled vs.
- * pooled, with the crossbar batch at 1 vs. --batch N, and with the
- * interpretive vs. AOT-compiled execution engine (plus each engine's
+ * pooled, and with the crossbar batch at 1 vs. --batch N (plus the
  * one-time compile cost), reported as reads/s and emitted as one JSON
  * object so future PRs can track the trajectory.
  *
@@ -107,39 +106,19 @@ main(int argc, char** argv)
     const double batched = measure(pooled_threads, batch_n, batch_reads);
     const double batch_speedup = batch1 > 0.0 ? batched / batch1 : 0.0;
 
-    // Engine sweep: interpretive per-call dispatch vs the AOT-compiled
-    // ExecPlan, at the pooled/batched operating point — plus each
-    // engine's one-time compile cost (registry lifecycle, AOT
-    // programming + plan lowering on a fresh backend).
-    auto measure_engine = [&](const char* engine) {
-        setGlobalPoolThreads(pooled_threads);
-        const EvalOptions opts = EvalOptions(dataset).runs(runs)
-            .maxReads(batch_reads).seedBase(42).batch(batch_n)
-            .backend(engine);
-        evaluateNonIdealAccuracy(model, scenario, opts); // warmup
-        Stopwatch watch;
-        evaluateNonIdealAccuracy(model, scenario, opts);
-        const double secs = watch.seconds();
-        return secs > 0.0
-            ? static_cast<double>(runs * batch_reads) / secs : 0.0;
-    };
-    auto compile_seconds = [&](ExecMode mode) {
+    // One-time compile cost: registry lifecycle, AOT programming and plan
+    // lowering on a fresh backend.
+    auto compile_seconds = [&] {
         BackendSpec spec;
         spec.scenario = scenario;
         spec.seed = 42;
-        spec.mode = mode;
         auto api = BackendRegistry::instance().create("analytical", spec);
         if (api == nullptr || !api->initialize().ok())
             return -1.0;
         const CompileResult compiled = api->compile(model);
         return compiled.success() ? compiled.seconds : -1.0;
     };
-    const double interp_reads_per_s = measure_engine("interpreter");
-    const double compiled_reads_per_s = measure_engine("compiled");
-    const double engine_speedup = interp_reads_per_s > 0.0
-        ? compiled_reads_per_s / interp_reads_per_s : 0.0;
-    const double interp_compile_s = compile_seconds(ExecMode::Interpreter);
-    const double compiled_compile_s = compile_seconds(ExecMode::Compiled);
+    const double compile_s = compile_seconds();
 
     // Active fault-injection config (from SWORDFISH_FAULTS) and the
     // outcome breakdown of the last measured evaluation, so a fault sweep
@@ -167,18 +146,12 @@ main(int argc, char** argv)
                 "\"batch1_reads_per_s\":%.3f,"
                 "\"batch%zu_reads_per_s\":%.3f,"
                 "\"batch_speedup\":%.3f,"
-                "\"interpreter_reads_per_s\":%.3f,"
-                "\"compiled_reads_per_s\":%.3f,"
-                "\"engine_speedup\":%.3f,"
-                "\"interpreter_compile_s\":%.6f,"
-                "\"compiled_compile_s\":%.6f,"
+                "\"compile_s\":%.6f,"
                 "\"faults\":%s,\"degraded\":%s,"
                 "\"metrics\":%s}\n",
                 runs, reads, pooled_threads, serial, pooled, speedup,
                 batch_n, batch_reads, batch1, batch_n, batched,
-                batch_speedup, interp_reads_per_s, compiled_reads_per_s,
-                engine_speedup, interp_compile_s, compiled_compile_s,
-                faults_json.c_str(), degraded_json,
-                metrics_json.c_str());
+                batch_speedup, compile_s, faults_json.c_str(),
+                degraded_json, metrics_json.c_str());
     return 0;
 }

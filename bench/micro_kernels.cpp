@@ -127,7 +127,7 @@ BM_BatchedVmmLanes(benchmark::State& state)
         rng_ptrs.push_back(&r);
     crossbar::VmmScratch scratch;
     for (auto _ : state) {
-        tile.vmmFastLanes(x, layout, rng_ptrs.data(), scratch);
+        tile.vmm(x, layout, rng_ptrs.data(), scratch);
         benchmark::DoNotOptimize(scratch.y.data());
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations())
@@ -421,10 +421,7 @@ runRoofline(bool quick, const std::string& baseline_path,
             double scalar_secs = 0.0;
             levels([&](SimdLevel level) {
                 const double secs = bestSeconds(
-                    [&] {
-                        tile.vmmFastLanes(x, layout, rng_ptrs.data(),
-                                          scratch);
-                    },
+                    [&] { tile.vmm(x, layout, rng_ptrs.data(), scratch); },
                     budget);
                 const int lvl = static_cast<int>(level);
                 report.add({"vmm_batched", simdLevelName(level), lanes,

@@ -58,24 +58,24 @@ parseBackendTokens(const std::string& text, ParsedBackend& out)
         pos = sep == std::string::npos ? text.size() : sep + 1;
         if (token.empty())
             continue;
-        if (token == "interpreter" || token == "interpreted") {
-            out.interpreter = true;
-        } else if (token == "compiled") {
-            out.interpreter = false;
-        } else if (token == "digital" || token == "int8"
-                   || token == "analytical" || token == "measured") {
-            if (!out.family.empty() && out.family != token)
-                return {JobErrorKind::BadBackend, "backend",
-                        "backend selector '" + text
-                            + "' names two families ('" + out.family
-                            + "' and '" + token + "')"};
-            out.family = token;
-        } else {
+        if (token == "interpreter" || token == "interpreted")
+            return {JobErrorKind::BadBackend, "backend",
+                    "backend token '" + token + "' in '" + text
+                        + "' names the interpreter engine, which was "
+                          "removed; use 'compiled' or omit the mode"};
+        if (token == "compiled")
+            continue; // the only engine, so it selects nothing
+        if (token != "digital" && token != "int8" && token != "analytical"
+            && token != "measured")
             return {JobErrorKind::BadBackend, "backend",
                     "unknown backend token '" + token + "' in '" + text
-                        + "' (modes: interpreter, compiled; families: "
+                        + "' (mode: compiled; families: "
                           "digital, int8, analytical, measured)"};
-        }
+        if (!out.family.empty() && out.family != token)
+            return {JobErrorKind::BadBackend, "backend",
+                    "backend selector '" + text + "' names two families ('"
+                        + out.family + "' and '" + token + "')"};
+        out.family = token;
     }
     return {};
 }

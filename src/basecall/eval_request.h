@@ -89,13 +89,14 @@ struct JobError
  * The backend-selector token grammar, owned by the request surface so
  * EvalRequest::validate() and core::parseBackendSelector share one
  * implementation. Up to two tokens separated by ':', ',' or '+', in any
- * order: a mode ("interpreter" | "compiled") and/or a registry family
- * ("digital" | "int8" | "analytical" | "measured"). Empty = defaults.
+ * order: the mode "compiled" (the only engine) and/or a registry family
+ * ("digital" | "int8" | "analytical" | "measured"). Empty = defaults. The
+ * removed interpreter engine's tokens ("interpreter", "interpreted") are
+ * a BadBackend error, not an alias.
  */
 struct ParsedBackend
 {
-    std::string family;       ///< empty = derive from the request
-    bool interpreter = false; ///< mode token; false = compiled (default)
+    std::string family; ///< empty = derive from the request
 };
 
 /** Parse a selector; unknown/conflicting tokens yield BadBackend. */
@@ -247,13 +248,13 @@ struct EvalRequest
     bool int8Kernel = false;
 
     /**
-     * Backend selector for this request: a mode token ("interpreter" /
-     * "compiled") and/or a registry family ("digital", "int8",
-     * "analytical", "measured"), ':'-separated when both are given (see
+     * Backend selector for this request: the mode token "compiled"
+     * and/or a registry family ("digital", "int8", "analytical",
+     * "measured"), ':'-separated when both are given (see
      * core::parseBackendSelector). Empty defers to SWORDFISH_BACKEND,
-     * then to the built-in defaults (compiled mode; family derived from
-     * the scenario / int8Kernel). A malformed selector panics at the
-     * evaluation entry point.
+     * then to the built-in default (family derived from the scenario /
+     * int8Kernel). A malformed selector panics at the evaluation entry
+     * point.
      */
     std::string backend;
 

@@ -52,9 +52,8 @@ evaluateNonIdealAccuracy(nn::SequenceModel& model, const NonIdealSetup& setup,
     EvalRequest per_run = req;
     per_run.runs = 1;
 
-    // Backend dispatch: the selector picks the execution engine and
-    // (optionally) pins a registry family; by default the family follows
-    // the scenario's modeling approach.
+    // Backend dispatch: the selector (optionally) pins a registry family;
+    // by default the family follows the scenario's modeling approach.
     const BackendSelector selector = resolveBackendSelector(req);
     const std::string family = !selector.family.empty()
         ? selector.family
@@ -78,7 +77,6 @@ evaluateNonIdealAccuracy(nn::SequenceModel& model, const NonIdealSetup& setup,
         spec.remap = setup.remap;
         spec.quant = setup.scenario.quant;
         spec.seed = req.seedBase + r;
-        spec.mode = selector.mode;
         spec.ensemble.k = req.ensembleK;
         spec.ensemble.layers = req.ensembleLayers;
         auto api = makeBackend("evaluateNonIdealAccuracy", family, spec);
@@ -166,7 +164,6 @@ evaluateQuantizedAccuracy(const nn::SequenceModel& model,
     BackendSpec spec;
     spec.quant = quant;
     spec.seed = req.seedBase;
-    spec.mode = selector.mode;
     auto api = makeBackend("evaluateQuantizedAccuracy", family, spec);
     nn::SequenceModel deployed = api->deployModel(model);
     const CompileResult compiled = api->compile(deployed);

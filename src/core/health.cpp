@@ -1,7 +1,6 @@
 #include "health.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <limits>
 #include <mutex>
@@ -13,6 +12,7 @@
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/sanitize.h"
+#include "util/spec.h"
 
 namespace swordfish::core {
 
@@ -62,34 +62,6 @@ columnError(const Matrix& got, const Matrix& want, double floor_scale)
     return worst;
 }
 
-bool
-parseDouble(const std::string& s, double& out)
-{
-    if (s.empty())
-        return false;
-    std::size_t pos = 0;
-    try {
-        out = std::stod(s, &pos);
-    } catch (const std::exception&) {
-        return false;
-    }
-    return pos == s.size();
-}
-
-bool
-parseU64(const std::string& s, std::uint64_t& out)
-{
-    if (s.empty())
-        return false;
-    std::size_t pos = 0;
-    try {
-        out = std::stoull(s, &pos);
-    } catch (const std::exception&) {
-        return false;
-    }
-    return pos == s.size();
-}
-
 std::mutex g_config_mutex;
 
 /** The active policy, parsed from SWORDFISH_REFRESH on first access. */
@@ -127,12 +99,11 @@ RefreshConfig::parse(const std::string& spec, RefreshConfig& out,
                      std::string& error)
 {
     RefreshConfig cfg;
-    std::string token;
     auto non_negative = [&](const std::string& key,
                             const std::string& value,
                             double& field) -> bool {
         double v = 0.0;
-        if (!parseDouble(value, v) || v < 0.0 || !std::isfinite(v)) {
+        if (!parseFiniteDouble(value, v) || v < 0.0) {
             error = "refresh spec: '" + key
                 + "' must be a non-negative number, got '" + value + "'";
             return false;
@@ -150,16 +121,8 @@ RefreshConfig::parse(const std::string& spec, RefreshConfig& out,
         field = static_cast<std::size_t>(n);
         return true;
     };
-    auto consume = [&]() -> bool {
-        if (token.empty())
-            return true;
-        const std::size_t eq = token.find('=');
-        if (eq == std::string::npos || eq == 0) {
-            error = "refresh spec token '" + token + "' is not key=value";
-            return false;
-        }
-        const std::string key = token.substr(0, eq);
-        const std::string value = token.substr(eq + 1);
+    const auto on_pair = [&](const std::string& key,
+                             const std::string& value) -> bool {
         if (key == "threshold")
             return non_negative(key, value, cfg.thresholdError);
         if (key == "interval_h")
@@ -197,18 +160,7 @@ RefreshConfig::parse(const std::string& spec, RefreshConfig& out,
         error = "refresh spec: unknown key '" + key + "'";
         return false;
     };
-
-    for (const char c : spec) {
-        if (c == ',' || c == ';'
-            || std::isspace(static_cast<unsigned char>(c))) {
-            if (!consume())
-                return false;
-            token.clear();
-        } else {
-            token.push_back(c);
-        }
-    }
-    if (!consume())
+    if (!parseKeyValueSpec(spec, "refresh", error, on_pair))
         return false;
     if ((cfg.intervalHours > 0.0 || cfg.probeHours > 0.0)
         && cfg.ageHoursPerRead == 0.0) {

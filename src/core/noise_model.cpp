@@ -1,7 +1,5 @@
 #include "noise_model.h"
 
-#include <cctype>
-#include <cmath>
 #include <limits>
 #include <mutex>
 #include <sstream>
@@ -9,24 +7,11 @@
 #include "util/env.h"
 #include "util/logging.h"
 #include "util/sanitize.h"
+#include "util/spec.h"
 
 namespace swordfish::core {
 
 namespace {
-
-bool
-parseDouble(const std::string& s, double& out)
-{
-    if (s.empty())
-        return false;
-    std::size_t pos = 0;
-    try {
-        out = std::stod(s, &pos);
-    } catch (const std::exception&) {
-        return false;
-    }
-    return pos == s.size();
-}
 
 bool
 parseOnOff(const std::string& s, bool& out)
@@ -113,12 +98,11 @@ NoiseModel::parse(const std::string& spec, const NoiseModel& base,
                   NoiseModel& out, std::string& error)
 {
     NoiseModel cfg = base;
-    std::string token;
     auto value_in = [&](const std::string& key, const std::string& value,
                         double& field, double lo, double hi,
                         bool open_hi) -> bool {
         double v = 0.0;
-        if (!parseDouble(value, v) || !std::isfinite(v) || v < lo
+        if (!parseFiniteDouble(value, v) || v < lo
             || (open_hi ? v >= hi : v > hi)) {
             std::ostringstream os;
             os << "noise spec: '" << key << "' must be a number in ["
@@ -140,16 +124,8 @@ NoiseModel::parse(const std::string& spec, const NoiseModel& base,
         }
         return true;
     };
-    auto consume = [&]() -> bool {
-        if (token.empty())
-            return true;
-        const std::size_t eq = token.find('=');
-        if (eq == std::string::npos || eq == 0) {
-            error = "noise spec token '" + token + "' is not key=value";
-            return false;
-        }
-        const std::string key = token.substr(0, eq);
-        const std::string value = token.substr(eq + 1);
+    const auto on_pair = [&](const std::string& key,
+                             const std::string& value) -> bool {
         if (key == "preset") {
             if (!parsePresetName(value, cfg.toggles)) {
                 error = "noise spec: unknown preset '" + value
@@ -231,18 +207,7 @@ NoiseModel::parse(const std::string& spec, const NoiseModel& base,
         error = "noise spec: unknown key '" + key + "'";
         return false;
     };
-
-    for (const char c : spec) {
-        if (c == ',' || c == ';'
-            || std::isspace(static_cast<unsigned char>(c))) {
-            if (!consume())
-                return false;
-            token.clear();
-        } else {
-            token.push_back(c);
-        }
-    }
-    if (!consume())
+    if (!parseKeyValueSpec(spec, "noise", error, on_pair))
         return false;
     out = cfg;
     return true;

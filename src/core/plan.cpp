@@ -28,12 +28,6 @@ compileFailureName(CompileFailure failure)
     return "unknown";
 }
 
-const char*
-execModeName(ExecMode mode)
-{
-    return mode == ExecMode::Interpreter ? "interpreter" : "compiled";
-}
-
 CompileError
 parseBackendSelector(const std::string& text, BackendSelector& out)
 {
@@ -45,8 +39,7 @@ parseBackendSelector(const std::string& text, BackendSelector& out)
             basecall::parseBackendTokens(text, parsed))
         return {CompileFailure::UnknownBackend, err.message};
     out.family = parsed.family;
-    out.mode = parsed.interpreter ? ExecMode::Interpreter
-                                  : ExecMode::Compiled;
+    out.mode = ExecMode::Compiled;
     return {};
 }
 
@@ -107,14 +100,12 @@ buildAnalyticalWeightPlan(
                 {&tiles[rt][ct], rt * s,
                  extras != nullptr ? &(*extras)[rt][ct] : nullptr});
         slice.opCount = plan.ops.size() - slice.opBegin;
-        plan.maxSliceWidth = std::max(plan.maxSliceWidth, slice.width);
         plan.slices.push_back(slice);
     }
 
-    // Conversion-counter factors, matching the interpretive loop exactly:
-    // each (slice, row tile) op counts x_sub.size() = T * width DAC and
-    // part.size() = T * tileRows ADC conversions, so the per-call totals
-    // are T * (row_tiles * cols) and T * (col_tiles * rows).
+    // Conversion-counter factors: each (slice, row tile) op converts
+    // T * width DAC inputs and T * tileRows ADC outputs, so the per-call
+    // totals are T * (row_tiles * cols) and T * (col_tiles * rows).
     plan.tileVmms = row_tiles * col_tiles;
     plan.dacPerRow = row_tiles * cols;
     plan.adcPerRow = col_tiles * rows;
@@ -133,15 +124,15 @@ buildMeasuredWeightPlan(std::size_t rows, std::size_t cols,
     plan.measured = true;
     plan.measuredWeights = &weights;
     plan.gain = &gain;
-    // The interpretive fold is row[o] * gain[o] + offset[o] * absMax *
-    // x_max; multiplication is left-associative, so pre-folding the first
-    // product keeps the compiled result bitwise identical.
+    // The fold is row[o] * gain[o] + offset[o] * absMax * x_max;
+    // multiplication is left-associative, so pre-folding the first product
+    // leaves the result bitwise unchanged.
     plan.offsetFold.resize(offset.size());
     for (std::size_t o = 0; o < offset.size(); ++o)
         plan.offsetFold[o] = offset[o] * abs_max;
-    // The measured mode executes as one fused gemm over the whole operand;
-    // the interpretive path counts whole-operand conversions (x.size() DAC,
-    // y.size() ADC) and no per-tile VMMs.
+    // The measured mode executes as one fused gemm over the whole operand:
+    // whole-operand conversions (x.size() DAC, y.size() ADC) and no
+    // per-tile VMMs.
     plan.tileVmms = 0;
     plan.dacPerRow = cols;
     plan.adcPerRow = rows;

@@ -3,16 +3,17 @@
  * Ahead-of-time execution plans for the crossbar VMM backend, plus the
  * typed compile-error surface shared by the backend registry.
  *
- * The interpretive matmul path re-derives the tile grid, the column-slice
- * bounds, and the lane streams on every call. compile() lowers a
- * (model, NonIdealityConfig) pair into a flat ExecPlan instead: one
- * WeightPlan per mapped weight holding the pre-resolved column slices, a
- * flat tile-op list in the exact interpretive execution order (column tile
- * outer, row tile inner — so conversion-noise draws and float accumulation
- * order are bitwise identical), the folded measured-library gain/offset
+ * compile() lowers a (model, NonIdealityConfig) pair into a flat
+ * ExecPlan: one WeightPlan per mapped weight holding the pre-resolved
+ * column slices, a flat tile-op list in execution order (column tile
+ * outer, row tile inner — which fixes the conversion-noise draw order and
+ * the float accumulation order), the folded measured-library gain/offset
  * vectors, and the precomputed per-row conversion-counter factors. The
- * backend's dispatch loop then runs the ops directly, with no lock, map
- * lookup, or grid arithmetic on the hot path.
+ * WeightPlan is the only way a crossbar VMM executes: the backend builds
+ * it when a weight is programmed, whether by compile() or lazily by a
+ * first matmul, and its dispatch loop runs the ops directly, with no grid
+ * arithmetic on the hot path (and, once compile() has sealed the plan, no
+ * lock or map lookup either).
  *
  * Typed errors: compilation failures (unknown backend, shape mismatch
  * against a cached plan, quantization contradictions, degenerate device
@@ -82,31 +83,36 @@ struct CompileResult
 // Backend selection (EvalRequest::backend / SWORDFISH_BACKEND)
 // ---------------------------------------------------------------------------
 
-/** How matmuls execute: per-call re-derivation or a precompiled plan. */
+/**
+ * The execution engine: Compiled (the AOT WeightPlan dispatch) is the only
+ * one. The enum stays as the type of BackendSelector::mode and
+ * BackendSpec::mode, which nothing in src/ reads, because
+ * benchmark/tracing.cpp assigns one from the other.
+ */
 enum class ExecMode
 {
-    Interpreter, ///< legacy per-call path (the bitwise reference)
-    Compiled,    ///< AOT ExecPlan dispatch (the default engine)
+    Compiled, ///< AOT WeightPlan dispatch
 };
-
-/** Stable label for an execution mode. */
-const char* execModeName(ExecMode mode);
 
 /**
  * A parsed backend selector. The selector grammar accepts up to two
  * tokens separated by ':', ',' or '+', in any order:
  *
- *   mode tokens:   "interpreter" | "compiled"
+ *   mode token:    "compiled"
  *   family tokens: "digital" | "int8" | "analytical" | "measured"
  *
- * e.g. "compiled", "measured:interpreter", "int8". An empty selector
- * keeps the defaults: compiled mode, family derived from the request
- * (scenario kind for crossbar evaluation, int8Kernel for quantized).
+ * e.g. "compiled", "measured:compiled", "int8". The removed interpreter
+ * engine's tokens ("interpreter", "interpreted") are rejected with an
+ * UnknownBackend error saying so. An empty selector keeps the defaults:
+ * family derived from the request (scenario kind for crossbar evaluation,
+ * int8Kernel for quantized).
  */
 struct BackendSelector
 {
-    std::string family;                 ///< empty = derive from the request
-    ExecMode mode = ExecMode::Compiled; ///< compiled is the default engine
+    std::string family; ///< empty = derive from the request
+    /** Unread (see ExecMode): kept because benchmark/tracing.cpp copies
+     *  it into BackendSpec::mode. */
+    ExecMode mode = ExecMode::Compiled;
 };
 
 /**
@@ -121,7 +127,7 @@ CompileError parseBackendSelector(const std::string& text,
  * The process-default selector from SWORDFISH_BACKEND (util::RuntimeConfig)
  * — parsed once; a malformed value panics at first use with the parse
  * message, since an env typo in a one-shot CLI run should fail loudly
- * rather than silently run the wrong engine. Long-running daemons call
+ * rather than silently run the wrong backend. Long-running daemons call
  * checkedDefaultBackendSelector() at startup instead.
  */
 const BackendSelector& defaultBackendSelector();
@@ -163,11 +169,11 @@ struct PlanColSlice
 
 /**
  * The compiled form of one mapped weight. Analytical weights carry the
- * slice table and flat op list (slice-major, row-tile inner — the exact
- * interpretive order); measured weights carry pointers to the programmed
- * effective matrix and folded gain vector plus the precomputed
- * offset*absMax vector (left-to-right evaluation of the interpretive
- * fold `offset[o] * absMax * x_max` makes the pre-fold bitwise neutral).
+ * slice table and flat op list (slice-major, row-tile inner); measured
+ * weights carry pointers to the programmed effective matrix and folded
+ * gain vector plus the precomputed offset*absMax vector (the fold
+ * `offset[o] * absMax * x_max` evaluates left to right, so pre-folding the
+ * first product is bitwise neutral).
  *
  * Cached tile/matrix pointers stay valid for the backend's lifetime: the
  * weight map's nodes are never erased, tile vectors are never resized
@@ -183,35 +189,38 @@ struct WeightPlan
     // Analytical path.
     std::vector<PlanColSlice> slices;
     std::vector<PlanTileOp> ops;
-    std::size_t maxSliceWidth = 0; ///< scratch pre-sizing bound
 
     // Measured path.
     const Matrix* measuredWeights = nullptr;
     const std::vector<float>* gain = nullptr;
     std::vector<float> offsetFold; ///< measuredOffset[o] * absMax
 
-    // Precomputed conversion-counter factors: the interpretive loop counts
-    // x_sub.size() DAC and part.size() ADC conversions per tile op, which
-    // sum to (rows of x) * these per-call constants.
+    // Precomputed conversion-counter factors: each tile op converts
+    // T * width inputs and T * tileRows outputs, which sum to (rows of x)
+    // times these per-call constants.
     std::size_t tileVmms = 0;
     std::size_t dacPerRow = 0;
     std::size_t adcPerRow = 0;
 };
 
-/** A compiled model: one WeightPlan per mapped weight, plus stats. */
+/**
+ * A compiled model: the WeightPlan of every compiled weight, plus stats.
+ * The plans themselves live with the programmed weights; the map only
+ * indexes them for the lock-free lookup after sealing.
+ */
 struct ExecPlan
 {
-    std::unordered_map<std::string, WeightPlan> weights;
+    std::unordered_map<std::string, const WeightPlan*> weights;
     std::size_t totalTiles = 0;
     double compileSeconds = 0.0;
 
     /** The plan for a weight, or nullptr when it was never compiled
-     *  (direct matmul callers fall back to the interpretive path). */
+     *  (direct matmul callers run the plan built at lazy programming). */
     const WeightPlan*
     find(const std::string& name) const
     {
         const auto it = weights.find(name);
-        return it == weights.end() ? nullptr : &it->second;
+        return it == weights.end() ? nullptr : it->second;
     }
 
     std::size_t weightCount() const { return weights.size(); }
@@ -222,8 +231,8 @@ struct ExecPlan
 
 /**
  * Lower one analytically-programmed weight into its WeightPlan: resolve
- * the column-slice table and emit the flat tile-op list in interpretive
- * execution order (column tile outer, row tile inner).
+ * the column-slice table and emit the flat tile-op list in execution order
+ * (column tile outer, row tile inner).
  *
  * @param tiles  tile grid indexed [rowTile][colTile]; pointers into it are
  *               cached, so it must outlive the plan.

@@ -123,7 +123,6 @@ class CrossbarBackendApi : public BackendApi
         backend_ =
             std::make_unique<CrossbarVmmBackend>(spec_.scenario, spec_.seed);
         backend_->setSramRemap(spec_.remap);
-        backend_->setExecMode(spec_.mode);
         backend_->setEnsemble(spec_.ensemble);
         return {};
     }

@@ -37,7 +37,7 @@ namespace swordfish::core {
 /**
  * Everything a backend family needs to build an execution backend. Fields
  * irrelevant to a family are ignored (the digital reference reads only
- * quant; the crossbar families read scenario/remap/seed/mode).
+ * quant; the crossbar families read scenario/remap/seed/ensemble).
  */
 struct BackendSpec
 {
@@ -45,7 +45,9 @@ struct BackendSpec
     SramRemapConfig remap;           ///< crossbar families (RSA remap)
     QuantConfig quant;               ///< digital / int8 families
     std::uint64_t seed = 1;          ///< programming seed (one per MC run)
-    ExecMode mode = ExecMode::Compiled; ///< execution engine
+    /** Unread (see ExecMode): kept because benchmark/tracing.cpp assigns
+     *  it from BackendSelector::mode. */
+    ExecMode mode = ExecMode::Compiled;
     EnsembleConfig ensemble;         ///< crossbar families (replica K)
 };
 
@@ -62,9 +64,6 @@ class BackendApi
 
     /** The registry family name this api was created under. */
     const std::string& name() const { return name_; }
-
-    /** The execution mode requested by the spec. */
-    ExecMode mode() const { return spec_.mode; }
 
     const BackendSpec& spec() const { return spec_; }
 

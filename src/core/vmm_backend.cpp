@@ -39,7 +39,8 @@ thread_local TlsConversionStream tls_stream;
 struct TlsMatmulScratch
 {
     Matrix xSub;                 ///< column-tile input slice
-    crossbar::VmmScratch tile;   ///< vmmFast input copy + partial sums
+    crossbar::VmmScratch tile;   ///< tile-kernel input copy + partial sums
+    BatchLayout oneLane;         ///< the layout of a serial matmul
 };
 thread_local TlsMatmulScratch tls_scratch;
 
@@ -137,10 +138,7 @@ currentStreamKey(std::uint64_t instance_id)
     return tls_stream.owner == instance_id ? tls_stream.streamKey : 0;
 }
 
-/**
- * The VMM hot-path metric handles, shared by the interpretive and compiled
- * bodies so both engines report under the same names.
- */
+/** The VMM hot-path metric handles. */
 struct VmmCounters
 {
     SpanStat span;
@@ -169,7 +167,6 @@ CrossbarVmmBackend::CrossbarVmmBackend(const NonIdealityConfig& config,
       runSeed_(run_seed), instanceId_(next_instance_id.fetch_add(1)),
       activationQuant_(config.quant.activationBits)
 {
-    mode_ = defaultBackendSelector().mode;
     if (config_.usesLibrary()) {
         library_.emplace(config_.crossbar.size, config_.library, 10000,
                          hashSeed({0x11b5eedULL}));
@@ -286,8 +283,16 @@ CrossbarVmmBackend::mapped(const std::string& name, const Matrix& w)
     else
         programAnalytical(mw, name, w,
                           health_ != nullptr ? &truths : nullptr);
-    const MappedWeight& slot =
-        weights_.emplace(name, std::move(mw)).first->second;
+    MappedWeight& slot = weights_.emplace(name, std::move(mw)).first->second;
+    // Lowered from the emplaced node, never the moved-from local: the plan
+    // caches pointers into it.
+    slot.plan = config_.usesLibrary()
+        ? buildMeasuredWeightPlan(slot.rows, slot.cols, slot.measuredWeights,
+                                  slot.measuredGain, slot.measuredOffset,
+                                  slot.absMax)
+        : buildAnalyticalWeightPlan(slot.rows, slot.cols,
+                                    config_.crossbar.size, slot.tiles,
+                                    &slot.extras);
     // Registration replays any elapsed health epochs (still under the
     // unique programming lock, so no matmul sees a half-healed weight).
     if (health_ != nullptr && !config_.usesLibrary())
@@ -569,89 +574,13 @@ void
 CrossbarVmmBackend::matmul(const std::string& name, const Matrix& w,
                            const Matrix& x, Matrix& y)
 {
-    VmmCounters& counters = vmmCounters();
-    TraceSpan trace(counters.span);
-    counters.calls.add();
-
-    // Compiled dispatch: once the plan is sealed (acquire pairs with the
-    // release in finishCompile()), planned weights skip the lock, the map
-    // lookup, and the per-call grid arithmetic. Names outside the plan
-    // (direct matmul callers: training, enhancer probes) fall through to
-    // the interpretive body below.
-    if (planReady_.load(std::memory_order_acquire)) {
-        if (const WeightPlan* wp = plan_.find(name)) {
-            if (wp->rows != w.rows() || wp->cols != w.cols())
-                panic("CrossbarVmmBackend: shape of ", name,
-                      " changed after programming");
-            if (wp->measured)
-                runMeasuredPlan(*wp, x, y);
-            else
-                runAnalyticalPlan(*wp, x, y);
-            applyExecutionFaults(y, 0, y.rows(),
-                                 currentStreamKey(instanceId_));
-            return;
-        }
-    }
-
-    const MappedWeight& mw = mapped(name, w);
-
-    if (config_.usesLibrary()) {
-        y.resizeUninit(x.rows(), mw.rows);
-        y.zero();
-        gemmBT(x, mw.measuredWeights, y, /*accumulate=*/true);
-        float x_max = x.absMax();
-        if (x_max <= 0.0f)
-            x_max = 1.0f;
-        for (std::size_t t = 0; t < y.rows(); ++t) {
-            float* row = y.rowPtr(t);
-            for (std::size_t o = 0; o < y.cols(); ++o)
-                row[o] = row[o] * mw.measuredGain[o]
-                    + mw.measuredOffset[o] * mw.absMax * x_max;
-        }
-        counters.dac.add(x.size());
-        counters.adc.add(y.size());
-        applyExecutionFaults(y, 0, y.rows(), currentStreamKey(instanceId_));
-        return;
-    }
-
-    const std::size_t s = config_.crossbar.size;
-    const std::size_t col_tiles = (mw.cols + s - 1) / s;
-    y.resizeUninit(x.rows(), mw.rows);
-    y.zero(); // accumulation target
-
-    Rng& rng = conversionRng();
-    Matrix& x_sub = tls_scratch.xSub;
-    std::uint64_t tile_vmms = 0, dac_elems = 0, adc_elems = 0;
-    for (std::size_t ct = 0; ct < col_tiles; ++ct) {
-        const std::size_t c0 = ct * s;
-        const std::size_t c1 = std::min(mw.cols, c0 + s);
-        x_sub.resizeUninit(x.rows(), c1 - c0); // fully overwritten below
-        for (std::size_t t = 0; t < x.rows(); ++t)
-            for (std::size_t c = c0; c < c1; ++c)
-                x_sub(t, c - c0) = x(t, c);
-
-        for (std::size_t rt = 0; rt < mw.tiles.size(); ++rt) {
-            if (mw.extras.empty())
-                mw.tiles[rt][ct].vmmFast(x_sub, rng, tls_scratch.tile);
-            else
-                mw.tiles[rt][ct].vmmFastEnsemble(x_sub, rng,
-                                                 tls_scratch.tile,
-                                                 mw.extras[rt][ct]);
-            const Matrix& part = tls_scratch.tile.y;
-            const std::size_t r0 = rt * s;
-            ++tile_vmms;
-            dac_elems += x_sub.size();
-            adc_elems += part.size();
-            // Digital accumulation of partial sums across column tiles.
-            for (std::size_t t = 0; t < part.rows(); ++t)
-                for (std::size_t r = 0; r < part.cols(); ++r)
-                    y(t, r0 + r) += part(t, r);
-        }
-    }
-    counters.tileVmms.add(tile_vmms);
-    counters.dac.add(dac_elems);
-    counters.adc.add(adc_elems);
-    applyExecutionFaults(y, 0, y.rows(), currentStreamKey(instanceId_));
+    // A serial call is the one-lane layout over the calling thread's
+    // current stream.
+    BatchLayout& one_lane = tls_scratch.oneLane;
+    one_lane.assign(1, {0, x.rows()});
+    Rng* const rng = &conversionRng();
+    const std::uint64_t key = currentStreamKey(instanceId_);
+    execute(name, w, x, y, one_lane, &rng, &key);
 }
 
 void
@@ -666,115 +595,65 @@ CrossbarVmmBackend::matmulBatched(const std::string& name, const Matrix& w,
         matmul(name, w, x, y);
         return;
     }
+    execute(name, w, x, y, layout, laneRngTable(layout).data(),
+            tls_batch.laneStreams.data());
+}
 
-    VmmCounters& counters = vmmCounters();
-    TraceSpan trace(counters.span);
-    counters.calls.add();
-
-    // Compiled dispatch, mirroring matmul() (see there for the memory
-    // ordering and fall-through contract).
+const WeightPlan&
+CrossbarVmmBackend::weightPlan(const std::string& name, const Matrix& w)
+{
+    // Once the plan is sealed (acquire pairs with the release in
+    // finishCompile()), compiled weights skip the lock and the map lookup.
     if (planReady_.load(std::memory_order_acquire)) {
         if (const WeightPlan* wp = plan_.find(name)) {
             if (wp->rows != w.rows() || wp->cols != w.cols())
                 panic("CrossbarVmmBackend: shape of ", name,
                       " changed after programming");
-            if (wp->measured)
-                runMeasuredPlanLanes(*wp, x, y, layout);
-            else
-                runAnalyticalPlanLanes(*wp, x, y, layout);
-            return;
+            return *wp;
         }
     }
-
-    const MappedWeight& mw = mapped(name, w);
-
-    if (config_.usesLibrary()) {
-        y.resizeUninit(x.rows(), mw.rows);
-        y.zero();
-        gemmBT(x, mw.measuredWeights, y, /*accumulate=*/true);
-        // One gain/offset fold over the whole batch, but with each lane's
-        // own input absmax — bitwise what the serial fold does per lane
-        // (same absMaxRange kernel as x.absMax() on the serial path).
-        for (const LaneBlock& blk : laneBlocks(layout)) {
-            const float* src = x.raw().data() + blk.rowBegin * x.cols();
-            float x_max = kernels::absMaxRange(
-                src, (blk.rowEnd - blk.rowBegin) * x.cols());
-            if (x_max <= 0.0f)
-                x_max = 1.0f;
-            for (std::size_t t = blk.rowBegin; t < blk.rowEnd; ++t) {
-                float* out = y.rowPtr(t);
-                for (std::size_t o = 0; o < y.cols(); ++o)
-                    out[o] = out[o] * mw.measuredGain[o]
-                        + mw.measuredOffset[o] * mw.absMax * x_max;
-            }
-            applyExecutionFaults(y, blk.rowBegin, blk.rowEnd,
-                                 tls_batch.laneStreams[blk.lane]);
-        }
-        counters.dac.add(x.size());
-        counters.adc.add(y.size());
-        return;
-    }
-
-    const std::size_t s = config_.crossbar.size;
-    const std::size_t col_tiles = (mw.cols + s - 1) / s;
-    y.resizeUninit(x.rows(), mw.rows);
-    y.zero(); // accumulation target
-
-    // Per-span stream pointers: layout lanes index the open batch's rngs.
-    std::vector<Rng*>& rngs = laneRngTable(layout);
-
-    Matrix& x_sub = tls_scratch.xSub;
-    std::uint64_t tile_vmms = 0, dac_elems = 0, adc_elems = 0;
-    for (std::size_t ct = 0; ct < col_tiles; ++ct) {
-        const std::size_t c0 = ct * s;
-        const std::size_t c1 = std::min(mw.cols, c0 + s);
-        x_sub.resizeUninit(x.rows(), c1 - c0); // fully overwritten below
-        for (std::size_t t = 0; t < x.rows(); ++t)
-            for (std::size_t c = c0; c < c1; ++c)
-                x_sub(t, c - c0) = x(t, c);
-
-        for (std::size_t rt = 0; rt < mw.tiles.size(); ++rt) {
-            if (mw.extras.empty())
-                mw.tiles[rt][ct].vmmFastLanes(x_sub, layout, rngs.data(),
-                                              tls_scratch.tile);
-            else
-                mw.tiles[rt][ct].vmmFastLanesEnsemble(
-                    x_sub, layout, rngs.data(), tls_scratch.tile,
-                    mw.extras[rt][ct]);
-            const Matrix& part = tls_scratch.tile.y;
-            const std::size_t r0 = rt * s;
-            ++tile_vmms;
-            dac_elems += x_sub.size();
-            adc_elems += part.size();
-            for (std::size_t t = 0; t < part.rows(); ++t)
-                for (std::size_t r = 0; r < part.cols(); ++r)
-                    y(t, r0 + r) += part(t, r);
-        }
-    }
-    counters.tileVmms.add(tile_vmms);
-    counters.dac.add(dac_elems);
-    counters.adc.add(adc_elems);
-    for (const LaneBlock& blk : laneBlocks(layout))
-        applyExecutionFaults(y, blk.rowBegin, blk.rowEnd,
-                             tls_batch.laneStreams[blk.lane]);
+    // Weights outside the plan (direct matmul callers: training, enhancer
+    // probes) run the same plan, built when their first matmul programmed
+    // them.
+    return mapped(name, w).plan;
 }
 
-// ---------------------------------------------------------------------------
-// Compiled execution (plan dispatch bodies)
-// ---------------------------------------------------------------------------
-
 void
-CrossbarVmmBackend::runAnalyticalPlan(const WeightPlan& wp, const Matrix& x,
-                                      Matrix& y)
+CrossbarVmmBackend::execute(const std::string& name, const Matrix& w,
+                            const Matrix& x, Matrix& y,
+                            const BatchLayout& layout, Rng* const* rngs,
+                            const std::uint64_t* lane_keys)
 {
     VmmCounters& counters = vmmCounters();
+    TraceSpan trace(counters.span);
+    counters.calls.add();
+
+    const WeightPlan& wp = weightPlan(name, w);
+    if (wp.measured)
+        runMeasured(wp, x, y, layout);
+    else
+        runAnalytical(wp, x, y, layout, rngs);
+    counters.tileVmms.add(wp.tileVmms);
+    counters.dac.add(x.rows() * wp.dacPerRow);
+    counters.adc.add(x.rows() * wp.adcPerRow);
+
+    std::size_t row = 0;
+    for (const LaneSpan& span : layout) {
+        applyExecutionFaults(y, row, row + span.rows, lane_keys[span.lane]);
+        row += span.rows;
+    }
+}
+
+void
+CrossbarVmmBackend::runAnalytical(const WeightPlan& wp, const Matrix& x,
+                                  Matrix& y, const BatchLayout& layout,
+                                  Rng* const* rngs)
+{
     y.resizeUninit(x.rows(), wp.rows);
     y.zero(); // accumulation target
 
-    // One stream for the whole call, fetched before the op loop — exactly
-    // where the interpretive body draws it, so the noise sequence lines up.
-    Rng& rng = conversionRng();
     Matrix& x_sub = tls_scratch.xSub;
+    crossbar::VmmScratch& scratch = tls_scratch.tile;
     for (const PlanColSlice& slice : wp.slices) {
         x_sub.resizeUninit(x.rows(), slice.width); // fully overwritten
         for (std::size_t t = 0; t < x.rows(); ++t)
@@ -783,113 +662,40 @@ CrossbarVmmBackend::runAnalyticalPlan(const WeightPlan& wp, const Matrix& x,
 
         for (std::size_t i = 0; i < slice.opCount; ++i) {
             const PlanTileOp& op = wp.ops[slice.opBegin + i];
-            if (op.extras == nullptr)
-                op.tile->vmmFast(x_sub, rng, tls_scratch.tile);
-            else
-                op.tile->vmmFastEnsemble(x_sub, rng, tls_scratch.tile,
-                                         *op.extras);
-            const Matrix& part = tls_scratch.tile.y;
+            op.tile->vmm(x_sub, layout, rngs, scratch, op.extras);
+            const Matrix& part = scratch.y;
             // Digital accumulation of partial sums across column tiles.
             for (std::size_t t = 0; t < part.rows(); ++t)
                 for (std::size_t r = 0; r < part.cols(); ++r)
                     y(t, op.rowBegin + r) += part(t, r);
         }
     }
-    counters.tileVmms.add(wp.tileVmms);
-    counters.dac.add(x.rows() * wp.dacPerRow);
-    counters.adc.add(x.rows() * wp.adcPerRow);
 }
 
 void
-CrossbarVmmBackend::runMeasuredPlan(const WeightPlan& wp, const Matrix& x,
-                                    Matrix& y)
+CrossbarVmmBackend::runMeasured(const WeightPlan& wp, const Matrix& x,
+                                Matrix& y, const BatchLayout& layout)
 {
-    VmmCounters& counters = vmmCounters();
     y.resizeUninit(x.rows(), wp.rows);
     y.zero();
     gemmBT(x, *wp.measuredWeights, y, /*accumulate=*/true);
-    float x_max = x.absMax();
-    if (x_max <= 0.0f)
-        x_max = 1.0f;
+    // One gain/offset fold over the whole operand, with each lane's own
+    // input absmax (the Matrix::absMax() kernel, so a one-lane layout
+    // folds exactly as the whole operand).
     const std::vector<float>& gain = *wp.gain;
-    for (std::size_t t = 0; t < y.rows(); ++t) {
-        float* row = y.rowPtr(t);
-        for (std::size_t o = 0; o < y.cols(); ++o)
-            row[o] = row[o] * gain[o] + wp.offsetFold[o] * x_max;
-    }
-    counters.dac.add(x.size());
-    counters.adc.add(y.size());
-}
-
-void
-CrossbarVmmBackend::runAnalyticalPlanLanes(const WeightPlan& wp,
-                                           const Matrix& x, Matrix& y,
-                                           const BatchLayout& layout)
-{
-    VmmCounters& counters = vmmCounters();
-    y.resizeUninit(x.rows(), wp.rows);
-    y.zero(); // accumulation target
-
-    std::vector<Rng*>& rngs = laneRngTable(layout);
-
-    Matrix& x_sub = tls_scratch.xSub;
-    for (const PlanColSlice& slice : wp.slices) {
-        x_sub.resizeUninit(x.rows(), slice.width); // fully overwritten
-        for (std::size_t t = 0; t < x.rows(); ++t)
-            for (std::size_t c = 0; c < slice.width; ++c)
-                x_sub(t, c) = x(t, slice.colBegin + c);
-
-        for (std::size_t i = 0; i < slice.opCount; ++i) {
-            const PlanTileOp& op = wp.ops[slice.opBegin + i];
-            if (op.extras == nullptr)
-                op.tile->vmmFastLanes(x_sub, layout, rngs.data(),
-                                      tls_scratch.tile);
-            else
-                op.tile->vmmFastLanesEnsemble(x_sub, layout, rngs.data(),
-                                              tls_scratch.tile,
-                                              *op.extras);
-            const Matrix& part = tls_scratch.tile.y;
-            for (std::size_t t = 0; t < part.rows(); ++t)
-                for (std::size_t r = 0; r < part.cols(); ++r)
-                    y(t, op.rowBegin + r) += part(t, r);
-        }
-    }
-    counters.tileVmms.add(wp.tileVmms);
-    counters.dac.add(x.rows() * wp.dacPerRow);
-    counters.adc.add(x.rows() * wp.adcPerRow);
-    for (const LaneBlock& blk : laneBlocks(layout))
-        applyExecutionFaults(y, blk.rowBegin, blk.rowEnd,
-                             tls_batch.laneStreams[blk.lane]);
-}
-
-void
-CrossbarVmmBackend::runMeasuredPlanLanes(const WeightPlan& wp,
-                                         const Matrix& x, Matrix& y,
-                                         const BatchLayout& layout)
-{
-    VmmCounters& counters = vmmCounters();
-    y.resizeUninit(x.rows(), wp.rows);
-    y.zero();
-    gemmBT(x, *wp.measuredWeights, y, /*accumulate=*/true);
-    // One gain/offset fold over the whole batch with each lane's own input
-    // absmax — bitwise what the serial fold does per lane.
-    const std::vector<float>& gain = *wp.gain;
-    for (const LaneBlock& blk : laneBlocks(layout)) {
-        const float* src = x.raw().data() + blk.rowBegin * x.cols();
-        float x_max = kernels::absMaxRange(
-            src, (blk.rowEnd - blk.rowBegin) * x.cols());
+    std::size_t row = 0;
+    for (const LaneSpan& span : layout) {
+        const float* src = x.raw().data() + row * x.cols();
+        float x_max = kernels::absMaxRange(src, span.rows * x.cols());
         if (x_max <= 0.0f)
             x_max = 1.0f;
-        for (std::size_t t = blk.rowBegin; t < blk.rowEnd; ++t) {
+        for (std::size_t t = row; t < row + span.rows; ++t) {
             float* out = y.rowPtr(t);
             for (std::size_t o = 0; o < y.cols(); ++o)
                 out[o] = out[o] * gain[o] + wp.offsetFold[o] * x_max;
         }
-        applyExecutionFaults(y, blk.rowBegin, blk.rowEnd,
-                             tls_batch.laneStreams[blk.lane]);
+        row += span.rows;
     }
-    counters.dac.add(x.size());
-    counters.adc.add(y.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -916,26 +722,12 @@ CrossbarVmmBackend::compileWeight(const std::string& name, const Matrix& w)
                         + std::to_string(it->second.cols) + ")"};
     }
 
-    // Programming is identical for both engines (seeds are pure in
-    // (runSeed, name, tile), never in call order), so AOT programming here
-    // is bitwise-equal to lazy first-matmul programming.
+    // Seeds are pure in (runSeed, name, tile), never in call order, so AOT
+    // programming here is bitwise-equal to lazy first-matmul programming.
     const MappedWeight& mw = mapped(name, w);
-    if (mode_ != ExecMode::Compiled)
-        return {};
-
     std::unique_lock<std::shared_mutex> lock(programMutex_);
-    if (plan_.weights.count(name) != 0)
-        return {}; // idempotent: already lowered
-    WeightPlan wp = config_.usesLibrary()
-        ? buildMeasuredWeightPlan(mw.rows, mw.cols, mw.measuredWeights,
-                                  mw.measuredGain, mw.measuredOffset,
-                                  mw.absMax)
-        : buildAnalyticalWeightPlan(mw.rows, mw.cols, config_.crossbar.size,
-                                    mw.tiles,
-                                    mw.extras.empty() ? nullptr
-                                                      : &mw.extras);
-    plan_.totalTiles += wp.measured ? 0 : wp.ops.size();
-    plan_.weights.emplace(name, std::move(wp));
+    if (plan_.weights.emplace(name, &mw.plan).second) // idempotent
+        plan_.totalTiles += mw.plan.ops.size();
     return {};
 }
 
@@ -967,11 +759,10 @@ CrossbarVmmBackend::prepareWeight(const std::string& name, const Matrix& w)
 void
 CrossbarVmmBackend::finishCompile()
 {
-    // Release pairs with the acquire in the matmul dispatch: a thread that
-    // sees planReady_ sees the fully-built plan. Compile sweeps run
-    // between evaluations, never concurrently with matmuls.
-    if (mode_ == ExecMode::Compiled)
-        planReady_.store(true, std::memory_order_release);
+    // Release pairs with the acquire in weightPlan(): a thread that sees
+    // planReady_ sees the fully-built plan. Compile sweeps run between
+    // evaluations, never concurrently with matmuls.
+    planReady_.store(true, std::memory_order_release);
 }
 
 } // namespace swordfish::core

@@ -135,17 +135,6 @@ class CrossbarVmmBackend : public nn::VmmBackend
     }
 
     /**
-     * Select the execution engine: Compiled (default; AOT ExecPlan
-     * dispatch) or Interpreter (per-call re-derivation, the bitwise
-     * reference). Must be set before compile(); both engines produce
-     * bitwise-identical results — Compiled only removes per-call lock,
-     * lookup, and grid-arithmetic overhead.
-     */
-    void setExecMode(ExecMode mode) { mode_ = mode; }
-
-    ExecMode execMode() const { return mode_; }
-
-    /**
      * Configure layer ensemble averaging for weights programmed later.
      * Config readers validate with validateEnsembleConfig() first; an
      * out-of-range replica count reaching this setter panics.
@@ -166,11 +155,10 @@ class CrossbarVmmBackend : public nn::VmmBackend
 
     /**
      * Ahead-of-time compile: program every crossbar-mapped weight of the
-     * model and (in Compiled mode) lower it into the ExecPlan, then seal
-     * the plan. Typed errors (shape mismatch against an already-compiled
-     * weight) are returned, not panicked. Idempotent; must not run
-     * concurrently with matmuls (the evaluation entry points compile
-     * before the first read).
+     * model, index its WeightPlan in the ExecPlan, then seal the plan.
+     * Typed errors (shape mismatch against an already-compiled weight) are
+     * returned, not panicked. Idempotent; must not run concurrently with
+     * matmuls (the evaluation entry points compile before the first read).
      */
     CompileError compile(nn::SequenceModel& model);
 
@@ -181,14 +169,16 @@ class CrossbarVmmBackend : public nn::VmmBackend
     void prepareWeight(const std::string& name, const Matrix& w) override;
     void finishCompile() override;
 
-    /** The sealed execution plan (empty in Interpreter mode). */
+    /** The execution plan: every compiled weight's WeightPlan. */
     const ExecPlan& plan() const { return plan_; }
 
     /**
      * Thread-safe after a weight is programmed: the first matmul for a
-     * given name programs its tiles under a lock; afterwards concurrent
-     * calls only read the tile set and draw conversion noise from the
-     * calling thread's per-read stream (see beginRead()).
+     * name that compile() did not cover programs its tiles and builds its
+     * WeightPlan under a lock; afterwards concurrent calls only read the
+     * tile set and draw conversion noise from the calling thread's
+     * per-read stream (see beginRead()). Runs matmulBatched()'s body
+     * over a one-lane layout on that stream.
      */
     void matmul(const std::string& name, const Matrix& w, const Matrix& x,
                 Matrix& y) override;
@@ -294,16 +284,28 @@ class CrossbarVmmBackend : public nn::VmmBackend
         std::vector<float> measuredGain;
         std::vector<float> measuredOffset;
         float absMax = 0.0f;
+        // The lowered form of the above, built once the node is in the
+        // map (it caches pointers into the node).
+        WeightPlan plan;
     };
 
     const MappedWeight& mapped(const std::string& name, const Matrix& w);
-    /** Compiled-dispatch bodies (plan must be sealed; see plan.h). */
-    void runAnalyticalPlan(const WeightPlan& wp, const Matrix& x, Matrix& y);
-    void runMeasuredPlan(const WeightPlan& wp, const Matrix& x, Matrix& y);
-    void runAnalyticalPlanLanes(const WeightPlan& wp, const Matrix& x,
-                                Matrix& y, const BatchLayout& layout);
-    void runMeasuredPlanLanes(const WeightPlan& wp, const Matrix& x,
-                              Matrix& y, const BatchLayout& layout);
+    /** The weight's plan: the sealed lock-free lookup for compiled
+     *  weights, else the plan built by (lazy) programming. */
+    const WeightPlan& weightPlan(const std::string& name, const Matrix& w);
+    /**
+     * Run one VMM over stacked lanes: rngs[i] is the conversion stream of
+     * layout[i], lane_keys[lane] the read-stream id that keys that lane's
+     * execution faults.
+     */
+    void execute(const std::string& name, const Matrix& w, const Matrix& x,
+                 Matrix& y, const BatchLayout& layout, Rng* const* rngs,
+                 const std::uint64_t* lane_keys);
+    /** The execution body of each modeling approach. */
+    void runAnalytical(const WeightPlan& wp, const Matrix& x, Matrix& y,
+                       const BatchLayout& layout, Rng* const* rngs);
+    void runMeasured(const WeightPlan& wp, const Matrix& x, Matrix& y,
+                     const BatchLayout& layout);
     /**
      * When `truths` is non-null it receives each tile's pre-fault digital
      * sub-matrix in row-major tile order (the health monitor's ground
@@ -337,7 +339,6 @@ class CrossbarVmmBackend : public nn::VmmBackend
     std::map<std::string, std::vector<std::uint8_t>> sramMasks_;
     std::atomic<std::size_t> tileCount_ = 0;
     std::unique_ptr<TileHealthMonitor> health_; ///< null = healing off
-    ExecMode mode_ = ExecMode::Compiled;
     // The AOT execution plan. Mutated only by compileWeight() under the
     // unique lock; sealed by finishCompile() with a release store so the
     // hot path can read it lock-free after the acquire load succeeds.

@@ -116,7 +116,7 @@ CrossbarTile::buildEffectiveWeights(const NoiseToggles& toggles,
     }
 
     // Sneak-path leakage coefficients, one per output column (weight-space
-    // equivalent current added in vmmFast()).
+    // equivalent current added in vmm()).
     colSneak_.assign(out, 0.0f);
     if (toggles.sneakPaths) {
         for (std::size_t o = 0; o < out; ++o)
@@ -222,80 +222,30 @@ CrossbarTile::applyExtendedNoise(ConductancePair& pair,
 Matrix
 CrossbarTile::vmmFast(const Matrix& x, Rng& rng) const
 {
+    const BatchLayout one_lane{{0, x.rows()}};
+    Rng* const rngs[] = {&rng};
     VmmScratch scratch;
-    vmmFast(x, rng, scratch);
+    vmm(x, one_lane, rngs, scratch);
     return std::move(scratch.y);
 }
 
 void
-CrossbarTile::vmmFast(const Matrix& x, Rng& rng, VmmScratch& scratch) const
+CrossbarTile::vmm(const Matrix& x, const BatchLayout& layout,
+                  Rng* const* lane_rngs, VmmScratch& scratch,
+                  const std::vector<CrossbarTile>* extras) const
 {
     if (x.cols() != ideal_.cols())
-        panic("CrossbarTile::vmmFast: input width ", x.cols(),
-              " != tile fan-in ", ideal_.cols());
-
-    // Dynamic input scaling: the driver normalizes each chunk to [-1, 1]
-    // (dynamic fixed point), converts, then the result is rescaled.
-    float x_scale = x.absMax();
-    if (x_scale <= 0.0f)
-        x_scale = 1.0f;
-
-    // xn is fully overwritten below, so skip the resize() clear; y is an
-    // accumulation target for the gemm and must be zeroed explicitly.
-    Matrix& xn = scratch.xn;
-    xn.resizeUninit(x.rows(), x.cols());
-    const float inv = 1.0f / x_scale;
-    for (std::size_t i = 0; i < x.size(); ++i)
-        xn.raw()[i] = x.raw()[i] * inv;
-    if (!dac_->isIdeal()) {
-        for (float& v : xn.raw())
-            v = dac_->convert(v);
-    }
-
-    Matrix& y = scratch.y;
-    y.resizeUninit(x.rows(), effective_.rows());
-    y.zero();
-    gemmBT(xn, effective_, y, /*accumulate=*/true);
-
-    const bool sneak = !colSneak_.empty()
-        && std::any_of(colSneak_.begin(), colSneak_.end(),
-                       [](float v) { return v != 0.0f; });
-    for (std::size_t t = 0; t < y.rows(); ++t) {
-        float* yrow = y.rowPtr(t);
-        if (sneak) {
-            const float* xrow = xn.rowPtr(t);
-            float mean_abs = 0.0f;
-            for (std::size_t i = 0; i < xn.cols(); ++i)
-                mean_abs += std::fabs(xrow[i]);
-            mean_abs /= static_cast<float>(xn.cols());
-            for (std::size_t o = 0; o < y.cols(); ++o)
-                yrow[o] += colSneak_[o] * mean_abs;
-        }
-        if (!adc_->isIdeal()) {
-            for (std::size_t o = 0; o < y.cols(); ++o)
-                yrow[o] = adc_->convert(yrow[o], rng);
-        }
-    }
-
-    for (float& v : y.raw())
-        v *= x_scale;
-}
-
-void
-CrossbarTile::vmmFastLanes(const Matrix& x, const BatchLayout& layout,
-                           Rng* const* lane_rngs, VmmScratch& scratch) const
-{
-    if (x.cols() != ideal_.cols())
-        panic("CrossbarTile::vmmFastLanes: input width ", x.cols(),
+        panic("CrossbarTile::vmm: input width ", x.cols(),
               " != tile fan-in ", ideal_.cols());
     if (layoutRows(layout) != x.rows())
-        panic("CrossbarTile::vmmFastLanes: layout rows ",
-              layoutRows(layout), " != input rows ", x.rows());
+        panic("CrossbarTile::vmm: layout rows ", layoutRows(layout),
+              " != input rows ", x.rows());
 
-    // Per-lane dynamic input scaling: each lane is normalized by its own
-    // absmax, exactly as vmmFast() would scale that lane in isolation.
-    // Both the scale table and xn live in caller scratch and are fully
-    // overwritten per call, so neither pays a per-call allocation or clear.
+    // Dynamic input scaling: the driver normalizes each lane's chunk to
+    // [-1, 1] by the lane's own absmax (dynamic fixed point), converts,
+    // and the result is rescaled after the ADC. The scale table and xn
+    // live in caller scratch and are fully overwritten per call, so
+    // neither pays a per-call allocation or clear.
     std::vector<float>& scales = scratch.laneScales;
     scales.resize(layout.size());
     Matrix& xn = scratch.xn;
@@ -304,8 +254,8 @@ CrossbarTile::vmmFastLanes(const Matrix& x, const BatchLayout& layout,
     for (std::size_t l = 0; l < layout.size(); ++l) {
         const std::size_t count = layout[l].rows * x.cols();
         const float* src = x.raw().data() + row * x.cols();
-        // Same kernel as Matrix::absMax() so the lane's scale is bitwise
-        // what vmmFast() would compute for the standalone lane.
+        // Same kernel as Matrix::absMax(), so a one-lane call scales
+        // exactly as the whole operand would.
         float x_scale = kernels::absMaxRange(src, count);
         if (x_scale <= 0.0f)
             x_scale = 1.0f;
@@ -316,178 +266,62 @@ CrossbarTile::vmmFastLanes(const Matrix& x, const BatchLayout& layout,
             dst[i] = src[i] * inv;
         row += layout[l].rows;
     }
-    if (!dac_->isIdeal()) {
-        for (float& v : xn.raw())
-            v = dac_->convert(v);
-    }
 
+    // Analog domain: a tile's DAC-converted input through its effective
+    // weights plus its sneak leakage, accumulated into y.
     Matrix& y = scratch.y;
     y.resizeUninit(x.rows(), effective_.rows());
-    y.zero();
-    gemmBT(xn, effective_, y, /*accumulate=*/true);
-
-    const bool sneak = !colSneak_.empty()
-        && std::any_of(colSneak_.begin(), colSneak_.end(),
-                       [](float v) { return v != 0.0f; });
-    row = 0;
-    for (std::size_t l = 0; l < layout.size(); ++l) {
-        Rng& rng = *lane_rngs[l];
-        for (std::size_t t = row; t < row + layout[l].rows; ++t) {
-            float* yrow = y.rowPtr(t);
-            if (sneak) {
-                const float* xrow = xn.rowPtr(t);
-                float mean_abs = 0.0f;
-                for (std::size_t i = 0; i < xn.cols(); ++i)
-                    mean_abs += std::fabs(xrow[i]);
-                mean_abs /= static_cast<float>(xn.cols());
-                for (std::size_t o = 0; o < y.cols(); ++o)
-                    yrow[o] += colSneak_[o] * mean_abs;
-            }
-            if (!adc_->isIdeal()) {
-                for (std::size_t o = 0; o < y.cols(); ++o)
-                    yrow[o] = adc_->convert(yrow[o], rng);
-            }
-            for (std::size_t o = 0; o < y.cols(); ++o)
-                yrow[o] *= scales[l];
-        }
-        row += layout[l].rows;
-    }
-}
-
-void
-CrossbarTile::accumulateAnalog(const Matrix& xn, VmmScratch& scratch) const
-{
-    // Adds this replica's pre-ADC analog response to the shared
-    // normalized input into scratch.ySum (sized and zeroed by the
-    // caller); scratch.xd is clobbered when the replica's DAC is
-    // non-ideal.
-    const Matrix* xd = &xn;
-    if (!dac_->isIdeal()) {
-        Matrix& tmp = scratch.xd;
-        tmp.resizeUninit(xn.rows(), xn.cols());
-        for (std::size_t i = 0; i < xn.size(); ++i)
-            tmp.raw()[i] = dac_->convert(xn.raw()[i]);
-        xd = &tmp;
-    }
-    gemmBT(*xd, effective_, scratch.ySum, /*accumulate=*/true);
-
-    const bool sneak = !colSneak_.empty()
-        && std::any_of(colSneak_.begin(), colSneak_.end(),
-                       [](float v) { return v != 0.0f; });
-    if (!sneak)
-        return;
-    Matrix& y = scratch.ySum;
-    for (std::size_t t = 0; t < y.rows(); ++t) {
-        const float* xrow = xd->rowPtr(t);
-        float mean_abs = 0.0f;
-        for (std::size_t i = 0; i < xd->cols(); ++i)
-            mean_abs += std::fabs(xrow[i]);
-        mean_abs /= static_cast<float>(xd->cols());
-        float* yrow = y.rowPtr(t);
-        for (std::size_t o = 0; o < y.cols(); ++o)
-            yrow[o] += colSneak_[o] * mean_abs;
-    }
-}
-
-void
-CrossbarTile::vmmFastEnsemble(const Matrix& x, Rng& rng,
-                              VmmScratch& scratch,
-                              const std::vector<CrossbarTile>& extras) const
-{
-    if (extras.empty()) {
-        vmmFast(x, rng, scratch);
-        return;
-    }
-    if (x.cols() != ideal_.cols())
-        panic("CrossbarTile::vmmFastEnsemble: input width ", x.cols(),
-              " != tile fan-in ", ideal_.cols());
-
-    float x_scale = x.absMax();
-    if (x_scale <= 0.0f)
-        x_scale = 1.0f;
-
-    // One shared normalized input; every replica applies its own DAC
-    // instance to it inside accumulateAnalog().
-    Matrix& xn = scratch.xn;
-    xn.resizeUninit(x.rows(), x.cols());
-    const float inv = 1.0f / x_scale;
-    for (std::size_t i = 0; i < x.size(); ++i)
-        xn.raw()[i] = x.raw()[i] * inv;
-
-    Matrix& ySum = scratch.ySum;
-    ySum.resizeUninit(x.rows(), effective_.rows());
-    ySum.zero();
-    accumulateAnalog(xn, scratch);
-    for (const CrossbarTile& rep : extras)
-        rep.accumulateAnalog(xn, scratch);
-
-    // Average the replica currents in the analog domain, then run ONE
-    // shared ADC pass over the mean — the rng stream advances exactly as
-    // a plain vmmFast() call would, whatever K is.
-    const float inv_k = 1.0f / static_cast<float>(extras.size() + 1);
-    Matrix& y = scratch.y;
-    y.resizeUninit(x.rows(), effective_.rows());
-    for (std::size_t i = 0; i < y.size(); ++i)
-        y.raw()[i] = ySum.raw()[i] * inv_k;
-    if (!adc_->isIdeal()) {
+    y.zero(); // accumulation target
+    const auto add_response = [&y](const CrossbarTile& tile,
+                                   const Matrix& xd) {
+        gemmBT(xd, tile.effective_, y, /*accumulate=*/true);
+        if (std::none_of(tile.colSneak_.begin(), tile.colSneak_.end(),
+                         [](float v) { return v != 0.0f; }))
+            return;
         for (std::size_t t = 0; t < y.rows(); ++t) {
+            const float* xrow = xd.rowPtr(t);
+            float mean_abs = 0.0f;
+            for (std::size_t i = 0; i < xd.cols(); ++i)
+                mean_abs += std::fabs(xrow[i]);
+            mean_abs /= static_cast<float>(xd.cols());
             float* yrow = y.rowPtr(t);
             for (std::size_t o = 0; o < y.cols(); ++o)
-                yrow[o] = adc_->convert(yrow[o], rng);
+                yrow[o] += tile.colSneak_[o] * mean_abs;
         }
-    }
-    for (float& v : y.raw())
-        v *= x_scale;
-}
-
-void
-CrossbarTile::vmmFastLanesEnsemble(
-    const Matrix& x, const BatchLayout& layout, Rng* const* lane_rngs,
-    VmmScratch& scratch, const std::vector<CrossbarTile>& extras) const
-{
-    if (extras.empty()) {
-        vmmFastLanes(x, layout, lane_rngs, scratch);
-        return;
-    }
-    if (x.cols() != ideal_.cols())
-        panic("CrossbarTile::vmmFastLanesEnsemble: input width ", x.cols(),
-              " != tile fan-in ", ideal_.cols());
-    if (layoutRows(layout) != x.rows())
-        panic("CrossbarTile::vmmFastLanesEnsemble: layout rows ",
-              layoutRows(layout), " != input rows ", x.rows());
-
-    // Per-lane normalization, exactly as vmmFastLanes().
-    std::vector<float>& scales = scratch.laneScales;
-    scales.resize(layout.size());
-    Matrix& xn = scratch.xn;
-    xn.resizeUninit(x.rows(), x.cols());
-    std::size_t row = 0;
-    for (std::size_t l = 0; l < layout.size(); ++l) {
-        const std::size_t count = layout[l].rows * x.cols();
-        const float* src = x.raw().data() + row * x.cols();
-        float x_scale = kernels::absMaxRange(src, count);
-        if (x_scale <= 0.0f)
-            x_scale = 1.0f;
-        scales[l] = x_scale;
-        const float inv = 1.0f / x_scale;
-        float* dst = xn.raw().data() + row * x.cols();
-        for (std::size_t i = 0; i < count; ++i)
-            dst[i] = src[i] * inv;
-        row += layout[l].rows;
+    };
+    if (extras == nullptr || extras->empty()) {
+        // No replicas: the DAC converts in place and the GEMM lands
+        // straight in y.
+        if (!dac_->isIdeal()) {
+            for (float& v : xn.raw())
+                v = dac_->convert(v);
+        }
+        add_response(*this, xn);
+    } else {
+        // Every replica applies its own DAC instance to the shared
+        // normalized input; the replica currents are then averaged in
+        // the analog domain.
+        const auto add_replica = [&](const CrossbarTile& tile) {
+            if (tile.dac_->isIdeal()) {
+                add_response(tile, xn);
+                return;
+            }
+            Matrix& xd = scratch.xd;
+            xd.resizeUninit(xn.rows(), xn.cols());
+            for (std::size_t i = 0; i < xn.size(); ++i)
+                xd.raw()[i] = tile.dac_->convert(xn.raw()[i]);
+            add_response(tile, xd);
+        };
+        add_replica(*this);
+        for (const CrossbarTile& rep : *extras)
+            add_replica(rep);
+        const float inv_k = 1.0f / static_cast<float>(extras->size() + 1);
+        for (float& v : y.raw())
+            v *= inv_k;
     }
 
-    Matrix& ySum = scratch.ySum;
-    ySum.resizeUninit(x.rows(), effective_.rows());
-    ySum.zero();
-    accumulateAnalog(xn, scratch);
-    for (const CrossbarTile& rep : extras)
-        rep.accumulateAnalog(xn, scratch);
-
-    const float inv_k = 1.0f / static_cast<float>(extras.size() + 1);
-    Matrix& y = scratch.y;
-    y.resizeUninit(x.rows(), effective_.rows());
-    for (std::size_t i = 0; i < y.size(); ++i)
-        y.raw()[i] = ySum.raw()[i] * inv_k;
+    // One shared ADC pass, each lane drawing from its own stream, then
+    // the lane's input scale is restored.
     row = 0;
     for (std::size_t l = 0; l < layout.size(); ++l) {
         Rng& rng = *lane_rngs[l];
@@ -517,7 +351,7 @@ CrossbarTile::vmmCircuit(const std::vector<float>& x, Rng& rng) const
         x_scale = 1.0f;
 
     // Per-cell accumulation, one input line at a time — the "current sum"
-    // view of the same computation vmmFast() does with a GEMM.
+    // view of the same computation vmm() does with a GEMM.
     std::vector<float> voltages(x.size());
     float mean_abs = 0.0f;
     for (std::size_t i = 0; i < x.size(); ++i) {

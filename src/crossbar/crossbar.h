@@ -6,11 +6,12 @@
  * weight sub-matrix plus its converter instances, and can execute the VMM
  * two ways:
  *
- *  - vmmFast(): the effective-weight path used by end-to-end evaluation —
+ *  - vmm(): the effective-weight kernel used by end-to-end evaluation —
  *    all cell-level non-idealities (conductance quantization, write
  *    variation, wire IR-drop) are folded into an effective weight matrix at
  *    program time (paper Fig. 5), and DAC/ADC transfer functions are applied
- *    around a plain GEMM.
+ *    around a plain GEMM. One call covers any number of stacked lanes and
+ *    any number of ensemble replicas.
  *
  *  - vmmCircuit(): an explicit per-cell current summation used by tests to
  *    validate that the fast path computes the same thing.
@@ -91,17 +92,16 @@ struct DriftConfig
 };
 
 /**
- * Reusable buffers for CrossbarTile::vmmFast(). Hot evaluation loops keep
- * one per thread so the per-call input copy and output allocation are
+ * Reusable buffers for CrossbarTile::vmm(). Hot evaluation loops keep one
+ * per thread so the per-call input copy and output allocation are
  * amortized across every tile VMM of a read.
  */
 struct VmmScratch
 {
-    Matrix xn; ///< normalized (and DAC-converted) input copy
-    Matrix y;  ///< tile output accumulator
-    std::vector<float> laneScales; ///< per-lane input scales (batched path)
-    Matrix xd;   ///< per-replica DAC-converted input (ensemble path)
-    Matrix ySum; ///< pre-ADC analog accumulator (ensemble path)
+    Matrix xn; ///< normalized (and, without replicas, DAC-converted) input
+    Matrix xd; ///< per-replica DAC-converted input (ensemble only)
+    Matrix y;  ///< tile output
+    std::vector<float> laneScales; ///< per-lane input scales
 };
 
 /** One programmed crossbar tile holding a weight sub-matrix. */
@@ -132,45 +132,27 @@ class CrossbarTile
                  const ExtendedNoise& extended, std::uint64_t seed);
 
     /**
-     * Fast path: y[T x out] from x[T x in] through DAC -> effective
-     * weights -> sneak -> ADC.
+     * The tile VMM: y[T x out] from x[T x in] through DAC -> effective
+     * weights -> sneak -> ADC, result in scratch.y.
      *
-     * @param x   input activations, normalized to [-1, 1] by the caller
-     * @param rng per-conversion noise stream
+     * x stacks the rows of independent lanes in `layout` order. Each lane
+     * is normalized to [-1, 1] by its own absmax and draws ADC noise from
+     * its own stream (lane_rngs[i] serves layout[i]), so a lane's output
+     * rows are bitwise what a one-lane call on that lane alone returns.
+     *
+     * `extras` (layer ensemble averaging) are replicas of this tile: the
+     * same sub-matrix programmed with independent noise draws. Their
+     * analog (pre-ADC) outputs are averaged with this tile's and the mean
+     * goes through THIS tile's single shared ADC, so the conversion
+     * streams advance exactly as without replicas. nullptr or empty = the
+     * plain single-tile path, which pays no ensemble cost.
      */
+    void vmm(const Matrix& x, const BatchLayout& layout,
+             Rng* const* lane_rngs, VmmScratch& scratch,
+             const std::vector<CrossbarTile>* extras = nullptr) const;
+
+    /** One-lane convenience over vmm(): x normalized as a whole. */
     Matrix vmmFast(const Matrix& x, Rng& rng) const;
-
-    /**
-     * Allocation-free fast path: identical arithmetic, but the input copy
-     * and the result live in caller-owned scratch (result in scratch.y).
-     */
-    void vmmFast(const Matrix& x, Rng& rng, VmmScratch& scratch) const;
-
-    /**
-     * Batched fast path: x stacks the rows of several independent lanes
-     * (layout gives the stacking order); each lane gets its own input
-     * normalization scale and draws ADC noise from its own stream, so
-     * every lane's output rows are bitwise-identical to a vmmFast() call
-     * on that lane alone. lane_rngs[i] is the stream for layout[i].
-     */
-    void vmmFastLanes(const Matrix& x, const BatchLayout& layout,
-                      Rng* const* lane_rngs, VmmScratch& scratch) const;
-
-    /**
-     * Ensemble-averaging fast path (layer ensemble averaging mitigation):
-     * this tile plus `extras` hold the same sub-matrix programmed with
-     * independent noise draws; their analog (pre-ADC) outputs are averaged
-     * and the mean goes through THIS tile's single shared ADC — so the
-     * conversion-noise stream advances exactly as a plain vmmFast() call
-     * would, and an empty `extras` is bitwise identical to vmmFast().
-     */
-    void vmmFastEnsemble(const Matrix& x, Rng& rng, VmmScratch& scratch,
-                         const std::vector<CrossbarTile>& extras) const;
-
-    /** Batched-lane twin of vmmFastEnsemble(). */
-    void vmmFastLanesEnsemble(const Matrix& x, const BatchLayout& layout,
-                              Rng* const* lane_rngs, VmmScratch& scratch,
-                              const std::vector<CrossbarTile>& extras) const;
 
     /** Reference path: explicit per-cell current summation (one vector). */
     std::vector<float> vmmCircuit(const std::vector<float>& x,
@@ -227,7 +209,6 @@ class CrossbarTile
                                std::uint64_t seed);
     void applyExtendedNoise(ConductancePair& pair,
                             const DeviceConfig& device, std::uint64_t seed);
-    void accumulateAnalog(const Matrix& xn, VmmScratch& scratch) const;
 
     CrossbarConfig config_;
     NoiseToggles toggles_;

@@ -64,12 +64,13 @@ struct RuntimeConfig
     std::string noise;       ///< SWORDFISH_NOISE; empty = per-scenario presets
 
     /**
-     * SWORDFISH_BACKEND: default execution-backend selector — mode token
-     * ("interpreter" / "compiled") and/or family token ("digital",
-     * "int8", "analytical", "measured"), separated by ':' when both are
-     * given. Empty = compiled mode with the family derived per request.
-     * Parsed by core::parseBackendSelector; EvalRequest::backend
-     * overrides it per call.
+     * SWORDFISH_BACKEND: default execution-backend selector — the mode
+     * token "compiled" (the only engine) and/or a family token
+     * ("digital", "int8", "analytical", "measured"), separated by ':'
+     * when both are given. Empty = the family derived per request. The
+     * removed "interpreter" mode is an error. Parsed by
+     * core::parseBackendSelector; EvalRequest::backend overrides it per
+     * call.
      */
     std::string backend;
 

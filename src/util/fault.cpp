@@ -1,11 +1,11 @@
 #include "fault.h"
 
-#include <cctype>
 #include <sstream>
 
 #include "util/env.h"
 #include "util/logging.h"
 #include "util/sanitize.h"
+#include "util/spec.h"
 
 namespace swordfish {
 
@@ -27,34 +27,6 @@ double
 hashToUniform(std::uint64_t h)
 {
     return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
-
-bool
-parseDouble(const std::string& s, double& out)
-{
-    if (s.empty())
-        return false;
-    std::size_t pos = 0;
-    try {
-        out = std::stod(s, &pos);
-    } catch (const std::exception&) {
-        return false;
-    }
-    return pos == s.size();
-}
-
-bool
-parseU64(const std::string& s, std::uint64_t& out)
-{
-    if (s.empty())
-        return false;
-    std::size_t pos = 0;
-    try {
-        out = std::stoull(s, &pos);
-    } catch (const std::exception&) {
-        return false;
-    }
-    return pos == s.size();
 }
 
 } // namespace
@@ -80,17 +52,8 @@ FaultConfig::parse(const std::string& spec, FaultConfig& out,
                    std::string& error)
 {
     FaultConfig cfg;
-    std::string token;
-    auto consume = [&]() -> bool {
-        if (token.empty())
-            return true;
-        const std::size_t eq = token.find('=');
-        if (eq == std::string::npos || eq == 0) {
-            error = "fault spec token '" + token + "' is not key=value";
-            return false;
-        }
-        const std::string key = token.substr(0, eq);
-        const std::string value = token.substr(eq + 1);
+    const auto on_pair = [&](const std::string& key,
+                             const std::string& value) -> bool {
         if (key == "seed") {
             if (!parseU64(value, cfg.seed)) {
                 error = "fault spec: bad seed '" + value + "'";
@@ -110,7 +73,7 @@ FaultConfig::parse(const std::string& spec, FaultConfig& out,
         for (std::size_t i = 0; i < kFaultSiteCount; ++i) {
             if (key == kSiteNames[i]) {
                 double p = 0.0;
-                if (!parseDouble(value, p) || p < 0.0 || p > 1.0) {
+                if (!parseFiniteDouble(value, p) || p < 0.0 || p > 1.0) {
                     error = "fault spec: probability of '" + key
                         + "' must be in [0, 1], got '" + value + "'";
                     return false;
@@ -122,17 +85,7 @@ FaultConfig::parse(const std::string& spec, FaultConfig& out,
         error = "fault spec: unknown site '" + key + "'";
         return false;
     };
-
-    for (const char c : spec) {
-        if (c == ',' || c == ';' || std::isspace(static_cast<unsigned char>(c))) {
-            if (!consume())
-                return false;
-            token.clear();
-        } else {
-            token.push_back(c);
-        }
-    }
-    if (!consume())
+    if (!parseKeyValueSpec(spec, "fault", error, on_pair))
         return false;
     out = cfg;
     return true;

@@ -2,7 +2,8 @@
  *  typed compile-error surface (unknown backend, shape mismatch against a
  *  cached plan, int8 with quantization disabled, degenerate device
  *  configs, out-of-range remap fractions, scenario mismatches), registry
- *  dispatch across all four families, and the crossbar-mapping edge-case
+ *  dispatch across all four families, the WeightPlan lowering and its
+ *  lazy-vs-compiled agreement, and the crossbar-mapping edge-case
  *  regressions that motivated the typed validation. */
 
 #include <gtest/gtest.h>
@@ -20,9 +21,11 @@
 #include "crossbar/device.h"
 #include "crossbar/mapping.h"
 #include "genomics/dataset.h"
+#include "test_util.h"
 
 using namespace swordfish;
 using namespace swordfish::core;
+using swordfish::testing::randomMatrix;
 
 namespace {
 
@@ -73,24 +76,35 @@ TEST(BackendSelector, EmptyStringYieldsDefaults)
     BackendSelector sel;
     const CompileError err = parseBackendSelector("", sel);
     EXPECT_TRUE(err.ok());
-    EXPECT_EQ(sel.mode, ExecMode::Compiled);
     EXPECT_TRUE(sel.family.empty());
 }
 
 TEST(BackendSelector, ParsesModeAndFamilyInAnyOrder)
 {
     BackendSelector sel;
-    EXPECT_TRUE(parseBackendSelector("interpreter", sel).ok());
-    EXPECT_EQ(sel.mode, ExecMode::Interpreter);
+    EXPECT_TRUE(parseBackendSelector("compiled", sel).ok());
     EXPECT_TRUE(sel.family.empty());
 
-    EXPECT_TRUE(parseBackendSelector("measured:interpreter", sel).ok());
-    EXPECT_EQ(sel.mode, ExecMode::Interpreter);
+    EXPECT_TRUE(parseBackendSelector("measured:compiled", sel).ok());
     EXPECT_EQ(sel.family, "measured");
 
     EXPECT_TRUE(parseBackendSelector("compiled,int8", sel).ok());
-    EXPECT_EQ(sel.mode, ExecMode::Compiled);
     EXPECT_EQ(sel.family, "int8");
+
+    EXPECT_TRUE(parseBackendSelector("compiled:analytical", sel).ok());
+    EXPECT_EQ(sel.family, "analytical");
+}
+
+TEST(BackendSelector, RemovedInterpreterTokenIsTypedError)
+{
+    for (const char* text :
+         {"interpreter", "interpreted", "interpreter:analytical"}) {
+        SCOPED_TRACE(text);
+        BackendSelector sel;
+        const CompileError err = parseBackendSelector(text, sel);
+        EXPECT_EQ(err.failure, CompileFailure::UnknownBackend);
+        EXPECT_NE(err.message.find("removed"), std::string::npos);
+    }
 }
 
 TEST(BackendSelector, UnknownTokenIsTypedError)
@@ -315,7 +329,6 @@ TEST(BackendRegistry, CompiledPlanCoversEveryMappedWeight)
     BackendSpec spec;
     spec.scenario = analyticalScenario();
     spec.seed = 4;
-    spec.mode = ExecMode::Compiled;
     auto api = BackendRegistry::instance().create("analytical", spec);
     ASSERT_NE(api, nullptr);
     ASSERT_TRUE(api->initialize().ok());
@@ -335,27 +348,11 @@ TEST(BackendRegistry, CompiledPlanCoversEveryMappedWeight)
     }
 }
 
-TEST(BackendRegistry, InterpreterModeBuildsNoPlan)
-{
-    Fixture& f = Fixture::get();
-    BackendSpec spec;
-    spec.scenario = analyticalScenario();
-    spec.seed = 4;
-    spec.mode = ExecMode::Interpreter;
-    auto api = BackendRegistry::instance().create("analytical", spec);
-    ASSERT_NE(api, nullptr);
-    ASSERT_TRUE(api->initialize().ok());
-    ASSERT_TRUE(api->compile(f.model).success());
-    auto& backend = static_cast<CrossbarVmmBackend&>(api->execution());
-    EXPECT_EQ(backend.execMode(), ExecMode::Interpreter);
-    EXPECT_EQ(backend.plan().weightCount(), 0u);
-}
-
 TEST(BackendRegistry, PerRequestSelectorOverridesDefault)
 {
-    // EvalRequest::backend pins the engine per call; the two engines must
-    // agree bitwise end to end (the broader grid lives in
-    // test_determinism).
+    // EvalRequest::backend pins the selector per call; naming the default
+    // engine and family explicitly must not move a bit against the
+    // defaults.
     Fixture& f = Fixture::get();
     auto eval_with = [&](const char* selector) {
         return evaluateNonIdealAccuracy(
@@ -363,11 +360,150 @@ TEST(BackendRegistry, PerRequestSelectorOverridesDefault)
             EvalOptions(f.dataset).runs(2).maxReads(2).seedBase(11)
                 .backend(selector));
     };
-    const AccuracySummary compiled = eval_with("compiled");
-    const AccuracySummary interpreted = eval_with("interpreter");
-    std::uint64_t cb = 0, ib = 0;
-    std::memcpy(&cb, &compiled.mean, sizeof(cb));
-    std::memcpy(&ib, &interpreted.mean, sizeof(ib));
-    EXPECT_EQ(cb, ib);
-    EXPECT_EQ(compiled.runs, interpreted.runs);
+    const AccuracySummary defaults = eval_with("");
+    for (const char* selector : {"compiled", "compiled:analytical"}) {
+        SCOPED_TRACE(selector);
+        const AccuracySummary pinned = eval_with(selector);
+        std::uint64_t db = 0, pb = 0;
+        std::memcpy(&db, &defaults.mean, sizeof(db));
+        std::memcpy(&pb, &pinned.mean, sizeof(pb));
+        EXPECT_EQ(db, pb);
+        EXPECT_EQ(defaults.runs, pinned.runs);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// WeightPlan lowering
+// ---------------------------------------------------------------------------
+
+TEST(WeightPlanLowering, RaggedGridOpOrderBoundsAndCounters)
+{
+    // 130x70 at tile 64: row tiles of 64/64/2 outputs, column slices of
+    // 64/6 inputs.
+    constexpr std::size_t kRows = 130, kCols = 70, kTile = 64;
+    crossbar::CrossbarConfig config;
+    config.size = kTile;
+    const Matrix w = randomMatrix(kRows, kCols, 3);
+    const std::size_t row_tiles = 3, col_tiles = 2;
+    std::vector<std::vector<crossbar::CrossbarTile>> tiles(row_tiles);
+    std::vector<std::vector<std::vector<crossbar::CrossbarTile>>> extras(
+        row_tiles);
+    for (std::size_t rt = 0; rt < row_tiles; ++rt) {
+        extras[rt].resize(col_tiles);
+        for (std::size_t ct = 0; ct < col_tiles; ++ct) {
+            const std::size_t r0 = rt * kTile, c0 = ct * kTile;
+            const std::size_t r1 = std::min(kRows, r0 + kTile);
+            const std::size_t c1 = std::min(kCols, c0 + kTile);
+            Matrix sub(r1 - r0, c1 - c0);
+            for (std::size_t r = r0; r < r1; ++r)
+                for (std::size_t c = c0; c < c1; ++c)
+                    sub(r - r0, c - c0) = w(r, c);
+            tiles[rt].emplace_back(config, sub, w.absMax(),
+                                   crossbar::NoiseToggles::allOff(),
+                                   rt * col_tiles + ct);
+            extras[rt][ct].emplace_back(config, sub, w.absMax(),
+                                        crossbar::NoiseToggles::allOff(),
+                                        100 + rt * col_tiles + ct);
+        }
+    }
+
+    for (const bool with_extras : {false, true}) {
+        SCOPED_TRACE(with_extras ? "with extras" : "without extras");
+        const WeightPlan plan = buildAnalyticalWeightPlan(
+            kRows, kCols, kTile, tiles, with_extras ? &extras : nullptr);
+        EXPECT_EQ(plan.rows, kRows);
+        EXPECT_EQ(plan.cols, kCols);
+        EXPECT_FALSE(plan.measured);
+
+        // Column tile outer, row tile inner.
+        ASSERT_EQ(plan.slices.size(), col_tiles);
+        ASSERT_EQ(plan.ops.size(), row_tiles * col_tiles);
+        const std::size_t widths[] = {64, 6};
+        std::size_t tile_vmms = 0, dac = 0, adc = 0;
+        for (std::size_t ct = 0; ct < col_tiles; ++ct) {
+            const PlanColSlice& slice = plan.slices[ct];
+            EXPECT_EQ(slice.colBegin, ct * kTile);
+            EXPECT_EQ(slice.width, widths[ct]);
+            EXPECT_EQ(slice.opBegin, ct * row_tiles);
+            EXPECT_EQ(slice.opCount, row_tiles);
+            for (std::size_t rt = 0; rt < row_tiles; ++rt) {
+                const PlanTileOp& op = plan.ops[slice.opBegin + rt];
+                EXPECT_EQ(op.tile, &tiles[rt][ct]);
+                EXPECT_EQ(op.rowBegin, rt * kTile);
+                EXPECT_EQ(op.extras,
+                          with_extras ? &extras[rt][ct] : nullptr);
+                ++tile_vmms;
+                dac += slice.width;
+                adc += op.tile->rows();
+            }
+        }
+        EXPECT_EQ(plan.tileVmms, tile_vmms);
+        EXPECT_EQ(plan.dacPerRow, dac);
+        EXPECT_EQ(plan.adcPerRow, adc);
+    }
+
+    // An empty replica grid is the no-ensemble case.
+    const std::vector<std::vector<std::vector<crossbar::CrossbarTile>>>
+        none;
+    const WeightPlan plain =
+        buildAnalyticalWeightPlan(kRows, kCols, kTile, tiles, &none);
+    for (const PlanTileOp& op : plain.ops)
+        EXPECT_EQ(op.extras, nullptr);
+}
+
+TEST(WeightPlanLowering, LazyProgrammingMatchesAotCompileBitwise)
+{
+    // A weight programmed by its first matmul (no compile()) runs the
+    // same WeightPlan as an AOT-compiled one: serial and batched outputs
+    // agree bit for bit.
+    const Matrix w = randomMatrix(130, 70, 5);
+    Matrix x = randomMatrix(6, 70, 6);
+    for (std::size_t c = 0; c < x.cols(); ++c)
+        x(2, c) *= 4.0f; // lanes with different input scales
+    const BatchLayout layout = {{0, 2}, {1, 3}, {2, 1}};
+
+    struct Case
+    {
+        const char* name;
+        NonIdealityKind kind;
+        std::size_t k;
+    };
+    for (const Case& c : {Case{"combined", NonIdealityKind::Combined, 1},
+                          Case{"ensemble K=2", NonIdealityKind::Combined, 2},
+                          Case{"measured", NonIdealityKind::Measured, 1}}) {
+        SCOPED_TRACE(c.name);
+        NonIdealityConfig scenario;
+        scenario.kind = c.kind;
+        scenario.crossbar.size = 64;
+        auto run = [&](bool aot, Matrix& serial, Matrix& batched) {
+            CrossbarVmmBackend backend(scenario, 9);
+            EnsembleConfig ensemble;
+            ensemble.k = c.k;
+            backend.setEnsemble(ensemble);
+            if (aot) {
+                EXPECT_TRUE(backend.compileWeight("w", w).ok());
+                backend.finishCompile();
+            }
+            EXPECT_EQ(backend.plan().find("w") != nullptr, aot);
+            backend.beginRead(3);
+            backend.matmul("w", w, x, serial);
+            backend.beginBatch({3, 4, 5});
+            backend.matmulBatched("w", w, x, batched, layout);
+            backend.endBatch();
+            EXPECT_EQ(backend.plan().find("w") != nullptr, aot);
+        };
+        Matrix lazy_serial, lazy_batched, aot_serial, aot_batched;
+        run(false, lazy_serial, lazy_batched);
+        run(true, aot_serial, aot_batched);
+        ASSERT_EQ(lazy_serial.size(), aot_serial.size());
+        ASSERT_EQ(lazy_batched.size(), aot_batched.size());
+        EXPECT_EQ(std::memcmp(lazy_serial.raw().data(),
+                              aot_serial.raw().data(),
+                              lazy_serial.size() * sizeof(float)),
+                  0);
+        EXPECT_EQ(std::memcmp(lazy_batched.raw().data(),
+                              aot_batched.raw().data(),
+                              lazy_batched.size() * sizeof(float)),
+                  0);
+    }
 }

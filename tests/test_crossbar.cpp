@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <vector>
+
 #include "crossbar/crossbar.h"
 #include "crossbar/mapping.h"
 #include "test_util.h"
@@ -188,6 +192,65 @@ TEST(CrossbarTile, FastAndCircuitPathsAgree)
     for (std::size_t o = 0; o < y_circ.size(); ++o)
         EXPECT_NEAR(y_fast(0, o), y_circ[o],
                     2e-3f * std::max(1.0f, std::fabs(y_circ[o])));
+}
+
+TEST(CrossbarTile, StackedRaggedLanesMatchOneLaneCallsBitwise)
+{
+    // The lanes contract of the tile kernel: each lane of a stacked call
+    // is normalized by its own absmax and draws ADC noise from its own
+    // stream, so its rows equal a one-lane call on that lane alone — with
+    // and without ensemble replicas (K=3).
+    CrossbarConfig config;
+    config.size = 32;
+    const Matrix w = randomMatrix(20, 24, 31);
+    const CrossbarTile tile(config, w, 0.0f, NoiseToggles::combined(), 41);
+    std::vector<CrossbarTile> extras;
+    for (std::uint64_t j = 1; j < 3; ++j)
+        extras.emplace_back(config, w, 0.0f, NoiseToggles::combined(),
+                            41 + j);
+
+    const std::size_t lane_rows[] = {3, 1, 4};
+    const BatchLayout layout = {{0, 3}, {1, 1}, {2, 4}};
+    Matrix x = randomMatrix(8, 24, 51);
+    for (std::size_t c = 0; c < x.cols(); ++c)
+        x(3, c) *= 5.0f; // lane 1 alone sets a much larger input scale
+
+    auto bits = [](float v) {
+        std::uint32_t u = 0;
+        std::memcpy(&u, &v, sizeof(u));
+        return u;
+    };
+    const std::vector<CrossbarTile>* const replica_cases[] = {nullptr,
+                                                              &extras};
+    for (const std::vector<CrossbarTile>* reps : replica_cases) {
+        SCOPED_TRACE(reps == nullptr ? "plain" : "K=3");
+        std::vector<Rng> stacked_rngs = {Rng(100), Rng(101), Rng(102)};
+        Rng* const stacked_ptrs[] = {&stacked_rngs[0], &stacked_rngs[1],
+                                     &stacked_rngs[2]};
+        VmmScratch stacked;
+        tile.vmm(x, layout, stacked_ptrs, stacked, reps);
+        ASSERT_EQ(stacked.y.rows(), x.rows());
+
+        std::size_t row = 0;
+        for (std::size_t l = 0; l < layout.size(); ++l) {
+            Matrix xl(lane_rows[l], x.cols());
+            for (std::size_t t = 0; t < lane_rows[l]; ++t)
+                for (std::size_t c = 0; c < x.cols(); ++c)
+                    xl(t, c) = x(row + t, c);
+            Rng rng(100 + l);
+            Rng* const ptr[] = {&rng};
+            VmmScratch single;
+            tile.vmm(xl, {{0, lane_rows[l]}}, ptr, single, reps);
+            for (std::size_t t = 0; t < lane_rows[l]; ++t)
+                for (std::size_t o = 0; o < single.y.cols(); ++o)
+                    EXPECT_EQ(bits(stacked.y(row + t, o)),
+                              bits(single.y(t, o)))
+                        << "lane " << l << " row " << t << " col " << o;
+            // Each lane stream advanced by exactly its own rows' draws.
+            EXPECT_EQ(rng.gauss(), stacked_rngs[l].gauss());
+            row += lane_rows[l];
+        }
+    }
 }
 
 TEST(CrossbarTile, WriteVariationGrowsWithRate)

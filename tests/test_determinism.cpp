@@ -96,11 +96,9 @@ evalWithThreads(std::size_t threads, NonIdealityKind kind)
         EvalOptions(f.dataset).runs(3).maxReads(3).seedBase(7));
 }
 
-/** Full-request evaluation over the 5-read dataset: batch x threads,
- *  optionally pinning a backend selector ("interpreter" / "compiled"). */
+/** Full-request evaluation over the 5-read dataset: batch x threads. */
 AccuracySummary
-evalBatched(std::size_t threads, std::size_t batch, NonIdealityKind kind,
-            const std::string& selector = std::string())
+evalBatched(std::size_t threads, std::size_t batch, NonIdealityKind kind)
 {
     Fixture& f = Fixture::get();
     NonIdealityConfig scenario;
@@ -111,14 +109,13 @@ evalBatched(std::size_t threads, std::size_t batch, NonIdealityKind kind,
     return evaluateNonIdealAccuracy(
         f.model, {scenario, remap},
         EvalOptions(f.dataset5).runs(2).maxReads(5).seedBase(7)
-            .batch(batch).threads(threads).backend(selector));
+            .batch(batch).threads(threads));
 }
 
 /** Full composition of the four extended noise sources plus K=2 layer
  *  ensemble averaging, over the 5-read dataset. */
 AccuracySummary
-evalComposedEnsemble(std::size_t threads, std::size_t batch,
-                     const std::string& selector)
+evalComposedEnsemble(std::size_t threads, std::size_t batch)
 {
     Fixture& f = Fixture::get();
     NonIdealityConfig scenario;
@@ -134,8 +131,7 @@ evalComposedEnsemble(std::size_t threads, std::size_t batch,
     return evaluateNonIdealAccuracy(
         f.model, {scenario, remap},
         EvalOptions(f.dataset5).runs(2).maxReads(5).seedBase(7)
-            .batch(batch).threads(threads).backend(selector)
-            .ensembleK(2));
+            .batch(batch).threads(threads).ensembleK(2));
 }
 
 } // namespace
@@ -421,69 +417,18 @@ TEST(Determinism, MeasuredScenarioIndependentOfSimdLevel)
     expectBitwiseEqual(scalar, avx2);
 }
 
-TEST(Determinism, CompiledEngineBitwiseIdenticalToInterpreter)
-{
-    // The plan-compiler invariant: the AOT ExecPlan dispatch must
-    // reproduce the interpretive per-call path bit for bit — it only
-    // removes lock/lookup/grid-arithmetic overhead, never reorders a
-    // float operation or an rng draw. Checked for both modeling
-    // approaches across the full batch x thread grid.
-    for (const NonIdealityKind kind : {NonIdealityKind::Combined,
-                                       NonIdealityKind::Measured}) {
-        const AccuracySummary ref =
-            evalBatched(1, 1, kind, "interpreter");
-        for (std::size_t batch : {std::size_t{1}, std::size_t{3},
-                                  std::size_t{8}}) {
-            for (std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                        std::size_t{4}}) {
-                SCOPED_TRACE(std::string("kind=")
-                             + nonIdealityName(kind)
-                             + " batch=" + std::to_string(batch)
-                             + " threads=" + std::to_string(threads));
-                expectBitwiseEqual(
-                    ref, evalBatched(threads, batch, kind, "compiled"));
-                expectBitwiseEqual(
-                    ref, evalBatched(threads, batch, kind, "interpreter"));
-            }
-        }
-    }
-}
-
-TEST(Determinism, CompiledEngineMatchesInterpreterAcrossSimdLevels)
-{
-    // Crossing the engines with the SIMD dispatch: scalar-interpreter is
-    // the reference; both engines must match it at both levels.
-    if (!cpuSupportsAvx2())
-        GTEST_SKIP() << "host lacks AVX2";
-    AccuracySummary ref;
-    {
-        const ScopedSimdLevel scoped(SimdLevel::Scalar);
-        ref = evalBatched(1, 1, NonIdealityKind::Combined, "interpreter");
-    }
-    for (const SimdLevel level : {SimdLevel::Scalar, SimdLevel::Avx2}) {
-        const ScopedSimdLevel scoped(level);
-        for (const char* engine : {"interpreter", "compiled"}) {
-            SCOPED_TRACE(std::string("simd=") + simdLevelName(level)
-                         + " engine=" + engine);
-            expectBitwiseEqual(
-                ref,
-                evalBatched(2, 3, NonIdealityKind::Combined, engine));
-        }
-    }
-}
-
 TEST(Determinism, ComposedNoiseEnsembleBitwiseAcrossFullGrid)
 {
     // The composable-noise-layer invariant: all four extended sources
     // composed onto the Combined preset, plus K=2 layer-ensemble
-    // averaging, must stay bitwise across threads x batch x SIMD x
-    // engine — every source draws from its own (tile, source, cell)
-    // keyed stream, replica seeds key off the tile seed, and the replica
-    // average is quantized by one shared ADC pass.
+    // averaging, must stay bitwise across threads x batch x SIMD — every
+    // source draws from its own (tile, source, cell) keyed stream,
+    // replica seeds key off the tile seed, and the replica average is
+    // quantized by one shared ADC pass.
     AccuracySummary ref;
     {
         const ScopedSimdLevel scoped(SimdLevel::Scalar);
-        ref = evalComposedEnsemble(1, 1, "interpreter");
+        ref = evalComposedEnsemble(1, 1);
     }
     EXPECT_EQ(ref.runs, 2u);
     std::vector<SimdLevel> levels = {SimdLevel::Scalar};
@@ -491,20 +436,15 @@ TEST(Determinism, ComposedNoiseEnsembleBitwiseAcrossFullGrid)
         levels.push_back(SimdLevel::Avx2);
     for (const SimdLevel level : levels) {
         const ScopedSimdLevel scoped(level);
-        for (const char* engine : {"interpreter", "compiled"}) {
-            for (std::size_t batch : {std::size_t{1}, std::size_t{3},
-                                      std::size_t{8}}) {
-                for (std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                            std::size_t{4}}) {
-                    SCOPED_TRACE(std::string("simd=")
-                                 + simdLevelName(level)
-                                 + " engine=" + engine
-                                 + " batch=" + std::to_string(batch)
-                                 + " threads=" + std::to_string(threads));
-                    expectBitwiseEqual(
-                        ref,
-                        evalComposedEnsemble(threads, batch, engine));
-                }
+        for (std::size_t batch : {std::size_t{1}, std::size_t{3},
+                                  std::size_t{8}}) {
+            for (std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                        std::size_t{4}}) {
+                SCOPED_TRACE(std::string("simd=") + simdLevelName(level)
+                             + " batch=" + std::to_string(batch)
+                             + " threads=" + std::to_string(threads));
+                expectBitwiseEqual(ref,
+                                   evalComposedEnsemble(threads, batch));
             }
         }
     }

@@ -143,6 +143,10 @@ TEST(FaultConfig, ParseRejectsMalformedSpecs)
         "decode=1.5",      // p out of range
         "decode=-0.1",     // p out of range
         "decode=abc",      // non-numeric
+        "decode=nan",      // non-finite: no ordering against [0, 1]
+        "decode=NaN",
+        "decode=-nan",
+        "decode=inf",
         "unknown=0.5",     // unknown site
         "seed=",           // empty value
         "seed=nope",       // non-numeric seed

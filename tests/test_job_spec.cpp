@@ -67,7 +67,7 @@ TEST(EvalRequestJson, RoundTripPreservesEveryScalarKnob)
     req.checkpointEvery = 4;
     req.stopAfterReads = 50;
     req.int8Kernel = true;
-    req.backend = "interpreter:analytical";
+    req.backend = "compiled:analytical";
 
     EvalRequest back;
     const JobError err = EvalRequest::fromJson(req.toJson(), back);
@@ -173,10 +173,9 @@ TEST(EvalRequestValidate, BackendTokenGrammar)
 {
     basecall::ParsedBackend parsed;
     EXPECT_FALSE(basecall::parseBackendTokens("", parsed));
-    EXPECT_FALSE(basecall::parseBackendTokens("interpreter", parsed));
-    EXPECT_TRUE(parsed.interpreter);
+    EXPECT_FALSE(basecall::parseBackendTokens("compiled", parsed));
+    EXPECT_TRUE(parsed.family.empty());
     EXPECT_FALSE(basecall::parseBackendTokens("compiled:int8", parsed));
-    EXPECT_FALSE(parsed.interpreter);
     EXPECT_EQ(parsed.family, "int8");
     EXPECT_FALSE(basecall::parseBackendTokens("analytical", parsed));
     EXPECT_EQ(parsed.family, "analytical");
@@ -185,6 +184,30 @@ TEST(EvalRequestValidate, BackendTokenGrammar)
               JobErrorKind::BadBackend);
     EXPECT_EQ(basecall::parseBackendTokens("digital:int8", parsed).kind,
               JobErrorKind::BadBackend); // conflicting families
+}
+
+TEST(EvalRequestValidate, RemovedInterpreterTokenIsBadBackend)
+{
+    // The interpreter engine is gone: its tokens are a typed error that
+    // says so, never a silent alias for the compiled engine.
+    const genomics::Dataset dummy{};
+    for (const char* text :
+         {"interpreter", "interpreted", "interpreter:analytical"}) {
+        SCOPED_TRACE(text);
+        basecall::ParsedBackend parsed;
+        const JobError err = basecall::parseBackendTokens(text, parsed);
+        EXPECT_EQ(err.kind, JobErrorKind::BadBackend);
+        EXPECT_NE(err.message.find("removed"), std::string::npos);
+
+        EvalRequest req;
+        req.dataset = &dummy;
+        req.backend = text;
+        EXPECT_EQ(firstError(req), JobErrorKind::BadBackend);
+
+        JobSpec spec;
+        spec.request.backend = text;
+        EXPECT_EQ(firstError(spec), JobErrorKind::BadBackend);
+    }
 }
 
 /**

@@ -859,8 +859,11 @@ TEST(Ensemble, EmptyExtrasDelegatesBitwiseToVmmFast)
 
     Rng ra(77), rb(77);
     const Matrix plain = tile.vmmFast(x, ra);
+    const std::vector<CrossbarTile> no_extras;
+    const BatchLayout one_lane{{0, x.rows()}};
+    Rng* const rngs[] = {&rb};
     VmmScratch scratch;
-    tile.vmmFastEnsemble(x, rb, scratch, {});
+    tile.vmm(x, one_lane, rngs, scratch, &no_extras);
     ASSERT_EQ(scratch.y.rows(), plain.rows());
     ASSERT_EQ(scratch.y.cols(), plain.cols());
     for (std::size_t i = 0; i < plain.size(); ++i)

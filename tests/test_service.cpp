@@ -5,8 +5,7 @@
  * rejection), cancellation of queued and running jobs, ordered progress
  * streams, crash-safe spool persistence with checkpoint resume after a
  * shutdown mid-job, and bitwise agreement between a daemon-run job and the
- * direct CLI-style runJobSpec path across {interpreter, compiled} x
- * {scalar, avx2}.
+ * direct CLI-style runJobSpec path across {scalar, avx2}.
  */
 
 #include <gtest/gtest.h>
@@ -129,6 +128,11 @@ TEST(JobManager, AdmissionRejectsInvalidSpecsTyped)
     bad = quickSpec();
     bad.request.threads = 2;
     EXPECT_EQ(manager.submit(bad, id).kind, JobErrorKind::BadThreads);
+
+    // The removed interpreter engine is refused at admission.
+    bad = quickSpec();
+    bad.request.backend = "interpreter:analytical";
+    EXPECT_EQ(manager.submit(bad, id).kind, JobErrorKind::BadBackend);
 
     EXPECT_TRUE(manager.list().empty());
     EXPECT_TRUE(manager.idle());
@@ -421,9 +425,9 @@ TEST(JobManager, ExclusiveJobsNeverOverlapOthers)
 /**
  * The tentpole determinism contract: a daemon-submitted job produces
  * bitwise-identical results to the direct CLI-style path — same seed, any
- * scheduler interleaving — across {interpreter, compiled} x {scalar,
- * avx2}. The daemon adds only observe-only hooks (streaming sink, stop
- * flag, checkpoint path), so not a single bit may move.
+ * scheduler interleaving — across {scalar, avx2}. The daemon adds only
+ * observe-only hooks (streaming sink, stop flag, checkpoint path), so not
+ * a single bit may move.
  */
 TEST(ServiceDeterminism, DaemonJobMatchesDirectRunBitwise)
 {
@@ -441,29 +445,25 @@ TEST(ServiceDeterminism, DaemonJobMatchesDirectRunBitwise)
     if (cpuSupportsAvx2())
         levels.push_back(SimdLevel::Avx2);
 
-    for (const char* backend : {"interpreter:analytical",
-                                "compiled:analytical"}) {
-        spec.request.backend = backend;
-        for (const SimdLevel level : levels) {
-            SCOPED_TRACE(std::string(backend) + " / "
-                         + simdLevelName(level));
-            ScopedSimdLevel scoped(level);
+    spec.request.backend = "compiled:analytical";
+    for (const SimdLevel level : levels) {
+        SCOPED_TRACE(simdLevelName(level));
+        ScopedSimdLevel scoped(level);
 
-            const service::JobResult direct = service::runJobSpec(spec);
+        const service::JobResult direct = service::runJobSpec(spec);
 
-            JobManagerConfig cfg;
-            cfg.spoolDir = freshSpool("jm_determinism").string();
-            JobManager manager(cfg);
-            std::string id;
-            ASSERT_FALSE(manager.submit(spec, id));
-            const JobStatus status = awaitTerminal(manager, id);
-            ASSERT_EQ(status.state, JobState::Completed);
+        JobManagerConfig cfg;
+        cfg.spoolDir = freshSpool("jm_determinism").string();
+        JobManager manager(cfg);
+        std::string id;
+        ASSERT_FALSE(manager.submit(spec, id));
+        const JobStatus status = awaitTerminal(manager, id);
+        ASSERT_EQ(status.state, JobState::Completed);
 
-            EXPECT_EQ(bits(status.result.mean), bits(direct.mean));
-            EXPECT_EQ(bits(status.result.stddev), bits(direct.stddev));
-            EXPECT_EQ(status.result.runs, direct.runs);
-            EXPECT_EQ(status.result.survivors, direct.survivors);
-            EXPECT_EQ(status.result.skipped, direct.skipped);
-        }
+        EXPECT_EQ(bits(status.result.mean), bits(direct.mean));
+        EXPECT_EQ(bits(status.result.stddev), bits(direct.stddev));
+        EXPECT_EQ(status.result.runs, direct.runs);
+        EXPECT_EQ(status.result.survivors, direct.survivors);
+        EXPECT_EQ(status.result.skipped, direct.skipped);
     }
 }

@@ -324,6 +324,32 @@ TEST(Supervision, CorruptRecordsMoveToQuarantineWithReason)
     }
 }
 
+TEST(Supervision, SpooledRemovedBackendTokenFailsTypedAtRestart)
+{
+    // A queued record written before the interpreter engine was removed
+    // parses, but no longer validates: the resume path fails it with the
+    // typed message instead of handing it to a worker, and persists that.
+    const std::filesystem::path spool = freshSpool("sup_removed_backend");
+    JobSpec spec = quickSpec();
+    spec.request.backend = "interpreter:analytical";
+    forgeRecord(spool, "j1", "queued", 0, spec);
+
+    JobManagerConfig cfg;
+    cfg.workers = 0;
+    cfg.spoolDir = spool.string();
+    JobManager manager(cfg);
+    EXPECT_EQ(manager.resumeSpooled(), 0u);
+    JobStatus status;
+    ASSERT_FALSE(manager.status("j1", status));
+    EXPECT_EQ(status.state, JobState::Failed);
+    EXPECT_NE(status.error.find("removed"), std::string::npos);
+
+    JobManager again(cfg);
+    EXPECT_EQ(again.resumeSpooled(), 0u);
+    ASSERT_FALSE(again.status("j1", status));
+    EXPECT_EQ(status.state, JobState::Failed);
+}
+
 // ---------------------------------------------------------------------------
 // Overload shedding
 // ---------------------------------------------------------------------------
