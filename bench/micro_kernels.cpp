@@ -4,7 +4,8 @@
  *
  * Default mode runs the google-benchmark suite over the hot computational
  * paths — GEMM, ideal vs. non-ideal crossbar VMM (serial and batched),
- * the fused LSTM gate block, CTC loss and decode, and banded alignment.
+ * the fused LSTM gate block, the DAC and noisy ADC row kernels, CTC loss
+ * and decode, and banded alignment.
  *
  * `--roofline` switches to a self-contained report: it measures the
  * machine's practical peak FMA throughput (scalar and AVX2) and streaming
@@ -170,6 +171,92 @@ BENCHMARK(BM_LstmGate)
     ->Args({1, 0})->Args({1, 1})
     ->Args({4, 0})->Args({4, 1})
     ->Args({8, 0})->Args({8, 1});
+
+/** Inputs and noise words of one conversion block of n elements. */
+struct ConvertBlock
+{
+    std::vector<float> x;
+    std::vector<float> y;
+    std::vector<std::uint64_t> words;
+
+    ConvertBlock(std::size_t n, float range, std::uint64_t seed)
+        : x(n), y(n), words(kernels::adcNoiseWords(n))
+    {
+        Rng rng(seed);
+        for (float& v : x)
+            v = static_cast<float>(rng.uniform(-range, range));
+        for (std::uint64_t& w : words)
+            w = rng();
+    }
+};
+
+/** The default 7-bit noisy ADC at unit range (AdcModel's transfer). */
+kernels::AdcTransfer
+benchAdc()
+{
+    kernels::AdcTransfer a;
+    a.maxCode = 127.0f;
+    a.step = 2.0f / a.maxCode;
+    a.gain = 1.01f;
+    a.offset = 0.3f * a.step;
+    a.noiseScale = 0.2f * a.step;
+    return a;
+}
+
+/**
+ * Fused noisy ADC row kernel per (block length, SIMD level), noise words
+ * pre-drawn: the per-element conversion cost without the stream draw.
+ */
+void
+BM_AdcConvertRows(benchmark::State& state)
+{
+    const auto n = static_cast<std::size_t>(state.range(0));
+    const auto level = static_cast<SimdLevel>(state.range(1));
+    if (level == SimdLevel::Avx2 && !cpuSupportsAvx2()) {
+        state.SkipWithError("CPU lacks AVX2/FMA");
+        return;
+    }
+    const ScopedSimdLevel scoped(level);
+    ConvertBlock block(n, 1.2f, 31);
+    const kernels::AdcTransfer adc = benchAdc();
+    for (auto _ : state) {
+        block.y = block.x;
+        kernels::adcConvertRows(block.y.data(), n, adc, block.words.data(),
+                                1.5f);
+        benchmark::DoNotOptimize(block.y.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations())
+                            * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_AdcConvertRows)
+    ->Args({256, 0})->Args({256, 1})
+    ->Args({2048, 0})->Args({2048, 1});
+
+/** Table-lookup DAC row kernel per (block length, SIMD level). */
+void
+BM_DacConvertRows(benchmark::State& state)
+{
+    const auto n = static_cast<std::size_t>(state.range(0));
+    const auto level = static_cast<SimdLevel>(state.range(1));
+    if (level == SimdLevel::Avx2 && !cpuSupportsAvx2()) {
+        state.SkipWithError("CPU lacks AVX2/FMA");
+        return;
+    }
+    const ScopedSimdLevel scoped(level);
+    ConvertBlock block(n, 1.2f, 32);
+    const crossbar::DacModel dac(crossbar::DacConfig{}, 7, 0.5);
+    for (auto _ : state) {
+        dac.convertRows(block.x.data(), block.y.data(), n);
+        benchmark::DoNotOptimize(block.y.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations())
+                            * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_DacConvertRows)
+    ->Args({256, 0})->Args({256, 1})
+    ->Args({2048, 0})->Args({2048, 1});
 
 void
 BM_CrossbarProgram(benchmark::State& state)
@@ -473,6 +560,58 @@ runRoofline(bool quick, const std::string& baseline_path,
                                       scalar_secs / secs);
             });
         }
+    }
+
+    // --- DAC / noisy ADC conversion row kernels (report-only: no
+    //     baseline entry). Nominal flops per element, fixed so frac_peak
+    //     is comparable across runs, counting an fma as 2 and a compare,
+    //     min, max, round or sqrt as 1:
+    //       adc_convert 44 = 27 for half a Box-Muller word (u1 scale, the
+    //         log split and degree-8 polynomial, -2x, sqrt, angle scale,
+    //         sin/cos polynomials, r cos / r sin) + 17 for gain/offset,
+    //         noise, clamp, (v + range) / step, round-half-up, code clamp,
+    //         code -> value, lane rescale; noise words pre-drawn;
+    //       dac_convert 9 = clamp, (x + 1) / step, round-half-up, code
+    //         clamp, plus one table gather.
+    {
+        constexpr std::size_t kElems = 2048;
+        constexpr double kAdcFlopsPerElement = 44.0;
+        constexpr double kDacFlopsPerElement = 9.0;
+        ConvertBlock block(kElems, 1.2f, 33);
+        const kernels::AdcTransfer adc = benchAdc();
+        const crossbar::DacModel dac(crossbar::DacConfig{}, 7, 0.5);
+        const auto elems = static_cast<double>(kElems);
+        double adc_scalar = 0.0, dac_scalar = 0.0;
+        levels([&](SimdLevel level) {
+            const int lvl = static_cast<int>(level);
+            const double adc_secs = bestSeconds(
+                [&] {
+                    block.y = block.x;
+                    kernels::adcConvertRows(block.y.data(), kElems, adc,
+                                            block.words.data(), 1.5f);
+                },
+                budget);
+            const double adc_rate =
+                kAdcFlopsPerElement * elems / adc_secs / 1e9;
+            report.add({"adc_convert", simdLevelName(level), 0, adc_rate,
+                        "gflops", adc_rate / peak[lvl]});
+            const double dac_secs = bestSeconds(
+                [&] {
+                    dac.convertRows(block.x.data(), block.y.data(), kElems);
+                },
+                budget);
+            const double dac_rate =
+                kDacFlopsPerElement * elems / dac_secs / 1e9;
+            report.add({"dac_convert", simdLevelName(level), 0, dac_rate,
+                        "gflops", dac_rate / peak[lvl]});
+            if (level == SimdLevel::Scalar) {
+                adc_scalar = adc_secs;
+                dac_scalar = dac_secs;
+            } else {
+                report.addSpeedup("adc_convert", 0, adc_scalar / adc_secs);
+                report.addSpeedup("dac_convert", 0, dac_scalar / dac_secs);
+            }
+        });
     }
 
     // --- CTC argmax scan (bandwidth-bound; normalized against triad).

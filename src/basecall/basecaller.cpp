@@ -20,7 +20,13 @@ namespace {
 /** Block length when checkpointing without a health epoch to align to. */
 constexpr std::size_t kDefaultBlockReads = 64;
 
-constexpr std::uint64_t kCheckpointVersion = 1;
+/**
+ * Bumped whenever a completed read's result can change for the same
+ * request, so a checkpoint from an older build is ignored rather than
+ * spliced onto new results. 2: the ADC noise stream became the
+ * word-per-two-conversions float Box-Muller of kernels::adcConvertRows.
+ */
+constexpr std::uint64_t kCheckpointVersion = 2;
 constexpr std::uint64_t kCheckpointTag = 0xc8ec9017ULL;
 
 /**

@@ -1,6 +1,7 @@
 #include "converters.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 namespace swordfish::crossbar {
@@ -31,7 +32,23 @@ DacModel::DacModel(const DacConfig& config, std::uint64_t seed,
             inl_[static_cast<std::size_t>(c)] =
                 static_cast<float>((smooth + local) * step_);
         }
+        levels_.resize(inl_.size());
+        for (long c = 0; c < codes; ++c)
+            levels_[static_cast<std::size_t>(c)] = level(c);
     }
+}
+
+float
+DacModel::level(long code) const
+{
+    // An explicit fma: the -march=native release build contracts
+    // `-1.0f + code * step_` into one, and spelling it out keeps every
+    // call site and the per-code table on exactly those bits.
+    float v = std::fmaf(static_cast<float>(code), step_, -1.0f);
+    v += inl_[static_cast<std::size_t>(code)];
+    // R_load droop compresses the delivered voltage toward zero.
+    v *= static_cast<float>(1.0 - droopGain_);
+    return v;
 }
 
 float
@@ -42,39 +59,62 @@ DacModel::convert(float x) const
     const float clipped = std::clamp(x, -1.0f, 1.0f);
     long code = static_cast<long>(std::lround((clipped + 1.0f) / step_));
     code = std::clamp<long>(code, 0, static_cast<long>(inl_.size()) - 1);
-    float v = -1.0f + static_cast<float>(code) * step_;
-    v += inl_[static_cast<std::size_t>(code)];
-    // R_load droop compresses the delivered voltage toward zero.
-    v *= static_cast<float>(1.0 - droopGain_);
-    return v;
+    return level(code);
+}
+
+void
+DacModel::convertRows(const float* x, float* out, std::size_t n) const
+{
+    if (ideal_) {
+        if (out != x)
+            std::copy(x, x + n, out);
+        return;
+    }
+    kernels::dacConvertRows(
+        x, out, n,
+        {levels_.data(), step_, static_cast<float>(levels_.size() - 1)});
 }
 
 AdcModel::AdcModel(const AdcConfig& config, std::uint64_t seed,
                    double range, bool ideal)
-    : config_(config), ideal_(ideal), range_(std::max(range, 1e-9))
+    : ideal_(ideal)
 {
-    const long codes = 1L << config_.bits;
-    step_ = static_cast<float>(2.0 * range_ / static_cast<double>(codes - 1));
+    range = std::max(range, 1e-9);
+    const long codes = 1L << config.bits;
+    const auto step =
+        static_cast<float>(2.0 * range / static_cast<double>(codes - 1));
     Rng rng(hashSeed({seed, 0xadcadcULL}));
-    gain_ = static_cast<float>(1.0 + rng.gauss(0.0, config_.gainSigma));
-    offset_ = static_cast<float>(rng.gauss(0.0, config_.offsetSigmaLsb)
-                                 * step_);
+    transfer_.gain =
+        static_cast<float>(1.0 + rng.gauss(0.0, config.gainSigma));
+    transfer_.offset = static_cast<float>(
+        rng.gauss(0.0, config.offsetSigmaLsb) * step);
+    transfer_.noiseScale = static_cast<float>(config.noiseSigmaLsb) * step;
+    transfer_.range = static_cast<float>(range);
+    transfer_.step = step;
+    transfer_.maxCode = static_cast<float>(codes - 1);
 }
 
-float
-AdcModel::convert(float y, Rng& rng) const
+void
+AdcModel::convertRows(float* y, std::size_t n, float scale, Rng& rng) const
 {
-    if (ideal_)
-        return y;
-    float v = y * gain_ + offset_;
-    v += static_cast<float>(rng.gauss(0.0, config_.noiseSigmaLsb)) * step_;
-    v = std::clamp(v, -static_cast<float>(range_),
-                   static_cast<float>(range_));
-    const long codes = (1L << config_.bits) - 1;
-    long code = static_cast<long>(std::lround(
-        (v + static_cast<float>(range_)) / step_));
-    code = std::clamp<long>(code, 0, codes);
-    return -static_cast<float>(range_) + static_cast<float>(code) * step_;
+    if (ideal_) {
+        for (std::size_t i = 0; i < n; ++i)
+            y[i] *= scale;
+        return;
+    }
+    // The words are drawn block by block into a stack buffer: the same
+    // consecutive words, in the same order, as one draw for the whole span
+    // (element i always takes word i / 2), with no span-sized buffer. The
+    // block length is a multiple of the kernel's 16-element step.
+    constexpr std::size_t kBlock = 512;
+    std::array<std::uint64_t, kernels::adcNoiseWords(kBlock)> words;
+    for (std::size_t i = 0; i < n; i += kBlock) {
+        const std::size_t m = std::min(kBlock, n - i);
+        const std::size_t count = kernels::adcNoiseWords(m);
+        for (std::size_t k = 0; k < count; ++k)
+            words[k] = rng();
+        kernels::adcConvertRows(y + i, m, transfer_, words.data(), scale);
+    }
 }
 
 } // namespace swordfish::crossbar

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "crossbar/device.h"
+#include "tensor/kernels.h"
 #include "util/rng.h"
 
 namespace swordfish::crossbar {
@@ -40,32 +41,38 @@ class DacModel
     DacModel(const DacConfig& config, std::uint64_t seed,
              double line_load_factor, bool ideal = false);
 
-    /** Convert one normalized input to the delivered line voltage. */
+    /**
+     * Convert one normalized input to the delivered line voltage: the
+     * per-element reference (std::lround) that convertRows matches
+     * bitwise.
+     */
     float convert(float x) const;
 
-    /** Convert a whole vector in place. */
-    void
-    convert(std::vector<float>& xs) const
-    {
-        for (float& x : xs)
-            x = convert(x);
-    }
+    /**
+     * Convert x[0..n) into out[0..n) (out may alias x) through
+     * kernels::dacConvertRows; an ideal DAC copies.
+     */
+    void convertRows(const float* x, float* out, std::size_t n) const;
 
     bool isIdeal() const { return ideal_; }
 
   private:
+    /** Delivered voltage of one code (INL and droop applied). */
+    float level(long code) const;
+
     DacConfig config_;
     bool ideal_;
-    double droopGain_;       ///< effective droop multiplier
-    std::vector<float> inl_; ///< per-code INL offsets (in value units)
-    float step_;             ///< LSB size in normalized value units
+    double droopGain_;          ///< effective droop multiplier
+    std::vector<float> inl_;    ///< per-code INL offsets (in value units)
+    std::vector<float> levels_; ///< level(code) per code, for convertRows
+    float step_;                ///< LSB size in normalized value units
 };
 
 /**
  * Column ADC with gain error, offset, and thermal noise.
  *
  * Operates on normalized accumulated values; `range` sets full scale. Per
- * conversion it consumes randomness, so conversion takes an Rng.
+ * conversion it consumes randomness from the caller's conversion stream.
  */
 class AdcModel
 {
@@ -79,27 +86,20 @@ class AdcModel
     AdcModel(const AdcConfig& config, std::uint64_t seed, double range,
              bool ideal = false);
 
-    /** Convert one accumulated value (noise drawn from rng). */
-    float convert(float y, Rng& rng) const;
-
-    /** Convert a vector in place. */
-    void
-    convert(std::vector<float>& ys, Rng& rng) const
-    {
-        for (float& y : ys)
-            y = convert(y, rng);
-    }
+    /**
+     * Convert one lane span y[0..n) in place and multiply it by `scale`
+     * (the lane's input scale) through kernels::adcConvertRows. The noise
+     * comes from kernels::adcNoiseWords(n) = ⌈n/2⌉ consecutive rng()
+     * words, word k feeding elements 2k and 2k+1. An ideal ADC only
+     * scales and draws nothing.
+     */
+    void convertRows(float* y, std::size_t n, float scale, Rng& rng) const;
 
     bool isIdeal() const { return ideal_; }
-    double range() const { return range_; }
 
   private:
-    AdcConfig config_;
     bool ideal_;
-    double range_;
-    float gain_;
-    float offset_;
-    float step_;
+    kernels::AdcTransfer transfer_;
 };
 
 } // namespace swordfish::crossbar

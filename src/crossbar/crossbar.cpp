@@ -292,10 +292,7 @@ CrossbarTile::vmm(const Matrix& x, const BatchLayout& layout,
     if (extras == nullptr || extras->empty()) {
         // No replicas: the DAC converts in place and the GEMM lands
         // straight in y.
-        if (!dac_->isIdeal()) {
-            for (float& v : xn.raw())
-                v = dac_->convert(v);
-        }
+        dac_->convertRows(xn.raw().data(), xn.raw().data(), xn.size());
         add_response(*this, xn);
     } else {
         // Every replica applies its own DAC instance to the shared
@@ -308,8 +305,8 @@ CrossbarTile::vmm(const Matrix& x, const BatchLayout& layout,
             }
             Matrix& xd = scratch.xd;
             xd.resizeUninit(xn.rows(), xn.cols());
-            for (std::size_t i = 0; i < xn.size(); ++i)
-                xd.raw()[i] = tile.dac_->convert(xn.raw()[i]);
+            tile.dac_->convertRows(xn.raw().data(), xd.raw().data(),
+                                   xn.size());
             add_response(tile, xd);
         };
         add_replica(*this);
@@ -320,20 +317,13 @@ CrossbarTile::vmm(const Matrix& x, const BatchLayout& layout,
             v *= inv_k;
     }
 
-    // One shared ADC pass, each lane drawing from its own stream, then
-    // the lane's input scale is restored.
+    // One shared ADC pass, each lane converting its rows in one call on
+    // its own stream, which also restores the lane's input scale.
     row = 0;
     for (std::size_t l = 0; l < layout.size(); ++l) {
-        Rng& rng = *lane_rngs[l];
-        for (std::size_t t = row; t < row + layout[l].rows; ++t) {
-            float* yrow = y.rowPtr(t);
-            if (!adc_->isIdeal()) {
-                for (std::size_t o = 0; o < y.cols(); ++o)
-                    yrow[o] = adc_->convert(yrow[o], rng);
-            }
-            for (std::size_t o = 0; o < y.cols(); ++o)
-                yrow[o] *= scales[l];
-        }
+        adc_->convertRows(y.raw().data() + row * y.cols(),
+                          layout[l].rows * y.cols(), scales[l],
+                          *lane_rngs[l]);
         row += layout[l].rows;
     }
 }
@@ -370,11 +360,10 @@ CrossbarTile::vmmCircuit(const std::vector<float>& x, Rng& rng) const
             acc += static_cast<double>(voltages[i]) * effective_(o, i);
         if (!colSneak_.empty())
             acc += static_cast<double>(colSneak_[o]) * mean_abs;
-        float out = static_cast<float>(acc);
-        if (!adc_->isIdeal())
-            out = adc_->convert(out, rng);
-        currents[o] = out * x_scale;
+        currents[o] = static_cast<float>(acc);
     }
+    // The output vector is a one-row lane for the shared ADC.
+    adc_->convertRows(currents.data(), currents.size(), x_scale, rng);
     return currents;
 }
 

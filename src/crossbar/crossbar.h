@@ -137,8 +137,9 @@ class CrossbarTile
      *
      * x stacks the rows of independent lanes in `layout` order. Each lane
      * is normalized to [-1, 1] by its own absmax and draws ADC noise from
-     * its own stream (lane_rngs[i] serves layout[i]), so a lane's output
-     * rows are bitwise what a one-lane call on that lane alone returns.
+     * its own stream (lane_rngs[i] serves layout[i]; ⌈rows·cols/2⌉ words
+     * per call, see AdcModel::convertRows), so a lane's output rows are
+     * bitwise what a one-lane call on that lane alone returns.
      *
      * `extras` (layer ensemble averaging) are replicas of this tile: the
      * same sub-matrix programmed with independent noise draws. Their

@@ -30,6 +30,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <numbers>
 
 #include "tensor/quantize.h"
 #include "tensor/simd.h"
@@ -329,6 +330,141 @@ tanhScalar(float x)
     return bitsToFloat(floatBits(r) | (floatBits(x) & 0x80000000u));
 }
 
+// Float Box-Muller over raw 64-bit words (gaussFromWords). ln u1 is
+// Cephes logf: an exact bit split u1 = m * 2^e with m in [sqrt(1/2),
+// sqrt(2)) and a degree-8 polynomial in m - 1. The angle u2 (24 bits, in
+// turns) is reduced in integers to the nearest quarter turn q and an
+// exact remainder in [-1/8, 1/8) turn, so sin/cos need only Cephes'
+// [-π/4, π/4] polynomials; the quarter-turn rotation is a swap on q's
+// low bit plus sign-bit flips. Every multiply-add is an explicit fma at
+// both levels (an implicit a*b + c may be contracted differently).
+constexpr float kSqrtHalf = 0.707106781186547524f;
+constexpr float kLogP0 = 7.0376836292e-2f;
+constexpr float kLogP1 = -1.1514610310e-1f;
+constexpr float kLogP2 = 1.1676998740e-1f;
+constexpr float kLogP3 = -1.2420140846e-1f;
+constexpr float kLogP4 = 1.4249322787e-1f;
+constexpr float kLogP5 = -1.6668057665e-1f;
+constexpr float kLogP6 = 2.0000714765e-1f;
+constexpr float kLogP7 = -2.4999993993e-1f;
+constexpr float kLogP8 = 3.3333331174e-1f;
+constexpr float kSinP0 = -1.9515295891e-4f;
+constexpr float kSinP1 = 8.3321608736e-3f;
+constexpr float kSinP2 = -1.6666654611e-1f;
+constexpr float kCosP0 = 2.443315711809948e-5f;
+constexpr float kCosP1 = -1.388731625493765e-3f;
+constexpr float kCosP2 = 4.166664568298827e-2f;
+/** Radians per 2^-24 turn (float 2π scaled exactly by 2^-24). */
+constexpr float kRadPerTurnLsb =
+    2.0f * std::numbers::pi_v<float> * 0x1.0p-24f;
+
+/** sqrtss: correctly rounded like vsqrtps, and never a libm call. */
+inline float
+sqrtExact(float x)
+{
+#if SWORDFISH_X86
+    return _mm_cvtss_f32(_mm_sqrt_ss(_mm_set_ss(x)));
+#else
+    return std::sqrt(x);
+#endif
+}
+
+/** ln u for u in (0, 1] (normal floats only). */
+inline float
+logUnitScalar(float u)
+{
+    const std::uint32_t b = floatBits(u);
+    const auto e0 = static_cast<std::int32_t>(b >> 23) - 126;
+    const float m = bitsToFloat((b & 0x7fffffu) | 0x3f000000u); // [0.5, 1)
+    const bool low = m < kSqrtHalf;
+    const float e = static_cast<float>(low ? e0 - 1 : e0);
+    const float x = (m + (low ? m : 0.0f)) - 1.0f; // exact
+    const float z = x * x;
+    float p = kLogP0;
+    p = std::fmaf(p, x, kLogP1);
+    p = std::fmaf(p, x, kLogP2);
+    p = std::fmaf(p, x, kLogP3);
+    p = std::fmaf(p, x, kLogP4);
+    p = std::fmaf(p, x, kLogP5);
+    p = std::fmaf(p, x, kLogP6);
+    p = std::fmaf(p, x, kLogP7);
+    p = std::fmaf(p, x, kLogP8);
+    float y = (p * x) * z;
+    y = std::fmaf(e, kLn2Lo, y);
+    y = std::fmaf(-0.5f, z, y);
+    return std::fmaf(e, kLn2Hi, x + y);
+}
+
+/** cos and sin of u2 * 2^-24 turns, u2 a 24-bit integer. */
+inline void
+sinCosTurnScalar(std::uint32_t u2, float& c, float& s)
+{
+    const std::uint32_t q = (u2 + (1u << 21)) >> 22; // nearest quarter, 0..4
+    const std::int32_t f = static_cast<std::int32_t>(u2)
+        - static_cast<std::int32_t>(q << 22);        // [-2^21, 2^21)
+    const float x = static_cast<float>(f) * kRadPerTurnLsb;
+    const float z = x * x;
+    float ps = kSinP0;
+    ps = std::fmaf(ps, z, kSinP1);
+    ps = std::fmaf(ps, z, kSinP2);
+    const float sx = std::fmaf(ps, x * z, x);
+    float pc = kCosP0;
+    pc = std::fmaf(pc, z, kCosP1);
+    pc = std::fmaf(pc, z, kCosP2);
+    const float cx = std::fmaf(pc, z * z, std::fmaf(-0.5f, z, 1.0f));
+    const bool swap = (q & 1u) != 0;
+    c = bitsToFloat(floatBits(swap ? sx : cx) ^ (((q + 1u) & 2u) << 30));
+    s = bitsToFloat(floatBits(swap ? cx : sx) ^ ((q & 2u) << 30));
+}
+
+/** The two normals of one word (see gaussFromWords). */
+inline void
+gaussPairScalar(std::uint64_t w, float& n0, float& n1)
+{
+    const auto j = static_cast<std::uint32_t>(w >> 40) + 1u;
+    const auto u2 = static_cast<std::uint32_t>(w >> 16) & 0xffffffu;
+    const float u1 = static_cast<float>(j) * 0x1.0p-24f; // (0, 1], exact
+    const float r = sqrtExact(logUnitScalar(u1) * -2.0f);
+    float c, s;
+    sinCosTurnScalar(u2, c, s);
+    n0 = r * c;
+    n1 = r * s;
+}
+
+/**
+ * lroundf of t in [0, 2^23) as a float, clamped to max_code. Exact: the
+ * fraction t - trunc(t) is exact, and ties round up (away from zero).
+ * Callers clamp first, which also maps NaN to the bottom of the range —
+ * code 0, where lroundf(NaN)'s LONG_MIN clamped to.
+ */
+inline float
+roundHalfUpCode(float t, float max_code)
+{
+    const float tr = std::truncf(t);
+    const float up = (t - tr) >= 0.5f ? 1.0f : 0.0f;
+    return minPs(tr + up, max_code);
+}
+
+/** One ADC conversion with normal z (the AdcTransfer formula). */
+inline float
+adcElementScalar(float y, float z, const AdcTransfer& a, float scale)
+{
+    float v = std::fmaf(y, a.gain, a.offset);
+    v = std::fmaf(z, a.noiseScale, v);
+    v = minPs(maxPs(v, -a.range), a.range);
+    const float code = roundHalfUpCode((v + a.range) / a.step, a.maxCode);
+    return std::fmaf(code, a.step, -a.range) * scale;
+}
+
+/** DAC code of one input (the DacTransfer formula). */
+inline std::size_t
+dacCodeScalar(float x, const DacTransfer& d)
+{
+    const float c = minPs(maxPs(x, -1.0f), 1.0f);
+    return static_cast<std::size_t>(
+        roundHalfUpCode((c + 1.0f) / d.step, d.maxCode));
+}
+
 // ---------------------------------------------------------------------------
 // Scalar kernels (auto-vectorization disabled: the fallback must stay
 // genuinely scalar under -march=native so the roofline's scalar-vs-AVX2
@@ -486,6 +622,37 @@ absMaxScalar(const float* v, std::size_t n)
     for (std::size_t p = n8; p < n; ++p)
         mx = maxPs(bitsToFloat(floatBits(v[p]) & 0x7fffffffu), mx);
     return mx;
+}
+
+SWORDFISH_NO_AUTOVEC void
+gaussFromWordsScalar(const std::uint64_t* words, std::size_t begin,
+                     std::size_t count, float* out)
+{
+    for (std::size_t k = begin; k < count; ++k)
+        gaussPairScalar(words[k], out[2 * k], out[2 * k + 1]);
+}
+
+/** Elements [begin, n) of adcConvertRows; begin is even. */
+SWORDFISH_NO_AUTOVEC void
+adcConvertScalar(float* y, std::size_t begin, std::size_t n,
+                 const AdcTransfer& a, const std::uint64_t* words,
+                 float scale)
+{
+    for (std::size_t i = begin; i < n; i += 2) {
+        float z0, z1;
+        gaussPairScalar(words[i / 2], z0, z1);
+        y[i] = adcElementScalar(y[i], z0, a, scale);
+        if (i + 1 < n)
+            y[i + 1] = adcElementScalar(y[i + 1], z1, a, scale);
+    }
+}
+
+SWORDFISH_NO_AUTOVEC void
+dacConvertScalar(const float* x, float* out, std::size_t begin,
+                 std::size_t n, const DacTransfer& d)
+{
+    for (std::size_t i = begin; i < n; ++i)
+        out[i] = d.levels[dacCodeScalar(x[i], d)];
 }
 
 SWORDFISH_NO_AUTOVEC std::int32_t
@@ -785,6 +952,197 @@ peakFmaAvx2(std::size_t iters)
     return reduceLanes(lane);
 }
 
+/** logUnitScalar, lanewise. */
+SWORDFISH_AVX2_TARGET inline __m256
+logUnitAvx2(__m256 u)
+{
+    const __m256i b = _mm256_castps_si256(u);
+    const __m256i e0 = _mm256_sub_epi32(_mm256_srli_epi32(b, 23),
+                                        _mm256_set1_epi32(126));
+    const __m256 m = _mm256_castsi256_ps(_mm256_or_si256(
+        _mm256_and_si256(b, _mm256_set1_epi32(0x7fffff)),
+        _mm256_set1_epi32(0x3f000000)));
+    const __m256 low =
+        _mm256_cmp_ps(m, _mm256_set1_ps(kSqrtHalf), _CMP_LT_OQ);
+    // low is all-ones (-1) where m < sqrt(1/2): e = e0 - 1 there.
+    const __m256 e = _mm256_cvtepi32_ps(
+        _mm256_add_epi32(e0, _mm256_castps_si256(low)));
+    const __m256 x = _mm256_sub_ps(_mm256_add_ps(m, _mm256_and_ps(low, m)),
+                                   _mm256_set1_ps(1.0f));
+    const __m256 z = _mm256_mul_ps(x, x);
+    __m256 p = _mm256_set1_ps(kLogP0);
+    p = _mm256_fmadd_ps(p, x, _mm256_set1_ps(kLogP1));
+    p = _mm256_fmadd_ps(p, x, _mm256_set1_ps(kLogP2));
+    p = _mm256_fmadd_ps(p, x, _mm256_set1_ps(kLogP3));
+    p = _mm256_fmadd_ps(p, x, _mm256_set1_ps(kLogP4));
+    p = _mm256_fmadd_ps(p, x, _mm256_set1_ps(kLogP5));
+    p = _mm256_fmadd_ps(p, x, _mm256_set1_ps(kLogP6));
+    p = _mm256_fmadd_ps(p, x, _mm256_set1_ps(kLogP7));
+    p = _mm256_fmadd_ps(p, x, _mm256_set1_ps(kLogP8));
+    __m256 y = _mm256_mul_ps(_mm256_mul_ps(p, x), z);
+    y = _mm256_fmadd_ps(e, _mm256_set1_ps(kLn2Lo), y);
+    y = _mm256_fmadd_ps(_mm256_set1_ps(-0.5f), z, y);
+    return _mm256_fmadd_ps(e, _mm256_set1_ps(kLn2Hi), _mm256_add_ps(x, y));
+}
+
+/** sinCosTurnScalar, lanewise. */
+SWORDFISH_AVX2_TARGET inline void
+sinCosTurnAvx2(__m256i u2, __m256& c, __m256& s)
+{
+    const __m256i q = _mm256_srli_epi32(
+        _mm256_add_epi32(u2, _mm256_set1_epi32(1 << 21)), 22);
+    const __m256i f = _mm256_sub_epi32(u2, _mm256_slli_epi32(q, 22));
+    const __m256 x = _mm256_mul_ps(_mm256_cvtepi32_ps(f),
+                                   _mm256_set1_ps(kRadPerTurnLsb));
+    const __m256 z = _mm256_mul_ps(x, x);
+    __m256 ps = _mm256_fmadd_ps(_mm256_set1_ps(kSinP0), z,
+                                _mm256_set1_ps(kSinP1));
+    ps = _mm256_fmadd_ps(ps, z, _mm256_set1_ps(kSinP2));
+    const __m256 sx = _mm256_fmadd_ps(ps, _mm256_mul_ps(x, z), x);
+    __m256 pc = _mm256_fmadd_ps(_mm256_set1_ps(kCosP0), z,
+                                _mm256_set1_ps(kCosP1));
+    pc = _mm256_fmadd_ps(pc, z, _mm256_set1_ps(kCosP2));
+    const __m256 cx = _mm256_fmadd_ps(
+        pc, _mm256_mul_ps(z, z),
+        _mm256_fmadd_ps(_mm256_set1_ps(-0.5f), z, _mm256_set1_ps(1.0f)));
+    // Odd q swaps cos/sin (blendv selects on the sign bit = q's low bit).
+    const __m256 swap = _mm256_castsi256_ps(_mm256_slli_epi32(q, 31));
+    const __m256i two = _mm256_set1_epi32(2);
+    const __m256i c_sign = _mm256_slli_epi32(
+        _mm256_and_si256(_mm256_add_epi32(q, _mm256_set1_epi32(1)), two), 30);
+    const __m256i s_sign = _mm256_slli_epi32(_mm256_and_si256(q, two), 30);
+    c = _mm256_xor_ps(_mm256_blendv_ps(cx, sx, swap),
+                      _mm256_castsi256_ps(c_sign));
+    s = _mm256_xor_ps(_mm256_blendv_ps(sx, cx, swap),
+                      _mm256_castsi256_ps(s_sign));
+}
+
+/**
+ * The 16 normals of words[0..8), in element order: the first vector holds
+ * elements 0..7 (words 0..3), the second elements 8..15.
+ */
+SWORDFISH_AVX2_TARGET inline void
+gaussOctAvx2(const std::uint64_t* words, __m256& first, __m256& second)
+{
+    const __m256 a = _mm256_castsi256_ps(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(words)));
+    const __m256 b = _mm256_castsi256_ps(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(words + 4)));
+    // Low and high 32-bit halves of the eight words, in word order.
+    const __m256i lo = _mm256_permute4x64_epi64(
+        _mm256_castps_si256(_mm256_shuffle_ps(a, b, _MM_SHUFFLE(2, 0, 2, 0))),
+        _MM_SHUFFLE(3, 1, 2, 0));
+    const __m256i hi = _mm256_permute4x64_epi64(
+        _mm256_castps_si256(_mm256_shuffle_ps(a, b, _MM_SHUFFLE(3, 1, 3, 1))),
+        _MM_SHUFFLE(3, 1, 2, 0));
+    const __m256i j = _mm256_add_epi32(_mm256_srli_epi32(hi, 8),
+                                       _mm256_set1_epi32(1));
+    const __m256i u2 = _mm256_or_si256(
+        _mm256_srli_epi32(lo, 16),
+        _mm256_slli_epi32(_mm256_and_si256(hi, _mm256_set1_epi32(0xff)),
+                          16));
+    const __m256 u1 = _mm256_mul_ps(_mm256_cvtepi32_ps(j),
+                                    _mm256_set1_ps(0x1.0p-24f));
+    const __m256 r = _mm256_sqrt_ps(
+        _mm256_mul_ps(logUnitAvx2(u1), _mm256_set1_ps(-2.0f)));
+    __m256 c, s;
+    sinCosTurnAvx2(u2, c, s);
+    const __m256 nc = _mm256_mul_ps(r, c);
+    const __m256 ns = _mm256_mul_ps(r, s);
+    // Interleave to c0 s0 c1 s1 ...: unpack works per 128-bit half.
+    const __m256 lo_pairs = _mm256_unpacklo_ps(nc, ns); // c0 s0 c1 s1 | c4..
+    const __m256 hi_pairs = _mm256_unpackhi_ps(nc, ns); // c2 s2 c3 s3 | c6..
+    first = _mm256_permute2f128_ps(lo_pairs, hi_pairs, 0x20);
+    second = _mm256_permute2f128_ps(lo_pairs, hi_pairs, 0x31);
+}
+
+SWORDFISH_AVX2_TARGET void
+gaussFromWordsAvx2(const std::uint64_t* words, std::size_t count, float* out)
+{
+    const std::size_t c8 = count & ~std::size_t{7};
+    for (std::size_t k = 0; k < c8; k += 8) {
+        __m256 first, second;
+        gaussOctAvx2(words + k, first, second);
+        _mm256_storeu_ps(out + 2 * k, first);
+        _mm256_storeu_ps(out + 2 * k + 8, second);
+    }
+    gaussFromWordsScalar(words, c8, count, out);
+}
+
+/** roundHalfUpCode, lanewise. */
+SWORDFISH_AVX2_TARGET inline __m256
+roundHalfUpCodeAvx2(__m256 t, __m256 max_code)
+{
+    const __m256 tr =
+        _mm256_round_ps(t, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+    const __m256 up = _mm256_and_ps(
+        _mm256_cmp_ps(_mm256_sub_ps(t, tr), _mm256_set1_ps(0.5f),
+                      _CMP_GE_OQ),
+        _mm256_set1_ps(1.0f));
+    return _mm256_min_ps(_mm256_add_ps(tr, up), max_code);
+}
+
+/** adcElementScalar, lanewise; the transfer constants come broadcast. */
+SWORDFISH_AVX2_TARGET inline __m256
+adcOctAvx2(__m256 y, __m256 z, __m256 gain, __m256 offset, __m256 noise,
+           __m256 range, __m256 step, __m256 max_code, __m256 scale)
+{
+    __m256 v = _mm256_fmadd_ps(y, gain, offset);
+    v = _mm256_fmadd_ps(z, noise, v);
+    const __m256 neg_range = _mm256_xor_ps(range, _mm256_set1_ps(-0.0f));
+    v = _mm256_min_ps(_mm256_max_ps(v, neg_range), range);
+    const __m256 code = roundHalfUpCodeAvx2(
+        _mm256_div_ps(_mm256_add_ps(v, range), step), max_code);
+    return _mm256_mul_ps(_mm256_fmadd_ps(code, step, neg_range), scale);
+}
+
+SWORDFISH_AVX2_TARGET void
+adcConvertAvx2(float* y, std::size_t n, const AdcTransfer& a,
+               const std::uint64_t* words, float scale)
+{
+    const __m256 gain = _mm256_set1_ps(a.gain);
+    const __m256 offset = _mm256_set1_ps(a.offset);
+    const __m256 noise = _mm256_set1_ps(a.noiseScale);
+    const __m256 range = _mm256_set1_ps(a.range);
+    const __m256 step = _mm256_set1_ps(a.step);
+    const __m256 max_code = _mm256_set1_ps(a.maxCode);
+    const __m256 sc = _mm256_set1_ps(scale);
+    const std::size_t n16 = n & ~std::size_t{15};
+    for (std::size_t i = 0; i < n16; i += 16) {
+        __m256 z0, z1;
+        gaussOctAvx2(words + i / 2, z0, z1);
+        _mm256_storeu_ps(y + i, adcOctAvx2(_mm256_loadu_ps(y + i), z0, gain,
+                                           offset, noise, range, step,
+                                           max_code, sc));
+        _mm256_storeu_ps(y + i + 8,
+                         adcOctAvx2(_mm256_loadu_ps(y + i + 8), z1, gain,
+                                    offset, noise, range, step, max_code,
+                                    sc));
+    }
+    adcConvertScalar(y, n16, n, a, words, scale);
+}
+
+SWORDFISH_AVX2_TARGET void
+dacConvertAvx2(const float* x, float* out, std::size_t n,
+               const DacTransfer& d)
+{
+    const __m256 one = _mm256_set1_ps(1.0f);
+    const __m256 neg_one = _mm256_set1_ps(-1.0f);
+    const __m256 step = _mm256_set1_ps(d.step);
+    const __m256 max_code = _mm256_set1_ps(d.maxCode);
+    const std::size_t n8 = n & ~std::size_t{7};
+    for (std::size_t i = 0; i < n8; i += 8) {
+        const __m256 c = _mm256_min_ps(
+            _mm256_max_ps(_mm256_loadu_ps(x + i), neg_one), one);
+        const __m256 code = roundHalfUpCodeAvx2(
+            _mm256_div_ps(_mm256_add_ps(c, one), step), max_code);
+        _mm256_storeu_ps(out + i,
+                         _mm256_i32gather_ps(d.levels,
+                                             _mm256_cvttps_epi32(code), 4));
+    }
+    dacConvertScalar(x, out, n8, n, d);
+}
+
 #endif // SWORDFISH_X86
 
 inline bool
@@ -910,6 +1268,44 @@ absMaxRange(const float* v, std::size_t n)
         return absMaxAvx2(v, n);
 #endif
     return absMaxScalar(v, n);
+}
+
+void
+gaussFromWords(const std::uint64_t* words, std::size_t count, float* out)
+{
+#if SWORDFISH_X86
+    if (useAvx2()) {
+        gaussFromWordsAvx2(words, count, out);
+        return;
+    }
+#endif
+    gaussFromWordsScalar(words, 0, count, out);
+}
+
+void
+adcConvertRows(float* y, std::size_t n, const AdcTransfer& adc,
+               const std::uint64_t* words, float scale)
+{
+#if SWORDFISH_X86
+    if (useAvx2()) {
+        adcConvertAvx2(y, n, adc, words, scale);
+        return;
+    }
+#endif
+    adcConvertScalar(y, 0, n, adc, words, scale);
+}
+
+void
+dacConvertRows(const float* x, float* out, std::size_t n,
+               const DacTransfer& dac)
+{
+#if SWORDFISH_X86
+    if (useAvx2()) {
+        dacConvertAvx2(x, out, n, dac);
+        return;
+    }
+#endif
+    dacConvertScalar(x, out, 0, n, dac);
 }
 
 void

@@ -12,10 +12,11 @@
  * DESIGN.md §4.11 for the contract and dispatch rules.
  *
  * Float kernels: gemmBT (the VMM/projection workhorse), the fused LSTM
- * gate block, CTC row max/argmax, and abs-max scans. Integer kernels: the
- * int8-weight / int16-product / int32-accumulate matmul behind the
- * quantized inference path — integer arithmetic is exact, so that kernel
- * is bitwise-identical across levels for free.
+ * gate block, CTC row max/argmax, abs-max scans, and the crossbar's DAC
+ * and noisy ADC conversions (with their libm-free Gaussian source).
+ * Integer kernels: the int8-weight / int16-product / int32-accumulate
+ * matmul behind the quantized inference path — integer arithmetic is
+ * exact, so that kernel is bitwise-identical across levels for free.
  */
 
 #ifndef SWORDFISH_TENSOR_KERNELS_H
@@ -80,6 +81,68 @@ float rowMax(const float* row, std::size_t n);
 
 /** max |v[i]| over [0, n) (blocked; NaN entries are skipped; 0 for n=0). */
 float absMaxRange(const float* v, std::size_t n);
+
+/**
+ * Standard normals from raw 64-bit words: word k yields out[2k] = r cos θ
+ * and out[2k+1] = r sin θ (float Box-Muller), where u1 = (top 24 bits +
+ * 1) * 2^-24 in (0, 1], u2 = (next 24 bits) * 2^-24 in [0, 1),
+ * r = sqrt(-2 ln u1), θ = 2π u2; the low 16 bits are unused. Built from
+ * fma, mul, add, div, sqrt, round and bit operations only (no libm), so
+ * both levels agree bitwise. |out| <= sqrt(-2 ln 2^-24) ~ 5.77: the
+ * normals are truncated there. `out` holds 2 * count floats.
+ */
+void gaussFromWords(const std::uint64_t* words, std::size_t count,
+                    float* out);
+
+/** Noise words an n-element adcConvertRows call consumes: ⌈n/2⌉. */
+constexpr std::size_t
+adcNoiseWords(std::size_t n)
+{
+    return (n + 1) / 2;
+}
+
+/**
+ * Transfer function of one noisy column ADC (crossbar::AdcModel). Per
+ * element, with z the element's normal from gaussFromWords:
+ *   v = fma(z, noiseScale, fma(y, gain, offset)), clamped to
+ *       [-range, range] (NaN clamps to -range),
+ *   code = min(lround((v + range) / step), maxCode),
+ *   y' = fma(code, step, -range) * scale.
+ */
+struct AdcTransfer
+{
+    float gain = 1.0f;
+    float offset = 0.0f;     ///< value units
+    float noiseScale = 0.0f; ///< noise sigma, value units
+    float range = 1.0f;      ///< full-scale magnitude
+    float step = 1.0f;       ///< LSB size
+    float maxCode = 1.0f;    ///< 2^bits - 1
+};
+
+/**
+ * Convert n contiguous accumulated values in place through `adc`, then
+ * multiply by `scale` (the lane's input scale), drawing element i's noise
+ * from words[i / 2] as gaussFromWords maps it. `words` holds
+ * adcNoiseWords(n) entries.
+ */
+void adcConvertRows(float* y, std::size_t n, const AdcTransfer& adc,
+                    const std::uint64_t* words, float scale);
+
+/**
+ * Transfer function of one input DAC (crossbar::DacModel): the code is
+ * lround((clamp(x, -1, 1) + 1) / step), NaN giving code 0, and the
+ * output is levels[min(code, maxCode)].
+ */
+struct DacTransfer
+{
+    const float* levels = nullptr; ///< output per code, maxCode + 1 entries
+    float step = 1.0f;             ///< LSB size over [-1, 1]
+    float maxCode = 0.0f;          ///< 2^bits - 1
+};
+
+/** Convert x[0..n) through `dac` into out[0..n) (out may alias x). */
+void dacConvertRows(const float* x, float* out, std::size_t n,
+                    const DacTransfer& dac);
 
 /**
  * Integer matmul of the quantized inference path: for each of `rows` rows

@@ -14,6 +14,18 @@ using namespace swordfish;
 using namespace swordfish::crossbar;
 using swordfish::testing::randomMatrix;
 
+namespace {
+
+/** One value through the ADC's row API, as a one-element lane. */
+float
+adcConvertOne(const AdcModel& adc, float y, Rng& rng)
+{
+    adc.convertRows(&y, 1, 1.0f, rng);
+    return y;
+}
+
+} // namespace
+
 TEST(ConductanceMapper, ConductancesWithinDeviceRange)
 {
     DeviceConfig dev;
@@ -120,7 +132,7 @@ TEST(AdcModel, IdealIsPassThrough)
 {
     const AdcModel adc(AdcConfig{}, 4, 10.0, /*ideal=*/true);
     Rng rng(1);
-    EXPECT_FLOAT_EQ(adc.convert(3.21f, rng), 3.21f);
+    EXPECT_FLOAT_EQ(adcConvertOne(adc, 3.21f, rng), 3.21f);
 }
 
 TEST(AdcModel, ClipsAtRange)
@@ -131,8 +143,8 @@ TEST(AdcModel, ClipsAtRange)
     cfg.offsetSigmaLsb = 0.0;
     const AdcModel adc(cfg, 5, 2.0);
     Rng rng(2);
-    EXPECT_LE(adc.convert(100.0f, rng), 2.0f + 1e-5f);
-    EXPECT_GE(adc.convert(-100.0f, rng), -2.0f - 1e-5f);
+    EXPECT_LE(adcConvertOne(adc, 100.0f, rng), 2.0f + 1e-5f);
+    EXPECT_GE(adcConvertOne(adc, -100.0f, rng), -2.0f - 1e-5f);
 }
 
 TEST(AdcModel, QuantizationErrorBounded)
@@ -146,7 +158,7 @@ TEST(AdcModel, QuantizationErrorBounded)
     Rng rng(3);
     const float step = 2.0f / 63.0f;
     for (float y = -0.99f; y < 0.99f; y += 0.013f)
-        EXPECT_NEAR(adc.convert(y, rng), y, step * 0.51f);
+        EXPECT_NEAR(adcConvertOne(adc, y, rng), y, step * 0.51f);
 }
 
 TEST(CrossbarTile, AllOffReproducesExactWeights)

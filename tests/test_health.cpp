@@ -492,6 +492,67 @@ TEST(Health, CorruptCheckpointIsIgnoredNotTrusted)
     std::remove(path.c_str());
 }
 
+TEST(Health, OlderVersionCheckpointIsIgnoredNotResumed)
+{
+    // A checkpoint from a build whose conversion-noise stream differed
+    // holds that stream's reads; resuming it would splice them onto this
+    // build's reads. Take a real checkpoint, stamp it with the previous
+    // format version (1) and poison its prefix identities: the resumed
+    // run must still equal a clean run bitwise.
+    Fixture& f = Fixture::get();
+    setGlobalPoolThreads(0);
+    RefreshConfig cfg;
+    cfg.thresholdError = 0.25;
+    cfg.ageHoursPerRead = 50.0;
+    cfg.probeReads = 2;
+    cfg.spares = 2;
+    cfg.drift = harshDrift();
+    ScopedRefreshConfig scoped(cfg);
+
+    CrossbarVmmBackend clean(scenario64(), 7);
+    const AccuracyResult expected =
+        evalWithBackend(clean, EvalOptions(f.dataset).maxReads(8));
+
+    const std::string path = tempPath("swordfish_health_v1_ckpt.bin");
+    std::remove(path.c_str());
+    CrossbarVmmBackend first(scenario64(), 7);
+    const AccuracyResult half = evalWithBackend(
+        first, EvalOptions(f.dataset).maxReads(8).checkpoint(path)
+                   .stopAfterReads(4));
+    ASSERT_TRUE(half.interrupted);
+    ASSERT_EQ(half.completedReads, 4u);
+
+    // Layout: magic, version, fingerprint, prefix length, then per read
+    // (outcome, identity, bases), eight bytes each.
+    {
+        std::fstream io(path, std::ios::in | std::ios::out
+                                  | std::ios::binary);
+        ASSERT_TRUE(io.good());
+        std::uint64_t prefix = 0;
+        io.seekg(24);
+        io.read(reinterpret_cast<char*>(&prefix), sizeof(prefix));
+        ASSERT_EQ(prefix, 4u);
+        const std::uint64_t old_version = 1;
+        io.seekp(8);
+        io.write(reinterpret_cast<const char*>(&old_version), 8);
+        const double poison = 0.125;
+        for (std::uint64_t i = 0; i < prefix; ++i) {
+            io.seekp(static_cast<std::streamoff>(32 + 24 * i + 8));
+            io.write(reinterpret_cast<const char*>(&poison), 8);
+        }
+        ASSERT_TRUE(io.good());
+    }
+
+    CrossbarVmmBackend second(scenario64(), 7);
+    const AccuracyResult res = evalWithBackend(
+        second, EvalOptions(f.dataset).maxReads(8).checkpoint(path));
+    EXPECT_FALSE(res.interrupted);
+    EXPECT_EQ(res.completedReads, 8u);
+    EXPECT_EQ(bits(expected.meanIdentity), bits(res.meanIdentity));
+    EXPECT_EQ(expected.basesCalled, res.basesCalled);
+    std::remove(path.c_str());
+}
+
 TEST(Health, GracefulShutdownCheckpointsAndResumes)
 {
     Fixture& f = Fixture::get();

@@ -1,17 +1,23 @@
 /**
  * @file
  * Tests for the SIMD kernel layer: runtime dispatch, the bitwise
- * scalar==AVX2 contract of every vectorized kernel, the int8 matmul, and
- * the aligned Matrix storage the kernels rely on.
+ * scalar==AVX2 contract of every vectorized kernel, the int8 matmul, the
+ * DAC/ADC conversion kernels against the per-element converter reference
+ * and their libm-free Gaussian source (exhaustive accuracy plus moment,
+ * tail and correlation statistics), and the aligned Matrix storage the
+ * kernels rely on.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <numbers>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "crossbar/converters.h"
 #include "tensor/kernels.h"
 #include "tensor/matrix.h"
 #include "tensor/quantize.h"
@@ -418,4 +424,402 @@ TEST(KernelPeak, PeakProbeReportsConsistentFlopCount)
         const double avx2_flops = kernels::peakFmaFlops(1000, true);
         EXPECT_EQ(avx2_flops, 1000.0 * 8 * 2 * 8);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Conversion kernels (DAC / noisy ADC) and their Gaussian source
+// ---------------------------------------------------------------------------
+
+namespace {
+
+constexpr float kInf = std::numeric_limits<float>::infinity();
+
+/** The block lengths the conversion twins are compared at. */
+const std::size_t kConvertLengths[] = {1, 7, 8, 15, 16, 17, 63, 64, 65, 511};
+
+std::vector<std::uint64_t>
+randomWords(std::size_t count, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<std::uint64_t> w(count);
+    for (std::uint64_t& v : w)
+        v = rng();
+    return w;
+}
+
+/** A word carrying u1 = j * 2^-24 (j in [1, 2^24]) and angle bits u2. */
+std::uint64_t
+makeWord(std::uint32_t j, std::uint32_t u2)
+{
+    return (static_cast<std::uint64_t>(j - 1) << 40)
+        | (static_cast<std::uint64_t>(u2) << 16) | 0xbeefu;
+}
+
+/** A noisy 7-bit ADC transfer like the default AdcModel's. */
+kernels::AdcTransfer
+testAdc()
+{
+    kernels::AdcTransfer a;
+    a.range = 2.5f;
+    a.maxCode = 127.0f;
+    a.step = 2.0f * a.range / a.maxCode;
+    a.gain = 1.013f;
+    a.offset = 0.3f * a.step;
+    a.noiseScale = 0.2f * a.step;
+    return a;
+}
+
+/** Uniform inputs over [-lo_hi, lo_hi] with non-finite and edge values. */
+std::vector<float>
+convertInputs(std::size_t n, float lo_hi, float edge, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<float> v(n);
+    for (float& x : v)
+        x = static_cast<float>(rng.uniform(-lo_hi, lo_hi));
+    const float specials[] = {kNan, kInf, -kInf, edge, -edge, 0.0f, -0.0f};
+    for (std::size_t i = 0; i < n && i < 7; ++i)
+        v[(i * 37) % n] = specials[i];
+    return v;
+}
+
+/** out[i] for both levels must agree bitwise; returns the scalar result. */
+template <typename F>
+std::vector<float>
+sameAtBothLevels(std::size_t n, F&& run)
+{
+    std::vector<float> ref;
+    forBothLevels([&](SimdLevel level) {
+        std::vector<float> out = run();
+        if (level == SimdLevel::Scalar) {
+            ref = out;
+            return;
+        }
+        for (std::size_t i = 0; i < n; ++i)
+            EXPECT_TRUE(sameBits(ref[i], out[i]))
+                << "n=" << n << " i=" << i << " scalar=" << ref[i]
+                << " avx2=" << out[i];
+    });
+    return ref;
+}
+
+} // namespace
+
+TEST(KernelConvert, GaussScalarAndAvx2AreBitwiseIdentical)
+{
+    for (const std::size_t count : {1u, 7u, 8u, 9u, 16u, 23u, 257u}) {
+        const std::vector<std::uint64_t> w = randomWords(count, count + 5);
+        sameAtBothLevels(2 * count, [&] {
+            std::vector<float> out(2 * count);
+            kernels::gaussFromWords(w.data(), count, out.data());
+            return out;
+        });
+    }
+}
+
+TEST(KernelConvert, AdcScalarAndAvx2AreBitwiseIdentical)
+{
+    const kernels::AdcTransfer adc = testAdc();
+    for (const std::size_t n : kConvertLengths) {
+        const std::vector<float> y =
+            convertInputs(n, 1.2f * adc.range, adc.range, n);
+        const std::vector<std::uint64_t> w =
+            randomWords(kernels::adcNoiseWords(n), n + 100);
+        sameAtBothLevels(n, [&] {
+            std::vector<float> out = y;
+            kernels::adcConvertRows(out.data(), n, adc, w.data(), 1.7f);
+            return out;
+        });
+    }
+}
+
+TEST(KernelConvert, DacScalarAndAvx2AreBitwiseIdentical)
+{
+    const crossbar::DacModel dac(crossbar::DacConfig{}, 3, 0.6);
+    for (const std::size_t n : kConvertLengths) {
+        const std::vector<float> x = convertInputs(n, 1.3f, 1.0f, n + 7);
+        sameAtBothLevels(n, [&] {
+            std::vector<float> out(n);
+            dac.convertRows(x.data(), out.data(), n);
+            return out;
+        });
+    }
+}
+
+TEST(KernelConvert, DacRowsMatchPerElementReferenceBitwise)
+{
+    // Every code boundary: the midpoint between adjacent code values and
+    // one ulp either side, where an inexact lround emulation would flip a
+    // code; plus the range ends and non-finite inputs.
+    for (const int bits : {3, 5, 8}) {
+        crossbar::DacConfig cfg;
+        cfg.bits = bits;
+        const crossbar::DacModel dac(cfg, 11, 0.4);
+        const float codes = static_cast<float>((1 << bits) - 1);
+        const float step = 2.0f / codes;
+        std::vector<float> x = {-1.0f, 1.0f, kInf, -kInf, kNan, 0.0f,
+                                -0.0f, 2.0f, -2.0f};
+        for (float c = 0.0f; c < codes; c += 1.0f) {
+            const float mid = -1.0f + (c + 0.5f) * step;
+            x.push_back(mid);
+            x.push_back(std::nextafter(mid, kInf));
+            x.push_back(std::nextafter(mid, -kInf));
+        }
+        forBothLevels([&](SimdLevel) {
+            std::vector<float> out(x.size());
+            dac.convertRows(x.data(), out.data(), x.size());
+            for (std::size_t i = 0; i < x.size(); ++i)
+                EXPECT_TRUE(sameBits(out[i], dac.convert(x[i])))
+                    << "bits=" << bits << " x=" << x[i];
+        });
+    }
+}
+
+TEST(KernelConvert, NonFiniteInputsKeepConverterSemantics)
+{
+    // NaN takes the bottom code (lround(NaN) saturated to code 0); ±Inf
+    // clamp to the range ends.
+    const crossbar::DacModel dac(crossbar::DacConfig{}, 5, 0.5);
+    EXPECT_TRUE(sameBits(dac.convert(kNan), dac.convert(-1.0f)));
+    EXPECT_TRUE(sameBits(dac.convert(kInf), dac.convert(1.0f)));
+    EXPECT_TRUE(sameBits(dac.convert(-kInf), dac.convert(-1.0f)));
+
+    const kernels::AdcTransfer adc = testAdc();
+    const float scale = 0.75f;
+    const float top = std::fmaf(adc.maxCode, adc.step, -adc.range) * scale;
+    forBothLevels([&](SimdLevel) {
+        std::vector<float> x = {kNan, kInf, -kInf};
+        std::vector<float> y = x;
+        dac.convertRows(x.data(), x.data(), x.size());
+        EXPECT_TRUE(sameBits(x[0], dac.convert(-1.0f)));
+        EXPECT_TRUE(sameBits(x[1], dac.convert(1.0f)));
+        EXPECT_TRUE(sameBits(x[2], dac.convert(-1.0f)));
+
+        const std::vector<std::uint64_t> w = randomWords(2, 9);
+        kernels::adcConvertRows(y.data(), y.size(), adc, w.data(), scale);
+        EXPECT_EQ(y[0], -adc.range * scale);
+        EXPECT_EQ(y[1], top);
+        EXPECT_EQ(y[2], -adc.range * scale);
+    });
+}
+
+TEST(KernelConvert, AdcDrawsHalfAWordPerElementInElementOrder)
+{
+    // One lane span of n outputs takes ⌈n/2⌉ consecutive words from its
+    // stream; word k feeds elements 2k (r cos θ) and 2k+1 (r sin θ).
+    crossbar::AdcConfig cfg;
+    cfg.bits = 20;           // fine grid: the output is y + noise
+    cfg.noiseSigmaLsb = 1e4; // noise sigma = 1e4 LSB ~ 0.0095
+    cfg.gainSigma = 0.0;
+    cfg.offsetSigmaLsb = 0.0;
+    const crossbar::AdcModel adc(cfg, 3, 0.5);
+    // LSB = 2 * range / (2^bits - 1), with range 0.5.
+    const float step = 1.0f / static_cast<float>((1 << 20) - 1);
+    const float sigma = 1e4f * step;
+    for (const std::size_t n : {1u, 2u, 17u, 64u, 1101u}) {
+        Rng rng(40 + n), mirror(40 + n);
+        std::vector<float> y(n, 0.0f);
+        adc.convertRows(y.data(), n, 1.0f, rng);
+        std::vector<std::uint64_t> expect_words((n + 1) / 2);
+        for (std::uint64_t& w : expect_words)
+            w = mirror();
+        EXPECT_EQ(rng(), mirror()) << "stream advanced by ⌈n/2⌉ words";
+        std::vector<float> z(2 * expect_words.size());
+        kernels::gaussFromWords(expect_words.data(), expect_words.size(),
+                                z.data());
+        for (std::size_t i = 0; i < n; ++i)
+            EXPECT_NEAR(y[i], z[i] * sigma, 1e-6f) << "n=" << n << " i=" << i;
+    }
+}
+
+TEST(KernelConvert, IdealConvertersDrawNothing)
+{
+    const crossbar::AdcModel adc(crossbar::AdcConfig{}, 4, 10.0,
+                                 /*ideal=*/true);
+    Rng rng(1), mirror(1);
+    std::vector<float> y = {3.21f, -1.5f, 0.25f};
+    adc.convertRows(y.data(), y.size(), 2.0f, rng);
+    EXPECT_EQ(rng(), mirror());
+    EXPECT_EQ(y, (std::vector<float>{6.42f, -3.0f, 0.5f}));
+}
+
+TEST(KernelGauss, RadiusMatchesDoubleBoxMullerForEveryU1)
+{
+    // All 2^24 values of u1, at angle 0 (cos = 1 and sin = 0 exactly).
+    constexpr std::uint32_t kChunk = 1u << 20;
+    std::vector<std::uint64_t> w(kChunk);
+    std::vector<float> out(2 * kChunk);
+    double worst = 0.0;
+    float max_r = 0.0f;
+    for (std::uint32_t base = 1; base <= (1u << 24); base += kChunk) {
+        for (std::uint32_t k = 0; k < kChunk; ++k)
+            w[k] = makeWord(base + k, 0);
+        kernels::gaussFromWords(w.data(), kChunk, out.data());
+        for (std::uint32_t k = 0; k < kChunk; ++k) {
+            const double u1 = static_cast<double>(base + k) * 0x1.0p-24;
+            const double r = std::sqrt(-2.0 * std::log(u1));
+            ASSERT_EQ(out[2 * k + 1], 0.0f);
+            ASSERT_GE(out[2 * k], 0.0f) << "u1=" << u1;
+            worst = std::max(worst, std::fabs(out[2 * k] - r)
+                                 / std::max(r, 1e-3));
+            max_r = std::max(max_r, out[2 * k]);
+        }
+    }
+    EXPECT_LT(worst, 2e-6);
+    // The truncation point: r at u1 = 2^-24.
+    EXPECT_NEAR(max_r, std::sqrt(48.0 * std::numbers::ln2), 1e-5);
+    EXPECT_LE(max_r, 5.77f);
+}
+
+TEST(KernelGauss, AngleMatchesDoubleBoxMullerForEveryU2)
+{
+    // All 2^24 angles at u1 = e^-1/2 rounded to the grid (r ~ 1).
+    const auto j = static_cast<std::uint32_t>(std::lround(
+        std::exp(-0.5) * 0x1.0p24));
+    const double u1 = static_cast<double>(j) * 0x1.0p-24;
+    const double r = std::sqrt(-2.0 * std::log(u1));
+    constexpr std::uint32_t kChunk = 1u << 20;
+    std::vector<std::uint64_t> w(kChunk);
+    std::vector<float> out(2 * kChunk);
+    double worst = 0.0;
+    for (std::uint32_t base = 0; base < (1u << 24); base += kChunk) {
+        for (std::uint32_t k = 0; k < kChunk; ++k)
+            w[k] = makeWord(j, base + k);
+        kernels::gaussFromWords(w.data(), kChunk, out.data());
+        for (std::uint32_t k = 0; k < kChunk; ++k) {
+            const double theta = 2.0 * std::numbers::pi
+                * static_cast<double>(base + k) * 0x1.0p-24;
+            worst = std::max({worst,
+                              std::fabs(out[2 * k] - r * std::cos(theta)),
+                              std::fabs(out[2 * k + 1]
+                                        - r * std::sin(theta))});
+        }
+    }
+    EXPECT_LT(worst, 1e-6);
+}
+
+namespace {
+
+/** 10^7 normals from two fixed seeds, made once for the stats tests. */
+const std::vector<float>&
+normalSample()
+{
+    static const std::vector<float> sample = [] {
+        constexpr std::size_t kWordsPerSeed = 2'500'000;
+        std::vector<float> z;
+        z.reserve(4 * kWordsPerSeed);
+        std::vector<float> chunk(2 * kWordsPerSeed);
+        for (const std::uint64_t seed : {101u, 202u}) {
+            const std::vector<std::uint64_t> w =
+                randomWords(kWordsPerSeed, seed);
+            kernels::gaussFromWords(w.data(), w.size(), chunk.data());
+            z.insert(z.end(), chunk.begin(), chunk.end());
+        }
+        return z;
+    }();
+    return sample;
+}
+
+/** Pearson correlation of a[i] with b[i] over i in [0, n). */
+double
+correlation(const std::vector<double>& a, const std::vector<double>& b)
+{
+    const auto n = static_cast<double>(a.size());
+    double ma = 0.0, mb = 0.0;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        ma += a[i];
+        mb += b[i];
+    }
+    ma /= n;
+    mb /= n;
+    double sab = 0.0, saa = 0.0, sbb = 0.0;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        sab += (a[i] - ma) * (b[i] - mb);
+        saa += (a[i] - ma) * (a[i] - ma);
+        sbb += (b[i] - mb) * (b[i] - mb);
+    }
+    return sab / std::sqrt(saa * sbb);
+}
+
+/** Upper tail of the standard normal, both sides: P(|z| > t). */
+double
+twoSidedTail(double t)
+{
+    return std::erfc(t / std::numbers::sqrt2);
+}
+
+} // namespace
+
+TEST(KernelGaussStats, MomentsMatchStandardNormal)
+{
+    const std::vector<float>& z = normalSample();
+    const auto n = static_cast<double>(z.size());
+    double m1 = 0.0, m2 = 0.0, m3 = 0.0, m4 = 0.0;
+    for (const float v : z) {
+        const double d = v, d2 = d * d;
+        m1 += d;
+        m2 += d2;
+        m3 += d2 * d;
+        m4 += d2 * d2;
+    }
+    m1 /= n;
+    m2 /= n;
+    m3 /= n;
+    m4 /= n;
+    const double var = m2 - m1 * m1;
+    const double skew = (m3 - 3.0 * m1 * m2 + 2.0 * m1 * m1 * m1)
+        / std::pow(var, 1.5);
+    const double kurt = (m4 - 4.0 * m1 * m3 + 6.0 * m1 * m1 * m2
+                         - 3.0 * m1 * m1 * m1 * m1)
+        / (var * var);
+    // Five standard errors of each sample moment of N(0, 1).
+    EXPECT_NEAR(m1, 0.0, 5.0 * std::sqrt(1.0 / n)) << "mean";
+    EXPECT_NEAR(var, 1.0, 5.0 * std::sqrt(2.0 / n)) << "variance";
+    EXPECT_NEAR(skew, 0.0, 5.0 * std::sqrt(6.0 / n)) << "skewness";
+    EXPECT_NEAR(kurt, 3.0, 5.0 * std::sqrt(24.0 / n)) << "kurtosis";
+}
+
+TEST(KernelGaussStats, TailsMatchNormalAndTruncateAt577Sigma)
+{
+    const std::vector<float>& z = normalSample();
+    const auto n = static_cast<double>(z.size());
+    double beyond3 = 0.0, beyond4 = 0.0;
+    float max_abs = 0.0f;
+    for (const float v : z) {
+        const float a = std::fabs(v);
+        beyond3 += a > 3.0f ? 1.0 : 0.0;
+        beyond4 += a > 4.0f ? 1.0 : 0.0;
+        max_abs = std::max(max_abs, a);
+    }
+    for (const auto& [count, t] : {std::pair{beyond3, 3.0},
+                                   std::pair{beyond4, 4.0}}) {
+        const double p = twoSidedTail(t);
+        EXPECT_NEAR(count / n, p, 5.0 * std::sqrt(p * (1.0 - p) / n))
+            << "P(|z| > " << t << ")";
+    }
+    EXPECT_LE(max_abs, 5.77f);
+}
+
+TEST(KernelGaussStats, NoSerialOrWithinWordCorrelation)
+{
+    const std::vector<float>& z = normalSample();
+    const std::size_t n = z.size();
+    const double bound = 5.0 / std::sqrt(static_cast<double>(n));
+    for (const std::size_t lag : {1u, 2u}) {
+        std::vector<double> a(z.begin(), z.end() - lag);
+        std::vector<double> b(z.begin() + lag, z.end());
+        EXPECT_NEAR(correlation(a, b), 0.0, bound) << "lag " << lag;
+    }
+    // The two normals of one word share r: uncorrelated, and (as two
+    // independent normals) so are their squares.
+    std::vector<double> c, s, c2, s2;
+    for (std::size_t k = 0; k + 1 < n; k += 2) {
+        c.push_back(z[k]);
+        s.push_back(z[k + 1]);
+        c2.push_back(static_cast<double>(z[k]) * z[k]);
+        s2.push_back(static_cast<double>(z[k + 1]) * z[k + 1]);
+    }
+    const double pair_bound = 5.0 / std::sqrt(static_cast<double>(c.size()));
+    EXPECT_NEAR(correlation(c, s), 0.0, pair_bound);
+    EXPECT_NEAR(correlation(c2, s2), 0.0, 2.0 * pair_bound);
 }
