@@ -3,9 +3,10 @@
  * Kernel microbenchmarks (google-benchmark) plus the roofline report.
  *
  * Default mode runs the google-benchmark suite over the hot computational
- * paths — GEMM, ideal vs. non-ideal crossbar VMM (serial and batched),
- * the fused LSTM gate block, the DAC and noisy ADC row kernels, CTC loss
- * and decode, and banded alignment.
+ * paths — GEMM (also at the model's own short-k shapes, one thread), ideal
+ * vs. non-ideal crossbar VMM (serial and batched), the fused LSTM gate
+ * block, the DAC and noisy ADC row kernels, CTC loss and decode, and banded
+ * alignment.
  *
  * `--roofline` switches to a self-contained report: it measures the
  * machine's practical peak FMA throughput (scalar and AVX2) and streaming
@@ -21,6 +22,10 @@
  */
 
 #include <benchmark/benchmark.h>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include <chrono>
 #include <cstdio>
@@ -79,6 +84,70 @@ BM_GemmBT(benchmark::State& state)
                             * 128 * n * 4 * n);
 }
 BENCHMARK(BM_GemmBT)->Arg(32)->Arg(64)->Arg(128);
+
+/**
+ * One OpenMP thread for the scope: the setting pool workers run every
+ * gemmBT in, so a per-shape time is the per-row kernel's, not a team's.
+ */
+class SerialOmpScope
+{
+  public:
+    SerialOmpScope()
+    {
+#ifdef _OPENMP
+        prev_ = omp_get_max_threads();
+        omp_set_num_threads(1);
+#endif
+    }
+
+    ~SerialOmpScope()
+    {
+#ifdef _OPENMP
+        omp_set_num_threads(prev_);
+#endif
+    }
+
+    SerialOmpScope(const SerialOmpScope&) = delete;
+    SerialOmpScope& operator=(const SerialOmpScope&) = delete;
+
+  private:
+    int prev_ = 1;
+};
+
+/**
+ * gemmBT at BonitoLite's own short-k shapes per SIMD level, on one thread:
+ * one recurrent tile step (6x64x32), a stacked LSTM projection
+ * (1024x128x32) and conv0 (1024x32x5). Args: m, n, k, SimdLevel int.
+ */
+void
+BM_GemmBTShape(benchmark::State& state)
+{
+    const auto m = static_cast<std::size_t>(state.range(0));
+    const auto n = static_cast<std::size_t>(state.range(1));
+    const auto k = static_cast<std::size_t>(state.range(2));
+    const auto level = static_cast<SimdLevel>(state.range(3));
+    if (level == SimdLevel::Avx2 && !cpuSupportsAvx2()) {
+        state.SkipWithError("CPU lacks AVX2/FMA");
+        return;
+    }
+    const ScopedSimdLevel scoped(level);
+    const SerialOmpScope serial;
+    const Matrix x = randomMatrix(m, k, 1);
+    const Matrix w = randomMatrix(n, k, 2);
+    Matrix y(m, n); // accumulated into, as the VMM paths call it
+    for (auto _ : state) {
+        gemmBT(x, w, y, /*accumulate=*/true);
+        benchmark::DoNotOptimize(y.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations())
+                            * static_cast<std::int64_t>(m * n * k));
+}
+BENCHMARK(BM_GemmBTShape)
+    ->ArgNames({"m", "n", "k", "avx2"})
+    ->Args({6, 64, 32, 0})->Args({6, 64, 32, 1})
+    ->Args({1024, 128, 32, 0})->Args({1024, 128, 32, 1})
+    ->Args({1024, 32, 5, 0})->Args({1024, 32, 5, 1});
 
 void
 BM_CrossbarVmmFast(benchmark::State& state)
@@ -462,26 +531,70 @@ runRoofline(bool quick, const std::string& baseline_path,
         }
     };
 
-    // --- gemmBT: the projection / VMM workhorse.
+    // One unbatched point per level: `flops` per call of fn, normalized
+    // against that level's FMA peak, plus the AVX2-over-scalar speedup.
+    const auto flopsPoint = [&](const char* kernel, double flops, auto&& fn) {
+        double scalar_secs = 0.0;
+        levels([&](SimdLevel level) {
+            const double secs = bestSeconds(fn, budget);
+            const double rate = flops / secs / 1e9;
+            report.add({kernel, simdLevelName(level), 0, rate, "gflops",
+                        rate / peak[static_cast<int>(level)]});
+            if (level == SimdLevel::Scalar)
+                scalar_secs = secs;
+            else
+                report.addSpeedup(kernel, 0, scalar_secs / secs);
+        });
+    };
+
+    // --- gemmBT: the projection / VMM workhorse, 2k flops per output.
     {
         const std::size_t m = 128, k = 256, n = 1024;
         const Matrix x = randomMatrix(m, k, 1);
         const Matrix w = randomMatrix(n, k, 2);
         Matrix y;
-        const double flops = 2.0 * static_cast<double>(m * k * n);
-        double scalar_secs = 0.0;
-        levels([&](SimdLevel level) {
-            const double secs =
-                bestSeconds([&] { gemmBT(x, w, y); }, budget);
-            const int lvl = static_cast<int>(level);
-            report.add({"gemm_bt", simdLevelName(level), 0,
-                        flops / secs / 1e9, "gflops",
-                        flops / secs / 1e9 / peak[lvl]});
-            if (level == SimdLevel::Scalar)
-                scalar_secs = secs;
-            else
-                report.addSpeedup("gemm_bt", 0, scalar_secs / secs);
-        });
+        flopsPoint("gemm_bt", 2.0 * static_cast<double>(m * k * n),
+                   [&] { gemmBT(x, w, y); });
+    }
+
+    // --- gemmBT at the model's short-k shapes (report-only: no baseline
+    //     entry), on one OpenMP thread like the pool workers and
+    //     accumulating into C as the VMM paths do. At k = 256 the
+    //     per-output reduction is amortized; at the model's k it is not.
+    //     2k flops per output element:
+    //       gemm_bt_k32 64 = a stacked LSTM projection, 1024 x 128, k = 32;
+    //       gemm_bt_k5  10 = conv0, 1024 x 32, k = 5.
+    {
+        const SerialOmpScope serial;
+        struct Shape
+        {
+            const char* kernel;
+            std::size_t m, n, k;
+        };
+        for (const Shape& s : {Shape{"gemm_bt_k32", 1024, 128, 32},
+                               Shape{"gemm_bt_k5", 1024, 32, 5}}) {
+            const Matrix x = randomMatrix(s.m, s.k, 1);
+            const Matrix w = randomMatrix(s.n, s.k, 2);
+            Matrix y(s.m, s.n);
+            flopsPoint(s.kernel, 2.0 * static_cast<double>(s.m * s.n * s.k),
+                       [&] { gemmBT(x, w, y, /*accumulate=*/true); });
+        }
+    }
+
+    // --- Activation quantizer (report-only: no baseline entry) over one
+    //     lane's 128 x 32 activations at 8 bits. 5 nominal flops per
+    //     element: divide, round, max, min, multiply. Values on the grid
+    //     are re-quantized in place; the op count does not depend on them.
+    {
+        constexpr std::size_t kElems = 128 * 32;
+        constexpr double kQuantFlopsPerElement = 5.0;
+        Matrix act = randomMatrix(1, kElems, 41);
+        const float scale = act.absMax() / 127.0f;
+        flopsPoint("quantize_rows",
+                   kQuantFlopsPerElement * static_cast<double>(kElems), [&] {
+                       kernels::quantizeRows(act.data(), kElems, scale,
+                                             127.0f);
+                   });
     }
 
     // --- Batched multi-lane VMM (noise toggles off: pure compute path).

@@ -17,6 +17,10 @@
  *    rest (vmaxps/vminps operand-order NaN rules, vcvtps2dq's 0x80000000
  *    indefinite, vblendvps sign-bit selection, roundps's fixed
  *    round-to-nearest-even independent of the ambient rounding mode).
+ *  - The activation quantizer's round is the one deliberate exception: it
+ *    follows the ambient rounding mode at both levels (roundps with
+ *    _MM_FROUND_CUR_DIRECTION, std::nearbyint in the twin), as the
+ *    per-element Quantizer::apply always has; div and mul follow it too.
  *  - The scalar fallback disables auto-vectorization so that "scalar"
  *    measured by the roofline is genuinely scalar even under -march=native.
  *  - Integer kernels (int8Matmul) are exact, so any order works; both
@@ -624,6 +628,17 @@ absMaxScalar(const float* v, std::size_t n)
     return mx;
 }
 
+/** Elements [begin, n) of quantizeRows. */
+SWORDFISH_NO_AUTOVEC void
+quantizeScalar(float* v, std::size_t begin, std::size_t n, float scale,
+               float max_level)
+{
+    const float lo = -max_level - 1.0f;
+    for (std::size_t i = begin; i < n; ++i)
+        v[i] = minPs(maxPs(std::nearbyint(v[i] / scale), lo), max_level)
+            * scale;
+}
+
 SWORDFISH_NO_AUTOVEC void
 gaussFromWordsScalar(const std::uint64_t* words, std::size_t begin,
                      std::size_t count, float* out)
@@ -749,39 +764,97 @@ dotAvx2(const float* a, const float* b, std::size_t k)
     return dotTailReduce(lane, a, b, k8, k);
 }
 
+/**
+ * reduceLanes of eight accumulators at once, transposed in registers:
+ * lane i of the result is ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)) of acc[i].
+ */
+SWORDFISH_AVX2_TARGET inline __m256
+reduceLanes8(const __m256* acc)
+{
+    // Half sums s = (l0+l4, l1+l5, l2+l6, l3+l7): acc i low, acc i+4 high.
+    __m256 h[4];
+    for (std::size_t i = 0; i < 4; ++i)
+        h[i] = _mm256_add_ps(_mm256_permute2f128_ps(acc[i], acc[i + 4], 0x20),
+                             _mm256_permute2f128_ps(acc[i], acc[i + 4], 0x31));
+    // (s0+s2, s1+s3) of acc i then acc i+1; acc i+4, i+5 in the high half.
+    const __m256 q01 =
+        _mm256_add_ps(_mm256_shuffle_ps(h[0], h[1], _MM_SHUFFLE(1, 0, 1, 0)),
+                      _mm256_shuffle_ps(h[0], h[1], _MM_SHUFFLE(3, 2, 3, 2)));
+    const __m256 q23 =
+        _mm256_add_ps(_mm256_shuffle_ps(h[2], h[3], _MM_SHUFFLE(1, 0, 1, 0)),
+                      _mm256_shuffle_ps(h[2], h[3], _MM_SHUFFLE(3, 2, 3, 2)));
+    return _mm256_add_ps(
+        _mm256_shuffle_ps(q01, q23, _MM_SHUFFLE(2, 0, 2, 0)),
+        _mm256_shuffle_ps(q01, q23, _MM_SHUFFLE(3, 1, 3, 1)));
+}
+
+/**
+ * One gemmBT pass over N = 8 or 4 consecutive outputs, B rows b0.. of
+ * stride k: N accumulators share each load of the A row, and the ragged
+ * tail k8..k folds in with masked loads (`tail` selects lanes 0..r-1,
+ * tail_a is A's masked tail), one FMA and a blend. Lane i < N of the
+ * result is output i's blocked dot product, reduced in registers.
+ */
+template <std::size_t N>
+SWORDFISH_AVX2_TARGET inline __m256
+gemmBTPassAvx2(const float* a, const float* b0, std::size_t k,
+               std::size_t k8, __m256i tail, __m256 tail_a)
+{
+    // With N = 4, acc[4..7] stay zero and result lanes 4..7 go unused.
+    __m256 acc[8];
+    for (std::size_t i = 0; i < 8; ++i)
+        acc[i] = _mm256_setzero_ps();
+    for (std::size_t p = 0; p < k8; p += 8) {
+        const __m256 va = _mm256_loadu_ps(a + p);
+        for (std::size_t i = 0; i < N; ++i)
+            acc[i] =
+                _mm256_fmadd_ps(va, _mm256_loadu_ps(b0 + i * k + p), acc[i]);
+    }
+    if (k8 != k) {
+        // Blend, not a bare fma: 0*0 + (-0) would turn a -0 lane at or
+        // above r into +0.
+        for (std::size_t i = 0; i < N; ++i)
+            acc[i] = _mm256_blendv_ps(
+                acc[i],
+                _mm256_fmadd_ps(tail_a,
+                                _mm256_maskload_ps(b0 + i * k + k8, tail),
+                                acc[i]),
+                _mm256_castsi256_ps(tail));
+    }
+    return reduceLanes8(acc);
+}
+
 SWORDFISH_AVX2_TARGET void
 gemmBTRowAvx2(const float* a, const Matrix& b, float* crow, std::size_t k,
               std::size_t n)
 {
-    const std::size_t k8 = k & ~std::size_t{7};
     std::size_t j = 0;
-    // 4 outputs per pass share each load of the A row.
-    for (; j + 4 <= n; j += 4) {
-        const float* b0 = b.rowPtr(j);
-        const float* b1 = b.rowPtr(j + 1);
-        const float* b2 = b.rowPtr(j + 2);
-        const float* b3 = b.rowPtr(j + 3);
-        __m256 acc0 = _mm256_setzero_ps();
-        __m256 acc1 = _mm256_setzero_ps();
-        __m256 acc2 = _mm256_setzero_ps();
-        __m256 acc3 = _mm256_setzero_ps();
-        for (std::size_t p = 0; p < k8; p += 8) {
-            const __m256 va = _mm256_loadu_ps(a + p);
-            acc0 = _mm256_fmadd_ps(va, _mm256_loadu_ps(b0 + p), acc0);
-            acc1 = _mm256_fmadd_ps(va, _mm256_loadu_ps(b1 + p), acc1);
-            acc2 = _mm256_fmadd_ps(va, _mm256_loadu_ps(b2 + p), acc2);
-            acc3 = _mm256_fmadd_ps(va, _mm256_loadu_ps(b3 + p), acc3);
+    if (n >= 4) {
+        const std::size_t k8 = k & ~std::size_t{7};
+        // Lanes 0..r-1 take the ragged tail r = k - k8; the masked loads
+        // read nothing past k and give 0 above r.
+        const __m256i tail = _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(static_cast<int>(k - k8)),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+        const __m256 tail_a =
+            k8 != k ? _mm256_maskload_ps(a + k8, tail) : _mm256_setzero_ps();
+        // Each pass adds its sums into C with one vector add, the same
+        // single add as the scalar `crow[j] +=`.
+        for (; j + 8 <= n; j += 8)
+            _mm256_storeu_ps(
+                crow + j,
+                _mm256_add_ps(_mm256_loadu_ps(crow + j),
+                              gemmBTPassAvx2<8>(a, b.rowPtr(j), k, k8, tail,
+                                                tail_a)));
+        if (j + 4 <= n) {
+            const __m256 sums =
+                gemmBTPassAvx2<4>(a, b.rowPtr(j), k, k8, tail, tail_a);
+            _mm_storeu_ps(crow + j, _mm_add_ps(_mm_loadu_ps(crow + j),
+                                               _mm256_castps256_ps128(sums)));
+            j += 4;
         }
-        alignas(32) float lane[8];
-        _mm256_store_ps(lane, acc0);
-        crow[j] += dotTailReduce(lane, a, b0, k8, k);
-        _mm256_store_ps(lane, acc1);
-        crow[j + 1] += dotTailReduce(lane, a, b1, k8, k);
-        _mm256_store_ps(lane, acc2);
-        crow[j + 2] += dotTailReduce(lane, a, b2, k8, k);
-        _mm256_store_ps(lane, acc3);
-        crow[j + 3] += dotTailReduce(lane, a, b3, k8, k);
     }
+    // The last n mod 4 outputs, one blocked dot product each.
     for (; j < n; ++j)
         crow[j] += dotAvx2(a, b.rowPtr(j), k);
 }
@@ -899,6 +972,24 @@ absMaxAvx2(const float* v, std::size_t n)
     for (std::size_t p = n8; p < n; ++p)
         mx = maxPs(bitsToFloat(floatBits(v[p]) & 0x7fffffffu), mx);
     return mx;
+}
+
+SWORDFISH_AVX2_TARGET void
+quantizeAvx2(float* v, std::size_t n, float scale, float max_level)
+{
+    const __m256 sc = _mm256_set1_ps(scale);
+    const __m256 lo = _mm256_set1_ps(-max_level - 1.0f);
+    const __m256 hi = _mm256_set1_ps(max_level);
+    const std::size_t n8 = n & ~std::size_t{7};
+    for (std::size_t i = 0; i < n8; i += 8) {
+        const __m256 q = _mm256_round_ps(
+            _mm256_div_ps(_mm256_loadu_ps(v + i), sc),
+            _MM_FROUND_CUR_DIRECTION | _MM_FROUND_NO_EXC);
+        _mm256_storeu_ps(
+            v + i,
+            _mm256_mul_ps(_mm256_min_ps(_mm256_max_ps(q, lo), hi), sc));
+    }
+    quantizeScalar(v, n8, n, scale, max_level);
 }
 
 SWORDFISH_AVX2_TARGET std::int32_t
@@ -1268,6 +1359,18 @@ absMaxRange(const float* v, std::size_t n)
         return absMaxAvx2(v, n);
 #endif
     return absMaxScalar(v, n);
+}
+
+void
+quantizeRows(float* v, std::size_t n, float scale, float max_level)
+{
+#if SWORDFISH_X86
+    if (useAvx2()) {
+        quantizeAvx2(v, n, scale, max_level);
+        return;
+    }
+#endif
+    quantizeScalar(v, 0, n, scale, max_level);
 }
 
 void

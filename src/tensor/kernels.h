@@ -12,8 +12,9 @@
  * DESIGN.md §4.11 for the contract and dispatch rules.
  *
  * Float kernels: gemmBT (the VMM/projection workhorse), the fused LSTM
- * gate block, CTC row max/argmax, abs-max scans, and the crossbar's DAC
- * and noisy ADC conversions (with their libm-free Gaussian source).
+ * gate block, CTC row max/argmax, abs-max scans, the activation quantizer,
+ * and the crossbar's DAC and noisy ADC conversions (with their libm-free
+ * Gaussian source).
  * Integer kernels: the int8-weight / int16-product / int32-accumulate
  * matmul behind the quantized inference path — integer arithmetic is
  * exact, so that kernel is bitwise-identical across levels for free.
@@ -81,6 +82,15 @@ float rowMax(const float* row, std::size_t n);
 
 /** max |v[i]| over [0, n) (blocked; NaN entries are skipped; 0 for n=0). */
 float absMaxRange(const float* v, std::size_t n);
+
+/**
+ * Symmetric uniform quantization of v[0..n) in place (the Quantizer of
+ * tensor/quantize.h), with scale > 0:
+ *   v = min(max(round(v / scale), -max_level - 1), max_level) * scale,
+ * where round follows the ambient rounding mode, as std::nearbyint does
+ * (nearest-even by default), and a NaN quotient clamps to -max_level - 1.
+ */
+void quantizeRows(float* v, std::size_t n, float scale, float max_level);
 
 /**
  * Standard normals from raw 64-bit words: word k yields out[2k] = r cos θ

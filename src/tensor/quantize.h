@@ -12,12 +12,12 @@
 #ifndef SWORDFISH_TENSOR_QUANTIZE_H
 #define SWORDFISH_TENSOR_QUANTIZE_H
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "tensor/kernels.h"
 #include "tensor/matrix.h"
 
 namespace swordfish {
@@ -67,11 +67,7 @@ class Quantizer
     void
     apply(Matrix& m) const
     {
-        if (isIdentity() || m.empty())
-            return;
-        const float scale = scaleFor(m.absMax());
-        for (float& v : m.raw())
-            v = apply(v, scale);
+        applyRange(m.raw().data(), m.size());
     }
 
     /**
@@ -83,30 +79,15 @@ class Quantizer
     void
     applyRows(Matrix& m, std::size_t row_begin, std::size_t row_end) const
     {
-        if (isIdentity() || m.empty() || row_begin >= row_end)
-            return;
-        float* data = m.raw().data() + row_begin * m.cols();
-        const std::size_t count = (row_end - row_begin) * m.cols();
-        float abs_max = 0.0f;
-        for (std::size_t i = 0; i < count; ++i)
-            abs_max = std::max(abs_max, std::fabs(data[i]));
-        const float scale = scaleFor(abs_max);
-        for (std::size_t i = 0; i < count; ++i)
-            data[i] = apply(data[i], scale);
+        if (row_begin < row_end)
+            applyRange(m.rowPtr(row_begin), (row_end - row_begin) * m.cols());
     }
 
     /** Quantize a vector in place with a per-tensor scale. */
     void
     apply(std::vector<float>& v) const
     {
-        if (isIdentity() || v.empty())
-            return;
-        float abs_max = 0.0f;
-        for (float x : v)
-            abs_max = std::fmax(abs_max, std::fabs(x));
-        const float scale = scaleFor(abs_max);
-        for (float& x : v)
-            x = apply(x, scale);
+        applyRange(v.data(), v.size());
     }
 
     /** Number of representable levels (2^bits), capped for bits==32. */
@@ -117,6 +98,20 @@ class Quantizer
     }
 
   private:
+    /**
+     * Quantize v[0..n) in place with the scale of its own absmax: the
+     * kernel form of apply(float, float) on every element, bitwise.
+     */
+    void
+    applyRange(float* v, std::size_t n) const
+    {
+        if (isIdentity() || n == 0)
+            return;
+        const float scale = scaleFor(kernels::absMaxRange(v, n));
+        if (scale > 0.0f)
+            kernels::quantizeRows(v, n, scale, maxLevel_);
+    }
+
     int bits_;
     float maxLevel_;
 };

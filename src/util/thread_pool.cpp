@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <mutex>
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -158,9 +159,15 @@ globalPoolSlot()
 ThreadPool&
 globalPool()
 {
+    // Created once even when first users race (two daemon workers starting
+    // their first jobs together): a second construction would replace, and
+    // so destroy, the pool the first caller is already running on.
+    static std::once_flag created;
     auto& slot = globalPoolSlot();
-    if (!slot)
-        slot = std::make_unique<ThreadPool>(defaultPoolThreads());
+    std::call_once(created, [&slot] {
+        if (!slot)
+            slot = std::make_unique<ThreadPool>(defaultPoolThreads());
+    });
     return *slot;
 }
 

@@ -116,7 +116,8 @@ class ThreadPool
 /**
  * The process-wide evaluation pool. First use sizes it from
  * SWORDFISH_THREADS (default: hardware concurrency; values < 1 mean
- * "no workers", i.e. fully serial execution).
+ * "no workers", i.e. fully serial execution). Concurrent first calls are
+ * safe and all get the same pool.
  */
 ThreadPool& globalPool();
 

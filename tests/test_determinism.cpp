@@ -19,6 +19,7 @@
 #include "core/vmm_backend.h"
 #include "genomics/dataset.h"
 #include "tensor/kernels.h"
+#include "tensor/quantize.h"
 #include "tensor/simd.h"
 #include "util/fault.h"
 #include "util/thread_pool.h"
@@ -347,6 +348,21 @@ fbits(float v)
     return u;
 }
 
+namespace {
+
+/** Quantizer::apply(float, float) on every element, out of line. */
+[[gnu::noinline]] std::vector<float>
+quantizeReference(const Quantizer& q, const std::vector<float>& in,
+                  float scale)
+{
+    std::vector<float> out(in.size());
+    for (std::size_t i = 0; i < in.size(); ++i)
+        out[i] = q.apply(in[i], scale);
+    return out;
+}
+
+} // namespace
+
 TEST(Determinism, SimdParityUnderNonDefaultRoundingMode)
 {
     // The transcendental range-reduction round must not follow the
@@ -354,7 +370,11 @@ TEST(Determinism, SimdParityUnderNonDefaultRoundingMode)
     // or a caller running under fesetround() would silently break the
     // scalar==AVX2 bitwise contract. The LSTM gate block covers exp,
     // sigmoid, and tanh in one call; hidden=19 exercises the scalar
-    // tail behind the vector blocks too.
+    // tail behind the vector blocks too. The activation quantizer's
+    // round is the opposite case: it follows the mode, as the
+    // per-element std::nearbyint reference always has, so under every
+    // mode both levels must equal that reference (37 elements, off the
+    // ties, where the directed modes round differently).
     if (!cpuSupportsAvx2())
         GTEST_SKIP() << "host lacks AVX2";
     constexpr std::size_t hidden = 19;
@@ -367,25 +387,37 @@ TEST(Determinism, SimdParityUnderNonDefaultRoundingMode)
     }
     for (std::size_t j = 0; j < hidden; ++j)
         c_prev[j] = 0.21f * static_cast<float>(j) - 1.3f;
+    constexpr std::size_t n_act = 37;
+    const Quantizer act_quant(8);
+    const float act_scale = 0.0371f;
+    std::vector<float> act(n_act);
+    for (std::size_t i = 0; i < n_act; ++i)
+        act[i] = 0.0137f * static_cast<float>(i * i) - 3.3f;
+    act[5] = -0.0f;
 
     const int old_mode = std::fegetround();
     for (const int mode : {FE_DOWNWARD, FE_UPWARD, FE_TONEAREST}) {
         std::vector<float> c_s(hidden), tc_s(hidden), h_s(hidden);
         std::vector<float> c_v(hidden), tc_v(hidden), h_v(hidden);
         std::vector<float> g_s(4 * hidden), g_v(4 * hidden);
+        std::vector<float> act_s = act, act_v = act;
         ASSERT_EQ(0, std::fesetround(mode));
         {
             const ScopedSimdLevel scoped(SimdLevel::Scalar);
             kernels::lstmGateBlock(zi.data(), zr.data(), b.data(), hidden,
                                    c_prev.data(), c_s.data(), tc_s.data(),
                                    h_s.data(), g_s.data());
+            kernels::quantizeRows(act_s.data(), n_act, act_scale, 127.0f);
         }
         {
             const ScopedSimdLevel scoped(SimdLevel::Avx2);
             kernels::lstmGateBlock(zi.data(), zr.data(), b.data(), hidden,
                                    c_prev.data(), c_v.data(), tc_v.data(),
                                    h_v.data(), g_v.data());
+            kernels::quantizeRows(act_v.data(), n_act, act_scale, 127.0f);
         }
+        const std::vector<float> act_ref =
+            quantizeReference(act_quant, act, act_scale);
         std::fesetround(old_mode);
         SCOPED_TRACE("rounding mode " + std::to_string(mode));
         for (std::size_t j = 0; j < hidden; ++j) {
@@ -395,9 +427,15 @@ TEST(Determinism, SimdParityUnderNonDefaultRoundingMode)
         }
         for (std::size_t i = 0; i < 4 * hidden; ++i)
             EXPECT_EQ(fbits(g_s[i]), fbits(g_v[i]));
+        for (std::size_t i = 0; i < n_act; ++i) {
+            EXPECT_EQ(fbits(act_s[i]), fbits(act_v[i])) << "i=" << i;
+            EXPECT_EQ(fbits(act_s[i]), fbits(act_ref[i])) << "i=" << i;
+        }
     }
     std::fesetround(old_mode);
 }
+
+
 
 TEST(Determinism, MeasuredScenarioIndependentOfSimdLevel)
 {

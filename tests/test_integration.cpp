@@ -11,6 +11,7 @@
 #include "basecall/trainer.h"
 #include "core/swordfish.h"
 #include "test_util.h"
+#include "util/thread_pool.h"
 
 using namespace swordfish;
 using namespace swordfish::core;
@@ -159,8 +160,13 @@ TEST(Integration, ErrorAwareRemapBeatsRandomRemap)
 TEST(Integration, PipelineRunsAndBasecallingDominates)
 {
     World& w = World::get();
+    // A serial pipeline: the basecall stage shards its reads across the
+    // pool while the mapping stage's index build is serial, so with a
+    // wider pool the share below would follow the number of free cores.
+    const std::size_t pool_width = globalPool().threadCount();
     const auto report = runPipeline(
-        w.model, EvalOptions(w.dataset).maxReads(3));
+        w.model, EvalOptions(w.dataset).maxReads(3).threads(1));
+    setGlobalPoolThreads(pool_width);
     ASSERT_EQ(report.stages.size(), 3u);
     EXPECT_GT(report.totalSeconds, 0.0);
     double fraction_sum = 0.0;

@@ -2,6 +2,7 @@
  * @file
  * Tests for the SIMD kernel layer: runtime dispatch, the bitwise
  * scalar==AVX2 contract of every vectorized kernel, the int8 matmul, the
+ * activation quantizer against the per-element Quantizer reference, the
  * DAC/ADC conversion kernels against the per-element converter reference
  * and their libm-free Gaussian source (exhaustive accuracy plus moment,
  * tail and correlation statistics), and the aligned Matrix storage the
@@ -30,6 +31,7 @@ using swordfish::testing::randomMatrix;
 namespace {
 
 constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+constexpr float kInf = std::numeric_limits<float>::infinity();
 
 /** Run fn at both SIMD levels; skip the AVX2 leg on unsupported hosts. */
 template <typename F>
@@ -54,6 +56,26 @@ sameBits(float a, float b)
     std::memcpy(&ua, &a, 4);
     std::memcpy(&ub, &b, 4);
     return ua == ub;
+}
+
+/** out[i] for both levels must agree bitwise; returns the scalar result. */
+template <typename F>
+std::vector<float>
+sameAtBothLevels(std::size_t n, F&& run)
+{
+    std::vector<float> ref;
+    forBothLevels([&](SimdLevel level) {
+        std::vector<float> out = run();
+        if (level == SimdLevel::Scalar) {
+            ref = out;
+            return;
+        }
+        for (std::size_t i = 0; i < n; ++i)
+            EXPECT_TRUE(sameBits(ref[i], out[i]))
+                << "n=" << n << " i=" << i << " scalar=" << ref[i]
+                << " avx2=" << out[i];
+    });
+    return ref;
 }
 
 } // namespace
@@ -152,31 +174,105 @@ TEST(KernelDot, MatchesDoubleReference)
     EXPECT_NEAR(got, ref, 1e-4 * std::max(1.0, std::fabs(ref)));
 }
 
+namespace {
+
+/** Same bits, or both NaN (NaN payloads follow operand order). */
+bool
+sameBitsOrBothNan(float a, float b)
+{
+    return sameBits(a, b) || (std::isnan(a) && std::isnan(b));
+}
+
+/**
+ * Operand of gemmBT tests: normals with ±0, subnormals and tiny values
+ * whose products underflow to ±0 sprinkled in. Row rows-1 (when rows > 1)
+ * also carries ±Inf, ±3e38 and a NaN, so the other rows stay finite and
+ * keep their bits meaningful.
+ */
+Matrix
+gemmOperand(std::size_t rows, std::size_t cols, std::uint64_t seed)
+{
+    Matrix m = randomMatrix(rows, cols, seed, 1.0);
+    const float quiet[] = {0.0f, -0.0f, 1e-40f, -1e-40f, 1e-30f, -1e-30f};
+    for (std::size_t i = 0; i < m.size(); i += 5)
+        m.raw()[i] = quiet[(i / 5 + seed) % 6];
+    if (rows > 1) {
+        const float loud[] = {kNan, kInf, -kInf, 3e38f, -3e38f};
+        float* last = m.rowPtr(rows - 1);
+        for (std::size_t c = 0; c < cols; c += 3)
+            last[c] = loud[(c / 3) % 5];
+    }
+    return m;
+}
+
+} // namespace
+
 TEST(KernelGemmBT, ScalarAndAvx2AreBitwiseIdentical)
 {
     if (!cpuSupportsAvx2())
         GTEST_SKIP() << "host lacks AVX2";
-    // Ragged inner dims and output widths exercise the 4-column blocking,
-    // its tail, and the reduction tail together.
-    for (const auto& [m, k, n] :
-         {std::tuple<std::size_t, std::size_t, std::size_t>{3, 17, 9},
-          {5, 32, 4}, {1, 7, 11}, {8, 65, 13}}) {
-        const Matrix a = randomMatrix(m, k, 31, 1.0);
-        const Matrix b = randomMatrix(n, k, 32, 1.0);
-        Matrix y_scalar, y_avx2;
-        {
-            const ScopedSimdLevel scoped(SimdLevel::Scalar);
-            kernels::gemmBT(a, b, y_scalar, false);
+    // Every n mod 8 below and above 8 (the 8-output passes, the 4-output
+    // pass, the per-output tail), every tail residue of k, plus the
+    // model's own shapes (n x k): LSTM 64x32 and 128x32, conv0 32x5, head
+    // 5x32. Accumulates onto a non-zero C with ±0 and specials in it.
+    std::vector<std::tuple<std::size_t, std::size_t, std::size_t>> shapes;
+    for (const std::size_t m : {1u, 3u, 8u})
+        for (const std::size_t k : {1u, 5u, 7u, 8u, 9u, 31u, 32u, 33u, 256u})
+            for (const std::size_t n :
+                 {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 10u, 11u, 12u, 13u,
+                  14u, 15u, 16u, 17u, 31u, 32u, 33u, 64u, 65u, 128u})
+                shapes.emplace_back(m, k, n);
+    for (const auto& [n, k] : {std::pair<std::size_t, std::size_t>{64, 32},
+                               {128, 32}, {32, 5}, {5, 32}})
+        shapes.emplace_back(6, k, n);
+    for (const auto& [m, k, n] : shapes) {
+        const std::uint64_t seed = 1000 * m + 37 * k + n;
+        const Matrix a = gemmOperand(m, k, seed);
+        const Matrix b = gemmOperand(n, k, seed + 1);
+        const Matrix c0 = gemmOperand(m, n, seed + 2);
+        for (const bool accumulate : {false, true}) {
+            Matrix y_scalar = c0, y_avx2 = c0;
+            {
+                const ScopedSimdLevel scoped(SimdLevel::Scalar);
+                kernels::gemmBT(a, b, y_scalar, accumulate);
+            }
+            {
+                const ScopedSimdLevel scoped(SimdLevel::Avx2);
+                kernels::gemmBT(a, b, y_avx2, accumulate);
+            }
+            ASSERT_EQ(y_scalar.rows(), m);
+            ASSERT_EQ(y_scalar.cols(), n);
+            for (std::size_t i = 0; i < y_scalar.size(); ++i)
+                ASSERT_TRUE(
+                    sameBitsOrBothNan(y_scalar.raw()[i], y_avx2.raw()[i]))
+                    << "m=" << m << " k=" << k << " n=" << n
+                    << " accumulate=" << accumulate << " i=" << i
+                    << " scalar=" << y_scalar.raw()[i]
+                    << " avx2=" << y_avx2.raw()[i];
         }
-        {
-            const ScopedSimdLevel scoped(SimdLevel::Avx2);
-            kernels::gemmBT(a, b, y_avx2, false);
+    }
+}
+
+TEST(KernelGemmBT, NegativeZeroLanesKeepTheirSignThroughTheTail)
+{
+    // Products of -1e-30 and 1e-30 underflow to -0, so with k >= 8 every
+    // lane is -0 and the blocked sum is -0; accumulated onto a -0 C it
+    // stays -0 only if the ragged-tail step leaves the lanes at or above
+    // the tail untouched (0*0 + (-0) would make them +0).
+    for (const std::size_t k : {9u, 12u, 15u, 33u}) {
+        for (const std::size_t n : {5u, 8u, 13u, 16u}) {
+            Matrix a(2, k), b(n, k), c(2, n);
+            std::fill(a.raw().begin(), a.raw().end(), -1e-30f);
+            std::fill(b.raw().begin(), b.raw().end(), 1e-30f);
+            forBothLevels([&](SimdLevel level) {
+                std::fill(c.raw().begin(), c.raw().end(), -0.0f);
+                kernels::gemmBT(a, b, c, true);
+                for (std::size_t i = 0; i < c.size(); ++i)
+                    ASSERT_TRUE(sameBits(c.raw()[i], -0.0f))
+                        << simdLevelName(level) << " k=" << k << " n=" << n
+                        << " i=" << i << " got " << c.raw()[i];
+            });
         }
-        ASSERT_EQ(y_scalar.rows(), m);
-        ASSERT_EQ(y_scalar.cols(), n);
-        for (std::size_t i = 0; i < y_scalar.size(); ++i)
-            ASSERT_TRUE(sameBits(y_scalar.raw()[i], y_avx2.raw()[i]))
-                << "m=" << m << " k=" << k << " n=" << n << " i=" << i;
     }
 }
 
@@ -347,6 +443,153 @@ TEST(KernelAbsMax, MatchesSequentialScan)
     }
 }
 
+// ---------------------------------------------------------------------------
+// Activation quantizer
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/** Top level of the b-bit Quantizer grid, 2^(b-1) - 1. */
+float
+maxLevelFor(int bits)
+{
+    return static_cast<float>((1u << (bits - 1)) - 1);
+}
+
+/**
+ * n quantizer inputs at `scale`: uniform over ±1.5 full scales, so some
+ * lie beyond ±(maxLevel+1)·scale, then exact half-LSB ties (exact when
+ * scale is a power of two), rail neighbours, ±0, subnormals, ±Inf and NaN
+ * at fixed positions (later ones win on short rows).
+ */
+std::vector<float>
+quantizeInputs(std::size_t n, float scale, float max_level,
+               std::uint64_t seed)
+{
+    Rng rng(seed);
+    const double span = 1.5 * (static_cast<double>(max_level) + 1.0) * scale;
+    std::vector<float> v(n);
+    for (float& x : v)
+        x = static_cast<float>(rng.uniform(-span, span));
+    const float specials[] = {
+        3.5f * scale, -2.5f * scale, 0.5f * scale, -0.5f * scale,
+        (max_level + 0.5f) * scale, -(max_level + 0.5f) * scale,
+        -(max_level + 1.5f) * scale, (max_level + 7.0f) * scale,
+        0.0f, -0.0f, 1e-40f, -1e-40f, kInf, -kInf, kNan};
+    for (std::size_t i = 0; i < std::size(specials); ++i)
+        v[(i * 7) % n] = specials[i];
+    return v;
+}
+
+/** The Table 3 activation widths the quantizer kernel is checked at. */
+const int kQuantBits[] = {2, 4, 8, 16};
+
+/** quantizeRows at the active level on a copy of v. */
+std::vector<float>
+quantizedCopy(std::vector<float> v, float scale, float max_level)
+{
+    kernels::quantizeRows(v.data(), v.size(), scale, max_level);
+    return v;
+}
+
+} // namespace
+
+TEST(KernelQuantize, ScalarAndAvx2AreBitwiseIdentical)
+{
+    for (const int bits : kQuantBits) {
+        const float max_level = maxLevelFor(bits);
+        for (const std::size_t n : {1u, 7u, 8u, 9u, 63u, 64u, 65u}) {
+            for (const float scale : {0.015625f, 0.7f / max_level}) {
+                const std::vector<float> in =
+                    quantizeInputs(n, scale, max_level, 17 * n + bits);
+                sameAtBothLevels(n, [&] {
+                    return quantizedCopy(in, scale, max_level);
+                });
+            }
+        }
+    }
+}
+
+TEST(KernelQuantize, MatchesPerElementReferenceAtBothLevels)
+{
+    for (const int bits : kQuantBits) {
+        const Quantizer q(bits);
+        const float max_level = maxLevelFor(bits);
+        for (const float scale : {0.015625f, 0.7f / max_level}) {
+            const std::vector<float> in =
+                quantizeInputs(257, scale, max_level, 900 + bits);
+            forBothLevels([&](SimdLevel level) {
+                const std::vector<float> out =
+                    quantizedCopy(in, scale, max_level);
+                for (std::size_t i = 0; i < in.size(); ++i)
+                    EXPECT_TRUE(sameBits(out[i], q.apply(in[i], scale)))
+                        << simdLevelName(level) << " bits=" << bits
+                        << " scale=" << scale << " in=" << in[i]
+                        << " got=" << out[i]
+                        << " ref=" << q.apply(in[i], scale);
+            });
+        }
+        // Ties round to even; NaN clamps to the bottom rail, ±Inf to the
+        // rails; -0 keeps its sign.
+        const float s = 0.25f;
+        EXPECT_EQ(q.apply(0.125f, s), 0.0f);
+        EXPECT_EQ(q.apply(0.375f, s), bits > 2 ? 0.5f : 0.25f);
+        EXPECT_EQ(q.apply(kNan, s), (-max_level - 1.0f) * s);
+        EXPECT_EQ(q.apply(kInf, s), max_level * s);
+        EXPECT_EQ(q.apply(-kInf, s), (-max_level - 1.0f) * s);
+        EXPECT_TRUE(sameBits(q.apply(-0.0f, s), -0.0f));
+    }
+}
+
+TEST(KernelQuantize, ApplyRowsOnStackedOperandEqualsPerLaneApply)
+{
+    // Lanes of 3, 1 and 5 rows at different magnitudes (so different
+    // scales), one carrying NaN/Inf: each lane's rows of the stacked
+    // operand must come out exactly as apply(Matrix&) on the lane alone,
+    // and apply(std::vector&) must agree with apply(Matrix&).
+    const std::size_t cols = 13;
+    const std::size_t lane_rows[] = {3, 1, 5};
+    const float lane_sigma[] = {0.2f, 3.0f, 40.0f};
+    for (const int bits : kQuantBits) {
+        const Quantizer q(bits);
+        forBothLevels([&](SimdLevel level) {
+            std::vector<Matrix> lanes;
+            Matrix stacked(9, cols);
+            std::size_t row = 0;
+            for (std::size_t l = 0; l < 3; ++l) {
+                Matrix m = randomMatrix(lane_rows[l], cols, 70 + l,
+                                        lane_sigma[l]);
+                if (l == 2) {
+                    m(1, 4) = kNan;
+                    m(3, 0) = -kInf;
+                    m(4, 12) = -0.0f;
+                }
+                std::copy(m.raw().begin(), m.raw().end(),
+                          stacked.rowPtr(row));
+                row += lane_rows[l];
+                lanes.push_back(std::move(m));
+            }
+            row = 0;
+            for (std::size_t l = 0; l < 3; ++l) {
+                q.applyRows(stacked, row, row + lane_rows[l]);
+                std::vector<float> as_vector(lanes[l].raw().begin(),
+                                             lanes[l].raw().end());
+                q.apply(lanes[l]);
+                q.apply(as_vector);
+                for (std::size_t i = 0; i < lanes[l].size(); ++i) {
+                    const float expect = lanes[l].raw()[i];
+                    EXPECT_TRUE(
+                        sameBits(stacked.rowPtr(row)[i], expect))
+                        << simdLevelName(level) << " bits=" << bits
+                        << " lane=" << l << " i=" << i;
+                    EXPECT_TRUE(sameBits(as_vector[i], expect));
+                }
+                row += lane_rows[l];
+            }
+        });
+    }
+}
+
 TEST(KernelInt8, MatmulMatchesNaiveIntegerReference)
 {
     const std::size_t m = 5, k = 37, n = 11;
@@ -432,8 +675,6 @@ TEST(KernelPeak, PeakProbeReportsConsistentFlopCount)
 
 namespace {
 
-constexpr float kInf = std::numeric_limits<float>::infinity();
-
 /** The block lengths the conversion twins are compared at. */
 const std::size_t kConvertLengths[] = {1, 7, 8, 15, 16, 17, 63, 64, 65, 511};
 
@@ -481,26 +722,6 @@ convertInputs(std::size_t n, float lo_hi, float edge, std::uint64_t seed)
     for (std::size_t i = 0; i < n && i < 7; ++i)
         v[(i * 37) % n] = specials[i];
     return v;
-}
-
-/** out[i] for both levels must agree bitwise; returns the scalar result. */
-template <typename F>
-std::vector<float>
-sameAtBothLevels(std::size_t n, F&& run)
-{
-    std::vector<float> ref;
-    forBothLevels([&](SimdLevel level) {
-        std::vector<float> out = run();
-        if (level == SimdLevel::Scalar) {
-            ref = out;
-            return;
-        }
-        for (std::size_t i = 0; i < n; ++i)
-            EXPECT_TRUE(sameBits(ref[i], out[i]))
-                << "n=" << n << " i=" << i << " scalar=" << ref[i]
-                << " avx2=" << out[i];
-    });
-    return ref;
 }
 
 } // namespace

@@ -1,12 +1,17 @@
 /** @file Unit tests for the evaluation thread pool: task completion,
- *  exception propagation, reuse across submissions, shard arithmetic and
- *  the nested-inline rule that keeps nested parallelism deadlock free. */
+ *  exception propagation, reuse across submissions, shard arithmetic, the
+ *  nested-inline rule that keeps nested parallelism deadlock free, and a
+ *  race-free first use of the process-wide pool. */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <functional>
+#include <latch>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/thread_pool.h"
@@ -126,4 +131,47 @@ TEST(ThreadPool, ShardRangePartitionsExactly)
             EXPECT_EQ(prev_end, n);
         }
     }
+}
+
+namespace {
+
+/**
+ * 8 threads, released together, make the process's first globalPool()
+ * calls and run a parallelFor on it; exits 0 only if every thread got the
+ * same pool and every index ran.
+ */
+[[noreturn]] void
+raceFirstGlobalPoolUse()
+{
+    constexpr std::size_t kThreads = 8;
+    constexpr std::size_t kItems = 64;
+    std::latch start(1);
+    std::atomic<std::size_t> covered{0};
+    std::vector<ThreadPool*> seen(kThreads, nullptr);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t)
+        threads.emplace_back([&start, &covered, &seen, t] {
+            start.wait();
+            ThreadPool& pool = swordfish::globalPool();
+            seen[t] = &pool;
+            pool.parallelFor(kItems, [&covered](std::size_t) { ++covered; });
+        });
+    start.count_down();
+    for (std::thread& th : threads)
+        th.join();
+    const bool one_pool = std::all_of(
+        seen.begin(), seen.end(),
+        [&seen](const ThreadPool* p) { return p == seen[0]; });
+    std::exit(one_pool && covered == kThreads * kItems ? 0 : 1);
+}
+
+} // namespace
+
+TEST(GlobalPool, ConcurrentFirstUseCreatesOnePool)
+{
+    // Two daemon workers that start their first jobs together both make
+    // the first globalPool() call. The check needs an empty slot, so it
+    // runs in a re-executed child process.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(raceFirstGlobalPoolUse(), ::testing::ExitedWithCode(0), "");
 }
