@@ -86,8 +86,9 @@ BM_GemmBT(benchmark::State& state)
 BENCHMARK(BM_GemmBT)->Arg(32)->Arg(64)->Arg(128);
 
 /**
- * One OpenMP thread for the scope: the setting pool workers run every
- * gemmBT in, so a per-shape time is the per-row kernel's, not a team's.
+ * One OpenMP thread for the scope: a shape above kernels::kGemmForkWork
+ * called from this (non-pool) thread would otherwise fork a team, and a
+ * per-shape time should be the per-row kernel's, as pool workers run it.
  */
 class SerialOmpScope
 {
@@ -116,8 +117,10 @@ class SerialOmpScope
 
 /**
  * gemmBT at BonitoLite's own short-k shapes per SIMD level, on one thread:
- * one recurrent tile step (6x64x32), a stacked LSTM projection
- * (1024x128x32) and conv0 (1024x32x5). Args: m, n, k, SimdLevel int.
+ * the recurrent tile step of a 1-, 2- and 6-lane group (1x64x32, 2x64x32,
+ * 6x64x32; the first two show the fixed per-call cost), a stacked LSTM
+ * projection (1024x128x32) and conv0 (1024x32x5). Args: m, n, k,
+ * SimdLevel int.
  */
 void
 BM_GemmBTShape(benchmark::State& state)
@@ -145,6 +148,8 @@ BM_GemmBTShape(benchmark::State& state)
 }
 BENCHMARK(BM_GemmBTShape)
     ->ArgNames({"m", "n", "k", "avx2"})
+    ->Args({1, 64, 32, 0})->Args({1, 64, 32, 1})
+    ->Args({2, 64, 32, 0})->Args({2, 64, 32, 1})
     ->Args({6, 64, 32, 0})->Args({6, 64, 32, 1})
     ->Args({1024, 128, 32, 0})->Args({1024, 128, 32, 1})
     ->Args({1024, 32, 5, 0})->Args({1024, 32, 5, 1});

@@ -397,31 +397,34 @@ evaluateAccuracy(nn::SequenceModel& model, const EvalRequest& req)
     // block-mode run pays the model copies once, like the single-pass run.
     std::vector<nn::SequenceModel> replicas;
 
-    // One block of reads [r0, r1): groups of req.batch shard across the
-    // pool exactly as the historic whole-range pass did — run_block(0, n)
-    // is that pass, bitwise.
+    // One block of reads [r0, r1): the reads split into one contiguous
+    // slice per pool worker, and each slice basecalls in lane groups of at
+    // most req.batch. A small job thus keeps every idle core busy, while a
+    // block on a pool worker (a Monte-Carlo run) is one slice whose groups
+    // start at r0, batch apart. Lanes are independent, so any split gives
+    // the same bits.
     auto run_block = [&](std::size_t r0, std::size_t r1) {
-        const std::size_t span = r1 - r0;
-        const std::size_t block_groups =
-            span == 0 ? 0 : (span + batch - 1) / batch;
-        auto eval_group = [&](nn::SequenceModel& m, std::size_t g) {
-            const std::size_t begin = r0 + g * batch;
-            const std::size_t end = std::min(r1, begin + batch);
-            std::vector<genomics::Sequence> calls(end - begin);
-            basecallGroupDegraded(m, dataset, begin, end, req.decoder,
-                                  req.beamWidth, outcomes.data() + begin,
-                                  calls.data());
-            for (std::size_t k = 0; k < calls.size(); ++k) {
-                if (survives(outcomes[begin + k]))
-                    record(begin + k, calls[k]);
+        auto eval_slice = [&](nn::SequenceModel& m, std::size_t s0,
+                              std::size_t s1) {
+            std::vector<genomics::Sequence> calls;
+            for (std::size_t begin = s0; begin < s1; begin += batch) {
+                const std::size_t end = std::min(s1, begin + batch);
+                calls.resize(end - begin);
+                basecallGroupDegraded(m, dataset, begin, end, req.decoder,
+                                      req.beamWidth, outcomes.data() + begin,
+                                      calls.data());
+                for (std::size_t k = 0; k < calls.size(); ++k) {
+                    if (survives(outcomes[begin + k]))
+                        record(begin + k, calls[k]);
+                }
             }
         };
 
+        const std::size_t span = r1 - r0;
         ThreadPool& pool = globalPool();
-        const std::size_t shards = pool.shardCount(block_groups);
+        const std::size_t shards = pool.shardCount(span);
         if (shards <= 1) {
-            for (std::size_t g = 0; g < block_groups; ++g)
-                eval_group(model, g);
+            eval_slice(model, r0, r1);
             return;
         }
         if (replicas.size() < shards)
@@ -431,9 +434,8 @@ evaluateAccuracy(nn::SequenceModel& model, const EvalRequest& req)
         for (std::size_t s = 0; s < shards; ++s) {
             tasks.push_back([&, s] {
                 const auto [begin, end] =
-                    ThreadPool::shardRange(block_groups, shards, s);
-                for (std::size_t g = begin; g < end; ++g)
-                    eval_group(replicas[s], g);
+                    ThreadPool::shardRange(span, shards, s);
+                eval_slice(replicas[s], r0 + begin, r0 + end);
             });
         }
         pool.runTasks(std::move(tasks));

@@ -93,12 +93,12 @@ AccuracyResult evaluateAccuracy(nn::SequenceModel& model,
                                 Decoder decoder = Decoder::Greedy);
 
 /**
- * Request-driven accuracy evaluation: reads are gathered into groups of
- * req.batch (ragged final group allowed) and each group runs through the
- * batched forward path; groups shard across the thread pool. Results are
- * bitwise-identical to the serial per-read loop for any batch size and
- * thread count. req.runs is ignored here — Monte-Carlo repetition lives in
- * core::evaluateNonIdealAccuracy.
+ * Request-driven accuracy evaluation: the reads split into one contiguous
+ * slice per pool worker (one slice when called from a worker), and each
+ * slice runs through the batched forward path in groups of at most
+ * req.batch. Results are bitwise-identical to the serial per-read loop for
+ * any batch size and thread count. req.runs is ignored here — Monte-Carlo
+ * repetition lives in core::evaluateNonIdealAccuracy.
  *
  * When fault injection is active (SWORDFISH_FAULTS) the evaluation
  * degrades gracefully instead of aborting: decode/chunk faults skip the

@@ -212,7 +212,11 @@ struct EvalRequest
     std::size_t runs = 1;        ///< Monte-Carlo repetitions
     std::size_t maxReads = 0;    ///< 0 = every read in the dataset
     std::uint64_t seedBase = 1;  ///< run r uses seed seedBase + r
-    std::size_t batch = 0;       ///< chunk batch capacity; 0 = env default
+    /** Lane-group capacity, 0 = env default: a cap, not a group size. A
+     *  call from outside the pool first slices its reads across the
+     *  workers, so 8 reads at batch 8 on 4 workers run as four 2-lane
+     *  groups; on a pool worker (a Monte-Carlo run) groups fill to it. */
+    std::size_t batch = 0;
     std::size_t threads = kInheritThreads; ///< pool width for this call
     Decoder decoder = Decoder::Greedy;
     std::size_t beamWidth = 8;   ///< only used with Decoder::Beam

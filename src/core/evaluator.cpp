@@ -105,8 +105,9 @@ evaluateNonIdealAccuracy(nn::SequenceModel& model, const NonIdealSetup& setup,
     ThreadPool& pool = globalPool();
     const std::size_t shards = pool.shardCount(runs);
     if (shards <= 1) {
-        // Serial over runs; within each run, evaluateAccuracy still shards
-        // read groups across any idle workers.
+        // Serial over runs; within each run, evaluateAccuracy slices the
+        // reads across the workers and basecalls each slice in groups of
+        // at most the batch.
         for (std::size_t r = 0; r < runs; ++r)
             run_one(model, r);
     } else {

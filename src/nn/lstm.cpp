@@ -8,6 +8,24 @@
 
 namespace swordfish::nn {
 
+namespace {
+
+/**
+ * Per-thread stacked buffers of Lstm::forwardBatch. An 8-lane group's
+ * input projection is megabytes, above glibc's mmap threshold, and
+ * allocating it per group and layer would make peak RSS depend on thread
+ * timing. Each thread keeps the largest group it has run, as the VMM
+ * backend's matmul scratch does.
+ */
+struct TlsLstmScratch
+{
+    Matrix reversed; ///< per-lane time-reversed input of a reverse layer
+    Matrix zIn;      ///< input projection of every lane and timestep
+};
+thread_local TlsLstmScratch tls_lstm;
+
+} // namespace
+
 Lstm::Lstm(std::string name, std::size_t in, std::size_t hidden,
            bool reverse, Rng& rng)
     : name_(std::move(name)),
@@ -87,26 +105,29 @@ Lstm::forwardBatch(SequenceBatch& batch)
               batch.data.cols());
 
     const std::size_t lanes = batch.laneCount();
-    const std::size_t h4 = 4 * hidden_;
 
-    // Per-lane time reversal: orientation is a per-sequence property.
-    Matrix input = batch.data;
+    // Per-lane time reversal: orientation is a per-sequence property. A
+    // forward layer projects batch.data itself.
+    const Matrix* input = &batch.data;
     if (reverse_) {
+        Matrix& reversed = tls_lstm.reversed;
+        reversed.resizeUninit(batch.data.rows(), in_); // fully overwritten
         for (std::size_t l = 0; l < lanes; ++l) {
             const std::size_t off = batch.laneOffset(l);
             const std::size_t t_len = batch.laneRows(l);
             for (std::size_t t = 0; t < t_len; ++t) {
                 const float* src = batch.data.rowPtr(off + t_len - 1 - t);
-                float* dst = input.rowPtr(off + t);
+                float* dst = reversed.rowPtr(off + t);
                 for (std::size_t c = 0; c < in_; ++c)
                     dst[c] = src[c];
             }
         }
+        input = &reversed;
     }
 
     // Input projection for every lane and timestep in one stacked VMM.
-    Matrix z_in;
-    backend().matmulBatched(wih_.name, wih_.value, input, z_in,
+    Matrix& z_in = tls_lstm.zIn;
+    backend().matmulBatched(wih_.name, wih_.value, *input, z_in,
                             batch.layout());
 
     Matrix out(batch.data.rows(), hidden_);
@@ -159,7 +180,6 @@ Lstm::forwardBatch(SequenceBatch& batch)
             std::copy(h, h + hidden_, hp);
         }
     }
-    (void)h4;
 
     if (reverse_) {
         // Un-reverse each lane in place (swap rows around the midpoint).

@@ -36,10 +36,12 @@
 #include <limits>
 #include <numbers>
 
+#include "tensor/gemm_rows.h"
 #include "tensor/quantize.h"
 #include "tensor/simd.h"
 #include "util/env.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 #if defined(__x86_64__) || defined(__i386__)
 #define SWORDFISH_X86 1
@@ -1264,6 +1266,12 @@ dotBlocked(const float* a, const float* b, std::size_t k)
     return dotScalar(a, b, k);
 }
 
+bool
+gemmForks(std::size_t work)
+{
+    return work > kGemmForkWork && !ThreadPool::inWorker();
+}
+
 void
 gemmBT(const Matrix& a, const Matrix& b, Matrix& c, bool accumulate)
 {
@@ -1276,19 +1284,18 @@ gemmBT(const Matrix& a, const Matrix& b, Matrix& c, bool accumulate)
         panic("gemm: accumulate target has wrong shape");
 
     const bool avx2 = useAvx2();
-    #pragma omp parallel for schedule(static) if (m * n * k > 1u << 16)
-    for (std::size_t i = 0; i < m; ++i) {
+    forEachRow(m, m * n * k, [&](std::size_t i) {
         float* crow = c.rowPtr(i);
         const float* arow = a.rowPtr(i);
 #if SWORDFISH_X86
         if (avx2) {
             gemmBTRowAvx2(arow, b, crow, k, n);
-            continue;
+            return;
         }
 #endif
         (void)avx2;
         gemmBTRowScalar(arow, b, crow, k, n);
-    }
+    });
 }
 
 float
@@ -1418,9 +1425,7 @@ int8Matmul(const std::int8_t* xq, std::size_t rows, float x_scale,
     const std::size_t stride = w.stride;
     const std::size_t outs = w.rows;
     const bool avx2 = useAvx2();
-    #pragma omp parallel for schedule(static) \
-        if (rows * outs * stride > 1u << 16)
-    for (std::size_t t = 0; t < rows; ++t) {
+    forEachRow(rows, rows * outs * stride, [&](std::size_t t) {
         const std::int8_t* xrow = xq + t * stride;
         float* yrow = y.rowPtr(row_offset + t);
         for (std::size_t o = 0; o < outs; ++o) {
@@ -1435,7 +1440,7 @@ int8Matmul(const std::int8_t* xq, std::size_t rows, float x_scale,
             yrow[o] =
                 static_cast<float>(acc) * (x_scale * w.rowScale[o]);
         }
-    }
+    });
 }
 
 double

@@ -34,11 +34,26 @@ struct Int8Tensor; // tensor/quantize.h
 
 namespace swordfish::kernels {
 
+/** Multiply-adds a GEMM call must exceed before its rows fork a team. */
+inline constexpr std::size_t kGemmForkWork = std::size_t{1} << 16;
+
+/**
+ * The fork predicate of the GEMM family's row loops (gemmBT, int8Matmul,
+ * swordfish::gemm and swordfish::gemmAT): true when a call of `work`
+ * multiply-adds splits its output rows over an OpenMP team, that is when
+ * work > kGemmForkWork and the caller is not a ThreadPool worker. The
+ * pool owns evaluation parallelism, so its workers run every GEMM as a
+ * plain loop, and no GEMM below the threshold enters libgomp (entering
+ * even a serialized region costs about 0.35 µs, three times a one-row
+ * 64x32 gemmBT). Rows are independent, so forking never changes a bit.
+ */
+bool gemmForks(std::size_t work);
+
 /**
  * C = A * B^T with the blocked-reduction contract; the dispatch target
  * behind swordfish::gemmBT. A is m x k, B is n x k, C is m x n. Rows of C
- * are independent (OpenMP parallelizes over them), so thread count never
- * changes the reduction order.
+ * are independent (they split over OpenMP threads when gemmForks()), so
+ * thread count never changes the reduction order.
  */
 void gemmBT(const Matrix& a, const Matrix& b, Matrix& c, bool accumulate);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "tensor/gemm_rows.h"
 #include "tensor/kernels.h"
 
 namespace swordfish {
@@ -84,8 +85,7 @@ gemm(const Matrix& a, const Matrix& b, Matrix& c, bool accumulate)
     const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
     prepareOutput(c, m, n, accumulate);
 
-    #pragma omp parallel for schedule(static) if (m * n * k > 1u << 16)
-    for (std::size_t i = 0; i < m; ++i) {
+    kernels::forEachRow(m, m * n * k, [&](std::size_t i) {
         float* crow = c.rowPtr(i);
         const float* arow = a.rowPtr(i);
         for (std::size_t p = 0; p < k; ++p) {
@@ -96,7 +96,7 @@ gemm(const Matrix& a, const Matrix& b, Matrix& c, bool accumulate)
             for (std::size_t j = 0; j < n; ++j)
                 crow[j] += av * brow[j];
         }
-    }
+    });
 }
 
 void
@@ -115,21 +115,20 @@ gemmAT(const Matrix& a, const Matrix& b, Matrix& c, bool accumulate)
     const std::size_t m = a.cols(), k = a.rows(), n = b.cols();
     prepareOutput(c, m, n, accumulate);
 
-    // Serial over k keeps writes race-free; parallelize the inner rows of C
-    // only when big enough to matter.
-    for (std::size_t p = 0; p < k; ++p) {
-        const float* arow = a.rowPtr(p);
-        const float* brow = b.rowPtr(p);
-        #pragma omp parallel for schedule(static) if (m * n > 1u << 16)
-        for (std::size_t i = 0; i < m; ++i) {
-            const float av = arow[i];
+    // Rows of C outside, k inside: one thread owns each row, so the rows
+    // split race-free in one region per call, and every c(i, j) sums p in
+    // ascending order whichever thread computes it.
+    kernels::forEachRow(m, m * n * k, [&](std::size_t i) {
+        float* crow = c.rowPtr(i);
+        for (std::size_t p = 0; p < k; ++p) {
+            const float av = a.rowPtr(p)[i];
             if (av == 0.0f)
                 continue;
-            float* crow = c.rowPtr(i);
+            const float* brow = b.rowPtr(p);
             for (std::size_t j = 0; j < n; ++j)
                 crow[j] += av * brow[j];
         }
-    }
+    });
 }
 
 void

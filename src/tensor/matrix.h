@@ -4,8 +4,10 @@
  * NN library and crossbar simulator need.
  *
  * Everything in the framework funnels through these kernels, so they are
- * written cache-friendly (ikj loop order) and parallelized with OpenMP when
- * available. Float32 is the reference numeric type; reduced precisions are
+ * written cache-friendly (ikj loop order), and a large call made outside
+ * the thread pool splits its rows over OpenMP threads when available
+ * (kernels::gemmForks). Float32 is the reference numeric type; reduced
+ * precisions are
  * *simulated* on top of it by the quantizer (as in the paper's FPP X-Y
  * configurations).
  */

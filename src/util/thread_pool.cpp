@@ -4,10 +4,6 @@
 #include <memory>
 #include <mutex>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "util/env.h"
 
 namespace swordfish {
@@ -47,12 +43,6 @@ void
 ThreadPool::workerLoop()
 {
     tls_in_worker = true;
-#ifdef _OPENMP
-    // Workers execute whole tasks; letting each also open OpenMP teams
-    // would oversubscribe the machine, so the GEMM pragmas collapse to one
-    // thread inside pool workers (num-threads is a per-thread OpenMP ICV).
-    omp_set_num_threads(1);
-#endif
     for (;;) {
         std::function<void()> task;
         {

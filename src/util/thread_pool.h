@@ -99,7 +99,11 @@ class ThreadPool
         return {begin, begin + base + (s < rem ? 1 : 0)};
     }
 
-    /** True when the calling thread is a worker of any ThreadPool. */
+    /**
+     * True when the calling thread is a worker of any ThreadPool. The GEMM
+     * row loops read it too: a worker never forks an OpenMP team
+     * (kernels::gemmForks), so the pool alone owns evaluation parallelism.
+     */
     static bool inWorker();
 
   private:

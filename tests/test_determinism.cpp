@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cfenv>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -67,6 +70,7 @@ struct Fixture
     nn::SequenceModel model;
     genomics::Dataset dataset;
     genomics::Dataset dataset5; ///< 5 reads, for ragged batch grids
+    genomics::Dataset dataset8; ///< 8 reads, one sweep-sized daemon job
 
   private:
     Fixture()
@@ -79,6 +83,7 @@ struct Fixture
         const genomics::PoreModel pore;
         dataset = genomics::makeDataset(genomics::specById("D1"), pore, 3);
         dataset5 = genomics::makeDataset(genomics::specById("D2"), pore, 5);
+        dataset8 = genomics::makeDataset(genomics::specById("D1"), pore, 8);
     }
 };
 
@@ -97,9 +102,16 @@ evalWithThreads(std::size_t threads, NonIdealityKind kind)
         EvalOptions(f.dataset).runs(3).maxReads(3).seedBase(7));
 }
 
-/** Full-request evaluation over the 5-read dataset: batch x threads. */
+/**
+ * Full-request evaluation over the 5-read dataset: batch x threads x runs.
+ * With two runs and two or more threads every run lands on a pool worker
+ * and basecalls its reads there in groups of `batch`; one run stays on the
+ * calling thread, which slices the 5 reads across the workers first (at 4
+ * threads 2/1/1/1, the 1-read slices taking the serial path).
+ */
 AccuracySummary
-evalBatched(std::size_t threads, std::size_t batch, NonIdealityKind kind)
+evalBatched(std::size_t threads, std::size_t batch, NonIdealityKind kind,
+            std::size_t runs = 2)
 {
     Fixture& f = Fixture::get();
     NonIdealityConfig scenario;
@@ -109,14 +121,15 @@ evalBatched(std::size_t threads, std::size_t batch, NonIdealityKind kind)
     remap.fraction = 0.05;
     return evaluateNonIdealAccuracy(
         f.model, {scenario, remap},
-        EvalOptions(f.dataset5).runs(2).maxReads(5).seedBase(7)
+        EvalOptions(f.dataset5).runs(runs).maxReads(5).seedBase(7)
             .batch(batch).threads(threads));
 }
 
 /** Full composition of the four extended noise sources plus K=2 layer
  *  ensemble averaging, over the 5-read dataset. */
 AccuracySummary
-evalComposedEnsemble(std::size_t threads, std::size_t batch)
+evalComposedEnsemble(std::size_t threads, std::size_t batch,
+                     std::size_t runs)
 {
     Fixture& f = Fixture::get();
     NonIdealityConfig scenario;
@@ -131,8 +144,107 @@ evalComposedEnsemble(std::size_t threads, std::size_t batch)
     remap.fraction = 0.05;
     return evaluateNonIdealAccuracy(
         f.model, {scenario, remap},
-        EvalOptions(f.dataset5).runs(2).maxReads(5).seedBase(7)
+        EvalOptions(f.dataset5).runs(runs).maxReads(5).seedBase(7)
             .batch(batch).threads(threads).ensembleK(2));
+}
+
+/**
+ * Forwards every call to an inner backend and records the widest lane
+ * group a matmulBatched() call carried, the way the benchmark's traced
+ * replay wraps the backend it times.
+ */
+class LaneWidthRecorder : public nn::VmmBackend
+{
+  public:
+    explicit LaneWidthRecorder(nn::VmmBackend& inner) : inner_(inner) {}
+
+    std::size_t widest() const { return widest_.load(); }
+
+    void
+    matmul(const std::string& name, const Matrix& w, const Matrix& x,
+           Matrix& y) override
+    {
+        inner_.matmul(name, w, x, y);
+    }
+
+    void
+    matmulBatched(const std::string& name, const Matrix& w, const Matrix& x,
+                  Matrix& y, const nn::BatchLayout& layout) override
+    {
+        std::size_t seen = widest_.load();
+        while (layout.size() > seen
+               && !widest_.compare_exchange_weak(seen, layout.size())) {
+        }
+        inner_.matmulBatched(name, w, x, y, layout);
+    }
+
+    void onActivations(Matrix& m) override { inner_.onActivations(m); }
+
+    void
+    onActivationsRows(Matrix& m, std::size_t row_begin,
+                      std::size_t row_end) override
+    {
+        inner_.onActivationsRows(m, row_begin, row_end);
+    }
+
+    void beginRead(std::uint64_t stream) override { inner_.beginRead(stream); }
+
+    void
+    beginBatch(const std::vector<std::uint64_t>& streams) override
+    {
+        inner_.beginBatch(streams);
+    }
+
+    void endBatch() override { inner_.endBatch(); }
+
+    void
+    selectBatchLane(std::size_t lane) override
+    {
+        inner_.selectBatchLane(lane);
+    }
+
+    void
+    prepareWeight(const std::string& name, const Matrix& w) override
+    {
+        inner_.prepareWeight(name, w);
+    }
+
+    void finishCompile() override { inner_.finishCompile(); }
+
+  private:
+    nn::VmmBackend& inner_;
+    std::atomic<std::size_t> widest_{0};
+};
+
+/** Bitwise equality of two single-run accuracy results. */
+void
+expectSameResult(const basecall::AccuracyResult& a,
+                 const basecall::AccuracyResult& b)
+{
+    EXPECT_EQ(bits(a.meanIdentity), bits(b.meanIdentity));
+    EXPECT_EQ(bits(a.minIdentity), bits(b.minIdentity));
+    EXPECT_EQ(a.readsEvaluated, b.readsEvaluated);
+    EXPECT_EQ(a.basesCalled, b.basesCalled);
+    EXPECT_EQ(a.completedReads, b.completedReads);
+    EXPECT_EQ(a.interrupted, b.interrupted);
+}
+
+/** The 8 reads at batch 8 on a freshly programmed Combined 64x64 chip
+ *  and a pool of `threads` workers, called from this (non-pool) thread. */
+basecall::AccuracyResult
+evalEightReads(std::size_t threads, EvalOptions opts)
+{
+    Fixture& f = Fixture::get();
+    setGlobalPoolThreads(threads);
+    NonIdealityConfig scenario;
+    scenario.kind = NonIdealityKind::Combined;
+    scenario.crossbar.size = 64;
+    CrossbarVmmBackend backend(scenario, 17);
+    f.model.setBackend(&backend);
+    const auto result = basecall::evaluateAccuracy(
+        f.model, opts.maxReads(8).batch(8));
+    f.model.setBackend(nullptr);
+    return result;
 }
 
 } // namespace
@@ -192,6 +304,87 @@ TEST(Determinism, ReadShardingIndependentOfThreadCount)
     EXPECT_EQ(serial.readsEvaluated, pooled.readsEvaluated);
 }
 
+TEST(Determinism, SmallJobShardsReadsAcrossIdleWorkers)
+{
+    // A sweep-sized job (8 reads, batch 8) called from outside the pool
+    // slices its reads over the 4 workers, so no VMM carries more than 2
+    // lanes; the same evaluation on a pool worker (as a Monte-Carlo run
+    // is) keeps its one 8-lane group. Both equal the serial run bitwise.
+    Fixture& f = Fixture::get();
+    NonIdealityConfig scenario;
+    scenario.kind = NonIdealityKind::Combined;
+    scenario.crossbar.size = 64;
+    CrossbarVmmBackend backend(scenario, 17);
+    auto eval = [&] {
+        return basecall::evaluateAccuracy(
+            f.model, EvalOptions(f.dataset8).maxReads(8).batch(8));
+    };
+
+    setGlobalPoolThreads(0);
+    f.model.setBackend(&backend);
+    const auto serial = eval();
+
+    setGlobalPoolThreads(4);
+    LaneWidthRecorder caller_side(backend);
+    f.model.setBackend(&caller_side);
+    const auto sharded = eval();
+    EXPECT_EQ(caller_side.widest(), 2u);
+
+    LaneWidthRecorder worker_side(backend);
+    f.model.setBackend(&worker_side);
+    const auto on_worker = globalPool().submit(eval).get();
+    EXPECT_EQ(worker_side.widest(), 8u);
+    f.model.setBackend(nullptr);
+
+    EXPECT_EQ(serial.readsEvaluated, 8u);
+    expectSameResult(serial, sharded);
+    expectSameResult(serial, on_worker);
+}
+
+TEST(Determinism, ShardedBlockModeMatchesSerial)
+{
+    // Block mode around the sliced fan-out: a progress sink sees the same
+    // events, and a run stopped after its first block and resumed from
+    // the checkpoint lands on the serial run's bits.
+    std::vector<basecall::BlockEvent> events[2];
+    auto sink = [&events](std::size_t side) {
+        return [&events, side](const basecall::BlockEvent& ev) {
+            events[side].push_back(ev);
+        };
+    };
+    const auto serial = evalEightReads(
+        0, EvalOptions(Fixture::get().dataset8).checkpointEvery(6)
+               .onBlock(sink(0)));
+    const auto sharded = evalEightReads(
+        4, EvalOptions(Fixture::get().dataset8).checkpointEvery(6)
+               .onBlock(sink(1)));
+    expectSameResult(serial, sharded);
+    ASSERT_EQ(events[0].size(), 2u); // blocks [0, 6) and [6, 8)
+    ASSERT_EQ(events[0].size(), events[1].size());
+    for (std::size_t i = 0; i < events[0].size(); ++i) {
+        EXPECT_EQ(events[0][i].done, events[1][i].done);
+        EXPECT_EQ(events[0][i].survivors, events[1][i].survivors);
+        EXPECT_EQ(events[0][i].skipped, events[1][i].skipped);
+        EXPECT_EQ(bits(events[0][i].meanIdentity),
+                  bits(events[1][i].meanIdentity));
+    }
+
+    const std::string path =
+        (std::filesystem::temp_directory_path()
+         / "swordfish_determinism_shard_ckpt.bin").string();
+    std::remove(path.c_str());
+    const auto half = evalEightReads(
+        4, EvalOptions(Fixture::get().dataset8).checkpoint(path)
+               .checkpointEvery(6).stopAfterReads(6));
+    EXPECT_TRUE(half.interrupted);
+    EXPECT_EQ(half.completedReads, 6u);
+    const auto resumed = evalEightReads(
+        4, EvalOptions(Fixture::get().dataset8).checkpoint(path)
+               .checkpointEvery(6));
+    std::remove(path.c_str());
+    expectSameResult(serial, resumed);
+}
+
 TEST(Determinism, BatchedEvalBitwiseIdenticalAcrossBatchAndThreadGrid)
 {
     // The tentpole invariant: chunk-level batching must not change a
@@ -199,18 +392,23 @@ TEST(Determinism, BatchedEvalBitwiseIdenticalAcrossBatchAndThreadGrid)
     // each batch lane draws from its own read-indexed noise stream.
     // batch=3 over 5 reads exercises a ragged final group ({3, 2});
     // batch=8 exceeds the read count (one 5-lane group).
-    const AccuracySummary ref =
-        evalBatched(1, 1, NonIdealityKind::Combined);
-    EXPECT_EQ(ref.runs, 2u);
-    for (std::size_t batch : {std::size_t{1}, std::size_t{3},
-                              std::size_t{8}}) {
-        for (std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{4}}) {
-            SCOPED_TRACE("batch=" + std::to_string(batch)
-                         + " threads=" + std::to_string(threads));
-            expectBitwiseEqual(
-                ref, evalBatched(threads, batch,
-                                 NonIdealityKind::Combined));
+    // runs=1 keeps the run on the calling thread, so its reads are
+    // sliced across the workers before they are grouped.
+    for (std::size_t runs : {std::size_t{1}, std::size_t{2}}) {
+        const AccuracySummary ref =
+            evalBatched(1, 1, NonIdealityKind::Combined, runs);
+        EXPECT_EQ(ref.runs, runs);
+        for (std::size_t batch : {std::size_t{1}, std::size_t{3},
+                                  std::size_t{8}}) {
+            for (std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                        std::size_t{4}}) {
+                SCOPED_TRACE("runs=" + std::to_string(runs)
+                             + " batch=" + std::to_string(batch)
+                             + " threads=" + std::to_string(threads));
+                expectBitwiseEqual(
+                    ref, evalBatched(threads, batch,
+                                     NonIdealityKind::Combined, runs));
+            }
         }
     }
 }
@@ -281,19 +479,22 @@ TEST(Determinism, FaultScheduleBitwiseIdenticalAcrossThreadBatchGrid)
     faults.setP(FaultSite::WorkerTask, 0.3);
     ScopedFaultConfig scoped(faults);
 
-    const AccuracySummary ref =
-        evalBatched(1, 1, NonIdealityKind::Combined);
-    EXPECT_EQ(ref.degraded.okReads + ref.degraded.retriedReads
-                  + ref.degraded.skippedReads(),
-              2u * 5u); // every read of both runs is accounted for
-    for (std::size_t batch : {std::size_t{1}, std::size_t{4}}) {
-        for (std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{4}}) {
-            SCOPED_TRACE("batch=" + std::to_string(batch)
-                         + " threads=" + std::to_string(threads));
-            expectBitwiseEqual(
-                ref, evalBatched(threads, batch,
-                                 NonIdealityKind::Combined));
+    for (std::size_t runs : {std::size_t{1}, std::size_t{2}}) {
+        const AccuracySummary ref =
+            evalBatched(1, 1, NonIdealityKind::Combined, runs);
+        EXPECT_EQ(ref.degraded.okReads + ref.degraded.retriedReads
+                      + ref.degraded.skippedReads(),
+                  runs * 5u); // every read of every run is accounted for
+        for (std::size_t batch : {std::size_t{1}, std::size_t{4}}) {
+            for (std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                        std::size_t{4}}) {
+                SCOPED_TRACE("runs=" + std::to_string(runs)
+                             + " batch=" + std::to_string(batch)
+                             + " threads=" + std::to_string(threads));
+                expectBitwiseEqual(
+                    ref, evalBatched(threads, batch,
+                                     NonIdealityKind::Combined, runs));
+            }
         }
     }
 }
@@ -463,26 +664,29 @@ TEST(Determinism, ComposedNoiseEnsembleBitwiseAcrossFullGrid)
     // source draws from its own (tile, source, cell) keyed stream,
     // replica seeds key off the tile seed, and the replica average is
     // quantized by one shared ADC pass.
-    AccuracySummary ref;
-    {
-        const ScopedSimdLevel scoped(SimdLevel::Scalar);
-        ref = evalComposedEnsemble(1, 1);
-    }
-    EXPECT_EQ(ref.runs, 2u);
     std::vector<SimdLevel> levels = {SimdLevel::Scalar};
     if (cpuSupportsAvx2())
         levels.push_back(SimdLevel::Avx2);
-    for (const SimdLevel level : levels) {
-        const ScopedSimdLevel scoped(level);
-        for (std::size_t batch : {std::size_t{1}, std::size_t{3},
-                                  std::size_t{8}}) {
-            for (std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                        std::size_t{4}}) {
-                SCOPED_TRACE(std::string("simd=") + simdLevelName(level)
-                             + " batch=" + std::to_string(batch)
-                             + " threads=" + std::to_string(threads));
-                expectBitwiseEqual(ref,
-                                   evalComposedEnsemble(threads, batch));
+    for (std::size_t runs : {std::size_t{1}, std::size_t{2}}) {
+        AccuracySummary ref;
+        {
+            const ScopedSimdLevel scoped(SimdLevel::Scalar);
+            ref = evalComposedEnsemble(1, 1, runs);
+        }
+        EXPECT_EQ(ref.runs, runs);
+        for (const SimdLevel level : levels) {
+            const ScopedSimdLevel scoped(level);
+            for (std::size_t batch : {std::size_t{1}, std::size_t{3},
+                                      std::size_t{8}}) {
+                for (std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                            std::size_t{4}}) {
+                    SCOPED_TRACE(std::string("simd=") + simdLevelName(level)
+                                 + " runs=" + std::to_string(runs)
+                                 + " batch=" + std::to_string(batch)
+                                 + " threads=" + std::to_string(threads));
+                    expectBitwiseEqual(
+                        ref, evalComposedEnsemble(threads, batch, runs));
+                }
             }
         }
     }

@@ -5,8 +5,9 @@
  * activation quantizer against the per-element Quantizer reference, the
  * DAC/ADC conversion kernels against the per-element converter reference
  * and their libm-free Gaussian source (exhaustive accuracy plus moment,
- * tail and correlation statistics), and the aligned Matrix storage the
- * kernels rely on.
+ * tail and correlation statistics), the aligned Matrix storage the
+ * kernels rely on, and the GEMM fork predicate (the same bits forked and
+ * unforked).
  */
 
 #include <algorithm>
@@ -14,9 +15,16 @@
 #include <cstring>
 #include <limits>
 #include <numbers>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "crossbar/converters.h"
 #include "tensor/kernels.h"
@@ -24,6 +32,7 @@
 #include "tensor/quantize.h"
 #include "tensor/simd.h"
 #include "test_util.h"
+#include "util/thread_pool.h"
 
 using namespace swordfish;
 using swordfish::testing::randomMatrix;
@@ -287,6 +296,165 @@ TEST(KernelGemmBT, AccumulateAddsOntoExistingOutput)
     kernels::gemmBT(a, b, fresh, false);
     for (std::size_t i = 0; i < y.size(); ++i)
         EXPECT_FLOAT_EQ(y.raw()[i], base.raw()[i] + fresh.raw()[i]);
+}
+
+namespace {
+
+/**
+ * At least two OpenMP threads for the scope, so a forking GEMM really
+ * splits its rows even where OMP_NUM_THREADS or the host would give one.
+ */
+class TwoOmpThreadsScope
+{
+  public:
+    TwoOmpThreadsScope()
+    {
+#ifdef _OPENMP
+        prev_ = omp_get_max_threads();
+        omp_set_num_threads(std::max(prev_, 2));
+#endif
+    }
+
+    ~TwoOmpThreadsScope()
+    {
+#ifdef _OPENMP
+        omp_set_num_threads(prev_);
+#endif
+    }
+
+    TwoOmpThreadsScope(const TwoOmpThreadsScope&) = delete;
+    TwoOmpThreadsScope& operator=(const TwoOmpThreadsScope&) = delete;
+
+  private:
+    int prev_ = 1;
+};
+
+/**
+ * Run a GEMM of `work` multiply-adds on this (non-pool) thread, where it
+ * forks exactly when work > kGemmForkWork, and again inside a pool worker,
+ * where it never forks; both outputs must carry the same bits.
+ */
+template <typename Gemm>
+void
+expectForkedEqualsUnforked(std::size_t work, const Gemm& gemm)
+{
+    SCOPED_TRACE("work=" + std::to_string(work));
+    const TwoOmpThreadsScope omp_threads;
+    EXPECT_EQ(kernels::gemmForks(work), work > kernels::kGemmForkWork);
+    const Matrix caller = gemm();
+    ThreadPool pool(1);
+    const auto [worker, worker_forks] = pool.submit([&] {
+        return std::pair{gemm(), kernels::gemmForks(work)};
+    }).get();
+    EXPECT_FALSE(worker_forks);
+    ASSERT_EQ(caller.rows(), worker.rows());
+    ASSERT_EQ(caller.cols(), worker.cols());
+    for (std::size_t i = 0; i < caller.size(); ++i)
+        ASSERT_TRUE(sameBits(caller.raw()[i], worker.raw()[i])) << "i=" << i;
+}
+
+/** gemmOperand with every fifth element zero (gemm/gemmAT skip those). */
+Matrix
+sparseOperand(std::size_t rows, std::size_t cols, std::uint64_t seed)
+{
+    Matrix m = randomMatrix(rows, cols, seed);
+    for (std::size_t i = 0; i < m.size(); i += 5)
+        m.raw()[i] = 0.0f;
+    return m;
+}
+
+} // namespace
+
+TEST(KernelGemmFork, GemmBTSameBitsForkedAndUnforked)
+{
+    // Work 2^16 (the last unforked size), 2^16 + 1 (65537 rows of k = 1,
+    // the first forked one) and a stacked 8-lane LSTM input projection.
+    for (const auto& [m, n, k] :
+         {std::tuple<std::size_t, std::size_t, std::size_t>{32, 64, 32},
+          {65537, 1, 1}, {10400, 128, 32}}) {
+        const Matrix a = randomMatrix(m, k, 201);
+        const Matrix b = randomMatrix(n, k, 202);
+        expectForkedEqualsUnforked(m * n * k, [&] {
+            Matrix c;
+            kernels::gemmBT(a, b, c, false);
+            return c;
+        });
+    }
+}
+
+TEST(KernelGemmFork, GemmSameBitsForkedAndUnforked)
+{
+    // 2^16, 2^16 + 1, and the LSTM backward's dx = dz (T x 128) * W.
+    for (const auto& [m, k, n] :
+         {std::tuple<std::size_t, std::size_t, std::size_t>{32, 64, 32},
+          {65537, 1, 1}, {1300, 128, 32}}) {
+        const Matrix a = sparseOperand(m, k, 211);
+        const Matrix b = randomMatrix(k, n, 212);
+        expectForkedEqualsUnforked(m * n * k, [&] {
+            Matrix c;
+            gemm(a, b, c);
+            return c;
+        });
+    }
+}
+
+TEST(KernelGemmFork, GemmATSameBitsForkedAndUnforkedAndAsPOuterLoop)
+{
+    // 2^16, 2^16 + 1, and the LSTM weight gradient dz^T (T x 128) by the
+    // input (T x 32). Rows of C now run outside the k loop; each c(i, j)
+    // must still equal the historic p-outer accumulation bit for bit.
+    for (const auto& [m, n, k] :
+         {std::tuple<std::size_t, std::size_t, std::size_t>{32, 64, 32},
+          {65537, 1, 1}, {128, 32, 1300}}) {
+        const Matrix a = sparseOperand(k, m, 221);
+        const Matrix b = randomMatrix(k, n, 222);
+        const Matrix c0 = randomMatrix(m, n, 223);
+        expectForkedEqualsUnforked(m * n * k, [&] {
+            Matrix c = c0;
+            gemmAT(a, b, c, /*accumulate=*/true);
+            return c;
+        });
+
+        Matrix ref = c0;
+        for (std::size_t p = 0; p < k; ++p) {
+            const float* arow = a.rowPtr(p);
+            const float* brow = b.rowPtr(p);
+            for (std::size_t i = 0; i < m; ++i) {
+                const float av = arow[i];
+                if (av == 0.0f)
+                    continue;
+                float* crow = ref.rowPtr(i);
+                for (std::size_t j = 0; j < n; ++j)
+                    crow[j] += av * brow[j];
+            }
+        }
+        Matrix c = c0;
+        gemmAT(a, b, c, /*accumulate=*/true);
+        for (std::size_t i = 0; i < c.size(); ++i)
+            ASSERT_TRUE(sameBits(c.raw()[i], ref.raw()[i]))
+                << "m=" << m << " n=" << n << " k=" << k << " i=" << i;
+    }
+}
+
+TEST(KernelGemmFork, Int8MatmulSameBitsForkedAndUnforked)
+{
+    // Rows are padded to a 32-byte stride, so the work is a multiple of
+    // 32: 2^16 exactly, the smallest forked work (2^16 + 32), and the
+    // stacked LSTM projection.
+    for (const auto& [rows, outs, k] :
+         {std::tuple<std::size_t, std::size_t, std::size_t>{64, 32, 32},
+          {2049, 1, 32}, {10400, 128, 32}}) {
+        const Matrix x = randomMatrix(rows, k, 231);
+        const Int8Tensor wq =
+            Int8Tensor::fromMatrix(randomMatrix(outs, k, 232));
+        Int8Vec xq;
+        const float x_scale = quantizeRowsInt8(x, 0, rows, xq);
+        expectForkedEqualsUnforked(rows * outs * wq.stride, [&] {
+            Matrix y(rows, outs);
+            kernels::int8Matmul(xq.data(), rows, x_scale, wq, y, 0);
+            return y;
+        });
+    }
 }
 
 TEST(KernelActivations, ApproxMatchesLibmClosely)
