@@ -95,7 +95,7 @@ main(int argc, char** argv)
                 refresh.thresholdError = 0.25;
                 refresh.spares = 2;
             }
-            ScopedRefreshConfig scoped(refresh);
+            scenario.refresh = refresh;
 
             EvalOptions opts(dataset);
             opts.runs(runs).maxReads(reads).seedBase(42);

@@ -123,9 +123,9 @@ main(int argc, char** argv)
     // Active fault-injection config (from SWORDFISH_FAULTS) and the
     // outcome breakdown of the last measured evaluation, so a fault sweep
     // can parse accuracy degradation straight from this output.
-    const FaultInjector& inj = faultInjector();
+    const FaultConfig& faults = envFaultConfig();
     const std::string faults_json =
-        inj.enabled() ? inj.config().toJson() : "null";
+        faults.anyEnabled() ? faults.toJson() : "null";
     char degraded_json[256];
     std::snprintf(degraded_json, sizeof(degraded_json),
                   "{\"ok\":%zu,\"retried\":%zu,\"decode_errors\":%zu,"

@@ -125,19 +125,20 @@ allFinite(const Matrix& m)
 }
 
 /**
- * basecallRead with poisoned-output detection: when fault injection is
- * active and the model emits non-finite logits, skips the decode and
- * reports finite=false (the caller records the read as degraded). With
- * injection off the scan is skipped entirely and behavior matches
- * basecallRead.
+ * basecallRead with poisoned-output detection: when `check` is set (fault
+ * injection active) and the model emits non-finite logits, skips the
+ * decode and reports finite=false (the caller records the read as
+ * degraded). Without `check` the scan is skipped entirely and behavior
+ * matches basecallRead.
  */
 genomics::Sequence
 basecallReadChecked(nn::SequenceModel& model, const genomics::Read& read,
-                    Decoder decoder, std::size_t beam_width, bool& finite)
+                    Decoder decoder, std::size_t beam_width, bool check,
+                    bool& finite)
 {
     const Matrix signal = normalizeSignal(read.signal);
     const Matrix logits = model.forward(signal);
-    finite = !faultInjector().enabled() || allFinite(logits);
+    finite = !check || allFinite(logits);
     if (!finite)
         return {};
     return decodeLogits(logits, decoder, beam_width);
@@ -148,7 +149,8 @@ std::vector<genomics::Sequence>
 basecallBatchChecked(nn::SequenceModel& model,
                      const genomics::Dataset& dataset,
                      const std::vector<std::size_t>& reads, Decoder decoder,
-                     std::size_t beam_width, std::vector<bool>& finite)
+                     std::size_t beam_width, bool check,
+                     std::vector<bool>& finite)
 {
     finite.assign(reads.size(), true);
     std::vector<genomics::Sequence> out;
@@ -160,12 +162,11 @@ basecallBatchChecked(nn::SequenceModel& model,
         model.beginRead(reads[0]);
         bool ok = true;
         out.push_back(basecallReadChecked(model, dataset.reads[reads[0]],
-                                          decoder, beam_width, ok));
+                                          decoder, beam_width, check, ok));
         finite[0] = ok;
         return out;
     }
 
-    const bool check = faultInjector().enabled();
     nn::SequenceBatch batch =
         gatherSignalBatch(dataset, reads.data(), reads.size());
     model.forwardBatch(batch);
@@ -187,15 +188,14 @@ void
 basecallGroupDegraded(nn::SequenceModel& model,
                       const genomics::Dataset& dataset, std::size_t begin,
                       std::size_t end, Decoder decoder,
-                      std::size_t beam_width, ReadOutcome* outcomes,
-                      genomics::Sequence* calls)
+                      std::size_t beam_width, const FaultInjector& inj,
+                      ReadOutcome* outcomes, genomics::Sequence* calls)
 {
     static const Counter kRetryAttempts =
         metrics().counter("fault.retry.attempts");
     static const Counter kRetryExhausted =
         metrics().counter("fault.retry.exhausted");
 
-    const FaultInjector& inj = faultInjector();
     const bool faults = inj.enabled();
     for (std::size_t k = 0; k < end - begin; ++k) {
         outcomes[k] = ReadOutcome::Ok;
@@ -232,7 +232,7 @@ basecallGroupDegraded(nn::SequenceModel& model,
 
     std::vector<bool> finite;
     auto group_calls = basecallBatchChecked(model, dataset, idx, decoder,
-                                            beam_width, finite);
+                                            beam_width, faults, finite);
     for (std::size_t k = 0; k < group_calls.size(); ++k) {
         const std::size_t slot = idx[k] - begin;
         if (!finite[k]) {
@@ -257,7 +257,7 @@ basecallGroupDegraded(nn::SequenceModel& model,
             model.beginRead(stream);
             bool ok = true;
             genomics::Sequence called = basecallReadChecked(
-                model, dataset.reads[i], decoder, beam_width, ok);
+                model, dataset.reads[i], decoder, beam_width, faults, ok);
             if (ok) {
                 outcome = ReadOutcome::Retried;
                 calls[i - begin] = std::move(called);
@@ -374,8 +374,7 @@ evaluateAccuracy(nn::SequenceModel& model, const EvalRequest& req)
         : std::min(dataset.reads.size(), req.maxReads);
     const std::size_t batch = resolvedBatch(req);
 
-    const FaultInjector& inj = faultInjector();
-    const bool faults = inj.enabled();
+    const FaultInjector inj(resolvedFaults(req));
 
     // Per-read slots, reduced in index order: results are bitwise
     // identical no matter how groups are sized or sharded across workers.
@@ -411,8 +410,8 @@ evaluateAccuracy(nn::SequenceModel& model, const EvalRequest& req)
                 const std::size_t end = std::min(s1, begin + batch);
                 calls.resize(end - begin);
                 basecallGroupDegraded(m, dataset, begin, end, req.decoder,
-                                      req.beamWidth, outcomes.data() + begin,
-                                      calls.data());
+                                      req.beamWidth, inj,
+                                      outcomes.data() + begin, calls.data());
                 for (std::size_t k = 0; k < calls.size(); ++k) {
                     if (survives(outcomes[begin + k]))
                         record(begin + k, calls[k]);
@@ -549,7 +548,7 @@ evaluateAccuracy(nn::SequenceModel& model, const EvalRequest& req)
     }
     res.meanIdentity = res.readsEvaluated > 0
         ? identity_sum / static_cast<double>(res.readsEvaluated) : 0.0;
-    if (faults) {
+    if (inj.enabled()) {
         kOutcomeDecode.add(res.degraded.decodeErrors);
         kOutcomeNan.add(res.degraded.nanOutputs);
         kOutcomeVmm.add(res.degraded.vmmFaults);

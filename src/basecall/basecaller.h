@@ -37,10 +37,10 @@ basecallBatch(nn::SequenceModel& model, const genomics::Dataset& dataset,
 /**
  * Basecall the read group [begin, end) with fault classification — the
  * shared stage-1 primitive of evaluateAccuracy and runPipeline. Reads
- * whose decode/chunk fault fires are skipped; transient worker-task
- * faults retry serially on fresh noise streams (bounded by the injector's
- * retry budget); poisoned (non-finite) outputs are detected and skipped.
- * Surviving reads flow through the batched forward path together.
+ * whose decode/chunk fault fires in `faults` are skipped; transient
+ * worker-task faults retry serially on fresh noise streams (bounded by the
+ * injector's retry budget); poisoned (non-finite) outputs are detected and
+ * skipped. Surviving reads flow through the batched forward path together.
  *
  * outcomes/calls address the group's local slots: outcomes[i - begin] and
  * calls[i - begin] are written for every read i in [begin, end); calls
@@ -52,6 +52,7 @@ void basecallGroupDegraded(nn::SequenceModel& model,
                            const genomics::Dataset& dataset,
                            std::size_t begin, std::size_t end,
                            Decoder decoder, std::size_t beam_width,
+                           const FaultInjector& faults,
                            ReadOutcome* outcomes,
                            genomics::Sequence* calls);
 
@@ -100,7 +101,7 @@ AccuracyResult evaluateAccuracy(nn::SequenceModel& model,
  * any batch size and thread count. req.runs is ignored here — Monte-Carlo
  * repetition lives in core::evaluateNonIdealAccuracy.
  *
- * When fault injection is active (SWORDFISH_FAULTS) the evaluation
+ * When fault injection is active (resolvedFaults(req)) the evaluation
  * degrades gracefully instead of aborting: decode/chunk faults skip the
  * read, transient worker faults retry it (bounded, fresh noise stream),
  * poisoned VMM outputs are detected and skipped, and accuracy is computed

@@ -17,10 +17,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "util/env.h"
+#include "util/fault.h"
 
 namespace swordfish::genomics {
 struct Dataset;
@@ -277,6 +279,15 @@ struct EvalRequest
     std::string ensembleLayers;
 
     /**
+     * This evaluation's fault campaign (util/fault.h). Unset = the
+     * SWORDFISH_FAULTS campaign (envFaultConfig()); a set value wins even
+     * when all-off. The Monte-Carlo entry point hands it to each run's
+     * backend too. Runtime-only, like the dataset: a JobSpec carries its
+     * own "faults" spec. Not serialized.
+     */
+    std::optional<FaultConfig> faults;
+
+    /**
      * Per-block progress sink (observe-only). Setting it engages block
      * mode so events fire at block boundaries; results stay bitwise
      * identical to a silent run. Concurrent Monte-Carlo runs may invoke
@@ -339,6 +350,13 @@ inline std::size_t
 resolvedBatch(const EvalRequest& req)
 {
     return req.batch > 0 ? req.batch : runtimeConfig().batchSize();
+}
+
+/** The effective fault campaign of a request. */
+inline const FaultConfig&
+resolvedFaults(const EvalRequest& req)
+{
+    return req.faults ? *req.faults : envFaultConfig();
 }
 
 /**
@@ -470,6 +488,13 @@ class EvalOptions
     ensembleLayers(std::string filter)
     {
         req_.ensembleLayers = std::move(filter);
+        return *this;
+    }
+
+    EvalOptions&
+    faults(const FaultConfig& cfg)
+    {
+        req_.faults = cfg;
         return *this;
     }
 

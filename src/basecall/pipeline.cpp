@@ -42,8 +42,7 @@ runPipeline(nn::SequenceModel& model, const EvalRequest& req)
     std::vector<genomics::Sequence> calls(n);
     std::vector<ReadOutcome> outcomes(n, ReadOutcome::Ok);
     const std::size_t batch = resolvedBatch(req);
-    const std::size_t groups = n == 0 ? 0 : (n + batch - 1) / batch;
-    (void)groups;
+    const FaultInjector faults(resolvedFaults(req));
     std::vector<nn::SequenceModel> replicas;
     auto call_block = [&](std::size_t r0, std::size_t r1) {
         const std::size_t span = r1 - r0;
@@ -53,7 +52,8 @@ runPipeline(nn::SequenceModel& model, const EvalRequest& req)
             const std::size_t begin = r0 + g * batch;
             const std::size_t end = std::min(r1, begin + batch);
             basecallGroupDegraded(m, dataset, begin, end, req.decoder,
-                                  req.beamWidth, outcomes.data() + begin,
+                                  req.beamWidth, faults,
+                                  outcomes.data() + begin,
                                   calls.data() + begin);
         };
         const std::size_t shards = pool.shardCount(block_groups);

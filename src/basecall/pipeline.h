@@ -44,7 +44,7 @@ struct PipelineReport
  * calls are bitwise-identical to the serial per-read loop for any batch
  * size and thread count.
  *
- * Under fault injection (SWORDFISH_FAULTS) stage 1 degrades gracefully:
+ * Under fault injection (resolvedFaults(req)) stage 1 degrades gracefully:
  * faulted reads are skipped or retried per the injector's policy, the
  * breakdown lands in report.degraded, and skipped reads are excluded from
  * the mapping and polishing stages (and from mappedFraction's

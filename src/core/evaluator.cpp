@@ -49,8 +49,11 @@ evaluateNonIdealAccuracy(nn::SequenceModel& model, const NonIdealSetup& setup,
 
     // The per-run evaluation inherits everything except the thread width
     // (already applied above; re-applying inside a worker is a no-op).
+    // Its fault campaign resolves once and is shared with each run's
+    // backend, so the read loop classifies what the backend injects.
     EvalRequest per_run = req;
     per_run.runs = 1;
+    per_run.faults = basecall::resolvedFaults(req);
 
     // Backend dispatch: the selector (optionally) pins a registry family;
     // by default the family follows the scenario's modeling approach.
@@ -79,6 +82,7 @@ evaluateNonIdealAccuracy(nn::SequenceModel& model, const NonIdealSetup& setup,
         spec.seed = req.seedBase + r;
         spec.ensemble.k = req.ensembleK;
         spec.ensemble.layers = req.ensembleLayers;
+        spec.faults = *per_run.faults;
         auto api = makeBackend("evaluateNonIdealAccuracy", family, spec);
         const CompileResult compiled = api->compile(m);
         if (!compiled.success())

@@ -11,7 +11,6 @@
 #include "util/fault.h"
 #include "util/logging.h"
 #include "util/metrics.h"
-#include "util/sanitize.h"
 #include "util/spec.h"
 
 namespace swordfish::core {
@@ -60,26 +59,6 @@ columnError(const Matrix& got, const Matrix& want, double floor_scale)
         worst = std::max(worst, std::sqrt(num / rows) / denom);
     }
     return worst;
-}
-
-std::mutex g_config_mutex;
-
-/** The active policy, parsed from SWORDFISH_REFRESH on first access. */
-RefreshConfig&
-activeConfig()
-{
-    static RefreshConfig* cfg = [] {
-        auto* c = new RefreshConfig();
-        const std::string& spec = runtimeConfig().refresh;
-        if (!spec.empty()) {
-            std::string error;
-            if (!RefreshConfig::parse(spec, *c, error))
-                fatal("SWORDFISH_REFRESH: ", error);
-        }
-        leakIntentionally(c);
-        return c;
-    }();
-    return *cfg;
 }
 
 } // namespace
@@ -186,18 +165,17 @@ RefreshConfig::toJson() const
     return os.str();
 }
 
-RefreshConfig
-refreshConfig()
+const RefreshConfig&
+envRefreshConfig()
 {
-    std::lock_guard<std::mutex> lock(g_config_mutex);
-    return activeConfig();
-}
-
-void
-setRefreshConfig(const RefreshConfig& cfg)
-{
-    std::lock_guard<std::mutex> lock(g_config_mutex);
-    activeConfig() = cfg;
+    static const RefreshConfig cfg = [] {
+        RefreshConfig parsed;
+        std::string error;
+        if (!RefreshConfig::parse(runtimeConfig().refresh, parsed, error))
+            fatal("SWORDFISH_REFRESH: ", error);
+        return parsed;
+    }();
+    return cfg;
 }
 
 TileHealthMonitor::TileHealthMonitor(CrossbarVmmBackend& backend,
@@ -314,7 +292,7 @@ TileHealthMonitor::driftError(const std::string& name,
     // Persistently-stuck output column (a defective sense amp on this
     // physical array): keyed per hardware generation, so only failover —
     // not re-programming — can clear it.
-    const FaultInjector& inj = faultInjector();
+    const FaultInjector& inj = backend_.faults_;
     if (inj.enabled() && cur.cols() > 0) {
         const std::uint64_t key = hashSeed({std::hash<std::string>{}(name),
                                             idx, ts.generation, kStuckTag});
@@ -377,7 +355,7 @@ TileHealthMonitor::attemptRefresh(const std::string& name, WeightState& ws,
     // Each attempt is an independent R-V-W pass (on fresh hardware after a
     // failover), so the programming fault re-draws per (generation,
     // attempt, epoch) instead of replaying the original outcome.
-    const FaultInjector& inj = faultInjector();
+    const FaultInjector& inj = backend_.faults_;
     if (inj.enabled()
         && inj.fires(FaultSite::TileProgram,
                      hashSeed({name_hash, idx, ts.generation, ts.attempts,

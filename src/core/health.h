@@ -22,9 +22,8 @@
  *    programming noise, fault re-draws) is keyed by a pure function of
  *    (runSeed, weight name, tile position, epoch/generation/attempt), so a
  *    resumed run replays the exact healing history of an uninterrupted one.
- *  - With the config disabled (SWORDFISH_REFRESH unset) the monitor is
- *    never constructed and the backend is bitwise identical to a build
- *    without this layer.
+ *  - With the config disabled the monitor is never constructed and the
+ *    backend is bitwise identical to a build without this layer.
  *
  * Healing state machine per tile:
  *  - Each epoch the tile ages, then is probed: a fixed probe matrix P is
@@ -43,9 +42,11 @@
  *    healthDegraded(): the evaluation loops then degrade subsequent reads
  *    to ReadOutcome::VmmFault instead of trusting poisoned outputs.
  *
- * Configure via SWORDFISH_REFRESH, e.g.
+ * Each backend gets its policy when it is built: the scenario's
+ * NonIdealityConfig::refresh when set (even all-off), else
+ * envRefreshConfig(), the SWORDFISH_REFRESH spec, e.g.
  *   SWORDFISH_REFRESH="age_h_per_read=2,threshold=0.25,spares=2,retries=2"
- * or programmatically (tests) via setRefreshConfig / ScopedRefreshConfig.
+ * Nothing changes a backend's policy afterwards.
  */
 
 #ifndef SWORDFISH_CORE_HEALTH_H
@@ -137,33 +138,10 @@ struct RefreshConfig
 };
 
 /**
- * The process-wide active refresh policy: first call parses
- * SWORDFISH_REFRESH (fatal on a malformed spec), tests swap it via
- * setRefreshConfig(). Backends snapshot it at construction.
+ * SWORDFISH_REFRESH, parsed once: the policy of every backend whose
+ * scenario sets none. A malformed spec is fatal.
  */
-RefreshConfig refreshConfig();
-
-/** Replace the active policy (tests / drivers). */
-void setRefreshConfig(const RefreshConfig& cfg);
-
-/** RAII policy swap for tests: restores the previous one on scope exit. */
-class ScopedRefreshConfig
-{
-  public:
-    explicit ScopedRefreshConfig(const RefreshConfig& cfg)
-        : prev_(refreshConfig())
-    {
-        setRefreshConfig(cfg);
-    }
-
-    ~ScopedRefreshConfig() { setRefreshConfig(prev_); }
-
-    ScopedRefreshConfig(const ScopedRefreshConfig&) = delete;
-    ScopedRefreshConfig& operator=(const ScopedRefreshConfig&) = delete;
-
-  private:
-    RefreshConfig prev_;
-};
+const RefreshConfig& envRefreshConfig();
 
 /** Env var naming the refresh spec ("" / unset disables healing). */
 inline constexpr const char* kRefreshEnv = "SWORDFISH_REFRESH";

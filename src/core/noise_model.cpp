@@ -1,12 +1,10 @@
 #include "noise_model.h"
 
 #include <limits>
-#include <mutex>
 #include <sstream>
 
 #include "util/env.h"
 #include "util/logging.h"
-#include "util/sanitize.h"
 #include "util/spec.h"
 
 namespace swordfish::core {
@@ -44,26 +42,6 @@ parsePresetName(const std::string& s, crossbar::NoiseToggles& out)
     else
         return false;
     return true;
-}
-
-std::mutex g_override_mutex;
-
-/** The active override spec, seeded from SWORDFISH_NOISE on first use. */
-std::string&
-activeOverrideSpec()
-{
-    static std::string* spec = [] {
-        auto* s = new std::string(runtimeConfig().noise);
-        if (!s->empty()) {
-            NoiseModel probe;
-            std::string error;
-            if (!NoiseModel::parse(*s, probe, error))
-                fatal("SWORDFISH_NOISE: ", error);
-        }
-        leakIntentionally(s);
-        return s;
-    }();
-    return *spec;
 }
 
 } // namespace
@@ -350,24 +328,19 @@ NoiseModelBuilder::correlatedWriteVariation(double sigma,
     return *this;
 }
 
-std::string
+const std::string&
 noiseOverrideSpec()
 {
-    std::lock_guard<std::mutex> lock(g_override_mutex);
-    return activeOverrideSpec();
-}
-
-void
-setNoiseOverrideSpec(const std::string& spec)
-{
-    if (!spec.empty()) {
+    // runtimeConfig() holds the snapshot; validate it once.
+    static const std::string& spec = []() -> const std::string& {
+        const std::string& env = runtimeConfig().noise;
         NoiseModel probe;
         std::string error;
-        if (!NoiseModel::parse(spec, probe, error))
-            panic("setNoiseOverrideSpec: ", error);
-    }
-    std::lock_guard<std::mutex> lock(g_override_mutex);
-    activeOverrideSpec() = spec;
+        if (!env.empty() && !NoiseModel::parse(env, probe, error))
+            fatal("SWORDFISH_NOISE: ", error);
+        return env;
+    }();
+    return spec;
 }
 
 NoiseModel
@@ -377,8 +350,8 @@ resolveNoiseModel(const NonIdealityConfig& config)
     std::string spec = config.noise;
     std::string origin = "NonIdealityConfig::noise";
     if (spec.empty()) {
-        // The process override refines the noisy arms of an experiment
-        // only: the ideal control (None) and the chip-measurement library
+        // The env override refines the noisy arms of an experiment only:
+        // the ideal control (None) and the chip-measurement library
         // (Measured) keep their meaning under a global composition sweep.
         if (config.kind == NonIdealityKind::None || config.usesLibrary())
             return base;

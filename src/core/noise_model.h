@@ -13,9 +13,9 @@
  *
  *  1. an explicit spec on the scenario (NonIdealityConfig::noise — set by
  *     JobSpec's "noise" field or directly by callers),
- *  2. the process-wide SWORDFISH_NOISE override (RAII-scopable via
- *     ScopedNoiseOverride; skipped for the None and Measured kinds so the
- *     ideal-control and chip-library arms of an experiment stay honest),
+ *  2. the SWORDFISH_NOISE override, read once at startup (skipped for
+ *     the None and Measured kinds so the ideal-control and chip-library
+ *     arms of an experiment stay honest),
  *  3. the canned preset implied by the scenario's NonIdealityKind —
  *     bitwise identical to the pre-NoiseModel hard-wired toggles.
  *
@@ -118,32 +118,11 @@ class NoiseModelBuilder
 };
 
 /**
- * The process-wide noise override spec (from SWORDFISH_NOISE on first
- * access; "" = none). Stored as a spec so it composes onto each
+ * The SWORDFISH_NOISE override spec ("" = none), validated once (a
+ * malformed spec is fatal). Stored as a spec so it composes onto each
  * scenario's own preset at resolution time.
  */
-std::string noiseOverrideSpec();
-
-/** Replace the process override ("" clears it). The spec is validated
- *  against the Combined preset; a malformed spec panics. */
-void setNoiseOverrideSpec(const std::string& spec);
-
-/** RAII scope for the process override (test/bench composition). */
-class ScopedNoiseOverride
-{
-  public:
-    explicit ScopedNoiseOverride(const std::string& spec)
-        : saved_(noiseOverrideSpec())
-    {
-        setNoiseOverrideSpec(spec);
-    }
-    ~ScopedNoiseOverride() { setNoiseOverrideSpec(saved_); }
-    ScopedNoiseOverride(const ScopedNoiseOverride&) = delete;
-    ScopedNoiseOverride& operator=(const ScopedNoiseOverride&) = delete;
-
-  private:
-    std::string saved_;
-};
+const std::string& noiseOverrideSpec();
 
 /**
  * Resolve the model a backend will run `config` under (precedence above).

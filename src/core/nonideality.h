@@ -7,8 +7,10 @@
 #ifndef SWORDFISH_CORE_NONIDEALITY_H
 #define SWORDFISH_CORE_NONIDEALITY_H
 
+#include <optional>
 #include <string>
 
+#include "core/health.h"
 #include "crossbar/crossbar.h"
 #include "crossbar/device.h"
 #include "crossbar/library.h"
@@ -70,6 +72,14 @@ struct NonIdealityConfig
      * Its deltas compose onto the preset of `kind`.
      */
     std::string noise;
+
+    /**
+     * Self-healing policy of the backends built for this scenario
+     * (core/health.h). Unset = the SWORDFISH_REFRESH policy
+     * (envRefreshConfig()); a set value wins even when all-off. Resolved
+     * once, when a backend is built.
+     */
+    std::optional<RefreshConfig> refresh;
 
     /** Map the kind to crossbar noise toggles (analytical approaches). */
     crossbar::NoiseToggles

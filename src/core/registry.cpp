@@ -120,8 +120,8 @@ class CrossbarBackendApi : public BackendApi
                                                     : "measured")
                         + " scenario '"
                         + nonIdealityName(spec_.scenario.kind) + "'"};
-        backend_ =
-            std::make_unique<CrossbarVmmBackend>(spec_.scenario, spec_.seed);
+        backend_ = std::make_unique<CrossbarVmmBackend>(
+            spec_.scenario, spec_.seed, spec_.faults);
         backend_->setSramRemap(spec_.remap);
         backend_->setEnsemble(spec_.ensemble);
         return {};

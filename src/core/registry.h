@@ -37,7 +37,7 @@ namespace swordfish::core {
 /**
  * Everything a backend family needs to build an execution backend. Fields
  * irrelevant to a family are ignored (the digital reference reads only
- * quant; the crossbar families read scenario/remap/seed/ensemble).
+ * quant; the crossbar families read scenario/remap/seed/ensemble/faults).
  */
 struct BackendSpec
 {
@@ -49,6 +49,7 @@ struct BackendSpec
      *  it from BackendSelector::mode. */
     ExecMode mode = ExecMode::Compiled;
     EnsembleConfig ensemble;         ///< crossbar families (replica K)
+    FaultConfig faults = envFaultConfig(); ///< crossbar families
 };
 
 /**

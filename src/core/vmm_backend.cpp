@@ -86,14 +86,14 @@ constexpr std::uint64_t kConversionTag = 0xc0417e27ULL;
  * Fault-injection hook for VMM execution: poisons (VmmNan) or zeroes one
  * output column of (VmmStuck) rows [row_begin, row_end) of y — one lane's
  * slice. Firing is keyed by the lane's read-stream id alone, so the same
- * read degrades identically for any thread x batch grid. No-op (single
- * relaxed load) when injection is disabled.
+ * read degrades identically for any thread x batch grid. No-op (one flag
+ * test) when injection is disabled.
  */
 void
-applyExecutionFaults(Matrix& y, std::size_t row_begin, std::size_t row_end,
+applyExecutionFaults(const FaultInjector& inj, Matrix& y,
+                     std::size_t row_begin, std::size_t row_end,
                      std::uint64_t stream_key)
 {
-    const FaultInjector& inj = faultInjector();
     if (!inj.enabled() || y.cols() == 0 || row_begin >= row_end)
         return;
     if (inj.fires(FaultSite::VmmNan, stream_key)) {
@@ -162,8 +162,9 @@ vmmCounters()
 } // namespace
 
 CrossbarVmmBackend::CrossbarVmmBackend(const NonIdealityConfig& config,
-                                       std::uint64_t run_seed)
-    : config_(config), noise_(resolveNoiseModel(config)),
+                                       std::uint64_t run_seed,
+                                       const FaultConfig& faults)
+    : config_(config), noise_(resolveNoiseModel(config)), faults_(faults),
       runSeed_(run_seed), instanceId_(next_instance_id.fetch_add(1)),
       activationQuant_(config.quant.activationBits)
 {
@@ -174,7 +175,8 @@ CrossbarVmmBackend::CrossbarVmmBackend(const NonIdealityConfig& config,
     // Self-healing runtime (core/health.h): only the analytical modes own
     // live tiles that age and can be re-programmed; the measured mode is a
     // static chip snapshot, so healing is a no-op there by construction.
-    const RefreshConfig refresh = refreshConfig();
+    const RefreshConfig& refresh =
+        config_.refresh ? *config_.refresh : envRefreshConfig();
     if (refresh.enabled() && !config_.usesLibrary())
         health_ = std::make_unique<TileHealthMonitor>(*this, refresh);
 }
@@ -396,9 +398,9 @@ CrossbarVmmBackend::programAnalytical(MappedWeight& mw,
         // A failed tile programming leaves the tile dead (all-zero target
         // weights) instead of aborting the run; the key is pure in
         // (name, tile), so the same tiles die for any build schedule.
-        const FaultInjector& inj = faultInjector();
-        if (inj.enabled()
-            && inj.fires(FaultSite::TileProgram, tileFaultKey(name, rt, ct))) {
+        if (faults_.enabled()
+            && faults_.fires(FaultSite::TileProgram,
+                             tileFaultKey(name, rt, ct))) {
             sub.zero();
             kProgramFaultTiles.add();
         }
@@ -532,9 +534,9 @@ CrossbarVmmBackend::programMeasured(MappedWeight& mw,
 
         // Dead tile on a failed programming, as in the analytical mode
         // (same pure key, so both modes kill the same tiles).
-        const FaultInjector& inj = faultInjector();
-        if (inj.enabled()
-            && inj.fires(FaultSite::TileProgram, tileFaultKey(name, rt, ct))) {
+        if (faults_.enabled()
+            && faults_.fires(FaultSite::TileProgram,
+                             tileFaultKey(name, rt, ct))) {
             eff.zero();
             kProgramFaultTiles.add();
         }
@@ -639,7 +641,8 @@ CrossbarVmmBackend::execute(const std::string& name, const Matrix& w,
 
     std::size_t row = 0;
     for (const LaneSpan& span : layout) {
-        applyExecutionFaults(y, row, row + span.rows, lane_keys[span.lane]);
+        applyExecutionFaults(faults_, y, row, row + span.rows,
+                             lane_keys[span.lane]);
         row += span.rows;
     }
 }

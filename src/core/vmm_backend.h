@@ -33,6 +33,7 @@
 #include "core/nonideality.h"
 #include "core/plan.h"
 #include "nn/module.h"
+#include "util/fault.h"
 #include "util/logging.h"
 
 namespace swordfish::nn {
@@ -113,12 +114,16 @@ class CrossbarVmmBackend : public nn::VmmBackend
 {
   public:
     /**
-     * @param config   the non-ideality scenario
+     * @param config   the non-ideality scenario; its refresh policy (or
+     *                 the SWORDFISH_REFRESH one) is resolved here, once
      * @param run_seed instance seed: one seed per evaluation run; controls
      *                 programming noise, die profiles and library draws
+     * @param faults   this backend's fault campaign (tile programming,
+     *                 VMM poisoning, the health monitor's probes)
      */
     CrossbarVmmBackend(const NonIdealityConfig& config,
-                       std::uint64_t run_seed);
+                       std::uint64_t run_seed,
+                       const FaultConfig& faults = envFaultConfig());
 
     /**
      * Configure the RSA remap applied to tiles programmed later. The
@@ -238,7 +243,7 @@ class CrossbarVmmBackend : public nn::VmmBackend
 
     /**
      * The self-healing maintenance loop (see core/health.h), created when
-     * the active RefreshConfig is enabled. Only the analytical modes have
+     * the resolved RefreshConfig is enabled. Only the analytical modes have
      * live tiles to age/refresh; the measured mode snapshots chip
      * characterization data and has no healing runtime.
      */
@@ -325,6 +330,7 @@ class CrossbarVmmBackend : public nn::VmmBackend
 
     NonIdealityConfig config_;
     NoiseModel noise_; ///< resolved composition (see noiseModel())
+    FaultInjector faults_;
     EnsembleConfig ensemble_;
     std::uint64_t runSeed_;
     std::uint64_t instanceId_; ///< process-unique; keys the tls streams

@@ -88,7 +88,8 @@ JobStatus::toJson() const
 // Construction / teardown
 // ---------------------------------------------------------------------------
 
-JobManager::JobManager(JobManagerConfig cfg) : cfg_(std::move(cfg))
+JobManager::JobManager(JobManagerConfig cfg)
+    : cfg_(std::move(cfg)), chaos_(cfg_.chaos)
 {
     if (!cfg_.spoolDir.empty()) {
         std::error_code ec;
@@ -137,11 +138,11 @@ JobManager::persistLocked(const Job& job)
     // schedule replays identically regardless of worker interleaving. The
     // daemon must survive a lost write — at worst the record is stale and
     // the job replays from an earlier state after a restart.
-    if (faultInjector().enabled()
-        && faultInjector().fires(
-            FaultSite::SpoolWrite,
-            FaultInjector::serviceKey(job.id + "#" + jobStateName(job.state)
-                                      + "#" + std::to_string(job.attempts)))) {
+    if (chaos_.enabled()
+        && chaos_.fires(FaultSite::SpoolWrite,
+                        FaultInjector::serviceKey(
+                            job.id + "#" + jobStateName(job.state) + "#"
+                            + std::to_string(job.attempts)))) {
         metrics().counter("service.chaos.spool_write_drops").add();
         warn("JobManager: chaos dropped spool write for ", job.id, " (",
              jobStateName(job.state), ")");
@@ -224,8 +225,8 @@ JobManager::resumeSpooled()
             quarantineSpoolFile(p.string(), why);
         };
         // Chaos: the record reads back corrupt.
-        if (faultInjector().enabled()
-            && faultInjector().fires(
+        if (chaos_.enabled()
+            && chaos_.fires(
                 FaultSite::SpoolRead,
                 FaultInjector::serviceKey(p.filename().string()))) {
             metrics().counter("service.chaos.spool_read_faults").add();
@@ -549,18 +550,10 @@ JobManager::runnableHeadLocked()
 {
     // FIFO with one documented relaxation: a job waiting out its retry
     // backoff is invisible until eligible, so later jobs may pass it.
-    // The first *eligible* queued job is the only candidate, and it runs
-    // only when admissible — an exclusive job needs an empty machine and
-    // blocks later jobs until it finishes, so exclusives cannot starve.
     const Clock::time_point now = Clock::now();
     for (const auto& job : jobs_) {
-        if (job->state != JobState::Queued)
-            continue;
-        if (job->notBefore > now)
-            continue;
-        if (job->spec.exclusive())
-            return runningCount_ == 0 ? job.get() : nullptr;
-        return exclusiveRunning_ ? nullptr : job.get();
+        if (job->state == JobState::Queued && job->notBefore <= now)
+            return job.get();
     }
     return nullptr;
 }
@@ -619,9 +612,6 @@ JobManager::workerLoop()
             job->notBefore = Clock::time_point{};
             job->startedAt = Clock::now();
             attempt = ++job->attempts;
-            ++runningCount_;
-            if (job->spec.exclusive())
-                exclusiveRunning_ = true;
             // This Running record (with its attempt count) is the crash
             // marker: if the daemon dies before the job settles, restart
             // sees Running at rest and counts the attempt against the
@@ -632,9 +622,9 @@ JobManager::workerLoop()
         // Chaos: stall at every block boundary. Pure wall-time, outside
         // the lock, observe-only — results stay bitwise identical; only
         // deadlines notice.
-        const bool stall = faultInjector().enabled()
-            && faultInjector().fires(FaultSite::JobStall,
-                                     FaultInjector::serviceKey(job->id));
+        const bool stall = chaos_.enabled()
+            && chaos_.fires(FaultSite::JobStall,
+                            FaultInjector::serviceKey(job->id));
 
         // The streaming sink appends under the lock; events are
         // observe-only, so this cannot affect the evaluation itself.
@@ -661,8 +651,8 @@ JobManager::workerLoop()
             // Chaos: keyed on (id, attempt) so an injected transient
             // failure can clear on the retry, exercising the backoff
             // path end to end.
-            if (faultInjector().enabled()
-                && faultInjector().fires(
+            if (chaos_.enabled()
+                && chaos_.fires(
                     FaultSite::JobThrow,
                     FaultInjector::serviceKey(
                         job->id + "@" + std::to_string(attempt)))) {
@@ -686,9 +676,6 @@ JobManager::workerLoop()
 
         {
             std::lock_guard<std::mutex> lk(mu_);
-            --runningCount_;
-            if (job->spec.exclusive())
-                exclusiveRunning_ = false;
             if (!threw)
                 job->result = result;
             if (job->userCancelled) {

@@ -1,16 +1,17 @@
 /**
  * @file
  * JobManager: the daemon's core — typed admission (validation, bounded
- * queue, per-tenant quotas), a FIFO scheduler with exclusive-job barriers,
- * a worker pool, per-job progress streams, and a crash-safe spool.
+ * queue, per-tenant quotas), a FIFO scheduler, a worker pool, per-job
+ * progress streams, and a crash-safe spool.
  *
  * Concurrency / determinism contract:
  *  - Jobs are fully isolated: each worker materializes its own dataset,
- *    model, and registry backend (seeded from the spec), so any scheduler
- *    interleaving produces bitwise-identical per-job results.
- *  - Jobs carrying fault/refresh specs mutate process-global state; the
- *    scheduler runs them exclusively (strict FIFO: the head of the queue
- *    waits until it is admissible, so exclusive jobs cannot starve).
+ *    model, and registry backend (seeded from the spec), and a job's
+ *    fault and refresh specs bind onto its own request and scenario, so
+ *    any scheduler interleaving produces bitwise-identical per-job
+ *    results and any jobs may run side by side.
+ *  - The daemon's own chaos sites (service.*) fire from its own injector
+ *    (JobManagerConfig::chaos), never from a job's.
  *  - Thread-width overrides are rejected at admission: resizing the global
  *    pool is not safe while sibling jobs share it.
  *
@@ -45,6 +46,7 @@
 #include <vector>
 
 #include "service/job.h"
+#include "util/fault.h"
 
 namespace swordfish::service {
 
@@ -73,6 +75,10 @@ struct JobManagerConfig
     /** Deadline-watchdog poll period (also wakes workers whose next job
      *  is waiting out a backoff window). */
     std::size_t watchdogPollMs = 50;
+
+    /** The daemon's chaos campaign: only its service.* sites are read
+     *  (spool write/read, job throw/stall, connection drop). */
+    FaultConfig chaos = envFaultConfig();
 };
 
 class JobManager
@@ -122,6 +128,9 @@ class JobManager
 
     bool draining() const;
 
+    /** The daemon's chaos injector (see JobManagerConfig::chaos). */
+    const FaultInjector& chaos() const { return chaos_; }
+
     /** True when no job is queued or running. */
     bool idle() const;
 
@@ -156,8 +165,8 @@ class JobManager
     void watchdogLoop();
     Job* findLocked(const std::string& id);
     const Job* findLocked(const std::string& id) const;
-    /** The first eligible queued job admissible right now, else nullptr.
-     *  Jobs waiting out a backoff window are invisible until eligible. */
+    /** The first eligible queued job, else nullptr. Jobs waiting out a
+     *  backoff window are invisible until eligible. */
     Job* runnableHeadLocked();
     void persistLocked(const Job& job);
     void removeCheckpoints(const Job& job);
@@ -172,6 +181,7 @@ class JobManager
     JobStatus snapshotLocked(const Job& job) const;
 
     JobManagerConfig cfg_;
+    const FaultInjector chaos_;
     mutable std::mutex mu_;
     std::condition_variable workCv_;  ///< workers: runnable head / stop
     std::condition_variable eventCv_; ///< streamers: new events / state
@@ -182,8 +192,6 @@ class JobManager
     std::vector<std::thread> workers_;
     std::thread watchdog_;            ///< deadline/backoff timer thread
     std::uint64_t nextId_ = 1;
-    std::size_t runningCount_ = 0;
-    bool exclusiveRunning_ = false;
     bool draining_ = false;
     bool stopping_ = false;
     bool stopped_ = false;

@@ -1,7 +1,5 @@
 #include "job_spec.h"
 
-#include <optional>
-
 #include "basecall/basecaller.h"
 #include "basecall/pipeline.h"
 #include "core/evaluator.h"
@@ -133,6 +131,17 @@ JobSpec::validate() const
         std::string err;
         if (!FaultConfig::parse(faults, cfg, err))
             add(JobErrorKind::BadFaultSpec, "faults", err);
+        // A job's injector never consults the daemon's chaos sites, so
+        // naming one would be silently inert.
+        for (auto i = static_cast<std::size_t>(FaultSite::SpoolWrite);
+             i < kFaultSiteCount; ++i) {
+            const auto site = static_cast<FaultSite>(i);
+            if (cfg.p(site) > 0.0)
+                add(JobErrorKind::BadFaultSpec, "faults",
+                    std::string("'") + faultSiteName(site)
+                        + "' is a daemon chaos site that a job's faults "
+                          "never reach; set it through SWORDFISH_CHAOS");
+        }
     }
     if (!refresh.empty()) {
         core::RefreshConfig cfg;
@@ -469,25 +478,6 @@ runJobSpec(const JobSpec& spec,
         panic("runJobSpec: ", errors.front().message, " [",
               basecall::jobErrorName(errors.front().kind), "]");
 
-    // Scoped process-global knobs: callers (the JobManager scheduler)
-    // guarantee exclusive jobs never overlap other jobs.
-    std::optional<ScopedFaultConfig> fault_guard;
-    if (!spec.faults.empty()) {
-        FaultConfig cfg;
-        std::string err;
-        if (!FaultConfig::parse(spec.faults, cfg, err))
-            panic("runJobSpec: faults: ", err);
-        fault_guard.emplace(cfg);
-    }
-    std::optional<core::ScopedRefreshConfig> refresh_guard;
-    if (!spec.refresh.empty()) {
-        core::RefreshConfig cfg;
-        std::string err;
-        if (!core::RefreshConfig::parse(spec.refresh, cfg, err))
-            panic("runJobSpec: refresh: ", err);
-        refresh_guard.emplace(cfg);
-    }
-
     const genomics::PoreModel pore;
     const genomics::Dataset dataset = genomics::makeDataset(
         genomics::specById(spec.datasetId), pore, spec.datasetReads);
@@ -499,6 +489,10 @@ runJobSpec(const JobSpec& spec,
     req.stopFlag = stop_flag;
     if (!checkpoint_path.empty())
         req.checkpointPath = checkpoint_path;
+    // validate() passed, so the fault and refresh specs parse.
+    std::string spec_error;
+    if (!spec.faults.empty())
+        FaultConfig::parse(spec.faults, req.faults.emplace(), spec_error);
 
     JobResult result;
     switch (spec.kind) {
@@ -519,6 +513,10 @@ runJobSpec(const JobSpec& spec,
         scenario.crossbar.size = spec.crossbarSize;
         scenario.quant = QuantConfig{spec.weightBits, spec.activationBits};
         scenario.noise = spec.noise;
+        if (!spec.refresh.empty())
+            core::RefreshConfig::parse(spec.refresh,
+                                       scenario.refresh.emplace(),
+                                       spec_error);
         core::SramRemapConfig remap;
         remap.fraction = spec.remapFraction;
         const core::AccuracySummary summary =

@@ -70,8 +70,6 @@ struct JobSpec
     /**
      * Composable-noise spec (core::NoiseModel::parse grammar), composed
      * as a delta onto the scenario kind's preset. "" = the preset alone.
-     * Per-job (an explicit NonIdealityConfig::noise, not process state),
-     * so it never forces exclusive scheduling.
      */
     std::string noise;
 
@@ -80,10 +78,12 @@ struct JobSpec
     int weightBits = 16;
     int activationBits = 16;
 
-    // Process-global knob specs. Non-empty values force exclusive
-    // scheduling (the fault injector and refresh policy are process-wide).
-    std::string faults;  ///< util::FaultConfig::parse grammar, "" = off
-    std::string refresh; ///< core::RefreshConfig::parse grammar, "" = off
+    // Per-job settings, like `noise`: runJobSpec binds `faults` onto the
+    // request (EvalRequest::faults) and `refresh` onto the scenario
+    // (NonIdealityConfig::refresh), so jobs with different settings run
+    // side by side. "" = the daemon's SWORDFISH_FAULTS / SWORDFISH_REFRESH.
+    std::string faults;  ///< util::FaultConfig::parse grammar
+    std::string refresh; ///< core::RefreshConfig::parse grammar
 
     // Supervision knobs (wire fields "deadline_s" / "max_attempts").
     /**
@@ -108,17 +108,11 @@ struct JobSpec
     // bound at materialization time).
     basecall::EvalRequest request;
 
-    /** Jobs with process-global side state must run alone. */
-    bool
-    exclusive() const
-    {
-        return !faults.empty() || !refresh.empty();
-    }
-
     /**
      * Validate the whole spec: request knobs (EvalRequest::validate, minus
      * the dataset binding which is materialized later), dataset id, model
-     * shape, scenario vocabulary, fault/refresh grammar, kind/backend
+     * shape, scenario vocabulary, fault/refresh grammar (a job's faults
+     * may not name the daemon's service.* chaos sites), kind/backend
      * family consistency. Returns every violation (empty = valid).
      */
     std::vector<basecall::JobError> validate() const;
@@ -154,8 +148,10 @@ struct JobResult
 
 /**
  * Materialize and run a spec synchronously: build the dataset and model,
- * apply scoped fault/refresh configs, bind the streaming sink / stop flag
- * / checkpoint path onto the request, and dispatch on kind. This is the
+ * bind the fault campaign, streaming sink, stop flag and checkpoint path
+ * onto the request and the refresh policy onto the scenario, and dispatch
+ * on kind. Nothing process-wide changes, so concurrent calls are
+ * independent. This is the
  * single execution path shared by CLI-style direct callers and daemon
  * workers — the daemon adds only observe-only hooks, so both produce
  * bitwise-identical results.

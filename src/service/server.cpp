@@ -157,8 +157,9 @@ serveConnection(int fd, JobManager& manager)
     static std::atomic<std::uint64_t> connSeq{0};
     const std::uint64_t connKey =
         connSeq.fetch_add(1, std::memory_order_relaxed);
-    const bool chaosDrop = faultInjector().enabled()
-        && faultInjector().fires(FaultSite::ConnDrop, connKey);
+    const FaultInjector& chaos = manager.chaos();
+    const bool chaosDrop =
+        chaos.enabled() && chaos.fires(FaultSite::ConnDrop, connKey);
 
     std::string buffer;
     char chunk[4096];

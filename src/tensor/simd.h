@@ -67,9 +67,10 @@ SimdLevel activeSimdLevel();
 
 /**
  * RAII level override for tests (the determinism grid sweeps
- * {scalar, avx2} x threads x batch). Not thread-safe against in-flight
- * evaluations, like ScopedFaultConfig. Requesting Avx2 on a CPU without
- * AVX2/FMA panics.
+ * {scalar, avx2} x threads x batch within one process). Process-wide and
+ * not thread-safe against in-flight evaluations; unlike fault and refresh
+ * settings it is no per-evaluation knob, because every level yields the
+ * same bits. Requesting Avx2 on a CPU without AVX2/FMA panics.
  */
 class ScopedSimdLevel
 {

@@ -4,7 +4,6 @@
 
 #include "util/env.h"
 #include "util/logging.h"
-#include "util/sanitize.h"
 #include "util/spec.h"
 
 namespace swordfish {
@@ -102,73 +101,40 @@ FaultConfig::toJson() const
     return os.str();
 }
 
-FaultInjector::FaultInjector()
+FaultInjector::FaultInjector(const FaultConfig& cfg)
+    : cfg_(cfg), enabled_(cfg.anyEnabled())
 {
-    auto* cfg = new FaultConfig();
-    // SWORDFISH_CHAOS composes after SWORDFISH_FAULTS: one grammar, one
-    // parse, later tokens (including a chaos seed=) win.
-    std::string spec = runtimeConfig().faults;
-    const std::string& chaos = runtimeConfig().chaos;
-    if (!chaos.empty())
-        spec += (spec.empty() ? "" : ",") + chaos;
-    if (!spec.empty()) {
+}
+
+const FaultConfig&
+envFaultConfig()
+{
+    static const FaultConfig cfg = [] {
+        // SWORDFISH_CHAOS composes after SWORDFISH_FAULTS: one grammar,
+        // one parse, later tokens (including a chaos seed=) win.
+        std::string spec = runtimeConfig().faults;
+        const std::string& chaos = runtimeConfig().chaos;
+        if (!chaos.empty())
+            spec += (spec.empty() ? "" : ",") + chaos;
+        FaultConfig parsed;
         std::string error;
-        if (!FaultConfig::parse(spec, *cfg, error))
+        if (!FaultConfig::parse(spec, parsed, error))
             fatal("SWORDFISH_FAULTS/SWORDFISH_CHAOS: ", error);
-    }
-    enabled_.store(cfg->anyEnabled(), std::memory_order_relaxed);
-    leakIntentionally(cfg);
-    cfg_.store(cfg, std::memory_order_release);
-}
-
-FaultInjector&
-FaultInjector::instance()
-{
-    // Leaked (like the metrics registry) so worker threads and atexit
-    // hooks can always consult it.
-    static FaultInjector* injector = [] {
-        auto* inj = new FaultInjector();
-        leakIntentionally(inj);
-        return inj;
+        return parsed;
     }();
-    return *injector;
-}
-
-void
-FaultInjector::configure(const FaultConfig& cfg)
-{
-    // Old snapshots are intentionally leaked: reconfiguration happens a
-    // handful of times per process (tests, campaign setup) and readers may
-    // still hold the previous pointer.
-    auto* next = new FaultConfig(cfg);
-    leakIntentionally(next);
-    cfg_.store(next, std::memory_order_release);
-    enabled_.store(next->anyEnabled(), std::memory_order_relaxed);
-}
-
-FaultConfig
-FaultInjector::config() const
-{
-    return *cfg_.load(std::memory_order_acquire);
-}
-
-std::size_t
-FaultInjector::maxRetries() const
-{
-    return cfg_.load(std::memory_order_acquire)->maxRetries;
+    return cfg;
 }
 
 bool
 FaultInjector::fires(FaultSite site, std::uint64_t key) const
 {
-    const FaultConfig* cfg = cfg_.load(std::memory_order_acquire);
-    const double p = cfg->p(site);
+    const double p = cfg_.p(site);
     if (p <= 0.0)
         return false;
     if (p >= 1.0)
         return true;
     const std::uint64_t h = hashSeed(
-        {cfg->seed, static_cast<std::uint64_t>(site), key, kFireTag});
+        {cfg_.seed, static_cast<std::uint64_t>(site), key, kFireTag});
     return hashToUniform(h) < p;
 }
 
@@ -176,9 +142,8 @@ std::uint64_t
 FaultInjector::draw(FaultSite site, std::uint64_t key,
                     std::uint64_t n) const
 {
-    const FaultConfig* cfg = cfg_.load(std::memory_order_acquire);
     const std::uint64_t h = hashSeed(
-        {cfg->seed, static_cast<std::uint64_t>(site), key, kDrawTag});
+        {cfg_.seed, static_cast<std::uint64_t>(site), key, kDrawTag});
     return n > 0 ? h % n : 0;
 }
 
@@ -199,12 +164,6 @@ FaultInjector::serviceKey(const std::string& name)
         h *= 0x100000001b3ULL;
     }
     return h;
-}
-
-FaultInjector&
-faultInjector()
-{
-    return FaultInjector::instance();
 }
 
 } // namespace swordfish

@@ -5,8 +5,8 @@
  * Swordfish evaluates *non-ideal* hardware, and PUMA-style accelerators
  * treat per-tile failure as an expected operating condition — so the
  * framework degrades gracefully instead of aborting a whole Monte-Carlo
- * campaign on the first bad read or poisoned VMM. The FaultInjector is the
- * single registry every fault site consults.
+ * campaign on the first bad read or poisoned VMM. Every fault site
+ * consults a FaultInjector.
  *
  * Design rules (mirroring the per-read noise streams of the parallel
  * evaluator):
@@ -14,9 +14,9 @@
  *    function of (fault seed, site, key) — never of call order, thread
  *    interleaving, or batch grouping. With a fixed fault seed, outcomes are
  *    bitwise identical across any thread x batch grid.
- *  - Zero overhead when disabled: every site checks one relaxed atomic and
- *    bails, so with SWORDFISH_FAULTS unset the binary behaves exactly as a
- *    build without this layer.
+ *  - Zero overhead when disabled: every site checks one cached flag and
+ *    bails, so with no fault config the binary behaves exactly as a build
+ *    without this layer.
  *  - Off the noise streams: fault decisions hash their own tag and never
  *    draw from the conversion-noise RNGs, so enabling a site with
  *    probability 0 is also bitwise-invisible.
@@ -45,19 +45,23 @@
  *  - ConnDrop (service.conn.drop): the daemon side of a connection drops
  *    without replying.
  *
- * Configure via SWORDFISH_FAULTS, e.g.
+ * Ownership: an injector is an immutable value, and each owner gets its
+ * config when it is built — an evaluation from EvalRequest::faults, a
+ * crossbar backend from its constructor (BackendSpec::faults through the
+ * registry), swordfishd from JobManagerConfig::chaos — so jobs with
+ * different campaigns run side by side. Evaluations and backends consult
+ * only the evaluation sites; the daemon consults only the service.* sites.
+ * An owner given no config takes envFaultConfig(): SWORDFISH_FAULTS, e.g.
  *   SWORDFISH_FAULTS="seed=42,retries=2,decode=0.05,vmm.nan=0.1,task=0.2"
- * or programmatically (tests) via FaultInjector::configure / ScopedFaultConfig.
- * SWORDFISH_CHAOS holds a second spec of the same grammar, appended after
- * SWORDFISH_FAULTS (later tokens win), so a service chaos drill composes
- * with — or stands apart from — an evaluation fault campaign.
+ * with SWORDFISH_CHAOS (same grammar) appended after it (later tokens
+ * win), so a service chaos drill composes with — or stands apart from — an
+ * evaluation fault campaign.
  */
 
 #ifndef SWORDFISH_UTIL_FAULT_H
 #define SWORDFISH_UTIL_FAULT_H
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -121,29 +125,18 @@ struct FaultConfig
 };
 
 /**
- * Process-wide fault registry. First use captures SWORDFISH_FAULTS; tests
- * reconfigure via configure() (between evaluations — not thread-safe
- * against in-flight ones, by design).
+ * The firing schedule of one FaultConfig. Immutable once built: owners
+ * (an evaluation, a backend, the daemon) hold their own by value.
  */
 class FaultInjector
 {
   public:
-    static FaultInjector& instance();
-
-    /** Replace the active configuration (tests / drivers). */
-    void configure(const FaultConfig& cfg);
-
-    /** Snapshot of the active configuration. */
-    FaultConfig config() const;
+    explicit FaultInjector(const FaultConfig& cfg = {});
 
     /** True when at least one site has a nonzero probability. */
-    bool
-    enabled() const
-    {
-        return enabled_.load(std::memory_order_relaxed);
-    }
+    bool enabled() const { return enabled_; }
 
-    std::size_t maxRetries() const;
+    std::size_t maxRetries() const { return cfg_.maxRetries; }
 
     /**
      * Whether the fault at (site, key) fires: a pure function of
@@ -173,40 +166,16 @@ class FaultInjector
      */
     static std::uint64_t serviceKey(const std::string& name);
 
-    FaultInjector(const FaultInjector&) = delete;
-    FaultInjector& operator=(const FaultInjector&) = delete;
-
   private:
-    FaultInjector();
-
-    // The config is written only by configure() (between evaluations) and
-    // read through an immutable snapshot pointer; swap + acquire/release
-    // keeps readers tear-free without a lock in the fires() hot path.
-    std::atomic<const FaultConfig*> cfg_;
-    std::atomic<bool> enabled_{false};
+    FaultConfig cfg_;
+    bool enabled_;
 };
 
-/** Shorthand for FaultInjector::instance(). */
-FaultInjector& faultInjector();
-
-/** RAII config swap for tests: restores the previous config on scope exit. */
-class ScopedFaultConfig
-{
-  public:
-    explicit ScopedFaultConfig(const FaultConfig& cfg)
-        : prev_(faultInjector().config())
-    {
-        faultInjector().configure(cfg);
-    }
-
-    ~ScopedFaultConfig() { faultInjector().configure(prev_); }
-
-    ScopedFaultConfig(const ScopedFaultConfig&) = delete;
-    ScopedFaultConfig& operator=(const ScopedFaultConfig&) = delete;
-
-  private:
-    FaultConfig prev_;
-};
+/**
+ * SWORDFISH_FAULTS followed by SWORDFISH_CHAOS, parsed once: the config
+ * of every owner not given one. A malformed spec is fatal.
+ */
+const FaultConfig& envFaultConfig();
 
 /** Env var naming the fault spec ("" / unset disables injection). */
 inline constexpr const char* kFaultsEnv = "SWORDFISH_FAULTS";

@@ -7,13 +7,17 @@
  * transient job failures, stalls block boundaries, drops connections
  * before dispatch, and drops spool writes; a SIGTERM + restart in the
  * middle of the queue additionally exercises spool-read chaos and the
- * restart quarantine path. The supervision invariants under all of that:
+ * restart quarantine path. The job mix puts a NonIdeal job with its own
+ * fault campaign and one with its own refresh policy beside the plain
+ * evals, so they share the daemon's workers. The supervision invariants
+ * under all of that:
  *
  *   1. the daemon never dies un-asked;
  *   2. every submitted job reaches a terminal state (or its spool record
  *      was chaos-quarantined at restart and it vanished from the index);
  *   3. every job that Completed produced a result bitwise identical to a
- *      chaos-free in-process run of the same spec;
+ *      chaos-free in-process run of the same spec, and the fault and
+ *      refresh jobs both Completed;
  *   4. the daemon still shuts down cleanly over the wire.
  *
  * Chaos decisions are pure functions of (seed, site, key), so this drill
@@ -110,11 +114,38 @@ chaosRequest(const std::string& request, JsonValue& reply)
     return false;
 }
 
-/** The job mix: small evals with distinct seeds; two carry deadlines. */
+/** Indices of the NonIdeal fault and refresh jobs in chaosSpecs(). */
+constexpr std::size_t kFaultsJob = 0;
+constexpr std::size_t kRefreshJob = 1;
+
+/**
+ * The job mix: a NonIdeal job with a fault campaign and one with a refresh
+ * policy, then small evals with distinct seeds, two carrying deadlines.
+ * Chaos is keyed on job id, so the order fixes each job's schedule; the
+ * two NonIdeal jobs come first (j1, j2), where the schedule lets them
+ * complete.
+ */
 std::vector<service::JobSpec>
 chaosSpecs()
 {
     std::vector<service::JobSpec> specs;
+    for (std::size_t i = 0; i < 2; ++i) {
+        service::JobSpec spec;
+        spec.kind = service::JobKind::NonIdeal;
+        spec.datasetId = "D1";
+        spec.datasetReads = 4;
+        spec.crossbarSize = 32;
+        spec.request.runs = 2;
+        spec.request.seedBase = 50 + i;
+        spec.request.checkpointEvery = 2;
+        if (i == kFaultsJob)
+            spec.faults = "seed=21,retries=1,decode=0.25,vmm.stuck=0.5,"
+                          "task=0.3";
+        else
+            spec.refresh = "threshold=0.25,age_h_per_read=50,"
+                           "probe_reads=2,spares=2,nu=0.3,nu_sigma=0";
+        specs.push_back(spec);
+    }
     for (std::size_t i = 0; i < 6; ++i) {
         service::JobSpec spec;
         spec.kind = service::JobKind::Eval;
@@ -147,10 +178,7 @@ TEST(ChaosSmoke, SupervisedDaemonSurvivesChaosBitwise)
     std::filesystem::remove_all("/tmp/swordfish_chaos_smoke");
     std::filesystem::create_directories(kSpool);
 
-    // Neutralize any inherited chaos/fault spec in *this* process: the
-    // references below must be chaos-free ground truth.
-    faultInjector().configure(FaultConfig{});
-
+    // In-process references: no daemon, so no chaos site is ever read.
     const std::vector<service::JobSpec> specs = chaosSpecs();
     std::vector<service::JobResult> references;
     for (const service::JobSpec& spec : specs)
@@ -231,14 +259,20 @@ TEST(ChaosSmoke, SupervisedDaemonSurvivesChaosBitwise)
     // Survivors are bitwise-identical to the chaos-free references.
     std::size_t completed = 0;
     for (const auto& [id, index] : submitted) {
+        const bool own_settings = index == kFaultsJob || index == kRefreshJob;
         const auto it = last.find(id);
-        if (it == last.end())
+        if (it == last.end()) {
+            EXPECT_FALSE(own_settings) << id << " vanished";
             continue;
+        }
         const JsonValue& status = it->second;
         const std::string state = status.get("state").asString();
         EXPECT_TRUE(state == "completed" || state == "failed"
                     || state == "timed_out" || state == "quarantined")
             << id << " settled as " << state;
+        if (own_settings) {
+            EXPECT_EQ(state, "completed") << id << ": " << status.dump();
+        }
         if (state != "completed")
             continue;
         ++completed;

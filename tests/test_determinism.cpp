@@ -111,7 +111,8 @@ evalWithThreads(std::size_t threads, NonIdealityKind kind)
  */
 AccuracySummary
 evalBatched(std::size_t threads, std::size_t batch, NonIdealityKind kind,
-            std::size_t runs = 2)
+            std::size_t runs = 2,
+            const FaultConfig& faults = envFaultConfig())
 {
     Fixture& f = Fixture::get();
     NonIdealityConfig scenario;
@@ -122,7 +123,7 @@ evalBatched(std::size_t threads, std::size_t batch, NonIdealityKind kind,
     return evaluateNonIdealAccuracy(
         f.model, {scenario, remap},
         EvalOptions(f.dataset5).runs(runs).maxReads(5).seedBase(7)
-            .batch(batch).threads(threads));
+            .batch(batch).threads(threads).faults(faults));
 }
 
 /** Full composition of the four extended noise sources plus K=2 layer
@@ -477,11 +478,10 @@ TEST(Determinism, FaultScheduleBitwiseIdenticalAcrossThreadBatchGrid)
     faults.setP(FaultSite::TileProgram, 0.1);
     faults.setP(FaultSite::VmmStuck, 0.3);
     faults.setP(FaultSite::WorkerTask, 0.3);
-    ScopedFaultConfig scoped(faults);
 
     for (std::size_t runs : {std::size_t{1}, std::size_t{2}}) {
         const AccuracySummary ref =
-            evalBatched(1, 1, NonIdealityKind::Combined, runs);
+            evalBatched(1, 1, NonIdealityKind::Combined, runs, faults);
         EXPECT_EQ(ref.degraded.okReads + ref.degraded.retriedReads
                       + ref.degraded.skippedReads(),
                   runs * 5u); // every read of every run is accounted for
@@ -493,7 +493,8 @@ TEST(Determinism, FaultScheduleBitwiseIdenticalAcrossThreadBatchGrid)
                              + " threads=" + std::to_string(threads));
                 expectBitwiseEqual(
                     ref, evalBatched(threads, batch,
-                                     NonIdealityKind::Combined, runs));
+                                     NonIdealityKind::Combined, runs,
+                                     faults));
             }
         }
     }
@@ -504,11 +505,11 @@ TEST(Determinism, FaultsDisabledMatchesEnabledWithZeroProbabilities)
     // Enabling the injector with every probability at zero must not
     // perturb a single bit (fault checks never touch the noise streams).
     const AccuracySummary off =
-        evalBatched(2, 3, NonIdealityKind::Combined);
+        evalBatched(2, 3, NonIdealityKind::Combined, 2, FaultConfig{});
     FaultConfig zero;
     zero.seed = 99;
-    ScopedFaultConfig scoped(zero);
-    expectBitwiseEqual(off, evalBatched(2, 3, NonIdealityKind::Combined));
+    expectBitwiseEqual(
+        off, evalBatched(2, 3, NonIdealityKind::Combined, 2, zero));
 }
 
 TEST(Determinism, BitwiseIdenticalAcrossSimdLevelGrid)

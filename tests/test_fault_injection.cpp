@@ -83,9 +83,8 @@ configWith(std::uint64_t seed,
  * never produces non-finite output (ideal backend).
  */
 ReadOutcome
-expectedOutcome(std::size_t i)
+expectedOutcome(const FaultInjector& inj, std::size_t i)
 {
-    const FaultInjector& inj = faultInjector();
     if (inj.fires(FaultSite::ReadDecode, i)
         || inj.fires(FaultSite::Chunk, i))
         return ReadOutcome::DecodeError;
@@ -174,16 +173,15 @@ TEST(FaultConfig, EmptySpecDisablesEverything)
 
 TEST(FaultInjector, DisabledWhenAllProbabilitiesZero)
 {
-    ScopedFaultConfig scoped(FaultConfig{});
-    EXPECT_FALSE(faultInjector().enabled());
-    EXPECT_FALSE(faultInjector().fires(FaultSite::ReadDecode, 0));
+    const FaultInjector inj{FaultConfig{}};
+    EXPECT_FALSE(inj.enabled());
+    EXPECT_FALSE(inj.fires(FaultSite::ReadDecode, 0));
 }
 
 TEST(FaultInjector, ProbabilityExtremes)
 {
-    ScopedFaultConfig scoped(configWith(
+    const FaultInjector inj(configWith(
         9, {{FaultSite::ReadDecode, 0.0}, {FaultSite::VmmNan, 1.0}}));
-    const FaultInjector& inj = faultInjector();
     EXPECT_TRUE(inj.enabled());
     for (std::uint64_t key = 0; key < 256; ++key) {
         EXPECT_FALSE(inj.fires(FaultSite::ReadDecode, key));
@@ -194,12 +192,11 @@ TEST(FaultInjector, ProbabilityExtremes)
 TEST(FaultInjector, FiringScheduleIsPureAndSeedDriven)
 {
     const auto schedule = [](std::uint64_t seed) {
-        ScopedFaultConfig scoped(
+        const FaultInjector inj(
             configWith(seed, {{FaultSite::WorkerTask, 0.5}}));
         std::vector<bool> fired;
         for (std::uint64_t key = 0; key < 512; ++key)
-            fired.push_back(
-                faultInjector().fires(FaultSite::WorkerTask, key));
+            fired.push_back(inj.fires(FaultSite::WorkerTask, key));
         return fired;
     };
     const auto a = schedule(1);
@@ -215,9 +212,8 @@ TEST(FaultInjector, FiringScheduleIsPureAndSeedDriven)
 
 TEST(FaultInjector, SitesAreIndependentStreams)
 {
-    ScopedFaultConfig scoped(configWith(
+    const FaultInjector inj(configWith(
         5, {{FaultSite::ReadDecode, 0.5}, {FaultSite::Chunk, 0.5}}));
-    const FaultInjector& inj = faultInjector();
     bool differ = false;
     for (std::uint64_t key = 0; key < 128 && !differ; ++key)
         differ = inj.fires(FaultSite::ReadDecode, key)
@@ -227,9 +223,7 @@ TEST(FaultInjector, SitesAreIndependentStreams)
 
 TEST(FaultInjector, DrawIsDeterministicAndInRange)
 {
-    ScopedFaultConfig scoped(
-        configWith(3, {{FaultSite::VmmStuck, 1.0}}));
-    const FaultInjector& inj = faultInjector();
+    const FaultInjector inj(configWith(3, {{FaultSite::VmmStuck, 1.0}}));
     for (std::uint64_t key = 0; key < 64; ++key) {
         const std::uint64_t pick = inj.draw(FaultSite::VmmStuck, key, 7);
         EXPECT_LT(pick, 7u);
@@ -251,40 +245,29 @@ TEST(FaultInjector, RetryStreamsAreDistinct)
     }
 }
 
-TEST(FaultInjector, ScopedConfigRestoresPrevious)
-{
-    const FaultConfig before = faultInjector().config();
-    {
-        ScopedFaultConfig scoped(
-            configWith(11, {{FaultSite::ReadDecode, 1.0}}));
-        EXPECT_TRUE(faultInjector().enabled());
-    }
-    EXPECT_EQ(faultInjector().config().seed, before.seed);
-    EXPECT_EQ(faultInjector().enabled(), before.anyEnabled());
-}
-
 TEST(FaultDegradation, InjectedScheduleMatchesRecordedOutcomesExactly)
 {
     // The e2e contract: N injected faults => exactly N recorded outcomes,
     // class by class, matching the injector's own schedule.
     Fixture& f = Fixture::get();
     setGlobalPoolThreads(0);
-    ScopedFaultConfig scoped(configWith(21,
-                                        {{FaultSite::ReadDecode, 0.3},
-                                         {FaultSite::Chunk, 0.2},
-                                         {FaultSite::WorkerTask, 0.4}},
-                                        1));
+    const FaultConfig faults = configWith(21,
+                                          {{FaultSite::ReadDecode, 0.3},
+                                           {FaultSite::Chunk, 0.2},
+                                           {FaultSite::WorkerTask, 0.4}},
+                                          1);
+    const FaultInjector inj(faults);
 
     DegradedResult expected;
     for (std::size_t i = 0; i < 6; ++i)
-        expected.record(expectedOutcome(i));
+        expected.record(expectedOutcome(inj, i));
     // The seed/probabilities above must actually exercise degradation on
     // this 6-read dataset; if not, pick a different seed.
     ASSERT_GT(expected.skippedReads() + expected.retriedReads, 0u);
     ASSERT_GT(expected.survivors(), 0u);
 
-    const AccuracyResult res =
-        evaluateAccuracy(f.model, EvalOptions(f.dataset).maxReads(6));
+    const AccuracyResult res = evaluateAccuracy(
+        f.model, EvalOptions(f.dataset).maxReads(6).faults(faults));
     EXPECT_EQ(res.degraded.okReads, expected.okReads);
     EXPECT_EQ(res.degraded.retriedReads, expected.retriedReads);
     EXPECT_EQ(res.degraded.decodeErrors, expected.decodeErrors);
@@ -299,16 +282,17 @@ TEST(FaultDegradation, AccuracyIsComputedOverSurvivorsOnly)
     // call, so the expected mean identity is computable read by read.
     Fixture& f = Fixture::get();
     setGlobalPoolThreads(0);
-    ScopedFaultConfig scoped(configWith(21,
-                                        {{FaultSite::ReadDecode, 0.3},
-                                         {FaultSite::Chunk, 0.2},
-                                         {FaultSite::WorkerTask, 0.4}},
-                                        1));
+    const FaultConfig faults = configWith(21,
+                                          {{FaultSite::ReadDecode, 0.3},
+                                           {FaultSite::Chunk, 0.2},
+                                           {FaultSite::WorkerTask, 0.4}},
+                                          1);
+    const FaultInjector inj(faults);
 
     double sum = 0.0;
     std::size_t survivors = 0;
     for (std::size_t i = 0; i < 6; ++i) {
-        if (!survives(expectedOutcome(i)))
+        if (!survives(expectedOutcome(inj, i)))
             continue;
         const genomics::Sequence called =
             basecallRead(f.model, f.dataset.reads[i]);
@@ -318,8 +302,8 @@ TEST(FaultDegradation, AccuracyIsComputedOverSurvivorsOnly)
     }
     ASSERT_GT(survivors, 0u);
 
-    const AccuracyResult res =
-        evaluateAccuracy(f.model, EvalOptions(f.dataset).maxReads(6));
+    const AccuracyResult res = evaluateAccuracy(
+        f.model, EvalOptions(f.dataset).maxReads(6).faults(faults));
     EXPECT_EQ(res.readsEvaluated, survivors);
     EXPECT_EQ(bits(res.meanIdentity),
               bits(sum / static_cast<double>(survivors)));
@@ -329,19 +313,18 @@ TEST(FaultDegradation, BreakdownIdenticalAcrossBatchSizes)
 {
     Fixture& f = Fixture::get();
     setGlobalPoolThreads(0);
-    ScopedFaultConfig scoped(configWith(21,
-                                        {{FaultSite::ReadDecode, 0.3},
-                                         {FaultSite::WorkerTask, 0.4}},
-                                        2));
-    const AccuracyResult serial =
-        evaluateAccuracy(f.model, EvalOptions(f.dataset).maxReads(6)
-                                      .batch(1));
+    const FaultConfig faults = configWith(21,
+                                          {{FaultSite::ReadDecode, 0.3},
+                                           {FaultSite::WorkerTask, 0.4}},
+                                          2);
+    const AccuracyResult serial = evaluateAccuracy(
+        f.model, EvalOptions(f.dataset).maxReads(6).batch(1).faults(faults));
     for (std::size_t batch : {std::size_t{2}, std::size_t{4},
                               std::size_t{8}}) {
         SCOPED_TRACE("batch=" + std::to_string(batch));
-        const AccuracyResult b =
-            evaluateAccuracy(f.model, EvalOptions(f.dataset).maxReads(6)
-                                          .batch(batch));
+        const AccuracyResult b = evaluateAccuracy(
+            f.model,
+            EvalOptions(f.dataset).maxReads(6).batch(batch).faults(faults));
         EXPECT_EQ(bits(serial.meanIdentity), bits(b.meanIdentity));
         EXPECT_EQ(serial.readsEvaluated, b.readsEvaluated);
         EXPECT_EQ(serial.degraded.okReads, b.degraded.okReads);
@@ -358,12 +341,11 @@ TEST(FaultDegradation, NanPoisoningSkipsEveryReadAsVmmFault)
     // evaluated, and the evaluation still completes cleanly.
     Fixture& f = Fixture::get();
     setGlobalPoolThreads(0);
-    ScopedFaultConfig scoped(
-        configWith(4, {{FaultSite::VmmNan, 1.0}}));
-    core::CrossbarVmmBackend backend(core::NonIdealityConfig{}, 17);
+    const FaultConfig faults = configWith(4, {{FaultSite::VmmNan, 1.0}});
+    core::CrossbarVmmBackend backend(core::NonIdealityConfig{}, 17, faults);
     f.model.setBackend(&backend);
-    const AccuracyResult res =
-        evaluateAccuracy(f.model, EvalOptions(f.dataset).maxReads(4));
+    const AccuracyResult res = evaluateAccuracy(
+        f.model, EvalOptions(f.dataset).maxReads(4).faults(faults));
     f.model.setBackend(nullptr);
 
     EXPECT_EQ(res.degraded.vmmFaults, 4u);
@@ -379,16 +361,13 @@ TEST(FaultDegradation, StuckColumnDegradesSilently)
     // Ok and the batched path reproduces the serial calls bitwise.
     Fixture& f = Fixture::get();
     setGlobalPoolThreads(0);
-    ScopedFaultConfig scoped(
-        configWith(6, {{FaultSite::VmmStuck, 1.0}}));
-    core::CrossbarVmmBackend backend(core::NonIdealityConfig{}, 17);
+    const FaultConfig faults = configWith(6, {{FaultSite::VmmStuck, 1.0}});
+    core::CrossbarVmmBackend backend(core::NonIdealityConfig{}, 17, faults);
     f.model.setBackend(&backend);
-    const AccuracyResult serial =
-        evaluateAccuracy(f.model, EvalOptions(f.dataset).maxReads(4)
-                                      .batch(1));
-    const AccuracyResult batched =
-        evaluateAccuracy(f.model, EvalOptions(f.dataset).maxReads(4)
-                                      .batch(4));
+    const AccuracyResult serial = evaluateAccuracy(
+        f.model, EvalOptions(f.dataset).maxReads(4).batch(1).faults(faults));
+    const AccuracyResult batched = evaluateAccuracy(
+        f.model, EvalOptions(f.dataset).maxReads(4).batch(4).faults(faults));
     f.model.setBackend(nullptr);
 
     EXPECT_EQ(serial.degraded.okReads, 4u);
@@ -403,12 +382,12 @@ TEST(FaultDegradation, DeadTileProgrammingKeepsReadsAlive)
     // reads or abort programming.
     Fixture& f = Fixture::get();
     setGlobalPoolThreads(0);
-    ScopedFaultConfig scoped(
-        configWith(8, {{FaultSite::TileProgram, 1.0}}));
-    core::CrossbarVmmBackend backend(core::NonIdealityConfig{}, 17);
+    const FaultConfig faults =
+        configWith(8, {{FaultSite::TileProgram, 1.0}});
+    core::CrossbarVmmBackend backend(core::NonIdealityConfig{}, 17, faults);
     f.model.setBackend(&backend);
-    const AccuracyResult res =
-        evaluateAccuracy(f.model, EvalOptions(f.dataset).maxReads(3));
+    const AccuracyResult res = evaluateAccuracy(
+        f.model, EvalOptions(f.dataset).maxReads(3).faults(faults));
     f.model.setBackend(nullptr);
 
     EXPECT_EQ(res.degraded.okReads, 3u);
@@ -421,10 +400,10 @@ TEST(FaultDegradation, RetriesExhaustedBecomesVmmFault)
     // retries fail, so every read ends VmmFault after the full budget.
     Fixture& f = Fixture::get();
     setGlobalPoolThreads(0);
-    ScopedFaultConfig scoped(
-        configWith(2, {{FaultSite::WorkerTask, 1.0}}, 2));
-    const AccuracyResult res =
-        evaluateAccuracy(f.model, EvalOptions(f.dataset).maxReads(3));
+    const AccuracyResult res = evaluateAccuracy(
+        f.model,
+        EvalOptions(f.dataset).maxReads(3).faults(
+            configWith(2, {{FaultSite::WorkerTask, 1.0}}, 2)));
     EXPECT_EQ(res.degraded.vmmFaults, 3u);
     EXPECT_EQ(res.degraded.retriedReads, 0u);
     EXPECT_EQ(res.readsEvaluated, 0u);
@@ -434,17 +413,18 @@ TEST(FaultDegradation, PipelineSkipsFaultedReadsInLaterStages)
 {
     Fixture& f = Fixture::get();
     setGlobalPoolThreads(0);
-    ScopedFaultConfig scoped(configWith(21,
-                                        {{FaultSite::ReadDecode, 0.3},
-                                         {FaultSite::Chunk, 0.2},
-                                         {FaultSite::WorkerTask, 0.4}},
-                                        1));
+    const FaultConfig faults = configWith(21,
+                                          {{FaultSite::ReadDecode, 0.3},
+                                           {FaultSite::Chunk, 0.2},
+                                           {FaultSite::WorkerTask, 0.4}},
+                                          1);
+    const FaultInjector inj(faults);
     DegradedResult expected;
     for (std::size_t i = 0; i < 6; ++i)
-        expected.record(expectedOutcome(i));
+        expected.record(expectedOutcome(inj, i));
 
-    const PipelineReport report =
-        runPipeline(f.model, EvalOptions(f.dataset).maxReads(6));
+    const PipelineReport report = runPipeline(
+        f.model, EvalOptions(f.dataset).maxReads(6).faults(faults));
     EXPECT_EQ(report.degraded.okReads, expected.okReads);
     EXPECT_EQ(report.degraded.retriedReads, expected.retriedReads);
     EXPECT_EQ(report.degraded.decodeErrors, expected.decodeErrors);
@@ -459,19 +439,21 @@ TEST(FaultDegradation, MonteCarloSummaryFoldsBreakdownAcrossRuns)
 {
     Fixture& f = Fixture::get();
     setGlobalPoolThreads(0);
-    ScopedFaultConfig scoped(configWith(21,
-                                        {{FaultSite::ReadDecode, 0.3},
-                                         {FaultSite::WorkerTask, 0.4}},
-                                        1));
+    const FaultConfig faults = configWith(21,
+                                          {{FaultSite::ReadDecode, 0.3},
+                                           {FaultSite::WorkerTask, 0.4}},
+                                          1);
+    const FaultInjector inj(faults);
     DegradedResult per_run;
     for (std::size_t i = 0; i < 5; ++i)
-        per_run.record(expectedOutcome(i));
+        per_run.record(expectedOutcome(inj, i));
 
     core::NonIdealityConfig scenario;
     scenario.crossbar.size = 64;
     const core::AccuracySummary summary = core::evaluateNonIdealAccuracy(
         f.model, {scenario},
-        core::EvalOptions(f.dataset).runs(2).maxReads(5).seedBase(7));
+        core::EvalOptions(f.dataset).runs(2).maxReads(5).seedBase(7)
+            .faults(faults));
     // The fault schedule keys on read indices, so both runs degrade
     // identically and the summary folds two copies.
     EXPECT_EQ(summary.degraded.decodeErrors, 2 * per_run.decodeErrors);
@@ -487,10 +469,10 @@ TEST(FaultDegradation, DisabledInjectionLeavesResultsUntouched)
     // (all-Ok breakdown, identical accuracy across repeat calls).
     Fixture& f = Fixture::get();
     setGlobalPoolThreads(0);
-    const AccuracyResult a =
-        evaluateAccuracy(f.model, EvalOptions(f.dataset).maxReads(4));
-    const AccuracyResult b =
-        evaluateAccuracy(f.model, EvalOptions(f.dataset).maxReads(4));
+    const EvalRequest off =
+        EvalOptions(f.dataset).maxReads(4).faults(FaultConfig{});
+    const AccuracyResult a = evaluateAccuracy(f.model, off);
+    const AccuracyResult b = evaluateAccuracy(f.model, off);
     EXPECT_EQ(bits(a.meanIdentity), bits(b.meanIdentity));
     EXPECT_EQ(a.degraded.okReads, 4u);
     EXPECT_EQ(a.degraded.skippedReads(), 0u);

@@ -133,9 +133,8 @@ computeSnapshot()
     faults.maxRetries = 1;
     faults.setP(FaultSite::ReadDecode, 0.3);
     faults.setP(FaultSite::WorkerTask, 0.4);
-    ScopedFaultConfig scoped(faults);
-    const AccuracyResult degraded =
-        evaluateAccuracy(model, EvalOptions(dataset).maxReads(4));
+    const AccuracyResult degraded = evaluateAccuracy(
+        model, EvalOptions(dataset).maxReads(4).faults(faults));
     snap["fault.mean_identity"] = degraded.meanIdentity;
     snap["fault.reads"] = static_cast<double>(degraded.readsEvaluated);
     snap["fault.ok"] = static_cast<double>(degraded.degraded.okReads);

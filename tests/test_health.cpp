@@ -11,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -93,12 +94,15 @@ harshDrift()
     return d;
 }
 
+/** Combined on 64x64 tiles; `refresh` unset = the SWORDFISH_REFRESH
+ *  policy, which is off unless the environment sets one. */
 NonIdealityConfig
-scenario64()
+scenario64(std::optional<RefreshConfig> refresh = std::nullopt)
 {
     NonIdealityConfig s;
     s.kind = NonIdealityKind::Combined;
     s.crossbar.size = 64;
+    s.refresh = refresh;
     return s;
 }
 
@@ -206,7 +210,7 @@ TEST(Health, ZeroDriftHealingMatchesBaselineBitwise)
     // healing-free backend with the same seed.
     Fixture& f = Fixture::get();
     setGlobalPoolThreads(0);
-    CrossbarVmmBackend baseline(scenario64(), 11);
+    CrossbarVmmBackend baseline(scenario64(RefreshConfig{}), 11);
     const AccuracyResult expected =
         evalWithBackend(baseline, EvalOptions(f.dataset).maxReads(8));
 
@@ -214,8 +218,7 @@ TEST(Health, ZeroDriftHealingMatchesBaselineBitwise)
     cfg.ageHoursPerRead = 1.0;
     cfg.probeReads = 2;
     cfg.drift = noDrift();
-    ScopedRefreshConfig scoped(cfg);
-    CrossbarVmmBackend healing(scenario64(), 11);
+    CrossbarVmmBackend healing(scenario64(cfg), 11);
     ASSERT_NE(healing.health(), nullptr);
     const AccuracyResult observed =
         evalWithBackend(healing, EvalOptions(f.dataset).maxReads(8));
@@ -271,14 +274,12 @@ TEST(Health, ThresholdRefreshBeatsUnhealedAgingAccuracy)
     double unhealed = 0.0;
     double healed = 0.0;
     {
-        ScopedRefreshConfig scoped(aging);
-        CrossbarVmmBackend backend(scenario64(), 5);
+        CrossbarVmmBackend backend(scenario64(aging), 5);
         unhealed = eval(backend);
         EXPECT_EQ(backend.health()->stats().refreshAttempts, 0u);
     }
     {
-        ScopedRefreshConfig scoped(healing);
-        CrossbarVmmBackend backend(scenario64(), 5);
+        CrossbarVmmBackend backend(scenario64(healing), 5);
         healed = eval(backend);
         const HealthStats& st = backend.health()->stats();
         EXPECT_GT(st.probes, 0u);
@@ -300,7 +301,6 @@ TEST(Health, StuckTileRetriesFailsOverThenDegradesToVmmFault)
     FaultConfig faults;
     faults.seed = 21;
     faults.setP(FaultSite::VmmStuck, 1.0);
-    ScopedFaultConfig scoped_faults(faults);
 
     RefreshConfig cfg;
     cfg.thresholdError = 0.2;
@@ -308,11 +308,10 @@ TEST(Health, StuckTileRetriesFailsOverThenDegradesToVmmFault)
     cfg.spares = 1;
     cfg.retries = 1;
     cfg.drift = noDrift();
-    ScopedRefreshConfig scoped(cfg);
 
-    CrossbarVmmBackend backend(scenario64(), 5);
-    const AccuracyResult res =
-        evalWithBackend(backend, EvalOptions(f.dataset).maxReads(8));
+    CrossbarVmmBackend backend(scenario64(cfg), 5, faults);
+    const AccuracyResult res = evalWithBackend(
+        backend, EvalOptions(f.dataset).maxReads(8).faults(faults));
 
     // The first block ran on live hardware; once spares were exhausted
     // the remaining blocks degraded.
@@ -346,7 +345,6 @@ TEST(Health, BackoffGatesRetryEpochs)
     FaultConfig faults;
     faults.seed = 21;
     faults.setP(FaultSite::VmmStuck, 1.0);
-    ScopedFaultConfig scoped_faults(faults);
 
     RefreshConfig cfg;
     cfg.thresholdError = 0.2;
@@ -354,9 +352,8 @@ TEST(Health, BackoffGatesRetryEpochs)
     cfg.spares = 0;
     cfg.retries = 100; // never fail over: isolate the backoff schedule
     cfg.drift = noDrift();
-    ScopedRefreshConfig scoped(cfg);
 
-    CrossbarVmmBackend backend(scenario64(), 5);
+    CrossbarVmmBackend backend(scenario64(cfg), 5, faults);
     f.model.setBackend(&backend);
     // Program the weights (first forward pass maps them lazily).
     basecallRead(f.model, f.dataset.reads[0]);
@@ -391,10 +388,9 @@ TEST(Health, HealingIsBitwiseAcrossThreadsAndBatches)
     cfg.probeReads = 2;
     cfg.spares = 2;
     cfg.drift = harshDrift();
-    ScopedRefreshConfig scoped(cfg);
 
     setGlobalPoolThreads(0);
-    CrossbarVmmBackend ref_backend(scenario64(), 5);
+    CrossbarVmmBackend ref_backend(scenario64(cfg), 5);
     const AccuracyResult ref = evalWithBackend(
         ref_backend, EvalOptions(f.dataset).maxReads(8).batch(1));
     ASSERT_GT(ref_backend.health()->stats().refreshSuccesses, 0u);
@@ -405,7 +401,7 @@ TEST(Health, HealingIsBitwiseAcrossThreadsAndBatches)
                                   std::size_t{8}}) {
             SCOPED_TRACE("threads=" + std::to_string(threads)
                          + " batch=" + std::to_string(batch));
-            CrossbarVmmBackend backend(scenario64(), 5);
+            CrossbarVmmBackend backend(scenario64(cfg), 5);
             const AccuracyResult res = evalWithBackend(
                 backend, EvalOptions(f.dataset).maxReads(8)
                              .threads(threads).batch(batch));
@@ -433,9 +429,8 @@ TEST(Health, CheckpointResumeReproducesUninterruptedRun)
     cfg.probeReads = 2;
     cfg.spares = 2;
     cfg.drift = harshDrift();
-    ScopedRefreshConfig scoped(cfg);
 
-    CrossbarVmmBackend full_backend(scenario64(), 7);
+    CrossbarVmmBackend full_backend(scenario64(cfg), 7);
     const AccuracyResult full = evalWithBackend(
         full_backend, EvalOptions(f.dataset).maxReads(8));
 
@@ -443,7 +438,7 @@ TEST(Health, CheckpointResumeReproducesUninterruptedRun)
     std::remove(path.c_str());
 
     // First half: stop after 4 reads (two epochs), checkpointing.
-    CrossbarVmmBackend first(scenario64(), 7);
+    CrossbarVmmBackend first(scenario64(cfg), 7);
     const AccuracyResult half = evalWithBackend(
         first, EvalOptions(f.dataset).maxReads(8).checkpoint(path)
                    .stopAfterReads(4));
@@ -453,7 +448,7 @@ TEST(Health, CheckpointResumeReproducesUninterruptedRun)
 
     // Resume on a fresh backend: must replay the healing history and land
     // on the uninterrupted run's exact bits.
-    CrossbarVmmBackend second(scenario64(), 7);
+    CrossbarVmmBackend second(scenario64(cfg), 7);
     const AccuracyResult resumed = evalWithBackend(
         second, EvalOptions(f.dataset).maxReads(8).checkpoint(path));
     EXPECT_FALSE(resumed.interrupted);
@@ -472,9 +467,8 @@ TEST(Health, CorruptCheckpointIsIgnoredNotTrusted)
     cfg.ageHoursPerRead = 1.0;
     cfg.probeReads = 2;
     cfg.drift = noDrift();
-    ScopedRefreshConfig scoped(cfg);
 
-    CrossbarVmmBackend clean(scenario64(), 7);
+    CrossbarVmmBackend clean(scenario64(cfg), 7);
     const AccuracyResult expected =
         evalWithBackend(clean, EvalOptions(f.dataset).maxReads(8));
 
@@ -483,7 +477,7 @@ TEST(Health, CorruptCheckpointIsIgnoredNotTrusted)
         std::ofstream out(path, std::ios::binary);
         out << "this is not a checkpoint";
     }
-    CrossbarVmmBackend backend(scenario64(), 7);
+    CrossbarVmmBackend backend(scenario64(cfg), 7);
     const AccuracyResult res = evalWithBackend(
         backend, EvalOptions(f.dataset).maxReads(8).checkpoint(path));
     EXPECT_FALSE(res.interrupted);
@@ -507,15 +501,14 @@ TEST(Health, OlderVersionCheckpointIsIgnoredNotResumed)
     cfg.probeReads = 2;
     cfg.spares = 2;
     cfg.drift = harshDrift();
-    ScopedRefreshConfig scoped(cfg);
 
-    CrossbarVmmBackend clean(scenario64(), 7);
+    CrossbarVmmBackend clean(scenario64(cfg), 7);
     const AccuracyResult expected =
         evalWithBackend(clean, EvalOptions(f.dataset).maxReads(8));
 
     const std::string path = tempPath("swordfish_health_v1_ckpt.bin");
     std::remove(path.c_str());
-    CrossbarVmmBackend first(scenario64(), 7);
+    CrossbarVmmBackend first(scenario64(cfg), 7);
     const AccuracyResult half = evalWithBackend(
         first, EvalOptions(f.dataset).maxReads(8).checkpoint(path)
                    .stopAfterReads(4));
@@ -543,7 +536,7 @@ TEST(Health, OlderVersionCheckpointIsIgnoredNotResumed)
         ASSERT_TRUE(io.good());
     }
 
-    CrossbarVmmBackend second(scenario64(), 7);
+    CrossbarVmmBackend second(scenario64(cfg), 7);
     const AccuracyResult res = evalWithBackend(
         second, EvalOptions(f.dataset).maxReads(8).checkpoint(path));
     EXPECT_FALSE(res.interrupted);
@@ -563,9 +556,8 @@ TEST(Health, GracefulShutdownCheckpointsAndResumes)
     cfg.probeReads = 2;
     cfg.spares = 2;
     cfg.drift = harshDrift();
-    ScopedRefreshConfig scoped(cfg);
 
-    CrossbarVmmBackend full_backend(scenario64(), 13);
+    CrossbarVmmBackend full_backend(scenario64(cfg), 13);
     const AccuracyResult full = evalWithBackend(
         full_backend, EvalOptions(f.dataset).maxReads(8));
 
@@ -575,7 +567,7 @@ TEST(Health, GracefulShutdownCheckpointsAndResumes)
     // A shutdown request arriving before the run stops it at the first
     // block boundary — in-flight reads finish, the checkpoint lands.
     requestShutdown();
-    CrossbarVmmBackend first(scenario64(), 13);
+    CrossbarVmmBackend first(scenario64(cfg), 13);
     const AccuracyResult cut = evalWithBackend(
         first, EvalOptions(f.dataset).maxReads(8).checkpoint(path));
     clearShutdownRequest();
@@ -584,7 +576,7 @@ TEST(Health, GracefulShutdownCheckpointsAndResumes)
     EXPECT_LT(cut.completedReads, 8u);
     ASSERT_TRUE(std::filesystem::exists(path));
 
-    CrossbarVmmBackend second(scenario64(), 13);
+    CrossbarVmmBackend second(scenario64(cfg), 13);
     const AccuracyResult resumed = evalWithBackend(
         second, EvalOptions(f.dataset).maxReads(8).checkpoint(path));
     EXPECT_FALSE(resumed.interrupted);

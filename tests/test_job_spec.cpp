@@ -378,21 +378,30 @@ TEST(JobSpecValidate, TypedErrors)
     EXPECT_TRUE(spec.validate().empty());
 }
 
-TEST(JobSpecValidate, ExclusivityFollowsProcessGlobalKnobs)
+TEST(JobSpecValidate, RejectsDaemonChaosSitesInJobFaults)
 {
+    // A job's faults reach only its own evaluation; the daemon's service.*
+    // sites fire from SWORDFISH_CHAOS, so a job naming one would be inert.
     JobSpec spec;
-    EXPECT_FALSE(spec.exclusive());
-    spec.faults = "decode=0.1";
-    EXPECT_TRUE(spec.exclusive());
-    spec.faults.clear();
-    spec.refresh = "threshold=0.5";
-    EXPECT_TRUE(spec.exclusive());
-
-    // The noise spec is per-job (scenario-scoped, not process-global), so
-    // it never forces exclusive scheduling.
-    spec.refresh.clear();
-    spec.noise = "rtn.amp=0.1";
-    EXPECT_FALSE(spec.exclusive());
+    spec.faults = "seed=3,decode=0.1,vmm.nan=0.2";
+    EXPECT_TRUE(spec.validate().empty());
+    for (const char* site :
+         {"service.spool.write", "service.spool.read", "service.job.throw",
+          "service.job.stall", "service.conn.drop"}) {
+        SCOPED_TRACE(site);
+        spec.faults = std::string("decode=0.1,") + site + "=0.5";
+        const std::vector<JobError> errors = spec.validate();
+        ASSERT_EQ(errors.size(), 1u);
+        EXPECT_EQ(errors.front().kind, JobErrorKind::BadFaultSpec);
+        EXPECT_EQ(errors.front().field, "faults");
+        EXPECT_NE(errors.front().message.find(site), std::string::npos);
+        EXPECT_NE(errors.front().message.find("SWORDFISH_CHAOS"),
+                  std::string::npos)
+            << errors.front().message;
+    }
+    // Probability zero enables nothing, so there is nothing to reject.
+    spec.faults = "service.job.throw=0";
+    EXPECT_TRUE(spec.validate().empty());
 }
 
 // ---------------------------------------------------------------------------

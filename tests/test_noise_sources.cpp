@@ -761,27 +761,28 @@ TEST(NoiseSpecParse, TypedAdmissionErrors)
 
 TEST(NoiseOverride, PrecedenceAndControlArmExemption)
 {
-    // Clear any ambient SWORDFISH_NOISE (a CI matrix leg sets one) so the
-    // preset-only baseline is observable, then layer the test override.
-    ScopedNoiseOverride cleared("");
+    // The expectation follows whatever SWORDFISH_NOISE this process saw
+    // (a CI matrix leg and test_env_defaults set one): the override
+    // composes onto the scenario's preset, or the preset stands alone.
     NonIdealityConfig combined = scenario64();
-    // Preset only.
-    EXPECT_TRUE(resolveNoiseModel(combined)
-                == NoiseModel::preset(NonIdealityKind::Combined));
+    NoiseModel expected = NoiseModel::preset(NonIdealityKind::Combined);
+    const std::string& env = noiseOverrideSpec();
+    std::string error;
+    if (!env.empty()) {
+        ASSERT_TRUE(NoiseModel::parse(
+            env, NoiseModel::preset(NonIdealityKind::Combined), expected,
+            error))
+            << error;
+    }
+    EXPECT_TRUE(resolveNoiseModel(combined) == expected);
 
-    ScopedNoiseOverride scoped("rtn.amp=0.25");
-    // The override composes onto the scenario's preset...
-    const NoiseModel overridden = resolveNoiseModel(combined);
-    EXPECT_DOUBLE_EQ(overridden.extended.rtn.amplitude, 0.25);
-    EXPECT_TRUE(sameToggles(overridden.toggles, NoiseToggles::combined()));
-
-    // ...but an explicit scenario spec wins over it...
+    // An explicit scenario spec wins over the override...
     NonIdealityConfig pinned = combined;
     pinned.noise = "rtn.amp=0.1";
     EXPECT_DOUBLE_EQ(resolveNoiseModel(pinned).extended.rtn.amplitude,
                      0.1);
 
-    // ...and the None / Measured arms ignore the process override so the
+    // ...and the None / Measured arms ignore the env override so the
     // ideal control and the chip library stay honest.
     NonIdealityConfig ideal = combined;
     ideal.kind = NonIdealityKind::None;
@@ -1014,10 +1015,11 @@ TEST(Ensemble, HealthRefreshHealsReplicatedTilesDeterministically)
     cfg.spares = 2;
     cfg.drift.nu = 0.3;
     cfg.drift.nuSigma = 0.0;
-    ScopedRefreshConfig scoped(cfg);
+    NonIdealityConfig scenario = scenario64();
+    scenario.refresh = cfg;
 
     auto run = [&] {
-        CrossbarVmmBackend backend(scenario64(), 5);
+        CrossbarVmmBackend backend(scenario, 5);
         EnsembleConfig ens;
         ens.k = 2;
         backend.setEnsemble(ens);

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -22,6 +23,7 @@
 
 #include "service/job_manager.h"
 #include "tensor/simd.h"
+#include "util/fault.h"
 #include "util/shutdown.h"
 
 using namespace swordfish;
@@ -398,28 +400,77 @@ TEST(JobManager, ShutdownMidJobResumesFromCheckpointBitwise)
     EXPECT_EQ(bits(status.result.mean), bits(reference.mean));
 }
 
-TEST(JobManager, ExclusiveJobsNeverOverlapOthers)
+TEST(JobManager, FaultAndRefreshJobsRunConcurrentlyBitwise)
 {
+    // A job's fault and refresh specs bind onto its own request and
+    // scenario, so such jobs share the daemon with any other job and
+    // still match their solo runs bit for bit.
+    auto nonideal = [](std::uint64_t seed) {
+        JobSpec spec;
+        spec.kind = service::JobKind::NonIdeal;
+        spec.datasetId = "D1";
+        spec.datasetReads = 4;
+        spec.crossbarSize = 32;
+        spec.request.runs = 2;
+        spec.request.seedBase = seed;
+        spec.request.checkpointEvery = 2;
+        return spec;
+    };
+    JobSpec faults = nonideal(11);
+    faults.faults = "seed=21,retries=1,decode=0.25,program=0.2,"
+                    "vmm.nan=0.2,vmm.stuck=0.5,task=0.3";
+    JobSpec refresh = nonideal(12);
+    refresh.refresh = "threshold=0.25,age_h_per_read=50,probe_reads=2,"
+                      "spares=2,nu=0.3,nu_sigma=0";
+    const std::vector<JobSpec> specs = {faults, refresh, nonideal(13),
+                                        nonideal(14)};
+    std::vector<service::JobResult> solo;
+    for (const JobSpec& spec : specs)
+        solo.push_back(service::runJobSpec(spec));
+    ASSERT_GT(solo[0].skipped, 0u) << "the fault campaign never fired";
+
     JobManagerConfig cfg;
-    cfg.workers = 2;
-    cfg.spoolDir = freshSpool("jm_exclusive").string();
+    cfg.workers = 4;
+    cfg.spoolDir = freshSpool("jm_concurrent").string();
+    // Stall every block boundary (150 ms) so the jobs' lifetimes overlap
+    // widely.
+    cfg.chaos = FaultConfig{};
+    cfg.chaos.setP(FaultSite::JobStall, 1.0);
     JobManager manager(cfg);
 
-    JobSpec normal = quickSpec();
-    JobSpec exclusive = quickSpec();
-    exclusive.faults = "seed=1,decode=0.0"; // global knob => exclusive
-    ASSERT_TRUE(exclusive.exclusive());
+    std::vector<std::string> ids(specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        ASSERT_FALSE(manager.submit(specs[i], ids[i]));
 
-    std::string id1, id2, id3;
-    ASSERT_FALSE(manager.submit(normal, id1));
-    ASSERT_FALSE(manager.submit(exclusive, id2));
-    ASSERT_FALSE(manager.submit(normal, id3));
+    // list() snapshots every job under one lock: watch for the faults job
+    // and the refresh job Running in the same snapshot.
+    bool overlapped = false;
+    const auto until = std::chrono::steady_clock::now() + 120s;
+    for (bool settled = false; !settled;) {
+        ASSERT_LT(std::chrono::steady_clock::now(), until);
+        std::map<std::string, JobState> state;
+        for (const JobStatus& st : manager.list())
+            state[st.id] = st.state;
+        overlapped = overlapped
+            || (state[ids[0]] == JobState::Running
+                && state[ids[1]] == JobState::Running);
+        settled = true;
+        for (const std::string& id : ids)
+            settled = settled && service::isTerminal(state[id]);
+        std::this_thread::sleep_for(5ms);
+    }
+    EXPECT_TRUE(overlapped)
+        << "the faults and refresh jobs never ran at the same time";
 
-    // All three must complete despite the exclusivity barrier (strict FIFO
-    // means the exclusive job waits for j1, then runs alone, then j3).
-    EXPECT_EQ(awaitTerminal(manager, id1).state, JobState::Completed);
-    EXPECT_EQ(awaitTerminal(manager, id2).state, JobState::Completed);
-    EXPECT_EQ(awaitTerminal(manager, id3).state, JobState::Completed);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        SCOPED_TRACE(ids[i]);
+        const JobStatus status = awaitTerminal(manager, ids[i]);
+        ASSERT_EQ(status.state, JobState::Completed) << status.error;
+        EXPECT_EQ(bits(status.result.mean), bits(solo[i].mean));
+        EXPECT_EQ(bits(status.result.stddev), bits(solo[i].stddev));
+        EXPECT_EQ(status.result.survivors, solo[i].survivors);
+        EXPECT_EQ(status.result.skipped, solo[i].skipped);
+    }
 }
 
 /**

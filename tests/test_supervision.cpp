@@ -166,8 +166,8 @@ TEST(Supervision, DeadlineExpiryMidBlockTimesOut)
 {
     // Chaos-stall every block boundary (150ms each) so a 50ms deadline
     // reliably expires while the job is mid-run.
-    ScopedFaultConfig chaos(chaosConfig(FaultSite::JobStall, 1.0));
     JobManagerConfig cfg;
+    cfg.chaos = chaosConfig(FaultSite::JobStall, 1.0);
     cfg.spoolDir = freshSpool("sup_deadline").string();
     cfg.watchdogPollMs = 5;
     JobManager manager(cfg);
@@ -201,23 +201,20 @@ TEST(Supervision, TransientFailureRetriesBitwiseIdentical)
     // function of (seed, site, key), so this search is deterministic.
     std::uint64_t seed = 0;
     for (std::uint64_t s = 1; s < 10000 && seed == 0; ++s) {
-        ScopedFaultConfig probe(chaosConfig(FaultSite::JobThrow, 0.5, s));
-        if (faultInjector().fires(FaultSite::JobThrow,
-                                  FaultInjector::serviceKey("j1@1"))
-            && !faultInjector().fires(FaultSite::JobThrow,
-                                      FaultInjector::serviceKey("j1@2")))
+        const FaultInjector probe(chaosConfig(FaultSite::JobThrow, 0.5, s));
+        if (probe.fires(FaultSite::JobThrow,
+                        FaultInjector::serviceKey("j1@1"))
+            && !probe.fires(FaultSite::JobThrow,
+                            FaultInjector::serviceKey("j1@2")))
             seed = s;
     }
     ASSERT_NE(seed, 0u) << "no seed fires attempt 1 but not attempt 2";
 
-    // The bitwise reference: the same job, chaos-free, in-process.
-    const JobResult reference = [&] {
-        ScopedFaultConfig clean{FaultConfig{}};
-        return service::runJobSpec(quickSpec());
-    }();
+    // The bitwise reference: the same job, in-process, with no daemon.
+    const JobResult reference = service::runJobSpec(quickSpec());
 
-    ScopedFaultConfig chaos(chaosConfig(FaultSite::JobThrow, 0.5, seed));
     JobManagerConfig cfg;
+    cfg.chaos = chaosConfig(FaultSite::JobThrow, 0.5, seed);
     cfg.spoolDir = freshSpool("sup_retry").string();
     cfg.backoffBaseMs = 1;
     cfg.watchdogPollMs = 5;
@@ -236,8 +233,8 @@ TEST(Supervision, TransientFailureRetriesBitwiseIdentical)
 TEST(Supervision, RetryBudgetExhaustionFailsTyped)
 {
     // p=1: every attempt of every job throws; the budget must run out.
-    ScopedFaultConfig chaos(chaosConfig(FaultSite::JobThrow, 1.0));
     JobManagerConfig cfg;
+    cfg.chaos = chaosConfig(FaultSite::JobThrow, 1.0);
     cfg.spoolDir = freshSpool("sup_exhaust").string();
     cfg.backoffBaseMs = 1;
     cfg.watchdogPollMs = 5;
@@ -350,6 +347,28 @@ TEST(Supervision, SpooledRemovedBackendTokenFailsTypedAtRestart)
     EXPECT_EQ(status.state, JobState::Failed);
 }
 
+TEST(Supervision, SpooledChaosSiteFaultsFailTypedAtRestart)
+{
+    // A queued record whose faults name a daemon chaos site (accepted
+    // before job faults stopped reaching those sites) fails validation at
+    // restart and is persisted Failed with the typed message.
+    const std::filesystem::path spool = freshSpool("sup_chaos_site");
+    JobSpec spec = quickSpec();
+    spec.faults = "service.spool.write=1";
+    forgeRecord(spool, "j1", "queued", 0, spec);
+
+    JobManagerConfig cfg;
+    cfg.workers = 0;
+    cfg.spoolDir = spool.string();
+    JobManager manager(cfg);
+    EXPECT_EQ(manager.resumeSpooled(), 0u);
+    JobStatus status;
+    ASSERT_FALSE(manager.status("j1", status));
+    EXPECT_EQ(status.state, JobState::Failed);
+    EXPECT_NE(status.error.find("SWORDFISH_CHAOS"), std::string::npos)
+        << status.error;
+}
+
 // ---------------------------------------------------------------------------
 // Overload shedding
 // ---------------------------------------------------------------------------
@@ -396,8 +415,8 @@ TEST(Supervision, ShedDisabledKeepsQueueFullSemantics)
 
 TEST(Supervision, DroppedSpoolWritesDoNotAffectExecution)
 {
-    ScopedFaultConfig chaos(chaosConfig(FaultSite::SpoolWrite, 1.0));
     JobManagerConfig cfg;
+    cfg.chaos = chaosConfig(FaultSite::SpoolWrite, 1.0);
     cfg.spoolDir = freshSpool("sup_spooldrop").string();
     JobManager manager(cfg);
 
