@@ -17,8 +17,9 @@
  *
  *   micro_kernels --roofline [--quick] [--baseline FILE] [--out FILE]
  *
- * With --baseline, the run exits non-zero when any kernel's frac_peak drops
- * below 0.8x its baseline value (a >20% regression).
+ * With --baseline, the run exits 1 when any kernel's frac_peak drops below
+ * 0.8x its baseline value (a >20% regression), and 2 when a baseline line
+ * names a kernel (at its batch) the report measures at no level.
  */
 
 #include <benchmark/benchmark.h>
@@ -41,7 +42,6 @@
 #include "tensor/kernels.h"
 #include "tensor/lanes.h"
 #include "tensor/matrix.h"
-#include "tensor/quantize.h"
 #include "tensor/simd.h"
 #include "util/rng.h"
 
@@ -759,37 +759,6 @@ runRoofline(bool quick, const std::string& baseline_path,
         });
     }
 
-    // --- int8 matmul (integer GOPS; frac vs the float FMA peak is an
-    //     equivalent-rate tracking ratio, not a true integer ceiling).
-    {
-        const std::size_t m = 128, k = 256, n = 1024;
-        const Matrix xf = randomMatrix(m, k, 21);
-        const Matrix wf = randomMatrix(n, k, 22);
-        const Int8Tensor wq = Int8Tensor::fromMatrix(wf);
-        Int8Vec xq;
-        const float x_scale = quantizeRowsInt8(xf, 0, m, xq);
-        Matrix y(m, n);
-        const double ops =
-            2.0 * static_cast<double>(m) * static_cast<double>(wq.stride)
-            * static_cast<double>(n);
-        double scalar_secs = 0.0;
-        levels([&](SimdLevel level) {
-            const double secs = bestSeconds(
-                [&] {
-                    kernels::int8Matmul(xq.data(), m, x_scale, wq, y, 0);
-                },
-                budget);
-            const int lvl = static_cast<int>(level);
-            report.add({"int8_gemm", simdLevelName(level), 0,
-                        ops / secs / 1e9, "gops",
-                        ops / secs / 1e9 / peak[lvl]});
-            if (level == SimdLevel::Scalar)
-                scalar_secs = secs;
-            else
-                report.addSpeedup("int8_gemm", 0, scalar_secs / secs);
-        });
-    }
-
     for (const std::string& line : report.lines)
         std::printf("%s\n", line.c_str());
     if (!out_path.empty()) {
@@ -812,7 +781,7 @@ runRoofline(bool quick, const std::string& baseline_path,
                          baseline_path.c_str());
             return 2;
         }
-        int failures = 0;
+        int failures = 0, stale = 0;
         std::string line;
         while (std::getline(in, line)) {
             if (line.find("\"roofline\"") == std::string::npos)
@@ -827,10 +796,24 @@ runRoofline(bool quick, const std::string& baseline_path,
             if (base_frac <= 0.0)
                 continue;
             const RooflinePoint* match = nullptr;
-            for (const RooflinePoint& p : report.points)
-                if (p.kernel == kernel && p.level == level
-                    && p.batch == batch)
+            bool measured = false;
+            for (const RooflinePoint& p : report.points) {
+                if (p.kernel != kernel || p.batch != batch)
+                    continue;
+                measured = true;
+                if (p.level == level)
                     match = &p;
+            }
+            if (!measured) {
+                // No point at any level: the kernel was deleted or
+                // renamed, so its baseline line is stale and must go.
+                std::fprintf(stderr,
+                             "roofline: STALE baseline %s batch=%zu: no "
+                             "such point in the report\n",
+                             kernel.c_str(), batch);
+                ++stale;
+                continue;
+            }
             if (match == nullptr) {
                 // A missing level (e.g. avx2 baseline on a scalar-only
                 // host) is a skip, not a regression.
@@ -845,6 +828,8 @@ runRoofline(bool quick, const std::string& baseline_path,
                 ++failures;
             }
         }
+        if (stale > 0)
+            return 2;
         if (failures > 0)
             return 1;
     }

@@ -40,7 +40,7 @@ usage(const char* argv0)
         "usage: %s --socket PATH [--spec FILE.json]\n"
         "          [--kind eval|nonideal|quantized|pipeline]\n"
         "          [--dataset D1..D4] [--reads N] [--scenario KIND]\n"
-        "          [--crossbar N] [--runs N] [--seed N] [--backend SEL]\n",
+        "          [--crossbar N] [--runs N] [--seed N]\n",
         argv0);
 }
 
@@ -113,8 +113,6 @@ main(int argc, char** argv)
             spec.request.runs = std::strtoull(value, nullptr, 10);
         else if (arg == "--seed")
             spec.request.seedBase = std::strtoull(value, nullptr, 10);
-        else if (arg == "--backend")
-            spec.request.backend = value;
         else {
             std::fprintf(stderr, "swordfish_submit: unknown option '%s'\n",
                          arg.c_str());

@@ -1,7 +1,7 @@
 /**
  * @file
  * The serializable request surface: typed error vocabulary, the backend
- * selector token grammar, EvalRequest validation, and the schema-versioned
+ * selector check, EvalRequest validation, and the schema-versioned
  * JSON round-trip shared by the CLI entry points, bench drivers, and the
  * swordfishd admission path.
  */
@@ -47,35 +47,32 @@ jobErrorName(JobErrorKind kind)
 }
 
 JobError
-parseBackendTokens(const std::string& text, ParsedBackend& out)
+checkBackendTokens(const std::string& text)
 {
-    out = ParsedBackend{};
     std::size_t pos = 0;
     while (pos < text.size()) {
         const std::size_t sep = text.find_first_of(":,+", pos);
         const std::string token = text.substr(
             pos, sep == std::string::npos ? std::string::npos : sep - pos);
         pos = sep == std::string::npos ? text.size() : sep + 1;
-        if (token.empty())
-            continue;
+        if (token.empty() || token == "compiled")
+            continue; // the only engine, so it selects nothing
         if (token == "interpreter" || token == "interpreted")
             return {JobErrorKind::BadBackend, "backend",
                     "backend token '" + token + "' in '" + text
                         + "' names the interpreter engine, which was "
                           "removed; use 'compiled' or omit the mode"};
-        if (token == "compiled")
-            continue; // the only engine, so it selects nothing
-        if (token != "digital" && token != "int8" && token != "analytical"
-            && token != "measured")
+        if (token == "digital" || token == "int8" || token == "analytical"
+            || token == "measured")
             return {JobErrorKind::BadBackend, "backend",
-                    "unknown backend token '" + token + "' in '" + text
-                        + "' (mode: compiled; families: "
-                          "digital, int8, analytical, measured)"};
-        if (!out.family.empty() && out.family != token)
-            return {JobErrorKind::BadBackend, "backend",
-                    "backend selector '" + text + "' names two families ('"
-                        + out.family + "' and '" + token + "')"};
-        out.family = token;
+                    "backend token '" + token + "' in '" + text
+                        + "' chooses a backend family, which was removed: "
+                          "each evaluation implies its own (digital when "
+                          "quantized, else measured or analytical by "
+                          "scenario); use 'compiled' or omit it"};
+        return {JobErrorKind::BadBackend, "backend",
+                "unknown backend token '" + token + "' in '" + text
+                    + "' (the only token is 'compiled')"};
     }
     return {};
 }
@@ -105,8 +102,7 @@ EvalRequest::validate() const
     if (decoder == Decoder::Beam && beamWidth == 0)
         add(JobErrorKind::BadBeamWidth, "beam_width",
             "beam decoder requires beam_width >= 1");
-    ParsedBackend parsed;
-    if (JobError err = parseBackendTokens(backend, parsed))
+    if (JobError err = checkBackendTokens(backend))
         errors.push_back(std::move(err));
     // Bound kept in agreement with core::kMaxEnsembleReplicas (basecall/
     // cannot include core/); a core-side test asserts the two match.
@@ -171,7 +167,6 @@ EvalRequest::toJson() const
                static_cast<std::uint64_t>(checkpointEvery))
         .field("stop_after_reads",
                static_cast<std::uint64_t>(stopAfterReads))
-        .field("int8_kernel", int8Kernel)
         .field("backend", backend)
         .field("ensemble_k", static_cast<std::uint64_t>(ensembleK))
         .field("ensemble_layers", ensembleLayers)
@@ -249,9 +244,15 @@ EvalRequest::fromJson(const std::string& text, EvalRequest& out)
             if (!readCount(value, req.stopAfterReads))
                 return bad(key);
         } else if (key == "int8_kernel") {
+            // Records written before the int8 family was removed always
+            // carry this key: false is the default and resumes; true asked
+            // for the removed backend.
             if (!value.isBool())
                 return bad(key);
-            req.int8Kernel = value.asBool();
+            if (value.asBool())
+                return {JobErrorKind::BadBackend, key,
+                        "field 'int8_kernel' asks for the int8 backend, "
+                        "which was removed"};
         } else if (key == "backend") {
             if (!value.isString())
                 return bad(key);

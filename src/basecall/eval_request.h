@@ -88,21 +88,14 @@ struct JobError
 };
 
 /**
- * The backend-selector token grammar, owned by the request surface so
- * EvalRequest::validate() and core::parseBackendSelector share one
- * implementation. Up to two tokens separated by ':', ',' or '+', in any
- * order: the mode "compiled" (the only engine) and/or a registry family
- * ("digital" | "int8" | "analytical" | "measured"). Empty = defaults. The
- * removed interpreter engine's tokens ("interpreter", "interpreted") are
- * a BadBackend error, not an alias.
+ * Check a backend selector: tokens separated by ':', ',' or '+'. Each
+ * evaluation entry point implies its backend family, so the only accepted
+ * token is "compiled" (the one engine), which selects nothing; empty is
+ * fine too. The removed family tokens ("digital", "int8", "analytical",
+ * "measured") and interpreter tokens ("interpreter", "interpreted") are
+ * BadBackend errors saying so, as is any unknown token.
  */
-struct ParsedBackend
-{
-    std::string family; ///< empty = derive from the request
-};
-
-/** Parse a selector; unknown/conflicting tokens yield BadBackend. */
-JobError parseBackendTokens(const std::string& text, ParsedBackend& out);
+JobError checkBackendTokens(const std::string& text);
 
 /**
  * Per-block progress snapshot streamed out of a block-mode evaluation.
@@ -246,21 +239,12 @@ struct EvalRequest
     std::size_t stopAfterReads = 0;
 
     /**
-     * Route quantized evaluation through the true-integer int8 backend
-     * (core::Int8Backend): int8 weights with per-row scales, int8
-     * activations, exact int32 accumulation. Only consulted by
-     * evaluateQuantizedAccuracy; the default float path is unaffected.
-     */
-    bool int8Kernel = false;
-
-    /**
-     * Backend selector for this request: the mode token "compiled"
-     * and/or a registry family ("digital", "int8", "analytical",
-     * "measured"), ':'-separated when both are given (see
-     * core::parseBackendSelector). Empty defers to SWORDFISH_BACKEND,
-     * then to the built-in default (family derived from the scenario /
-     * int8Kernel). A malformed selector panics at the evaluation entry
-     * point.
+     * Backend selector, checked by checkBackendTokens(): empty or
+     * "compiled", both of which select nothing. Each entry point implies
+     * its family (digital for quantized, measured or analytical by the
+     * scenario's modeling approach); the field stays so spooled and
+     * scripted requests that name "compiled" remain valid, and a removed
+     * token fails validate() with BadBackend instead of being ignored.
      */
     std::string backend;
 
@@ -316,10 +300,10 @@ struct EvalRequest
     /**
      * Validate every knob, returning all violations (empty = valid):
      * missing dataset, zero runs, beam decoder without a beam, malformed
-     * backend selector, out-of-range batch/thread overrides. The CLI
-     * entry points panic on the first
-     * error via requireValid(); daemon admission returns them typed — one
-     * validator, two failure styles.
+     * or removed backend selector, out-of-range batch/thread overrides.
+     * The CLI entry points panic on the first error via requireValid();
+     * daemon admission returns them typed — one validator, two failure
+     * styles.
      */
     std::vector<JobError> validate() const;
 
@@ -460,20 +444,6 @@ class EvalOptions
     stopAfterReads(std::size_t reads)
     {
         req_.stopAfterReads = reads;
-        return *this;
-    }
-
-    EvalOptions&
-    int8Kernel(bool enable = true)
-    {
-        req_.int8Kernel = enable;
-        return *this;
-    }
-
-    EvalOptions&
-    backend(std::string selector)
-    {
-        req_.backend = std::move(selector);
         return *this;
     }
 

@@ -8,18 +8,9 @@
 #ifndef SWORDFISH_CORE_DEPLOY_H
 #define SWORDFISH_CORE_DEPLOY_H
 
-#include <algorithm>
-#include <cstdint>
-#include <cstring>
-#include <mutex>
-#include <shared_mutex>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "nn/model.h"
-#include "tensor/kernels.h"
-#include "tensor/lanes.h"
 #include "tensor/quantize.h"
 
 namespace swordfish::core {
@@ -85,175 +76,6 @@ class QuantOnlyBackend : public nn::VmmBackend
 
   private:
     Quantizer actQuant_;
-};
-
-/**
- * True-integer int8 inference backend: weights live on a symmetric ±127
- * int8 grid with per-output-row scales, activations requantize to int8 per
- * VMM call, products accumulate exactly in int32 (int16-exact per product),
- * and only the final dequantization returns to float. This is the digital
- * mirror of the ADC-quantized crossbar path — the weight grid *is* the
- * weight quantization, so callers hand it the unquantized model.
- *
- * Integer arithmetic is exact, so results are bitwise-identical across
- * SIMD levels, thread counts, and batching by construction.
- *
- * Lifetime contract: an Int8Backend serves exactly ONE model whose weights
- * stay immutable for the backend's lifetime — weights are quantized on
- * first use and cached by parameter name, never invalidated. After any
- * weight rewrite (a healing/refresh pass, reloading a checkpoint) or to
- * evaluate a different model, construct a fresh backend. Worker-shard
- * replicas (makeWorkerReplicas clones sharing this backend) are fine:
- * the cache records a content digest at quantization time and validates
- * any not-yet-seen weight storage against it bitwise, so a clone passes
- * while a different or rewritten weight served under a cached name
- * panics instead of silently using stale int8 data. The one gap is an
- * in-place rewrite of an already-validated storage, which cannot be
- * detected cheaply and is undefined under this contract.
- */
-class Int8Backend : public nn::VmmBackend
-{
-  public:
-    explicit Int8Backend(const QuantConfig& quant)
-        : actQuant_(quant.activationBits)
-    {}
-
-    void
-    matmul(const std::string& name, const Matrix& w, const Matrix& x,
-           Matrix& y) override
-    {
-        const Int8Tensor& wq = mapped(name, w);
-        thread_local Int8Vec xq;
-        const float scale = quantizeRowsInt8(x, 0, x.rows(), xq);
-        // int8Matmul stores (it does not accumulate), so y needs no zeroing.
-        y.resizeUninit(x.rows(), w.rows());
-        kernels::int8Matmul(xq.data(), x.rows(), scale, wq, y, 0);
-    }
-
-    /**
-     * AOT hook: quantize crossbar-mapped weights into the cache up front so
-     * the first read pays no per-weight setup. Identical to lazy first-use
-     * quantization (the cache key and tensor depend only on the weight).
-     */
-    void
-    prepareWeight(const std::string& name, const Matrix& w) override
-    {
-        if (isVmmWeight(name))
-            mapped(name, w);
-    }
-
-    /**
-     * Per-lane activation requantization (one scale per lane span), so a
-     * stacked pass reproduces the serial per-lane calls bitwise.
-     */
-    void
-    matmulBatched(const std::string& name, const Matrix& w, const Matrix& x,
-                  Matrix& y, const BatchLayout& layout) override
-    {
-        const Int8Tensor& wq = mapped(name, w);
-        thread_local Int8Vec xq;
-        y.resizeUninit(x.rows(), w.rows());
-        for (const LaneBlock& blk : laneBlocks(layout)) {
-            const float scale =
-                quantizeRowsInt8(x, blk.rowBegin, blk.rowEnd, xq);
-            kernels::int8Matmul(xq.data(), blk.rowEnd - blk.rowBegin, scale,
-                                wq, y, blk.rowBegin);
-        }
-    }
-
-    void
-    onActivations(Matrix& activations) override
-    {
-        actQuant_.apply(activations);
-    }
-
-    void
-    onActivationsRows(Matrix& m, std::size_t row_begin,
-                      std::size_t row_end) override
-    {
-        actQuant_.applyRows(m, row_begin, row_end);
-    }
-
-  private:
-    /** A quantized weight plus a digest of the float matrix it came from
-     *  and the storages already validated against that digest, so cache
-     *  hits can detect a violated lifetime contract. */
-    struct CachedWeight
-    {
-        std::size_t rows = 0;
-        std::size_t cols = 0;
-        std::uint64_t digest = 0;
-        std::vector<const float*> sources; ///< validated weight storages
-        Int8Tensor tensor;
-    };
-
-    /** FNV-1a over the float bit patterns, the cache's content key. */
-    static std::uint64_t
-    digestOf(const Matrix& w)
-    {
-        std::uint64_t h = 1469598103934665603ull;
-        for (std::size_t r = 0; r < w.rows(); ++r) {
-            const float* row = w.rowPtr(r);
-            for (std::size_t c = 0; c < w.cols(); ++c) {
-                std::uint32_t bits;
-                std::memcpy(&bits, &row[c], sizeof(bits));
-                h = (h ^ bits) * 1099511628211ull;
-            }
-        }
-        return h;
-    }
-
-    /**
-     * Quantize-on-first-use weight cache, shared across worker threads
-     * and replica models. A hit from a storage the cache has already
-     * validated returns immediately; a hit from a new storage (a worker
-     * replica's clone) is checked bitwise against the recorded digest —
-     * a mismatch means the backend is being reused for a different or
-     * rewritten model (see the class-level lifetime contract) and would
-     * otherwise silently serve stale int8 weights. The digest check runs
-     * once per (parameter, storage), not per matmul.
-     */
-    const Int8Tensor&
-    mapped(const std::string& name, const Matrix& w)
-    {
-        const float* src = w.empty() ? nullptr : w.rowPtr(0);
-        {
-            std::shared_lock lock(mutex_);
-            const auto it = cache_.find(name);
-            if (it != cache_.end() && contains(it->second.sources, src))
-                return it->second.tensor;
-        }
-        std::unique_lock lock(mutex_);
-        const auto [it, inserted] = cache_.try_emplace(name);
-        CachedWeight& cached = it->second;
-        if (inserted) {
-            cached.rows = w.rows();
-            cached.cols = w.cols();
-            cached.digest = digestOf(w);
-            cached.sources.push_back(src);
-            cached.tensor = Int8Tensor::fromMatrix(w);
-        } else if (!contains(cached.sources, src)) {
-            if (cached.rows != w.rows() || cached.cols != w.cols()
-                || cached.digest != digestOf(w))
-                panic("Int8Backend: weight '", name,
-                      "' changed after quantization — the backend serves "
-                      "one model with immutable weights; construct a "
-                      "fresh Int8Backend after weights change");
-            cached.sources.push_back(src);
-        }
-        return cached.tensor;
-    }
-
-    static bool
-    contains(const std::vector<const float*>& sources, const float* src)
-    {
-        return std::find(sources.begin(), sources.end(), src)
-            != sources.end();
-    }
-
-    Quantizer actQuant_;
-    std::shared_mutex mutex_;
-    std::unordered_map<std::string, CachedWeight> cache_;
 };
 
 } // namespace swordfish::core

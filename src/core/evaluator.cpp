@@ -13,8 +13,8 @@ namespace {
 /**
  * Create + initialize a registry backend for one evaluation, panicking on
  * typed failures — the evaluation entry points have no error channel, and
- * a misconfigured scenario/selector should stop the experiment loudly.
- * Tests exercise the typed paths through BackendRegistry directly.
+ * a misconfigured scenario should stop the experiment loudly. Tests
+ * exercise the typed paths through BackendRegistry directly.
  */
 std::unique_ptr<BackendApi>
 makeBackend(const char* where, const std::string& family,
@@ -55,12 +55,10 @@ evaluateNonIdealAccuracy(nn::SequenceModel& model, const NonIdealSetup& setup,
     per_run.runs = 1;
     per_run.faults = basecall::resolvedFaults(req);
 
-    // Backend dispatch: the selector (optionally) pins a registry family;
-    // by default the family follows the scenario's modeling approach.
-    const BackendSelector selector = resolveBackendSelector(req);
-    const std::string family = !selector.family.empty()
-        ? selector.family
-        : (setup.scenario.usesLibrary() ? "measured" : "analytical");
+    // The scenario's modeling approach implies the family: the measured
+    // library (approach #1) or the analytical crossbar model (#2).
+    const char* family =
+        setup.scenario.usesLibrary() ? "measured" : "analytical";
 
     std::vector<double> run_mean(runs, 0.0);
     std::vector<DegradedResult> run_degraded(runs);
@@ -158,18 +156,12 @@ evaluateQuantizedAccuracy(const nn::SequenceModel& model,
 {
     basecall::requireValid(req, "evaluateQuantizedAccuracy");
 
-    // Registry dispatch: "int8" maps the *unquantized* weights onto the
-    // ±127 grid itself (the simulated-quantization pre-pass would
-    // double-quantize), while "digital" deploys a weight-quantized copy
-    // and executes exact float GEMMs.
-    const BackendSelector selector = resolveBackendSelector(req);
-    const std::string family = !selector.family.empty()
-        ? selector.family
-        : (req.int8Kernel ? "int8" : "digital");
+    // Digital fixed-point execution: the family deploys a weight-quantized
+    // copy and executes exact float GEMMs on quantized activations.
     BackendSpec spec;
     spec.quant = quant;
     spec.seed = req.seedBase;
-    auto api = makeBackend("evaluateQuantizedAccuracy", family, spec);
+    auto api = makeBackend("evaluateQuantizedAccuracy", "digital", spec);
     nn::SequenceModel deployed = api->deployModel(model);
     const CompileResult compiled = api->compile(deployed);
     if (!compiled.success())

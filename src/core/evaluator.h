@@ -81,7 +81,8 @@ struct NonIdealSetup
  * req.maxReads reads of req.dataset through the batched inference path —
  * mirroring the paper's methodology of 1000 model instantiations per
  * configuration (scaled down via req.runs). Results are bitwise identical
- * for any batch size and worker count.
+ * for any batch size and worker count. The scenario implies the backend
+ * family: "measured" when it uses the library, else "analytical".
  *
  * @param model deployed (quantized) model; restored to the ideal backend
  *              before returning
@@ -94,8 +95,9 @@ AccuracySummary evaluateNonIdealAccuracy(nn::SequenceModel& model,
 
 /**
  * Digital fixed-point accuracy (quantization only, no crossbar) — the
- * Table 3 evaluation path. Honors req.maxReads / req.batch / req.threads;
- * req.runs is moot (the path is noise-free).
+ * Table 3 evaluation path, always the "digital" family. Honors
+ * req.maxReads / req.batch / req.threads; req.runs is moot (the path is
+ * noise-free).
  */
 double evaluateQuantizedAccuracy(const nn::SequenceModel& model,
                                  const QuantConfig& quant,

@@ -369,8 +369,8 @@ TileHealthMonitor::attemptRefresh(const std::string& name, WeightState& ws,
     // plus extended sources), matching what programAnalytical built.
     crossbar::CrossbarTile fresh(backend_.config_.crossbar, sub,
                                  it->second.absMax,
-                                 backend_.noise_.toggles,
-                                 backend_.noise_.extended, seed);
+                                 backend_.noise_.toggles, seed,
+                                 backend_.noise_.extended);
     const std::vector<std::uint8_t> mask = tile.sramMask();
     if (!mask.empty())
         fresh.remapCellsToSram(mask);
@@ -384,8 +384,9 @@ TileHealthMonitor::attemptRefresh(const std::string& name, WeightState& ws,
         for (std::size_t j = 0; j < reps.size(); ++j) {
             crossbar::CrossbarTile rep(
                 backend_.config_.crossbar, sub, it->second.absMax,
-                backend_.noise_.toggles, backend_.noise_.extended,
-                hashSeed({seed, kEnsembleTag, j + 1}));
+                backend_.noise_.toggles,
+                hashSeed({seed, kEnsembleTag, j + 1}),
+                backend_.noise_.extended);
             if (!mask.empty())
                 rep.remapCellsToSram(mask);
             reps[j] = std::move(rep);

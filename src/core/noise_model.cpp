@@ -62,12 +62,20 @@ operator==(const NoiseModel& a, const NoiseModel& b)
 NoiseModel
 NoiseModel::preset(NonIdealityKind kind)
 {
+    // The legacy toggle groups of each kind, extended sources all off —
+    // the bitwise-compatibility contract.
+    using crossbar::NoiseToggles;
     NoiseModel model;
-    // Exactly NonIdealityConfig::toggles(): the five legacy bar groups,
-    // extended sources all off — the bitwise-compatibility contract.
-    NonIdealityConfig probe;
-    probe.kind = kind;
-    model.toggles = probe.toggles();
+    model.toggles = [kind] {
+        switch (kind) {
+          case NonIdealityKind::None: return NoiseToggles::allOff();
+          case NonIdealityKind::SynapticWires:
+            return NoiseToggles::synapticWires();
+          case NonIdealityKind::SenseAdc: return NoiseToggles::senseAdc();
+          case NonIdealityKind::DacDriver: return NoiseToggles::dacDriver();
+          default: return NoiseToggles::combined();
+        }
+    }();
     return model;
 }
 
@@ -227,105 +235,6 @@ NoiseModel::describe() const
         os << ",cwrite.sigma=" << extended.cwrite.sigma
            << ",cwrite.len=" << extended.cwrite.lengthCells;
     return os.str();
-}
-
-NoiseModelBuilder::NoiseModelBuilder(NonIdealityKind base)
-    : model_(NoiseModel::preset(base))
-{
-}
-
-NoiseModelBuilder
-NoiseModelBuilder::fromPreset(NonIdealityKind kind)
-{
-    return NoiseModelBuilder(kind);
-}
-
-NoiseModelBuilder&
-NoiseModelBuilder::conductanceQuant(bool on)
-{
-    model_.toggles.conductanceQuant = on;
-    return *this;
-}
-
-NoiseModelBuilder&
-NoiseModelBuilder::writeVariation(bool on)
-{
-    model_.toggles.writeVariation = on;
-    return *this;
-}
-
-NoiseModelBuilder&
-NoiseModelBuilder::wireResistance(bool on)
-{
-    model_.toggles.wireResistance = on;
-    return *this;
-}
-
-NoiseModelBuilder&
-NoiseModelBuilder::sneakPaths(bool on)
-{
-    model_.toggles.sneakPaths = on;
-    return *this;
-}
-
-NoiseModelBuilder&
-NoiseModelBuilder::dacNonideal(bool on)
-{
-    model_.toggles.dacNonideal = on;
-    return *this;
-}
-
-NoiseModelBuilder&
-NoiseModelBuilder::adcNonideal(bool on)
-{
-    model_.toggles.adcNonideal = on;
-    return *this;
-}
-
-NoiseModelBuilder&
-NoiseModelBuilder::randomTelegraphNoise(double amplitude, double dwell_up,
-                                        double dwell_down)
-{
-    if (amplitude < 0.0 || amplitude >= 1.0 || dwell_up <= 0.0
-        || dwell_down <= 0.0)
-        panic("NoiseModelBuilder::randomTelegraphNoise: amplitude must be "
-              "in [0, 1) and dwell times > 0");
-    model_.extended.rtn = {amplitude, dwell_up, dwell_down};
-    return *this;
-}
-
-NoiseModelBuilder&
-NoiseModelBuilder::readDisturb(double rate, double reads)
-{
-    if (rate < 0.0 || reads < 0.0)
-        panic("NoiseModelBuilder::readDisturb: rate and reads must be "
-              ">= 0");
-    model_.extended.disturb = {rate, reads};
-    return *this;
-}
-
-NoiseModelBuilder&
-NoiseModelBuilder::thermalDrift(double temperature_k, double activation_ev,
-                                double hours, double nu, double nu_sigma)
-{
-    if (temperature_k <= 0.0 || activation_ev < 0.0 || hours < 0.0
-        || nu < 0.0 || nu_sigma < 0.0)
-        panic("NoiseModelBuilder::thermalDrift: temperature must be > 0 "
-              "and the remaining parameters >= 0");
-    model_.extended.tdrift = {temperature_k, activation_ev, hours, nu,
-                              nu_sigma};
-    return *this;
-}
-
-NoiseModelBuilder&
-NoiseModelBuilder::correlatedWriteVariation(double sigma,
-                                            double length_cells)
-{
-    if (sigma < 0.0 || length_cells < 0.0)
-        panic("NoiseModelBuilder::correlatedWriteVariation: sigma and "
-              "length must be >= 0");
-    model_.extended.cwrite = {sigma, length_cells};
-    return *this;
 }
 
 const std::string&

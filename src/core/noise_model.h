@@ -81,43 +81,6 @@ operator!=(const NoiseModel& a, const NoiseModel& b)
 }
 
 /**
- * Fluent assembly of a NoiseModel from orthogonal sources. Every setter
- * writes its own source's fields and nothing else, so call order never
- * matters — builds are canonical by construction.
- */
-class NoiseModelBuilder
-{
-  public:
-    /** Start from a preset's toggles (default: the ideal, all-off base). */
-    explicit NoiseModelBuilder(
-        NonIdealityKind base = NonIdealityKind::None);
-
-    static NoiseModelBuilder fromPreset(NonIdealityKind kind);
-
-    NoiseModelBuilder& conductanceQuant(bool on = true);
-    NoiseModelBuilder& writeVariation(bool on = true);
-    NoiseModelBuilder& wireResistance(bool on = true);
-    NoiseModelBuilder& sneakPaths(bool on = true);
-    NoiseModelBuilder& dacNonideal(bool on = true);
-    NoiseModelBuilder& adcNonideal(bool on = true);
-
-    NoiseModelBuilder& randomTelegraphNoise(double amplitude,
-                                            double dwell_up = 1.0,
-                                            double dwell_down = 1.0);
-    NoiseModelBuilder& readDisturb(double rate, double reads);
-    NoiseModelBuilder& thermalDrift(double temperature_k,
-                                    double activation_ev, double hours,
-                                    double nu, double nu_sigma = 0.0);
-    NoiseModelBuilder& correlatedWriteVariation(double sigma,
-                                                double length_cells);
-
-    NoiseModel build() const { return model_; }
-
-  private:
-    NoiseModel model_;
-};
-
-/**
  * The SWORDFISH_NOISE override spec ("" = none), validated once (a
  * malformed spec is fatal). Stored as a spec so it composes onto each
  * scenario's own preset at resolution time.

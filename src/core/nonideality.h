@@ -81,22 +81,6 @@ struct NonIdealityConfig
      */
     std::optional<RefreshConfig> refresh;
 
-    /** Map the kind to crossbar noise toggles (analytical approaches). */
-    crossbar::NoiseToggles
-    toggles() const
-    {
-        using crossbar::NoiseToggles;
-        switch (kind) {
-          case NonIdealityKind::None: return NoiseToggles::allOff();
-          case NonIdealityKind::SynapticWires:
-            return NoiseToggles::synapticWires();
-          case NonIdealityKind::SenseAdc: return NoiseToggles::senseAdc();
-          case NonIdealityKind::DacDriver:
-            return NoiseToggles::dacDriver();
-          default: return NoiseToggles::combined();
-        }
-    }
-
     bool usesLibrary() const { return kind == NonIdealityKind::Measured; }
 
     std::string

@@ -2,10 +2,6 @@
 
 #include <algorithm>
 
-#include "basecall/eval_request.h"
-#include "util/env.h"
-#include "util/logging.h"
-
 namespace swordfish::core {
 
 const char*
@@ -15,8 +11,6 @@ compileFailureName(CompileFailure failure)
       case CompileFailure::None: return "none";
       case CompileFailure::UnknownBackend: return "unknown_backend";
       case CompileFailure::ShapeMismatch: return "shape_mismatch";
-      case CompileFailure::QuantizationDisabled:
-        return "quantization_disabled";
       case CompileFailure::InvalidDeviceConfig:
         return "invalid_device_config";
       case CompileFailure::InvalidRemapFraction:
@@ -26,41 +20,6 @@ compileFailureName(CompileFailure failure)
       case CompileFailure::InvalidEnsemble: return "invalid_ensemble";
     }
     return "unknown";
-}
-
-CompileError
-parseBackendSelector(const std::string& text, BackendSelector& out)
-{
-    // The token grammar lives with the request surface
-    // (basecall::parseBackendTokens) so EvalRequest::validate() and this
-    // typed compile-error wrapper cannot drift apart.
-    basecall::ParsedBackend parsed;
-    if (const basecall::JobError err =
-            basecall::parseBackendTokens(text, parsed))
-        return {CompileFailure::UnknownBackend, err.message};
-    out.family = parsed.family;
-    out.mode = ExecMode::Compiled;
-    return {};
-}
-
-const BackendSelector&
-defaultBackendSelector()
-{
-    static const BackendSelector selector = [] {
-        BackendSelector sel;
-        const CompileError err = checkedDefaultBackendSelector(sel);
-        if (err)
-            panic("SWORDFISH_BACKEND: ", err.message);
-        return sel;
-    }();
-    return selector;
-}
-
-CompileError
-checkedDefaultBackendSelector(BackendSelector& out)
-{
-    out = BackendSelector{};
-    return parseBackendSelector(runtimeConfig().backend, out);
 }
 
 std::string

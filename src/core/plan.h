@@ -16,11 +16,11 @@
  * lock or map lookup either).
  *
  * Typed errors: compilation failures (unknown backend, shape mismatch
- * against a cached plan, quantization contradictions, degenerate device
- * configs, out-of-range remap fractions) are returned as CompileError
- * values rather than panics, so config readers and tests can handle them
- * — util::panic() aborts the process and is reserved for programming
- * errors on paths that validated their inputs earlier.
+ * against a cached plan, degenerate device configs, out-of-range remap
+ * fractions) are returned as CompileError values rather than panics, so
+ * config readers and tests can handle them — util::panic() aborts the
+ * process and is reserved for programming errors on paths that validated
+ * their inputs earlier.
  */
 
 #ifndef SWORDFISH_CORE_PLAN_H
@@ -45,9 +45,8 @@ namespace swordfish::core {
 enum class CompileFailure
 {
     None,                 ///< success
-    UnknownBackend,       ///< name not in the registry / selector invalid
+    UnknownBackend,       ///< name not in the registry
     ShapeMismatch,        ///< weight shape differs from the cached plan
-    QuantizationDisabled, ///< int8 backend with an identity quant config
     InvalidDeviceConfig,  ///< degenerate memristor device parameters
     InvalidRemapFraction, ///< RSA remap fraction outside [0, 1]
     ScenarioMismatch,     ///< backend family contradicts the scenario
@@ -80,65 +79,32 @@ struct CompileResult
 };
 
 // ---------------------------------------------------------------------------
-// Backend selection (EvalRequest::backend / SWORDFISH_BACKEND)
+// The execution engine
 // ---------------------------------------------------------------------------
 
 /**
  * The execution engine: Compiled (the AOT WeightPlan dispatch) is the only
- * one. The enum stays as the type of BackendSelector::mode and
- * BackendSpec::mode, which nothing in src/ reads, because
- * benchmark/tracing.cpp assigns one from the other.
+ * one, and nothing in src/ reads it. ExecMode, BackendSelector and
+ * defaultBackendSelector() stay because benchmark/tracing.cpp copies
+ * defaultBackendSelector().mode into BackendSpec::mode.
  */
 enum class ExecMode
 {
     Compiled, ///< AOT WeightPlan dispatch
 };
 
-/**
- * A parsed backend selector. The selector grammar accepts up to two
- * tokens separated by ':', ',' or '+', in any order:
- *
- *   mode token:    "compiled"
- *   family tokens: "digital" | "int8" | "analytical" | "measured"
- *
- * e.g. "compiled", "measured:compiled", "int8". The removed interpreter
- * engine's tokens ("interpreter", "interpreted") are rejected with an
- * UnknownBackend error saying so. An empty selector keeps the defaults:
- * family derived from the request (scenario kind for crossbar evaluation,
- * int8Kernel for quantized).
- */
+/** The engine choice; each evaluation implies its backend family. */
 struct BackendSelector
 {
-    std::string family; ///< empty = derive from the request
-    /** Unread (see ExecMode): kept because benchmark/tracing.cpp copies
-     *  it into BackendSpec::mode. */
     ExecMode mode = ExecMode::Compiled;
 };
 
-/**
- * Parse a selector string; unknown tokens yield a typed UnknownBackend
- * error naming the valid vocabulary. An empty string parses to the
- * default selector.
- */
-CompileError parseBackendSelector(const std::string& text,
-                                  BackendSelector& out);
-
-/**
- * The process-default selector from SWORDFISH_BACKEND (util::RuntimeConfig)
- * — parsed once; a malformed value panics at first use with the parse
- * message, since an env typo in a one-shot CLI run should fail loudly
- * rather than silently run the wrong backend. Long-running daemons call
- * checkedDefaultBackendSelector() at startup instead.
- */
-const BackendSelector& defaultBackendSelector();
-
-/**
- * Typed variant of the SWORDFISH_BACKEND parse for servers: re-parses the
- * env selector into `out` and returns the error instead of panicking, so
- * swordfishd can refuse to start with a diagnostic on its own error
- * channel. On success `out` matches what defaultBackendSelector() yields.
- */
-CompileError checkedDefaultBackendSelector(BackendSelector& out);
+/** The one selector: a constant, read from no environment variable. */
+inline BackendSelector
+defaultBackendSelector()
+{
+    return {};
+}
 
 // ---------------------------------------------------------------------------
 // The execution plan

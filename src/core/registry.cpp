@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "core/deploy.h"
-#include "util/logging.h"
 #include "util/timer.h"
 
 namespace swordfish::core {
@@ -53,39 +52,6 @@ class DigitalBackendApi : public BackendApi
 
   private:
     std::unique_ptr<QuantOnlyBackend> backend_;
-};
-
-/** True-integer int8 execution (Int8Backend). */
-class Int8BackendApi : public BackendApi
-{
-  public:
-    Int8BackendApi(std::string name, const BackendSpec& spec)
-        : BackendApi(std::move(name), spec)
-    {}
-
-    CompileError
-    initialize() override
-    {
-        // The int8 grid *is* the weight quantization: an identity weight
-        // quantizer (>= 32 bits) asks for int8 execution with quantization
-        // disabled — a contradiction, not a fallback.
-        if (Quantizer(spec_.quant.weightBits).isIdentity())
-            return {CompileFailure::QuantizationDisabled,
-                    "int8 backend requires weight quantization, but the "
-                    "quant config ("
-                        + spec_.quant.name() + ") disables it"};
-        backend_ = std::make_unique<Int8Backend>(spec_.quant);
-        return {};
-    }
-
-    nn::VmmBackend&
-    execution() override
-    {
-        return *backend_;
-    }
-
-  private:
-    std::unique_ptr<Int8Backend> backend_;
 };
 
 /**
@@ -196,10 +162,6 @@ BackendRegistry::BackendRegistry()
                                const BackendSpec& spec) {
         return std::make_unique<DigitalBackendApi>(name, spec);
     };
-    factories_["int8"] = [](const std::string& name,
-                            const BackendSpec& spec) {
-        return std::make_unique<Int8BackendApi>(name, spec);
-    };
     const auto crossbar_factory = [](const std::string& name,
                                      const BackendSpec& spec) {
         return std::make_unique<CrossbarBackendApi>(name, spec);
@@ -208,25 +170,12 @@ BackendRegistry::BackendRegistry()
     factories_["measured"] = crossbar_factory;
 }
 
-void
-BackendRegistry::registerBackend(const std::string& name, Factory factory)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    factories_[name] = std::move(factory);
-}
-
 std::unique_ptr<BackendApi>
 BackendRegistry::create(const std::string& name, const BackendSpec& spec,
                         CompileError* error) const
 {
-    Factory factory;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = factories_.find(name);
-        if (it != factories_.end())
-            factory = it->second;
-    }
-    if (!factory) {
+    const auto it = factories_.find(name);
+    if (it == factories_.end()) {
         if (error != nullptr) {
             std::string known;
             for (const std::string& n : names())
@@ -239,29 +188,17 @@ BackendRegistry::create(const std::string& name, const BackendSpec& spec,
     }
     if (error != nullptr)
         *error = {};
-    return factory(name, spec);
+    return it->second(name, spec);
 }
 
 std::vector<std::string>
 BackendRegistry::names() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     std::vector<std::string> out;
     out.reserve(factories_.size());
     for (const auto& [name, factory] : factories_)
         out.push_back(name);
     return out;
-}
-
-BackendSelector
-resolveBackendSelector(const basecall::EvalRequest& req)
-{
-    if (req.backend.empty())
-        return defaultBackendSelector();
-    BackendSelector sel;
-    if (const CompileError err = parseBackendSelector(req.backend, sel))
-        panic("EvalRequest::backend: ", err.message);
-    return sel;
 }
 
 } // namespace swordfish::core

@@ -1,19 +1,19 @@
 /**
  * @file
- * The pluggable backend registry: a BackendApi lifecycle wrapper around
- * every execution path (digital reference, true-integer int8, analytical
- * crossbar, measured library) plus a process-wide registry that creates
- * them by family name.
+ * The backend registry: a BackendApi lifecycle wrapper around each
+ * execution path (digital reference, analytical crossbar, measured
+ * library) plus a process-wide registry that creates them by family name.
  *
  * The lifecycle mirrors vendor backend APIs (initialize / compile /
- * run-program / wait-for-idle): the evaluation entry points resolve a
- * family (from EvalRequest::backend, SWORDFISH_BACKEND, or the request
- * shape), create the api through the registry, initialize it (typed
- * validation of device / remap / quantization configs), compile the model
- * (AOT programming + plan lowering, timed), and run the evaluation
- * through it. Every failure along the way is a typed core::CompileError
- * — the registry never panics on bad configuration, so tests and config
- * readers can assert on the failure kind.
+ * run-program): each evaluation entry point names the family its
+ * evaluation implies (digital for quantized, measured when the scenario
+ * uses the library, else analytical), creates the api through the
+ * registry, initializes it (typed validation of device / remap / noise /
+ * ensemble configs), compiles the model (AOT programming + plan lowering,
+ * timed), and runs the evaluation through it. Every failure along the way
+ * is a typed core::CompileError — the registry never panics on bad
+ * configuration, so tests and config readers can assert on the failure
+ * kind.
  */
 
 #ifndef SWORDFISH_CORE_REGISTRY_H
@@ -22,7 +22,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -43,7 +42,7 @@ struct BackendSpec
 {
     NonIdealityConfig scenario;      ///< crossbar families
     SramRemapConfig remap;           ///< crossbar families (RSA remap)
-    QuantConfig quant;               ///< digital / int8 families
+    QuantConfig quant;               ///< digital family
     std::uint64_t seed = 1;          ///< programming seed (one per MC run)
     /** Unread (see ExecMode): kept because benchmark/tracing.cpp assigns
      *  it from BackendSelector::mode. */
@@ -72,14 +71,13 @@ class BackendApi
      * Validate the spec and construct the execution backend. Must be
      * called (and succeed) before execution()/compile()/runProgram().
      * Returns typed errors: InvalidDeviceConfig, InvalidRemapFraction,
-     * QuantizationDisabled, ScenarioMismatch.
+     * InvalidNoiseSpec, InvalidEnsemble, ScenarioMismatch.
      */
     virtual CompileError initialize() = 0;
 
     /**
      * AOT compile: offer every model parameter to the execution backend
-     * (crossbar programming + plan lowering, int8 weight quantization)
-     * and seal the result. Returns per-compile stats with wall time; a
+     * (crossbar programming + plan lowering) and seal the result. Returns per-compile stats with wall time; a
      * typed error leaves the backend unusable.
      */
     virtual CompileResult compile(nn::SequenceModel& model);
@@ -103,14 +101,6 @@ class BackendApi
     virtual basecall::AccuracyResult
     runProgram(nn::SequenceModel& model, const basecall::EvalRequest& req);
 
-    /**
-     * Block until in-flight work has drained. Execution here is
-     * synchronous (runProgram returns only after the evaluation), so the
-     * default is a no-op; the hook exists for API parity with
-     * queue-driven hardware backends.
-     */
-    virtual void waitForIdle() {}
-
     /** The underlying execution backend; initialize() must have run. */
     virtual nn::VmmBackend& execution() = 0;
 
@@ -124,9 +114,10 @@ class BackendApi
 };
 
 /**
- * Process-wide registry of backend families. The four built-ins
- * ("digital", "int8", "analytical", "measured") are registered on first
- * use; experiments can register additional families at startup.
+ * Process-wide registry of the three backend families ("digital",
+ * "analytical", "measured"). The factory map is filled once in the
+ * constructor and only read afterwards, so concurrent create() calls
+ * (one per Monte-Carlo run on the pool workers) need no lock.
  */
 class BackendRegistry
 {
@@ -134,11 +125,8 @@ class BackendRegistry
     using Factory = std::function<std::unique_ptr<BackendApi>(
         const std::string& name, const BackendSpec& spec)>;
 
-    /** The process-wide instance (built-ins pre-registered). */
+    /** The process-wide instance. */
     static BackendRegistry& instance();
-
-    /** Register (or replace) a family. */
-    void registerBackend(const std::string& name, Factory factory);
 
     /**
      * Create an api for a family. Unknown names yield nullptr and (when
@@ -155,17 +143,8 @@ class BackendRegistry
   private:
     BackendRegistry();
 
-    mutable std::mutex mutex_;
     std::map<std::string, Factory> factories_;
 };
-
-/**
- * Resolve the effective selector for a request: EvalRequest::backend when
- * set, else the SWORDFISH_BACKEND process default. A malformed request
- * selector panics with the parse message (evaluation entry points have no
- * typed-error channel; tests exercise parseBackendSelector directly).
- */
-BackendSelector resolveBackendSelector(const basecall::EvalRequest& req);
 
 } // namespace swordfish::core
 

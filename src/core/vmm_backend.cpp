@@ -355,9 +355,9 @@ CrossbarVmmBackend::programAnalytical(MappedWeight& mw,
     const std::size_t s = config_.crossbar.size;
     const std::size_t row_tiles = (mw.rows + s - 1) / s;
     const std::size_t col_tiles = (mw.cols + s - 1) / s;
-    // The resolved NoiseModel, not config_.toggles(): explicit spec >
-    // SWORDFISH_NOISE override > the kind's preset (which is bitwise the
-    // legacy toggle set, with the extended sources off).
+    // The resolved NoiseModel: explicit spec > SWORDFISH_NOISE override >
+    // the kind's NoiseModel::preset (the legacy toggle set, with the
+    // extended sources off).
     const crossbar::NoiseToggles toggles = noise_.toggles;
     const crossbar::ExtendedNoise& extended = noise_.extended;
     auto& masks = sramMasks_[name];
@@ -408,7 +408,7 @@ CrossbarVmmBackend::programAnalytical(MappedWeight& mw,
         const std::uint64_t tile_seed = hashSeed(
             {runSeed_, std::hash<std::string>{}(name), rt, ct});
         crossbar::CrossbarTile tile(config_.crossbar, sub, mw.absMax,
-                                    toggles, extended, tile_seed);
+                                    toggles, tile_seed, extended);
 
         std::vector<std::uint8_t> mask;
         if (remap_.fraction > 0.0) {
@@ -428,8 +428,8 @@ CrossbarVmmBackend::programAnalytical(MappedWeight& mw,
             reps.reserve(replicas - 1);
             for (std::size_t j = 1; j < replicas; ++j) {
                 crossbar::CrossbarTile rep(
-                    config_.crossbar, sub, mw.absMax, toggles, extended,
-                    hashSeed({tile_seed, kEnsembleTag, j}));
+                    config_.crossbar, sub, mw.absMax, toggles,
+                    hashSeed({tile_seed, kEnsembleTag, j}), extended);
                 if (!mask.empty())
                     rep.remapCellsToSram(mask);
                 reps.push_back(std::move(rep));

@@ -10,15 +10,8 @@ namespace swordfish::crossbar {
 
 CrossbarTile::CrossbarTile(const CrossbarConfig& config,
                            const Matrix& weights, float abs_max,
-                           const NoiseToggles& toggles, std::uint64_t seed)
-    : CrossbarTile(config, weights, abs_max, toggles, ExtendedNoise{}, seed)
-{
-}
-
-CrossbarTile::CrossbarTile(const CrossbarConfig& config,
-                           const Matrix& weights, float abs_max,
-                           const NoiseToggles& toggles,
-                           const ExtendedNoise& extended, std::uint64_t seed)
+                           const NoiseToggles& toggles, std::uint64_t seed,
+                           const ExtendedNoise& extended)
     : config_(config), toggles_(toggles), extended_(extended),
       ideal_(weights),
       absMax_(abs_max > 0.0f ? abs_max : weights.absMax())

@@ -117,19 +117,12 @@ class CrossbarTile
      * @param abs_max  weight scaling absmax shared across the layer
      * @param toggles  which non-idealities to model
      * @param seed     tile instance seed (programming + die variation)
+     * @param extended extended noise sources of a composed NoiseModel,
+     *                 applied on top of the toggles (default: all off)
      */
     CrossbarTile(const CrossbarConfig& config, const Matrix& weights,
                  float abs_max, const NoiseToggles& toggles,
-                 std::uint64_t seed);
-
-    /**
-     * Same, with the extended noise sources of a composed NoiseModel
-     * applied on top of the toggles. An all-off ExtendedNoise is bitwise
-     * identical to the five-argument constructor.
-     */
-    CrossbarTile(const CrossbarConfig& config, const Matrix& weights,
-                 float abs_max, const NoiseToggles& toggles,
-                 const ExtendedNoise& extended, std::uint64_t seed);
+                 std::uint64_t seed, const ExtendedNoise& extended = {});
 
     /**
      * The tile VMM: y[T x out] from x[T x in] through DAC -> effective

@@ -127,9 +127,8 @@ class VmmBackend
     /**
      * Ahead-of-time compile hook: the evaluation entry points offer every
      * model parameter to the backend before the first read, so backends
-     * with a per-weight setup cost (crossbar programming, int8 weight
-     * quantization, execution-plan lowering) can pay it up front instead
-     * of on the first matmul. Backends filter for the parameters they map
+     * with a per-weight setup cost (crossbar programming, execution-plan
+     * lowering) can pay it up front instead of on the first matmul. Backends filter for the parameters they map
      * (biases are offered too) and must produce state bitwise identical
      * to what lazy first-use setup would have produced — programming
      * seeds are pure in (run seed, name, tile), never in call order.

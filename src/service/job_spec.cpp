@@ -157,23 +157,6 @@ JobSpec::validate() const
         err.field = "request." + err.field;
         errors.push_back(std::move(err));
     }
-
-    // Kind / backend-family consistency: a mismatched family would only
-    // surface as a registry panic inside a worker — reject it at admission.
-    basecall::ParsedBackend parsed;
-    if (!basecall::parseBackendTokens(request.backend, parsed)
-        && !parsed.family.empty()) {
-        const bool crossbar_family = parsed.family == "analytical"
-            || parsed.family == "measured";
-        if (kind == JobKind::NonIdeal && !crossbar_family)
-            add(JobErrorKind::BadBackend, "request.backend",
-                "nonideal jobs need a crossbar family (analytical or "
-                "measured), got '" + parsed.family + "'");
-        if (kind == JobKind::Quantized && crossbar_family)
-            add(JobErrorKind::BadBackend, "request.backend",
-                "quantized jobs need a digital family (digital or int8), "
-                "got '" + parsed.family + "'");
-    }
     return errors;
 }
 

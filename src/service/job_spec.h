@@ -112,8 +112,9 @@ struct JobSpec
      * Validate the whole spec: request knobs (EvalRequest::validate, minus
      * the dataset binding which is materialized later), dataset id, model
      * shape, scenario vocabulary, fault/refresh grammar (a job's faults
-     * may not name the daemon's service.* chaos sites), kind/backend
-     * family consistency. Returns every violation (empty = valid).
+     * may not name the daemon's service.* chaos sites). The kind implies
+     * the backend family, so the request's selector may not name one.
+     * Returns every violation (empty = valid).
      */
     std::vector<basecall::JobError> validate() const;
 

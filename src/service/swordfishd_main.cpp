@@ -18,7 +18,6 @@
 #include <cstdlib>
 #include <string>
 
-#include "core/plan.h"
 #include "service/job_manager.h"
 #include "service/server.h"
 #include "util/logging.h"
@@ -141,17 +140,6 @@ main(int argc, char** argv)
     }
     if (server.socketPath.empty() || cfg.spoolDir.empty()) {
         usage(argv[0]);
-        return 2;
-    }
-
-    // A malformed SWORDFISH_BACKEND is a clean startup error here, not a
-    // panic: a daemon launched by an init system should fail with a
-    // diagnostic and a nonzero exit, not an abort.
-    core::BackendSelector selector;
-    if (const core::CompileError err =
-            core::checkedDefaultBackendSelector(selector)) {
-        std::fprintf(stderr, "swordfishd: bad SWORDFISH_BACKEND: %s\n",
-                     err.message.c_str());
         return 2;
     }
 

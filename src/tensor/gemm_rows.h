@@ -1,7 +1,7 @@
 /**
  * @file
- * The one OpenMP row loop of the GEMM family (gemm, gemmAT, kernels::gemmBT
- * and kernels::int8Matmul). Private to the tensor layer: only the two files
+ * The one OpenMP row loop of the GEMM family (gemm, gemmAT and
+ * kernels::gemmBT). Private to the tensor layer: only the two files
  * that compile those kernels include it, and they link OpenMP when it
  * exists (without it the pragma is ignored and both branches are the same
  * plain loop).

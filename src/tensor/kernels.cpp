@@ -23,8 +23,6 @@
  *    per-element Quantizer::apply always has; div and mul follow it too.
  *  - The scalar fallback disables auto-vectorization so that "scalar"
  *    measured by the roofline is genuinely scalar even under -march=native.
- *  - Integer kernels (int8Matmul) are exact, so any order works; both
- *    paths trivially agree.
  */
 
 #include "tensor/kernels.h"
@@ -37,7 +35,6 @@
 #include <numbers>
 
 #include "tensor/gemm_rows.h"
-#include "tensor/quantize.h"
 #include "tensor/simd.h"
 #include "util/env.h"
 #include "util/logging.h"
@@ -672,16 +669,6 @@ dacConvertScalar(const float* x, float* out, std::size_t begin,
         out[i] = d.levels[dacCodeScalar(x[i], d)];
 }
 
-SWORDFISH_NO_AUTOVEC std::int32_t
-int8DotScalar(const std::int8_t* x, const std::int8_t* w, std::size_t stride)
-{
-    std::int32_t acc = 0;
-    for (std::size_t p = 0; p < stride; ++p)
-        acc += static_cast<std::int32_t>(x[p])
-            * static_cast<std::int32_t>(w[p]);
-    return acc;
-}
-
 SWORDFISH_NO_AUTOVEC float
 peakFmaScalar(std::size_t iters)
 {
@@ -992,30 +979,6 @@ quantizeAvx2(float* v, std::size_t n, float scale, float max_level)
             _mm256_mul_ps(_mm256_min_ps(_mm256_max_ps(q, lo), hi), sc));
     }
     quantizeScalar(v, n8, n, scale, max_level);
-}
-
-SWORDFISH_AVX2_TARGET std::int32_t
-int8DotAvx2(const std::int8_t* x, const std::int8_t* w, std::size_t stride)
-{
-    __m256i acc = _mm256_setzero_si256();
-    for (std::size_t p = 0; p < stride; p += 32) {
-        const __m256i xv = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(x + p));
-        const __m256i wv = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(w + p));
-        const __m256i xlo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(xv));
-        const __m256i xhi =
-            _mm256_cvtepi8_epi16(_mm256_extracti128_si256(xv, 1));
-        const __m256i wlo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(wv));
-        const __m256i whi =
-            _mm256_cvtepi8_epi16(_mm256_extracti128_si256(wv, 1));
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(xlo, wlo));
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(xhi, whi));
-    }
-    alignas(32) std::int32_t lane[8];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lane), acc);
-    return ((lane[0] + lane[4]) + (lane[2] + lane[6]))
-        + ((lane[1] + lane[5]) + (lane[3] + lane[7]));
 }
 
 SWORDFISH_AVX2_TARGET float
@@ -1416,31 +1379,6 @@ dacConvertRows(const float* x, float* out, std::size_t n,
     }
 #endif
     dacConvertScalar(x, out, 0, n, dac);
-}
-
-void
-int8Matmul(const std::int8_t* xq, std::size_t rows, float x_scale,
-           const Int8Tensor& w, Matrix& y, std::size_t row_offset)
-{
-    const std::size_t stride = w.stride;
-    const std::size_t outs = w.rows;
-    const bool avx2 = useAvx2();
-    forEachRow(rows, rows * outs * stride, [&](std::size_t t) {
-        const std::int8_t* xrow = xq + t * stride;
-        float* yrow = y.rowPtr(row_offset + t);
-        for (std::size_t o = 0; o < outs; ++o) {
-            const std::int8_t* wrow = w.data.data() + o * stride;
-#if SWORDFISH_X86
-            const std::int32_t acc = avx2 ? int8DotAvx2(xrow, wrow, stride)
-                                          : int8DotScalar(xrow, wrow, stride);
-#else
-            (void)avx2;
-            const std::int32_t acc = int8DotScalar(xrow, wrow, stride);
-#endif
-            yrow[o] =
-                static_cast<float>(acc) * (x_scale * w.rowScale[o]);
-        }
-    });
 }
 
 double

@@ -15,9 +15,6 @@
  * gate block, CTC row max/argmax, abs-max scans, the activation quantizer,
  * and the crossbar's DAC and noisy ADC conversions (with their libm-free
  * Gaussian source).
- * Integer kernels: the int8-weight / int16-product / int32-accumulate
- * matmul behind the quantized inference path — integer arithmetic is
- * exact, so that kernel is bitwise-identical across levels for free.
  */
 
 #ifndef SWORDFISH_TENSOR_KERNELS_H
@@ -28,17 +25,13 @@
 
 #include "tensor/matrix.h"
 
-namespace swordfish {
-struct Int8Tensor; // tensor/quantize.h
-} // namespace swordfish
-
 namespace swordfish::kernels {
 
 /** Multiply-adds a GEMM call must exceed before its rows fork a team. */
 inline constexpr std::size_t kGemmForkWork = std::size_t{1} << 16;
 
 /**
- * The fork predicate of the GEMM family's row loops (gemmBT, int8Matmul,
+ * The fork predicate of the GEMM family's row loops (gemmBT,
  * swordfish::gemm and swordfish::gemmAT): true when a call of `work`
  * multiply-adds splits its output rows over an OpenMP team, that is when
  * work > kGemmForkWork and the caller is not a ThreadPool worker. The
@@ -168,17 +161,6 @@ struct DacTransfer
 /** Convert x[0..n) through `dac` into out[0..n) (out may alias x). */
 void dacConvertRows(const float* x, float* out, std::size_t n,
                     const DacTransfer& dac);
-
-/**
- * Integer matmul of the quantized inference path: for each of `rows` rows
- * of quantized activations xq (stride w.stride, zero-padded), compute
- * int32 accumulations against every int8 weight row of w and store the
- * dequantized float y(row_offset + t, o) = acc * (x_scale * w.rowScale[o]).
- * Products are int16-exact (|q| <= 127), accumulation int32-exact, so the
- * result is independent of the SIMD level by construction.
- */
-void int8Matmul(const std::int8_t* xq, std::size_t rows, float x_scale,
-                const Int8Tensor& w, Matrix& y, std::size_t row_offset);
 
 /**
  * Roofline probes (bench/micro_kernels --roofline): run `iters` iterations

@@ -52,7 +52,7 @@ struct LaneBlock
 /**
  * Flatten a layout into absolute row ranges, in stacking order — the
  * lane-major form the per-lane kernel loops (activation quantization,
- * conversion noise, int8 requant) iterate over.
+ * conversion noise) iterate over.
  */
 inline std::vector<LaneBlock>
 laneBlocks(const BatchLayout& layout)

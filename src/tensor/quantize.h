@@ -13,7 +13,6 @@
 #define SWORDFISH_TENSOR_QUANTIZE_H
 
 #include <cmath>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -149,112 +148,6 @@ struct QuantConfig
     /** The deployment precision the paper settles on (16-bit fixed). */
     static QuantConfig deployment() { return {16, 16}; }
 };
-
-// ---------------------------------------------------------------------------
-// True-integer int8 storage for the quantized inference path
-// ---------------------------------------------------------------------------
-
-/** 64-byte-aligned int8 vector (feeds the integer SIMD kernels). */
-using Int8Vec =
-    std::vector<std::int8_t, AlignedAllocator<std::int8_t, kMatrixAlignment>>;
-
-/** Top rail of the symmetric int8 grid (±127; -128 is never produced). */
-inline constexpr float kInt8Max = 127.0f;
-
-/** Row stride of int8 storage: cols rounded up to a 32-byte vector. */
-inline std::size_t
-int8Stride(std::size_t cols)
-{
-    return (cols + 31) & ~std::size_t{31};
-}
-
-/**
- * Quantize one value onto the symmetric int8 grid. Unlike Quantizer (whose
- * grid keeps the extra -2^(b-1) level), the integer path clamps to ±127 so
- * every product fits int16 exactly. NaN inputs collapse to a rail via the
- * fmin/fmax chain, never to undefined float→int conversion.
- */
-inline std::int8_t
-quantizeInt8(float v, float scale)
-{
-    if (scale <= 0.0f)
-        return 0;
-    const float q = std::nearbyint(v / scale);
-    return static_cast<std::int8_t>(
-        std::fmin(std::fmax(q, -kInt8Max), kInt8Max));
-}
-
-/**
- * An int8-quantized weight matrix with per-row (output-channel) scales.
- * Rows are zero-padded to `stride` so the integer kernels never need a
- * tail loop — padded products are 0*q = 0 and change nothing.
- */
-struct Int8Tensor
-{
-    std::size_t rows = 0;
-    std::size_t cols = 0;
-    std::size_t stride = 0;
-    Int8Vec data;                ///< rows * stride, zero-padded
-    std::vector<float> rowScale; ///< dequant scale per output row
-
-    /** Quantize a float weight matrix (per-row absmax → ±127). */
-    static Int8Tensor
-    fromMatrix(const Matrix& w)
-    {
-        Int8Tensor t;
-        t.rows = w.rows();
-        t.cols = w.cols();
-        t.stride = int8Stride(w.cols());
-        t.data.assign(t.rows * t.stride, 0);
-        t.rowScale.assign(t.rows, 0.0f);
-        for (std::size_t r = 0; r < t.rows; ++r) {
-            const float* src = w.rowPtr(r);
-            float abs_max = 0.0f;
-            for (std::size_t c = 0; c < t.cols; ++c)
-                abs_max = std::fmax(abs_max, std::fabs(src[c]));
-            const float scale = abs_max > 0.0f ? abs_max / kInt8Max : 0.0f;
-            t.rowScale[r] = scale;
-            if (scale <= 0.0f)
-                continue;
-            std::int8_t* dst = t.data.data() + r * t.stride;
-            for (std::size_t c = 0; c < t.cols; ++c)
-                dst[c] = quantizeInt8(src[c], scale);
-        }
-        return t;
-    }
-};
-
-/**
- * Quantize activation rows [row_begin, row_end) of x into zero-padded int8
- * storage with one shared scale from that row range's absmax, returning the
- * scale (0 when the range is all-zero → `out` is all zeros). Per-lane
- * ranges keep the batched path bitwise-identical to serial, mirroring
- * Quantizer::applyRows.
- */
-inline float
-quantizeRowsInt8(const Matrix& x, std::size_t row_begin, std::size_t row_end,
-                 Int8Vec& out)
-{
-    const std::size_t stride = int8Stride(x.cols());
-    const std::size_t rows = row_end - row_begin;
-    out.assign(rows * stride, 0);
-    float abs_max = 0.0f;
-    for (std::size_t r = row_begin; r < row_end; ++r) {
-        const float* src = x.rowPtr(r);
-        for (std::size_t c = 0; c < x.cols(); ++c)
-            abs_max = std::fmax(abs_max, std::fabs(src[c]));
-    }
-    const float scale = abs_max > 0.0f ? abs_max / kInt8Max : 0.0f;
-    if (scale <= 0.0f)
-        return 0.0f;
-    for (std::size_t r = row_begin; r < row_end; ++r) {
-        const float* src = x.rowPtr(r);
-        std::int8_t* dst = out.data() + (r - row_begin) * stride;
-        for (std::size_t c = 0; c < x.cols(); ++c)
-            dst[c] = quantizeInt8(src[c], scale);
-    }
-    return scale;
-}
 
 } // namespace swordfish
 

@@ -45,7 +45,6 @@ RuntimeConfig::toJson() const
         .field("refresh", refresh)
         .field("simd", simd)
         .field("noise", noise)
-        .field("backend", backend)
         .str();
 }
 
@@ -66,7 +65,6 @@ RuntimeConfig::fromEnvironment()
     cfg.refresh = envString("SWORDFISH_REFRESH");
     cfg.simd = envString("SWORDFISH_SIMD");
     cfg.noise = envString("SWORDFISH_NOISE");
-    cfg.backend = envString("SWORDFISH_BACKEND");
     return cfg;
 }
 

@@ -63,17 +63,6 @@ struct RuntimeConfig
     std::string simd;        ///< SWORDFISH_SIMD; empty = auto-detect
     std::string noise;       ///< SWORDFISH_NOISE; empty = per-scenario presets
 
-    /**
-     * SWORDFISH_BACKEND: default execution-backend selector — the mode
-     * token "compiled" (the only engine) and/or a family token
-     * ("digital", "int8", "analytical", "measured"), separated by ':'
-     * when both are given. Empty = the family derived per request. The
-     * removed "interpreter" mode is an error. Parsed by
-     * core::parseBackendSelector; EvalRequest::backend overrides it per
-     * call.
-     */
-    std::string backend;
-
     /** Pool width: the env override, else hardware concurrency (min 1). */
     std::size_t poolThreads() const;
 

@@ -1,9 +1,9 @@
-/** @file Backend registry and plan-compiler tests: selector parsing, the
- *  typed compile-error surface (unknown backend, shape mismatch against a
- *  cached plan, int8 with quantization disabled, degenerate device
- *  configs, out-of-range remap fractions, scenario mismatches), registry
- *  dispatch across all four families, the WeightPlan lowering and its
- *  lazy-vs-compiled agreement, and the crossbar-mapping edge-case
+/** @file Backend registry and plan-compiler tests: the typed
+ *  compile-error surface (unknown backend, shape mismatch against a cached
+ *  plan, degenerate device configs, out-of-range remap fractions, scenario
+ *  mismatches), registry dispatch across the three families and the
+ *  families each evaluation entry point implies, the WeightPlan lowering
+ *  and its lazy-vs-compiled agreement, and the crossbar-mapping edge-case
  *  regressions that motivated the typed validation. */
 
 #include <gtest/gtest.h>
@@ -68,61 +68,6 @@ analyticalScenario()
 } // namespace
 
 // ---------------------------------------------------------------------------
-// Selector parsing
-// ---------------------------------------------------------------------------
-
-TEST(BackendSelector, EmptyStringYieldsDefaults)
-{
-    BackendSelector sel;
-    const CompileError err = parseBackendSelector("", sel);
-    EXPECT_TRUE(err.ok());
-    EXPECT_TRUE(sel.family.empty());
-}
-
-TEST(BackendSelector, ParsesModeAndFamilyInAnyOrder)
-{
-    BackendSelector sel;
-    EXPECT_TRUE(parseBackendSelector("compiled", sel).ok());
-    EXPECT_TRUE(sel.family.empty());
-
-    EXPECT_TRUE(parseBackendSelector("measured:compiled", sel).ok());
-    EXPECT_EQ(sel.family, "measured");
-
-    EXPECT_TRUE(parseBackendSelector("compiled,int8", sel).ok());
-    EXPECT_EQ(sel.family, "int8");
-
-    EXPECT_TRUE(parseBackendSelector("compiled:analytical", sel).ok());
-    EXPECT_EQ(sel.family, "analytical");
-}
-
-TEST(BackendSelector, RemovedInterpreterTokenIsTypedError)
-{
-    for (const char* text :
-         {"interpreter", "interpreted", "interpreter:analytical"}) {
-        SCOPED_TRACE(text);
-        BackendSelector sel;
-        const CompileError err = parseBackendSelector(text, sel);
-        EXPECT_EQ(err.failure, CompileFailure::UnknownBackend);
-        EXPECT_NE(err.message.find("removed"), std::string::npos);
-    }
-}
-
-TEST(BackendSelector, UnknownTokenIsTypedError)
-{
-    BackendSelector sel;
-    const CompileError err = parseBackendSelector("warpspeed", sel);
-    EXPECT_EQ(err.failure, CompileFailure::UnknownBackend);
-    EXPECT_NE(err.message.find("warpspeed"), std::string::npos);
-}
-
-TEST(BackendSelector, ConflictingFamiliesAreRejected)
-{
-    BackendSelector sel;
-    const CompileError err = parseBackendSelector("int8:digital", sel);
-    EXPECT_EQ(err.failure, CompileFailure::UnknownBackend);
-}
-
-// ---------------------------------------------------------------------------
 // Typed validation
 // ---------------------------------------------------------------------------
 
@@ -173,16 +118,6 @@ TEST(TypedValidation, RemapFractionOutsideUnitIntervalIsTypedError)
     ASSERT_NE(api, nullptr);
     EXPECT_EQ(api->initialize().failure,
               CompileFailure::InvalidRemapFraction);
-}
-
-TEST(TypedValidation, Int8WithIdentityQuantIsTypedError)
-{
-    BackendSpec spec;
-    spec.quant = QuantConfig{}; // float baseline: weight quant disabled
-    auto api = BackendRegistry::instance().create("int8", spec);
-    ASSERT_NE(api, nullptr);
-    const CompileError err = api->initialize();
-    EXPECT_EQ(err.failure, CompileFailure::QuantizationDisabled);
 }
 
 TEST(TypedValidation, FamilyScenarioMismatchIsTypedError)
@@ -267,14 +202,11 @@ TEST(RemapEdgeCases, MapperPanicsOnDegenerateDeviceConfig)
 // Registry dispatch
 // ---------------------------------------------------------------------------
 
-TEST(BackendRegistry, ListsAllBuiltInFamilies)
+TEST(BackendRegistry, ListsTheThreeFamilies)
 {
-    const auto names = BackendRegistry::instance().names();
-    for (const char* family :
-         {"digital", "int8", "analytical", "measured"})
-        EXPECT_NE(std::find(names.begin(), names.end(), family),
-                  names.end())
-            << family;
+    const std::vector<std::string> expect = {"analytical", "digital",
+                                             "measured"};
+    EXPECT_EQ(BackendRegistry::instance().names(), expect);
 }
 
 TEST(BackendRegistry, UnknownFamilyIsTypedError)
@@ -292,12 +224,12 @@ TEST(BackendRegistry, DispatchesEveryFamilyEndToEnd)
 {
     Fixture& f = Fixture::get();
     for (const std::string& family :
-         {std::string("digital"), std::string("int8"),
-          std::string("analytical"), std::string("measured")}) {
+         {std::string("digital"), std::string("analytical"),
+          std::string("measured")}) {
         SCOPED_TRACE(family);
         BackendSpec spec;
         spec.seed = 9;
-        if (family == "digital" || family == "int8") {
+        if (family == "digital") {
             spec.quant = QuantConfig{8, 8};
         } else {
             spec.scenario = analyticalScenario();
@@ -317,7 +249,6 @@ TEST(BackendRegistry, DispatchesEveryFamilyEndToEnd)
 
         const auto acc = api->runProgram(
             deployed, basecall::EvalOptions(f.dataset).maxReads(2));
-        api->waitForIdle();
         EXPECT_EQ(acc.readsEvaluated, 2u);
         EXPECT_GT(acc.basesCalled, 0u);
     }
@@ -348,28 +279,40 @@ TEST(BackendRegistry, CompiledPlanCoversEveryMappedWeight)
     }
 }
 
-TEST(BackendRegistry, PerRequestSelectorOverridesDefault)
+TEST(BackendRegistry, CompiledSelectorSelectsNothing)
 {
-    // EvalRequest::backend pins the selector per call; naming the default
-    // engine and family explicitly must not move a bit against the
-    // defaults.
+    // "compiled" is the one accepted selector token: it must not move a
+    // bit against an empty selector.
     Fixture& f = Fixture::get();
     auto eval_with = [&](const char* selector) {
-        return evaluateNonIdealAccuracy(
-            f.model, analyticalScenario(),
-            EvalOptions(f.dataset).runs(2).maxReads(2).seedBase(11)
-                .backend(selector));
+        EvalRequest req =
+            EvalOptions(f.dataset).runs(2).maxReads(2).seedBase(11);
+        req.backend = selector;
+        return evaluateNonIdealAccuracy(f.model, analyticalScenario(), req);
     };
     const AccuracySummary defaults = eval_with("");
-    for (const char* selector : {"compiled", "compiled:analytical"}) {
-        SCOPED_TRACE(selector);
-        const AccuracySummary pinned = eval_with(selector);
-        std::uint64_t db = 0, pb = 0;
-        std::memcpy(&db, &defaults.mean, sizeof(db));
-        std::memcpy(&pb, &pinned.mean, sizeof(pb));
-        EXPECT_EQ(db, pb);
-        EXPECT_EQ(defaults.runs, pinned.runs);
-    }
+    const AccuracySummary pinned = eval_with("compiled");
+    std::uint64_t db = 0, pb = 0;
+    std::memcpy(&db, &defaults.mean, sizeof(db));
+    std::memcpy(&pb, &pinned.mean, sizeof(pb));
+    EXPECT_EQ(db, pb);
+    EXPECT_EQ(defaults.runs, pinned.runs);
+}
+
+TEST(ImpliedFamilyDeathTest, FamilyTokenDiesBadBackend)
+{
+    // Each entry point implies its family. A request naming another one
+    // used to run it silently: a crossbar number from the quantized
+    // entry point, a digital one from the non-ideal entry point.
+    Fixture& f = Fixture::get();
+    EvalRequest req = EvalOptions(f.dataset).maxReads(2);
+    req.backend = "analytical";
+    EXPECT_DEATH(evaluateQuantizedAccuracy(f.model, QuantConfig{8, 8}, req),
+                 "bad_backend");
+    req.backend = "digital";
+    EXPECT_DEATH(
+        evaluateNonIdealAccuracy(f.model, analyticalScenario(), req),
+        "bad_backend");
 }
 
 // ---------------------------------------------------------------------------

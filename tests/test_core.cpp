@@ -5,6 +5,7 @@
 
 #include "basecall/bonito_lite.h"
 #include "core/deploy.h"
+#include "core/noise_model.h"
 #include "core/nonideality.h"
 #include "core/vmm_backend.h"
 #include "nn/linear.h"
@@ -16,31 +17,25 @@ using swordfish::testing::randomMatrix;
 
 TEST(NonIdeality, TogglesMatchKinds)
 {
-    NonIdealityConfig cfg;
-    cfg.kind = NonIdealityKind::SynapticWires;
-    auto t = cfg.toggles();
+    auto t = NoiseModel::preset(NonIdealityKind::SynapticWires).toggles;
     EXPECT_TRUE(t.writeVariation);
     EXPECT_TRUE(t.wireResistance);
     EXPECT_FALSE(t.adcNonideal);
     EXPECT_FALSE(t.dacNonideal);
 
-    cfg.kind = NonIdealityKind::SenseAdc;
-    t = cfg.toggles();
+    t = NoiseModel::preset(NonIdealityKind::SenseAdc).toggles;
     EXPECT_TRUE(t.adcNonideal);
     EXPECT_FALSE(t.writeVariation);
 
-    cfg.kind = NonIdealityKind::DacDriver;
-    t = cfg.toggles();
+    t = NoiseModel::preset(NonIdealityKind::DacDriver).toggles;
     EXPECT_TRUE(t.dacNonideal);
     EXPECT_FALSE(t.adcNonideal);
 
-    cfg.kind = NonIdealityKind::Combined;
-    t = cfg.toggles();
+    t = NoiseModel::preset(NonIdealityKind::Combined).toggles;
     EXPECT_TRUE(t.writeVariation && t.wireResistance && t.sneakPaths
                 && t.dacNonideal && t.adcNonideal);
 
-    cfg.kind = NonIdealityKind::None;
-    t = cfg.toggles();
+    t = NoiseModel::preset(NonIdealityKind::None).toggles;
     EXPECT_FALSE(t.writeVariation || t.wireResistance || t.sneakPaths
                  || t.dacNonideal || t.adcNonideal
                  || t.conductanceQuant);

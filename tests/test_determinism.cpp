@@ -710,26 +710,3 @@ TEST(Determinism, QuantizedBatchedMatchesSerial)
     EXPECT_EQ(bits(ref), bits(eval_q(2, 8)));
     EXPECT_EQ(bits(ref), bits(eval_q(4, 2)));
 }
-
-TEST(Determinism, Int8KernelPathBatchedMatchesSerial)
-{
-    // The true-integer int8 path: int32 accumulation is exact, so batched
-    // and serial evaluation must agree bitwise at every level and grid
-    // point (per-lane activation scales equal the serial per-read scales).
-    Fixture& f = Fixture::get();
-    const QuantConfig quant{8, 8};
-    auto eval_i8 = [&](std::size_t threads, std::size_t batch) {
-        return evaluateQuantizedAccuracy(
-            f.model, quant,
-            EvalOptions(f.dataset5).maxReads(5).batch(batch)
-                .threads(threads).int8Kernel());
-    };
-    const double ref = eval_i8(1, 1);
-    EXPECT_EQ(bits(ref), bits(eval_i8(1, 3)));
-    EXPECT_EQ(bits(ref), bits(eval_i8(2, 8)));
-    EXPECT_EQ(bits(ref), bits(eval_i8(4, 2)));
-    if (cpuSupportsAvx2()) {
-        const ScopedSimdLevel scoped(SimdLevel::Scalar);
-        EXPECT_EQ(bits(ref), bits(eval_i8(2, 3)));
-    }
-}

@@ -66,8 +66,7 @@ TEST(EvalRequestJson, RoundTripPreservesEveryScalarKnob)
     req.checkpointPath = "/tmp/ck.json";
     req.checkpointEvery = 4;
     req.stopAfterReads = 50;
-    req.int8Kernel = true;
-    req.backend = "compiled:analytical";
+    req.backend = "compiled";
 
     EvalRequest back;
     const JobError err = EvalRequest::fromJson(req.toJson(), back);
@@ -82,10 +81,37 @@ TEST(EvalRequestJson, RoundTripPreservesEveryScalarKnob)
     EXPECT_EQ(back.checkpointPath, req.checkpointPath);
     EXPECT_EQ(back.checkpointEvery, req.checkpointEvery);
     EXPECT_EQ(back.stopAfterReads, req.stopAfterReads);
-    EXPECT_EQ(back.int8Kernel, req.int8Kernel);
     EXPECT_EQ(back.backend, req.backend);
     // Round-trip fixed point: serialize(parse(serialize(x))) is stable.
     EXPECT_EQ(back.toJson(), req.toJson());
+}
+
+TEST(EvalRequestJson, RemovedInt8KeyIsReadButNeverWritten)
+{
+    // Every record written before the int8 family was removed carries
+    // "int8_kernel":false. It still parses and is ignored; true asked for
+    // the removed backend and is a typed error; the key is never written.
+    EXPECT_EQ(EvalRequest{}.toJson().find("int8_kernel"), std::string::npos);
+    EvalRequest out;
+    ASSERT_FALSE(EvalRequest::fromJson(
+        "{\"version\":1,\"runs\":3,\"int8_kernel\":false}", out));
+    EXPECT_EQ(out.runs, 3u);
+    EXPECT_EQ(out.toJson(), [] {
+        EvalRequest expect;
+        expect.runs = 3;
+        return expect.toJson();
+    }());
+
+    const JobError err = EvalRequest::fromJson(
+        "{\"version\":1,\"runs\":5,\"int8_kernel\":true}", out);
+    EXPECT_EQ(err.kind, JobErrorKind::BadBackend);
+    EXPECT_EQ(err.field, "int8_kernel");
+    EXPECT_NE(err.message.find("removed"), std::string::npos);
+    EXPECT_EQ(out.runs, 3u); // untouched on failure
+    EXPECT_EQ(
+        EvalRequest::fromJson("{\"version\":1,\"int8_kernel\":0}", out)
+            .kind,
+        JobErrorKind::BadValue);
 }
 
 TEST(EvalRequestJson, SeedsAbove2Pow53SurviveExactly)
@@ -131,11 +157,11 @@ TEST(EvalRequestJson, FailedParseLeavesOutputUntouched)
 {
     EvalRequest out;
     out.runs = 42;
-    out.backend = "int8";
+    out.backend = "compiled";
     ASSERT_TRUE(EvalRequest::fromJson(
         "{\"version\":1,\"runs\":5,\"bogus\":1}", out));
     EXPECT_EQ(out.runs, 42u);
-    EXPECT_EQ(out.backend, "int8");
+    EXPECT_EQ(out.backend, "compiled");
 }
 
 // ---------------------------------------------------------------------------
@@ -171,31 +197,29 @@ TEST(EvalRequestValidate, TypedErrorsPerKnob)
 
 TEST(EvalRequestValidate, BackendTokenGrammar)
 {
-    basecall::ParsedBackend parsed;
-    EXPECT_FALSE(basecall::parseBackendTokens("", parsed));
-    EXPECT_FALSE(basecall::parseBackendTokens("compiled", parsed));
-    EXPECT_TRUE(parsed.family.empty());
-    EXPECT_FALSE(basecall::parseBackendTokens("compiled:int8", parsed));
-    EXPECT_EQ(parsed.family, "int8");
-    EXPECT_FALSE(basecall::parseBackendTokens("analytical", parsed));
-    EXPECT_EQ(parsed.family, "analytical");
-
-    EXPECT_EQ(basecall::parseBackendTokens("quantum", parsed).kind,
-              JobErrorKind::BadBackend);
-    EXPECT_EQ(basecall::parseBackendTokens("digital:int8", parsed).kind,
-              JobErrorKind::BadBackend); // conflicting families
+    // Each entry point implies its family, so "compiled" (the one engine)
+    // is the only token, and it selects nothing.
+    for (const char* text : {"", "compiled", "compiled:compiled", "+,:"}) {
+        SCOPED_TRACE(text);
+        EXPECT_FALSE(basecall::checkBackendTokens(text));
+    }
+    const JobError err = basecall::checkBackendTokens("compiled:quantum");
+    EXPECT_EQ(err.kind, JobErrorKind::BadBackend);
+    EXPECT_EQ(err.field, "backend");
+    EXPECT_NE(err.message.find("quantum"), std::string::npos);
 }
 
-TEST(EvalRequestValidate, RemovedInterpreterTokenIsBadBackend)
+TEST(EvalRequestValidate, RemovedTokensAreBadBackend)
 {
-    // The interpreter engine is gone: its tokens are a typed error that
-    // says so, never a silent alias for the compiled engine.
+    // The interpreter engine and the choice of family are gone: their
+    // tokens are a typed error that says so, never a silent alias.
     const genomics::Dataset dummy{};
     for (const char* text :
-         {"interpreter", "interpreted", "interpreter:analytical"}) {
+         {"interpreter", "interpreted", "interpreter:analytical", "digital",
+          "int8", "analytical", "measured", "compiled:measured",
+          "int8,digital"}) {
         SCOPED_TRACE(text);
-        basecall::ParsedBackend parsed;
-        const JobError err = basecall::parseBackendTokens(text, parsed);
+        const JobError err = basecall::checkBackendTokens(text);
         EXPECT_EQ(err.kind, JobErrorKind::BadBackend);
         EXPECT_NE(err.message.find("removed"), std::string::npos);
 
@@ -204,9 +228,14 @@ TEST(EvalRequestValidate, RemovedInterpreterTokenIsBadBackend)
         req.backend = text;
         EXPECT_EQ(firstError(req), JobErrorKind::BadBackend);
 
-        JobSpec spec;
-        spec.request.backend = text;
-        EXPECT_EQ(firstError(spec), JobErrorKind::BadBackend);
+        for (const service::JobKind kind :
+             {service::JobKind::Eval, service::JobKind::NonIdeal,
+              service::JobKind::Quantized, service::JobKind::Pipeline}) {
+            JobSpec spec;
+            spec.kind = kind;
+            spec.request.backend = text;
+            EXPECT_EQ(firstError(spec), JobErrorKind::BadBackend);
+        }
     }
 }
 
@@ -265,7 +294,7 @@ TEST(JobSpecJson, RoundTripPreservesEveryField)
     spec.refresh = "threshold=0.25,spares=2";
     spec.request.runs = 3;
     spec.request.seedBase = 0xFFFFFFFFFFFFFFF5ull;
-    spec.request.backend = "int8";
+    spec.request.backend = "compiled";
     spec.request.ensembleK = 4;
     spec.request.ensembleLayers = "lstm";
 
@@ -364,17 +393,26 @@ TEST(JobSpecValidate, TypedErrors)
     EXPECT_TRUE(hasError(spec, JobErrorKind::BadEnsemble));
     spec.request.ensembleK = 2;
     EXPECT_TRUE(spec.validate().empty());
+}
 
-    // Kind/family consistency: a digital family under a nonideal job (and
-    // vice versa) is rejected at admission, not inside a worker.
-    spec = JobSpec{};
+TEST(JobSpecValidate, FamilyContradictingTheScenarioIsBadBackend)
+{
+    // The scenario implies the family. A request naming the other one
+    // used to pass admission and then abort the daemon in runJobSpec.
+    JobSpec spec;
     spec.kind = service::JobKind::NonIdeal;
-    spec.request.backend = "int8";
+    spec.scenarioKind = "combined";
+    spec.request.backend = "measured";
     EXPECT_EQ(firstError(spec), JobErrorKind::BadBackend);
-    spec.kind = service::JobKind::Quantized;
+    spec.scenarioKind = "measured";
     spec.request.backend = "analytical";
     EXPECT_EQ(firstError(spec), JobErrorKind::BadBackend);
-    spec.request.backend = "int8";
+    {
+        const std::vector<JobError> errors = spec.validate();
+        ASSERT_EQ(errors.size(), 1u);
+        EXPECT_EQ(errors.front().field, "request.backend");
+    }
+    spec.request.backend = "compiled";
     EXPECT_TRUE(spec.validate().empty());
 }
 

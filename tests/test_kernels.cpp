@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the SIMD kernel layer: runtime dispatch, the bitwise
- * scalar==AVX2 contract of every vectorized kernel, the int8 matmul, the
+ * scalar==AVX2 contract of every vectorized kernel, the
  * activation quantizer against the per-element Quantizer reference, the
  * DAC/ADC conversion kernels against the per-element converter reference
  * and their libm-free Gaussian source (exhaustive accuracy plus moment,
@@ -436,27 +436,6 @@ TEST(KernelGemmFork, GemmATSameBitsForkedAndUnforkedAndAsPOuterLoop)
     }
 }
 
-TEST(KernelGemmFork, Int8MatmulSameBitsForkedAndUnforked)
-{
-    // Rows are padded to a 32-byte stride, so the work is a multiple of
-    // 32: 2^16 exactly, the smallest forked work (2^16 + 32), and the
-    // stacked LSTM projection.
-    for (const auto& [rows, outs, k] :
-         {std::tuple<std::size_t, std::size_t, std::size_t>{64, 32, 32},
-          {2049, 1, 32}, {10400, 128, 32}}) {
-        const Matrix x = randomMatrix(rows, k, 231);
-        const Int8Tensor wq =
-            Int8Tensor::fromMatrix(randomMatrix(outs, k, 232));
-        Int8Vec xq;
-        const float x_scale = quantizeRowsInt8(x, 0, rows, xq);
-        expectForkedEqualsUnforked(rows * outs * wq.stride, [&] {
-            Matrix y(rows, outs);
-            kernels::int8Matmul(xq.data(), rows, x_scale, wq, y, 0);
-            return y;
-        });
-    }
-}
-
 TEST(KernelActivations, ApproxMatchesLibmClosely)
 {
     for (float x = -20.0f; x <= 20.0f; x += 0.0637f) {
@@ -756,75 +735,6 @@ TEST(KernelQuantize, ApplyRowsOnStackedOperandEqualsPerLaneApply)
             }
         });
     }
-}
-
-TEST(KernelInt8, MatmulMatchesNaiveIntegerReference)
-{
-    const std::size_t m = 5, k = 37, n = 11;
-    const Matrix x = randomMatrix(m, k, 111);
-    const Matrix w = randomMatrix(n, k, 112);
-    const Int8Tensor wq = Int8Tensor::fromMatrix(w);
-    Int8Vec xq;
-    const float x_scale = quantizeRowsInt8(x, 0, m, xq);
-    ASSERT_GT(x_scale, 0.0f);
-
-    Matrix y(m, n);
-    kernels::int8Matmul(xq.data(), m, x_scale, wq, y, 0);
-    for (std::size_t i = 0; i < m; ++i) {
-        for (std::size_t o = 0; o < n; ++o) {
-            std::int32_t acc = 0;
-            for (std::size_t j = 0; j < wq.stride; ++j)
-                acc += static_cast<std::int32_t>(xq[i * wq.stride + j])
-                    * wq.data[o * wq.stride + j];
-            const float expect = static_cast<float>(acc)
-                * (x_scale * wq.rowScale[o]);
-            EXPECT_TRUE(sameBits(y.at(i, o), expect))
-                << "i=" << i << " o=" << o;
-        }
-    }
-}
-
-TEST(KernelInt8, ScalarAndAvx2AreBitwiseIdentical)
-{
-    if (!cpuSupportsAvx2())
-        GTEST_SKIP() << "host lacks AVX2";
-    const std::size_t m = 7, k = 61, n = 9;
-    const Matrix x = randomMatrix(m, k, 121);
-    const Matrix w = randomMatrix(n, k, 122);
-    const Int8Tensor wq = Int8Tensor::fromMatrix(w);
-    Int8Vec xq;
-    const float x_scale = quantizeRowsInt8(x, 0, m, xq);
-    Matrix y0(m, n), y1(m, n);
-    {
-        const ScopedSimdLevel scoped(SimdLevel::Scalar);
-        kernels::int8Matmul(xq.data(), m, x_scale, wq, y0, 0);
-    }
-    {
-        const ScopedSimdLevel scoped(SimdLevel::Avx2);
-        kernels::int8Matmul(xq.data(), m, x_scale, wq, y1, 0);
-    }
-    for (std::size_t i = 0; i < y0.size(); ++i)
-        ASSERT_TRUE(sameBits(y0.raw()[i], y1.raw()[i])) << i;
-}
-
-TEST(KernelInt8, RowOffsetWritesIntoTallerOutput)
-{
-    const std::size_t m = 3, k = 16, n = 6;
-    const Matrix x = randomMatrix(m, k, 131);
-    const Matrix w = randomMatrix(n, k, 132);
-    const Int8Tensor wq = Int8Tensor::fromMatrix(w);
-    Int8Vec xq;
-    const float x_scale = quantizeRowsInt8(x, 0, m, xq);
-    Matrix whole(m, n);
-    kernels::int8Matmul(xq.data(), m, x_scale, wq, whole, 0);
-    Matrix tall(m + 2, n);
-    tall.fill(-7.0f);
-    kernels::int8Matmul(xq.data(), m, x_scale, wq, tall, 2);
-    for (std::size_t i = 0; i < m; ++i)
-        for (std::size_t o = 0; o < n; ++o)
-            EXPECT_TRUE(sameBits(tall.at(i + 2, o), whole.at(i, o)));
-    for (std::size_t o = 0; o < n; ++o)
-        EXPECT_EQ(tall.at(0, o), -7.0f);
 }
 
 TEST(KernelPeak, PeakProbeReportsConsistentFlopCount)

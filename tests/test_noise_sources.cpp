@@ -4,13 +4,13 @@
  *  Per-source characterization (RTN occupancy/dwell/autocorrelation,
  *  read-disturb power law, Arrhenius drift, correlated-field marginals
  *  and correlation length), the composition laws the layer documents
- *  (builder/spec order independence, duplicate-key last-wins, keyed
- *  streams so enabling one source never shifts another, all-off
- *  bitwise-neutrality), the SWORDFISH_NOISE parser contract (typed
- *  errors, no partial state, fuzz robustness, describe() round-trip,
- *  override precedence), and the ensemble behavior (empty-extras
- *  delegation, K=1 bitwise, error shrinking with K, area/energy
- *  scaling, health refresh with replicas).
+ *  (spec order independence, duplicate-key last-wins, keyed streams
+ *  so enabling one source never shifts another; the golden snapshot
+ *  pins all-off bitwise-neutrality), the SWORDFISH_NOISE parser
+ *  contract (typed errors, no partial state, fuzz robustness,
+ *  describe() round-trip, override precedence), and the ensemble
+ *  behavior (empty-extras delegation, K=1 bitwise, error shrinking with
+ *  K, area/energy scaling, health refresh with replicas).
  */
 
 #include <gtest/gtest.h>
@@ -291,7 +291,7 @@ TEST(ReadDisturb, TileScalesDifferentialWeightsExactly)
     ext.disturb.rate = 0.1;
     ext.disturb.reads = 999.0;
     const CrossbarTile disturbed(config, w, 0.0f, NoiseToggles::allOff(),
-                                 ext, 5);
+                                 5, ext);
     const double f = readDisturbFactor(ext.disturb);
     for (std::size_t i = 0; i < w.size(); ++i)
         EXPECT_NEAR(disturbed.effectiveWeights().raw()[i],
@@ -362,8 +362,8 @@ TEST(ThermalDrift, TileDecaysHarderWhenHot)
         ext.tdrift.hours = 100.0;
         ext.tdrift.nu = 0.05;
         ext.tdrift.nuSigma = 0.0;
-        return CrossbarTile(config, w, 0.0f, NoiseToggles::allOff(), ext,
-                            3);
+        return CrossbarTile(config, w, 0.0f, NoiseToggles::allOff(), 3,
+                            ext);
     };
     const CrossbarTile cool = baked(300.0);
     const CrossbarTile hot = baked(375.0);
@@ -436,8 +436,8 @@ TEST(CorrelatedWrite, CoherentAcrossDifferentialPairAndSmooth)
     ExtendedNoise ext;
     ext.cwrite.sigma = 0.15;
     ext.cwrite.lengthCells = 8.0;
-    const CrossbarTile tile(config, w, 0.0f, NoiseToggles::allOff(), ext,
-                            17);
+    const CrossbarTile tile(config, w, 0.0f, NoiseToggles::allOff(), 17,
+                            ext);
 
     Matrix logRatio(32, 32);
     std::size_t perturbed = 0;
@@ -485,35 +485,20 @@ TEST(CorrelatedWrite, CoherentAcrossDifferentialPairAndSmooth)
 // Composition laws
 // ---------------------------------------------------------------------------
 
-TEST(NoiseCompose, BuilderCallOrderNeverMatters)
-{
-    const NoiseModel ab = NoiseModelBuilder(NonIdealityKind::Combined)
-                              .randomTelegraphNoise(0.1, 4.0, 2.0)
-                              .correlatedWriteVariation(0.2, 8.0)
-                              .adcNonideal(false)
-                              .build();
-    const NoiseModel ba = NoiseModelBuilder(NonIdealityKind::Combined)
-                              .adcNonideal(false)
-                              .correlatedWriteVariation(0.2, 8.0)
-                              .randomTelegraphNoise(0.1, 4.0, 2.0)
-                              .build();
-    EXPECT_TRUE(ab == ba);
-    EXPECT_TRUE(NoiseModelBuilder::fromPreset(NonIdealityKind::Combined)
-                    .build()
-                == NoiseModel::preset(NonIdealityKind::Combined));
-}
-
 TEST(NoiseCompose, PresetsMatchLegacyToggles)
 {
-    for (NonIdealityKind kind :
-         {NonIdealityKind::None, NonIdealityKind::SynapticWires,
-          NonIdealityKind::SenseAdc, NonIdealityKind::DacDriver,
-          NonIdealityKind::Combined, NonIdealityKind::Measured}) {
+    const std::pair<NonIdealityKind, NoiseToggles> legacy[] = {
+        {NonIdealityKind::None, NoiseToggles::allOff()},
+        {NonIdealityKind::SynapticWires, NoiseToggles::synapticWires()},
+        {NonIdealityKind::SenseAdc, NoiseToggles::senseAdc()},
+        {NonIdealityKind::DacDriver, NoiseToggles::dacDriver()},
+        {NonIdealityKind::Combined, NoiseToggles::combined()},
+        {NonIdealityKind::Measured, NoiseToggles::combined()},
+    };
+    for (const auto& [kind, toggles] : legacy) {
         SCOPED_TRACE(nonIdealityName(kind));
-        NonIdealityConfig legacy;
-        legacy.kind = kind;
         const NoiseModel model = NoiseModel::preset(kind);
-        EXPECT_TRUE(sameToggles(model.toggles, legacy.toggles()));
+        EXPECT_TRUE(sameToggles(model.toggles, toggles));
         EXPECT_FALSE(model.extended.any());
     }
 }
@@ -578,13 +563,11 @@ TEST(NoiseCompose, SpecIsADeltaOntoItsBasePreset)
 
 TEST(NoiseCompose, DescribeRoundTrips)
 {
-    const NoiseModel model = NoiseModelBuilder(NonIdealityKind::SenseAdc)
-                                 .randomTelegraphNoise(0.12, 4.0, 2.0)
-                                 .readDisturb(0.05, 1500.0)
-                                 .thermalDrift(340.0, 0.25, 12.0, 0.04,
-                                               0.01)
-                                 .correlatedWriteVariation(0.15, 6.0)
-                                 .build();
+    NoiseModel model = NoiseModel::preset(NonIdealityKind::SenseAdc);
+    model.extended.rtn = {0.12, 4.0, 2.0};
+    model.extended.disturb = {0.05, 1500.0};
+    model.extended.tdrift = {340.0, 0.25, 12.0, 0.04, 0.01};
+    model.extended.cwrite = {0.15, 6.0};
     NoiseModel parsed;
     std::string err;
     ASSERT_TRUE(NoiseModel::parse(model.describe(), parsed, err))
@@ -608,14 +591,14 @@ TEST(NoiseCompose, EnablingOneSourceNeverShiftsAnother)
     rtn_only.rtn.amplitude = 0.2;
     rtn_only.rtn.dwellUp = 2.0;
     rtn_only.rtn.dwellDown = 2.0;
-    const CrossbarTile t_rtn(config, w, 0.0f, NoiseToggles::allOff(),
-                             rtn_only, 9);
+    const CrossbarTile t_rtn(config, w, 0.0f, NoiseToggles::allOff(), 9,
+                             rtn_only);
 
     ExtendedNoise with_disturb = rtn_only;
     with_disturb.disturb.rate = 0.1;
     with_disturb.disturb.reads = 999.0;
-    const CrossbarTile t_rd(config, w, 0.0f, NoiseToggles::allOff(),
-                            with_disturb, 9);
+    const CrossbarTile t_rd(config, w, 0.0f, NoiseToggles::allOff(), 9,
+                            with_disturb);
     const double f_d = readDisturbFactor(with_disturb.disturb);
 
     ExtendedNoise with_tdrift = rtn_only;
@@ -624,8 +607,8 @@ TEST(NoiseCompose, EnablingOneSourceNeverShiftsAnother)
     with_tdrift.tdrift.hours = 50.0;
     with_tdrift.tdrift.nu = 0.05;
     with_tdrift.tdrift.nuSigma = 0.0;
-    const CrossbarTile t_rt(config, w, 0.0f, NoiseToggles::allOff(),
-                            with_tdrift, 9);
+    const CrossbarTile t_rt(config, w, 0.0f, NoiseToggles::allOff(), 9,
+                            with_tdrift);
     const double f_t = thermalDriftFactor(with_tdrift.tdrift, 0.05);
 
     for (std::size_t i = 0; i < w.size(); ++i) {
@@ -637,41 +620,14 @@ TEST(NoiseCompose, EnablingOneSourceNeverShiftsAnother)
     }
 }
 
-TEST(NoiseCompose, AllOffExtendedIsBitwiseIdentical)
-{
-    // The six-argument constructor with a default ExtendedNoise must be
-    // bit-for-bit the legacy five-argument tile: programmed weights and
-    // conversion noise alike (the legacy-preset preservation law).
-    const Matrix w = randomMatrix(24, 24, 101);
-    const CrossbarConfig config = tileConfig();
-    const CrossbarTile legacy(config, w, 0.0f, NoiseToggles::combined(),
-                              13);
-    const CrossbarTile composed(config, w, 0.0f, NoiseToggles::combined(),
-                                ExtendedNoise{}, 13);
-    ASSERT_EQ(legacy.effectiveWeights().size(),
-              composed.effectiveWeights().size());
-    for (std::size_t i = 0; i < w.size(); ++i)
-        EXPECT_EQ(fbits(legacy.effectiveWeights().raw()[i]),
-                  fbits(composed.effectiveWeights().raw()[i]))
-            << "cell " << i;
-
-    const Matrix x = randomMatrix(3, 24, 5, 0.3);
-    Rng ra(21), rb(21);
-    const Matrix ya = legacy.vmmFast(x, ra);
-    const Matrix yb = composed.vmmFast(x, rb);
-    for (std::size_t i = 0; i < ya.size(); ++i)
-        EXPECT_EQ(fbits(ya.raw()[i]), fbits(yb.raw()[i]));
-}
-
 // ---------------------------------------------------------------------------
 // Parser rejection, fuzz, and typed errors
 // ---------------------------------------------------------------------------
 
 TEST(NoiseSpecParse, MalformedSpecsRejectedAndOutUntouched)
 {
-    const NoiseModel sentinel = NoiseModelBuilder(NonIdealityKind::SenseAdc)
-                                    .randomTelegraphNoise(0.123, 2.0, 3.0)
-                                    .build();
+    NoiseModel sentinel = NoiseModel::preset(NonIdealityKind::SenseAdc);
+    sentinel.extended.rtn = {0.123, 2.0, 3.0};
     for (const char* bad :
          {"bogus=1", "rtn.amp=1", "rtn.amp=1.5", "rtn.amp=-0.1",
           "rtn.dwell_up=0", "rtn.dwell_down=-2", "disturb.rate=-1",
@@ -699,9 +655,8 @@ TEST(NoiseSpecParse, FuzzedSpecsNeverCrashNorLeakPartialState)
         "cquant=on,write_var=off,wire=1,sneak=0,dac=true,adc=false",
     };
     const char charset[] = "abcdefgh.=,;0123456789- _\txyz";
-    const NoiseModel sentinel = NoiseModelBuilder(NonIdealityKind::DacDriver)
-                                    .readDisturb(0.07, 123.0)
-                                    .build();
+    NoiseModel sentinel = NoiseModel::preset(NonIdealityKind::DacDriver);
+    sentinel.extended.disturb = {0.07, 123.0};
     Rng rng(0xf00d);
     for (int iter = 0; iter < 300; ++iter) {
         std::string spec = valid[rng.next(std::size(valid))];

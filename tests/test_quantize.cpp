@@ -162,78 +162,3 @@ TEST(Quantizer, ZeroDynamicRangeColumnsQuantizeToZero)
     for (float v : m.raw())
         EXPECT_EQ(v, 0.0f) << "scale=" << scale;
 }
-
-TEST(Int8Kernel, QuantizeSaturatesAtRails)
-{
-    EXPECT_EQ(quantizeInt8(1e9f, 1.0f), 127);
-    EXPECT_EQ(quantizeInt8(-1e9f, 1.0f), -127);
-    EXPECT_EQ(quantizeInt8(127.4f, 1.0f), 127);
-    EXPECT_EQ(quantizeInt8(-127.4f, 1.0f), -127);
-    // Zero/negative scale is the zero-dynamic-range sentinel.
-    EXPECT_EQ(quantizeInt8(5.0f, 0.0f), 0);
-}
-
-TEST(Int8Kernel, RoundsHalfToEven)
-{
-    // quantizeInt8 uses nearbyint under the default rounding mode:
-    // ties go to the even integer, matching the ADC model's convert.
-    EXPECT_EQ(quantizeInt8(0.5f, 1.0f), 0);
-    EXPECT_EQ(quantizeInt8(1.5f, 1.0f), 2);
-    EXPECT_EQ(quantizeInt8(2.5f, 1.0f), 2);
-    EXPECT_EQ(quantizeInt8(-0.5f, 1.0f), 0);
-    EXPECT_EQ(quantizeInt8(-1.5f, 1.0f), -2);
-}
-
-TEST(Int8Kernel, TensorRowScalesBoundRoundTripError)
-{
-    const Matrix w = randomMatrix(6, 40, 7, 1.0);
-    const Int8Tensor wq = Int8Tensor::fromMatrix(w);
-    ASSERT_EQ(wq.rows, 6u);
-    ASSERT_EQ(wq.cols, 40u);
-    ASSERT_EQ(wq.stride % 32, 0u);
-    for (std::size_t r = 0; r < wq.rows; ++r) {
-        const float scale = wq.rowScale[r];
-        ASSERT_GT(scale, 0.0f);
-        for (std::size_t c = 0; c < wq.cols; ++c) {
-            const float back = wq.data[r * wq.stride + c] * scale;
-            // Dequantized value within half a step of the original.
-            EXPECT_LE(std::fabs(back - w.at(r, c)), scale * 0.5f + 1e-6f)
-                << "r=" << r << " c=" << c;
-        }
-        // Padding lanes beyond cols stay zero so dot products ignore them.
-        for (std::size_t c = wq.cols; c < wq.stride; ++c)
-            EXPECT_EQ(wq.data[r * wq.stride + c], 0);
-    }
-}
-
-TEST(Int8Kernel, ZeroRowsGetZeroScaleAndZeroCodes)
-{
-    Matrix w(2, 8);
-    w.fill(0.0f);
-    w.at(1, 3) = 0.25f;
-    const Int8Tensor wq = Int8Tensor::fromMatrix(w);
-    EXPECT_EQ(wq.rowScale[0], 0.0f);
-    for (std::size_t c = 0; c < wq.stride; ++c)
-        EXPECT_EQ(wq.data[c], 0);
-    EXPECT_GT(wq.rowScale[1], 0.0f);
-    EXPECT_EQ(wq.data[1 * wq.stride + 3], 127);
-}
-
-TEST(Int8Kernel, QuantizeRowsSharesOneScaleAcrossTheSpan)
-{
-    const Matrix x = randomMatrix(5, 12, 9, 1.0);
-    Int8Vec out;
-    const float scale = quantizeRowsInt8(x, 1, 4, out);
-    ASSERT_GT(scale, 0.0f);
-    const std::size_t stride = int8Stride(12);
-    ASSERT_EQ(out.size(), 3 * stride);
-    float span_max = 0.0f;
-    for (std::size_t r = 1; r < 4; ++r)
-        for (std::size_t c = 0; c < 12; ++c)
-            span_max = std::max(span_max, std::fabs(x.at(r, c)));
-    EXPECT_FLOAT_EQ(scale, span_max / 127.0f);
-    for (std::size_t r = 1; r < 4; ++r)
-        for (std::size_t c = 0; c < 12; ++c)
-            EXPECT_EQ(out[(r - 1) * stride + c],
-                      quantizeInt8(x.at(r, c), scale));
-}

@@ -140,6 +140,26 @@ TEST(JobManager, AdmissionRejectsInvalidSpecsTyped)
     EXPECT_TRUE(manager.idle());
 }
 
+TEST(JobManager, FamilyContradictingTheScenarioIsRefused)
+{
+    // A combined-scenario job naming the measured family used to pass
+    // admission and then abort the daemon in its worker. It is refused
+    // typed, and the manager goes on to complete a plain job.
+    JobManagerConfig cfg;
+    cfg.spoolDir = freshSpool("jm_family").string();
+    JobManager manager(cfg);
+
+    JobSpec bad = quickSpec();
+    bad.kind = service::JobKind::NonIdeal;
+    bad.scenarioKind = "combined";
+    bad.request.backend = "measured";
+    std::string id;
+    EXPECT_EQ(manager.submit(bad, id).kind, JobErrorKind::BadBackend);
+
+    ASSERT_FALSE(manager.submit(quickSpec(), id));
+    EXPECT_EQ(awaitTerminal(manager, id).state, JobState::Completed);
+}
+
 TEST(JobManager, QueueBoundsAndTenantQuotas)
 {
     JobManagerConfig cfg;
@@ -496,7 +516,7 @@ TEST(ServiceDeterminism, DaemonJobMatchesDirectRunBitwise)
     if (cpuSupportsAvx2())
         levels.push_back(SimdLevel::Avx2);
 
-    spec.request.backend = "compiled:analytical";
+    spec.request.backend = "compiled";
     for (const SimdLevel level : levels) {
         SCOPED_TRACE(simdLevelName(level));
         ScopedSimdLevel scoped(level);

@@ -101,7 +101,8 @@ chaosConfig(FaultSite site, double p, std::uint64_t seed = 1)
 /** Forge a spool record the way persistLocked writes one. */
 void
 forgeRecord(const std::filesystem::path& spool, const std::string& id,
-            const char* state, std::size_t attempts, const JobSpec& spec)
+            const char* state, std::size_t attempts,
+            const std::string& spec_json)
 {
     const std::string record = JsonWriter()
         .field("version", 1)
@@ -109,10 +110,17 @@ forgeRecord(const std::filesystem::path& spool, const std::string& id,
         .field("state", state)
         .field("attempts", static_cast<std::uint64_t>(attempts))
         .field("error", "")
-        .raw("spec", spec.toJson())
+        .raw("spec", spec_json)
         .raw("result", JobResult{}.toJson())
         .str();
     ASSERT_TRUE(atomicWriteFile((spool / (id + ".json")).string(), record));
+}
+
+void
+forgeRecord(const std::filesystem::path& spool, const std::string& id,
+            const char* state, std::size_t attempts, const JobSpec& spec)
+{
+    forgeRecord(spool, id, state, attempts, spec.toJson());
 }
 
 } // namespace
@@ -323,28 +331,75 @@ TEST(Supervision, CorruptRecordsMoveToQuarantineWithReason)
 
 TEST(Supervision, SpooledRemovedBackendTokenFailsTypedAtRestart)
 {
-    // A queued record written before the interpreter engine was removed
-    // parses, but no longer validates: the resume path fails it with the
-    // typed message instead of handing it to a worker, and persists that.
-    const std::filesystem::path spool = freshSpool("sup_removed_backend");
-    JobSpec spec = quickSpec();
-    spec.request.backend = "interpreter:analytical";
-    forgeRecord(spool, "j1", "queued", 0, spec);
+    // A queued record written before the interpreter engine or the family
+    // choice was removed parses, but no longer validates: the resume path
+    // fails it with the typed message instead of handing it to a worker,
+    // and persists that.
+    for (const char* token : {"interpreter:analytical", "measured"}) {
+        SCOPED_TRACE(token);
+        const std::filesystem::path spool =
+            freshSpool("sup_removed_backend");
+        JobSpec spec = quickSpec();
+        spec.request.backend = token;
+        forgeRecord(spool, "j1", "queued", 0, spec);
 
+        JobManagerConfig cfg;
+        cfg.workers = 0;
+        cfg.spoolDir = spool.string();
+        JobManager manager(cfg);
+        EXPECT_EQ(manager.resumeSpooled(), 0u);
+        JobStatus status;
+        ASSERT_FALSE(manager.status("j1", status));
+        EXPECT_EQ(status.state, JobState::Failed);
+        EXPECT_NE(status.error.find("removed"), std::string::npos);
+
+        JobManager again(cfg);
+        EXPECT_EQ(again.resumeSpooled(), 0u);
+        ASSERT_FALSE(again.status("j1", status));
+        EXPECT_EQ(status.state, JobState::Failed);
+    }
+}
+
+TEST(Supervision, ParentFormatRecordResumesBitwise)
+{
+    // Records written before the int8 family was removed carry
+    // "int8_kernel":false in their request. Such a record still resumes,
+    // and completes bitwise like a fresh submit of the same spec.
+    const JobSpec spec;
+    std::string spec_json = spec.toJson();
+    if (spec_json.find("\"int8_kernel\"") == std::string::npos) {
+        // Where the old writer put it: just before the request's backend.
+        const std::size_t request = spec_json.find("\"request\":");
+        ASSERT_NE(request, std::string::npos);
+        const std::size_t backend =
+            spec_json.find("\"backend\":", request);
+        ASSERT_NE(backend, std::string::npos);
+        spec_json.insert(backend, "\"int8_kernel\":false,");
+    }
+    ASSERT_NE(spec_json.find("\"int8_kernel\":false"), std::string::npos);
+
+    const std::filesystem::path spool = freshSpool("sup_parent_record");
+    forgeRecord(spool, "j1", "queued", 0, spec_json);
     JobManagerConfig cfg;
-    cfg.workers = 0;
     cfg.spoolDir = spool.string();
     JobManager manager(cfg);
-    EXPECT_EQ(manager.resumeSpooled(), 0u);
-    JobStatus status;
-    ASSERT_FALSE(manager.status("j1", status));
-    EXPECT_EQ(status.state, JobState::Failed);
-    EXPECT_NE(status.error.find("removed"), std::string::npos);
+    EXPECT_EQ(manager.resumeSpooled(), 1u);
+    const JobStatus resumed = awaitTerminal(manager, "j1");
+    ASSERT_EQ(resumed.state, JobState::Completed) << resumed.error;
 
-    JobManager again(cfg);
-    EXPECT_EQ(again.resumeSpooled(), 0u);
-    ASSERT_FALSE(again.status("j1", status));
-    EXPECT_EQ(status.state, JobState::Failed);
+    JobManagerConfig fresh_cfg;
+    fresh_cfg.spoolDir = freshSpool("sup_parent_fresh").string();
+    JobManager fresh(fresh_cfg);
+    std::string id;
+    ASSERT_FALSE(fresh.submit(spec, id));
+    const JobStatus submitted = awaitTerminal(fresh, id);
+    ASSERT_EQ(submitted.state, JobState::Completed) << submitted.error;
+
+    EXPECT_EQ(bits(resumed.result.mean), bits(submitted.result.mean));
+    EXPECT_EQ(bits(resumed.result.stddev), bits(submitted.result.stddev));
+    EXPECT_EQ(resumed.result.runs, submitted.result.runs);
+    EXPECT_EQ(resumed.result.survivors, submitted.result.survivors);
+    EXPECT_EQ(resumed.result.skipped, submitted.result.skipped);
 }
 
 TEST(Supervision, SpooledChaosSiteFaultsFailTypedAtRestart)
