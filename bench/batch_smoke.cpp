@@ -103,8 +103,9 @@ main()
     const QuantConfig quant{8, 8};
     auto eval_q = [&](std::size_t batch) {
         return evaluateQuantizedAccuracy(
-            model, quant,
-            EvalOptions(dataset).maxReads(4).batch(batch).threads(0));
+                   model, quant,
+                   EvalOptions(dataset).maxReads(4).batch(batch).threads(0))
+            .meanIdentity;
     };
     check(bits(eval_q(1)) == bits(eval_q(3)),
           "quantized accuracy differs between batch 1 and 3");

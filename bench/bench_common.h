@@ -101,7 +101,8 @@ meanQuantizedAccuracy(const nn::SequenceModel& model,
     double sum = 0.0;
     for (const auto& ds : datasets) {
         proto.dataset = &ds;
-        sum += core::evaluateQuantizedAccuracy(model, quant, proto);
+        sum += core::evaluateQuantizedAccuracy(model, quant, proto)
+                   .meanIdentity;
     }
     return datasets.empty()
         ? 0.0 : sum / static_cast<double>(datasets.size());

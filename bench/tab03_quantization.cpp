@@ -30,8 +30,10 @@ main()
     for (const auto& ds : ctx.datasets()) {
         std::vector<std::string> row = {ds.spec.id};
         for (const auto& q : configs) {
-            const double acc = evaluateQuantizedAccuracy(
-                teacher, q, EvalOptions(ds).maxReads(reads));
+            const double acc =
+                evaluateQuantizedAccuracy(teacher, q,
+                                          EvalOptions(ds).maxReads(reads))
+                    .meanIdentity;
             row.push_back(pct(acc));
         }
         table.row(row);

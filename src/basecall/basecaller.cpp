@@ -128,8 +128,8 @@ allFinite(const Matrix& m)
  * basecallRead with poisoned-output detection: when `check` is set (fault
  * injection active) and the model emits non-finite logits, skips the
  * decode and reports finite=false (the caller records the read as
- * degraded). Without `check` the scan is skipped entirely and behavior
- * matches basecallRead.
+ * degraded). Without `check` the scan is skipped entirely: that is
+ * basecallRead.
  */
 genomics::Sequence
 basecallReadChecked(nn::SequenceModel& model, const genomics::Read& read,
@@ -144,7 +144,8 @@ basecallReadChecked(nn::SequenceModel& model, const genomics::Read& read,
     return decodeLogits(logits, decoder, beam_width);
 }
 
-/** Batched counterpart: finite[k] mirrors reads[k]. */
+/** Batched counterpart: finite[k] mirrors reads[k]; without `check`
+ *  this is basecallBatch. */
 std::vector<genomics::Sequence>
 basecallBatchChecked(nn::SequenceModel& model,
                      const genomics::Dataset& dataset,
@@ -182,8 +183,20 @@ basecallBatchChecked(nn::SequenceModel& model,
     return out;
 }
 
-} // namespace
-
+/**
+ * Basecall the read group [begin, end) with fault classification — the
+ * per-group step of basecallReads. Reads whose decode/chunk fault fires in
+ * `inj` are skipped; transient worker-task faults retry serially on fresh
+ * noise streams (bounded by the injector's retry budget); poisoned
+ * (non-finite) outputs are detected and skipped. Surviving reads flow
+ * through the batched forward path together.
+ *
+ * outcomes/calls address the group's local slots: outcomes[i - begin] and
+ * calls[i - begin] are written for every read i in [begin, end); calls
+ * stay empty for non-surviving reads. With fault injection off every
+ * outcome is Ok and the calls are bitwise-identical to basecallBatch over
+ * the whole group.
+ */
 void
 basecallGroupDegraded(nn::SequenceModel& model,
                       const genomics::Dataset& dataset, std::size_t begin,
@@ -272,6 +285,8 @@ basecallGroupDegraded(nn::SequenceModel& model,
     }
 }
 
+} // namespace
+
 void
 applyRequestThreads(const EvalRequest& req)
 {
@@ -285,9 +300,9 @@ genomics::Sequence
 basecallRead(nn::SequenceModel& model, const genomics::Read& read,
              Decoder decoder, std::size_t beam_width)
 {
-    const Matrix signal = normalizeSignal(read.signal);
-    const Matrix logits = model.forward(signal);
-    return decodeLogits(logits, decoder, beam_width);
+    bool finite = true;
+    return basecallReadChecked(model, read, decoder, beam_width, false,
+                               finite);
 }
 
 std::vector<genomics::Sequence>
@@ -295,25 +310,9 @@ basecallBatch(nn::SequenceModel& model, const genomics::Dataset& dataset,
               const std::vector<std::size_t>& reads, Decoder decoder,
               std::size_t beam_width)
 {
-    std::vector<genomics::Sequence> out;
-    out.reserve(reads.size());
-    if (reads.empty())
-        return out;
-    if (reads.size() == 1) {
-        // A group of one takes the serial path verbatim.
-        model.beginRead(reads[0]);
-        out.push_back(basecallRead(model, dataset.reads[reads[0]], decoder,
-                                   beam_width));
-        return out;
-    }
-
-    nn::SequenceBatch batch =
-        gatherSignalBatch(dataset, reads.data(), reads.size());
-    model.forwardBatch(batch);
-    for (std::size_t l = 0; l < batch.laneCount(); ++l)
-        out.push_back(decodeLogits(batch.laneMatrix(l), decoder,
-                                   beam_width));
-    return out;
+    std::vector<bool> finite;
+    return basecallBatchChecked(model, dataset, reads, decoder, beam_width,
+                                false, finite);
 }
 
 std::vector<nn::SequenceModel>
@@ -329,6 +328,32 @@ makeWorkerReplicas(nn::SequenceModel& model, std::size_t count)
         replicas.back().setBackend(&model.backend());
     }
     return replicas;
+}
+
+void
+forEachShard(
+    nn::SequenceModel& model, std::size_t count,
+    std::vector<nn::SequenceModel>& replicas,
+    const std::function<void(nn::SequenceModel&, std::size_t, std::size_t)>&
+        body)
+{
+    ThreadPool& pool = globalPool();
+    const std::size_t shards = pool.shardCount(count);
+    if (shards <= 1) {
+        body(model, 0, count);
+        return;
+    }
+    if (replicas.size() < shards)
+        replicas = makeWorkerReplicas(model, shards);
+    std::vector<std::function<void()>> tasks;
+    tasks.reserve(shards);
+    for (std::size_t s = 0; s < shards; ++s) {
+        tasks.push_back([&, s] {
+            const auto [begin, end] = ThreadPool::shardRange(count, shards, s);
+            body(replicas[s], begin, end);
+        });
+    }
+    pool.runTasks(std::move(tasks));
 }
 
 AccuracyResult
@@ -351,6 +376,36 @@ evaluateAccuracy(nn::SequenceModel& model, const EvalRequest& req)
     static const Histogram kIdentityHist = metrics().histogram(
         "read.identity",
         {0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.95, 0.99});
+
+    prepareReads(model, req, "evaluateAccuracy");
+    const genomics::Dataset& dataset = *req.dataset;
+    return basecallReads(
+        model, req, [&](std::size_t i, genomics::Sequence& call) {
+            const double identity =
+                genomics::alignGlobal(call, dataset.reads[i].bases)
+                    .identity();
+            kEvalReads.add();
+            kIdentityHist.observe(identity);
+            return identity;
+        });
+}
+
+void
+prepareReads(nn::SequenceModel& model, const EvalRequest& req,
+             const char* where)
+{
+    requireValid(req, where);
+    applyRequestThreads(req);
+    // AOT setup: offer every weight to the installed backend before the
+    // first read, so programming/plan lowering never races the hot path
+    // and the first read's latency matches steady state.
+    model.compileBackend();
+}
+
+AccuracyResult
+basecallReads(nn::SequenceModel& model, const EvalRequest& req,
+              const ReadScorer& score)
+{
     static const Counter kOutcomeDecode =
         metrics().counter("fault.outcome.decode_error");
     static const Counter kOutcomeNan =
@@ -360,14 +415,7 @@ evaluateAccuracy(nn::SequenceModel& model, const EvalRequest& req)
     static const Counter kOutcomeRetried =
         metrics().counter("fault.outcome.retried");
 
-    requireValid(req, "evaluateAccuracy");
     const genomics::Dataset& dataset = *req.dataset;
-    applyRequestThreads(req);
-    // AOT setup: offer every weight to the installed backend before the
-    // first read, so programming/plan lowering never races the hot path
-    // and the first read's latency matches steady state.
-    model.compileBackend();
-
     AccuracyResult res;
     const std::size_t n = req.maxReads == 0
         ? dataset.reads.size()
@@ -383,14 +431,6 @@ evaluateAccuracy(nn::SequenceModel& model, const EvalRequest& req)
     std::vector<double> identity(n, 0.0);
     std::vector<std::size_t> bases(n, 0);
     std::vector<ReadOutcome> outcomes(n, ReadOutcome::Ok);
-    auto record = [&](std::size_t i, const genomics::Sequence& called) {
-        const genomics::AlignmentResult aln =
-            genomics::alignGlobal(called, dataset.reads[i].bases);
-        identity[i] = aln.identity();
-        bases[i] = called.size();
-        kEvalReads.add();
-        kIdentityHist.observe(identity[i]);
-    };
 
     // Worker replicas are grown lazily and reused across blocks so a
     // block-mode run pays the model copies once, like the single-pass run.
@@ -403,54 +443,35 @@ evaluateAccuracy(nn::SequenceModel& model, const EvalRequest& req)
     // start at r0, batch apart. Lanes are independent, so any split gives
     // the same bits.
     auto run_block = [&](std::size_t r0, std::size_t r1) {
-        auto eval_slice = [&](nn::SequenceModel& m, std::size_t s0,
-                              std::size_t s1) {
+        forEachShard(model, r1 - r0, replicas,
+                     [&](nn::SequenceModel& m, std::size_t s0,
+                         std::size_t s1) {
             std::vector<genomics::Sequence> calls;
-            for (std::size_t begin = s0; begin < s1; begin += batch) {
-                const std::size_t end = std::min(s1, begin + batch);
+            for (std::size_t begin = r0 + s0; begin < r0 + s1;
+                 begin += batch) {
+                const std::size_t end = std::min(r0 + s1, begin + batch);
                 calls.resize(end - begin);
                 basecallGroupDegraded(m, dataset, begin, end, req.decoder,
                                       req.beamWidth, inj,
                                       outcomes.data() + begin, calls.data());
-                for (std::size_t k = 0; k < calls.size(); ++k) {
-                    if (survives(outcomes[begin + k]))
-                        record(begin + k, calls[k]);
+                for (std::size_t i = begin; i < end; ++i) {
+                    if (!survives(outcomes[i]))
+                        continue;
+                    bases[i] = calls[i - begin].size();
+                    identity[i] = score(i, calls[i - begin]);
                 }
             }
-        };
-
-        const std::size_t span = r1 - r0;
-        ThreadPool& pool = globalPool();
-        const std::size_t shards = pool.shardCount(span);
-        if (shards <= 1) {
-            eval_slice(model, r0, r1);
-            return;
-        }
-        if (replicas.size() < shards)
-            replicas = makeWorkerReplicas(model, shards);
-        std::vector<std::function<void()>> tasks;
-        tasks.reserve(shards);
-        for (std::size_t s = 0; s < shards; ++s) {
-            tasks.push_back([&, s] {
-                const auto [begin, end] =
-                    ThreadPool::shardRange(span, shards, s);
-                eval_slice(replicas[s], r0 + begin, r0 + end);
-            });
-        }
-        pool.runTasks(std::move(tasks));
+        });
     };
 
     // Block mode engages only when something needs boundaries between
-    // reads: a healing backend (epoch-aligned blocks), checkpointing, or a
-    // stop budget. Otherwise the whole range runs as one pass, bitwise
-    // identical to the pre-block evaluator.
+    // reads: a healing backend (epoch-aligned blocks), checkpointing, a
+    // streaming sink or a stop flag. Otherwise the whole range runs as one
+    // pass. Without healing the blocks are observe-only: the results are
+    // bitwise those of the single pass.
     const std::size_t epoch_reads = model.backend().healthEpochReads();
-    // Streaming sinks and per-request stop flags also need block
-    // boundaries; both are observe-only, so engaging block mode for them
-    // keeps results bitwise identical to the single-pass run.
     const bool block_mode = epoch_reads > 0 || !req.checkpointPath.empty()
-        || req.stopAfterReads > 0 || req.onBlock != nullptr
-        || req.stopFlag != nullptr;
+        || req.onBlock != nullptr || req.stopFlag != nullptr;
 
     // Running progress snapshot over the completed prefix [0, done).
     auto emit_block = [&](std::size_t done) {
@@ -523,8 +544,7 @@ evaluateAccuracy(nn::SequenceModel& model, const EvalRequest& req)
             // The event fires after the checkpoint write, so a consumer
             // that saw progress knows it is durable.
             emit_block(done);
-            if (shutdownRequested() || req.stopRequested()
-                || (req.stopAfterReads > 0 && done >= req.stopAfterReads)) {
+            if (shutdownRequested() || req.stopRequested()) {
                 res.interrupted = done < n;
                 break;
             }

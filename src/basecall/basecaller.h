@@ -7,6 +7,7 @@
 #ifndef SWORDFISH_BASECALL_BASECALLER_H
 #define SWORDFISH_BASECALL_BASECALLER_H
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -35,28 +36,6 @@ basecallBatch(nn::SequenceModel& model, const genomics::Dataset& dataset,
               Decoder decoder = Decoder::Greedy, std::size_t beam_width = 8);
 
 /**
- * Basecall the read group [begin, end) with fault classification — the
- * shared stage-1 primitive of evaluateAccuracy and runPipeline. Reads
- * whose decode/chunk fault fires in `faults` are skipped; transient
- * worker-task faults retry serially on fresh noise streams (bounded by the
- * injector's retry budget); poisoned (non-finite) outputs are detected and
- * skipped. Surviving reads flow through the batched forward path together.
- *
- * outcomes/calls address the group's local slots: outcomes[i - begin] and
- * calls[i - begin] are written for every read i in [begin, end); calls
- * stay empty for non-surviving reads. With fault injection off every
- * outcome is Ok and the calls are bitwise-identical to basecallBatch over
- * the whole group.
- */
-void basecallGroupDegraded(nn::SequenceModel& model,
-                           const genomics::Dataset& dataset,
-                           std::size_t begin, std::size_t end,
-                           Decoder decoder, std::size_t beam_width,
-                           const FaultInjector& faults,
-                           ReadOutcome* outcomes,
-                           genomics::Sequence* calls);
-
-/**
  * Deep-copy `count` worker replicas of a model, each wired to the
  * original's VMM backend. Forward passes cache per-layer state, so every
  * read-sharding worker basecalls through its own replica while sharing the
@@ -65,6 +44,19 @@ void basecallGroupDegraded(nn::SequenceModel& model,
  */
 std::vector<nn::SequenceModel> makeWorkerReplicas(nn::SequenceModel& model,
                                                   std::size_t count);
+
+/**
+ * Split [0, count) into one contiguous range per pool worker and run
+ * body(m, begin, end) on each, where m is that worker's replica of
+ * `model`: `replicas` grows on first need and later calls reuse it. When
+ * the count yields one shard (a zero-worker pool, a call from a pool
+ * worker, count <= 1) the body runs inline as body(model, 0, count).
+ */
+void forEachShard(
+    nn::SequenceModel& model, std::size_t count,
+    std::vector<nn::SequenceModel>& replicas,
+    const std::function<void(nn::SequenceModel&, std::size_t, std::size_t)>&
+        body);
 
 /** Accuracy evaluation result over a dataset. */
 struct AccuracyResult
@@ -76,13 +68,44 @@ struct AccuracyResult
     DegradedResult degraded;      ///< per-class failure breakdown; with
                                   ///< fault injection off every read is Ok
     /**
-     * True when the run stopped early (shutdown request or
-     * req.stopAfterReads): the metrics above cover completedReads reads
-     * only, and a checkpointed run can be resumed from there.
+     * True when the run stopped early (shutdown request or req.stopFlag):
+     * the metrics above cover completedReads reads only, and a
+     * checkpointed run can be resumed from there.
      */
     bool interrupted = false;
     std::size_t completedReads = 0; ///< reads processed (all outcomes)
 };
+
+/**
+ * Validate `req`, apply its pool width and compile the model's installed
+ * backend: the setup, and the one AOT compile, of a basecallReads() run.
+ */
+void prepareReads(nn::SequenceModel& model, const EvalRequest& req,
+                  const char* where);
+
+/**
+ * What a surviving read contributes: called once per surviving read, on
+ * the worker that basecalled it, with the read index and its call (which
+ * the scorer may keep). Returns the read's identity, or 0 when the
+ * caller's metric is not per-read identity.
+ */
+using ReadScorer =
+    std::function<double(std::size_t read, genomics::Sequence& call)>;
+
+/**
+ * The read loop every evaluation runs, after prepareReads(): the reads
+ * split into one contiguous slice per pool worker (one slice when called
+ * from a worker), and each slice basecalls in lane groups of at most
+ * req.batch and scores each surviving call. Block mode — needed by a
+ * healing backend (epoch-aligned blocks; dead tiles degrade the rest of
+ * the reads), a checkpoint, a block sink or a stop flag — adds block
+ * events, the checkpoint write and resume (with epoch replay), and a stop
+ * on shutdown or on req.stopFlag after each block. Results are
+ * bitwise-identical for any batch size, thread count and block length.
+ */
+AccuracyResult basecallReads(nn::SequenceModel& model,
+                             const EvalRequest& req,
+                             const ReadScorer& score);
 
 /**
  * Basecall up to max_reads reads of a dataset and align each call against
@@ -94,12 +117,11 @@ AccuracyResult evaluateAccuracy(nn::SequenceModel& model,
                                 Decoder decoder = Decoder::Greedy);
 
 /**
- * Request-driven accuracy evaluation: the reads split into one contiguous
- * slice per pool worker (one slice when called from a worker), and each
- * slice runs through the batched forward path in groups of at most
- * req.batch. Results are bitwise-identical to the serial per-read loop for
- * any batch size and thread count. req.runs is ignored here — Monte-Carlo
- * repetition lives in core::evaluateNonIdealAccuracy.
+ * Request-driven accuracy evaluation: basecallReads() scoring each call by
+ * its global alignment against the read's ground-truth bases. Results are
+ * bitwise-identical to the serial per-read loop for any batch size and
+ * thread count. req.runs is ignored here — Monte-Carlo repetition lives in
+ * core::evaluateNonIdealAccuracy.
  *
  * When fault injection is active (resolvedFaults(req)) the evaluation
  * degrades gracefully instead of aborting: decode/chunk faults skip the

@@ -165,8 +165,6 @@ EvalRequest::toJson() const
         .field("checkpoint_path", checkpointPath)
         .field("checkpoint_every",
                static_cast<std::uint64_t>(checkpointEvery))
-        .field("stop_after_reads",
-               static_cast<std::uint64_t>(stopAfterReads))
         .field("backend", backend)
         .field("ensemble_k", static_cast<std::uint64_t>(ensembleK))
         .field("ensemble_layers", ensembleLayers)
@@ -241,8 +239,16 @@ EvalRequest::fromJson(const std::string& text, EvalRequest& out)
             if (!readCount(value, req.checkpointEvery))
                 return bad(key);
         } else if (key == "stop_after_reads") {
-            if (!readCount(value, req.stopAfterReads))
+            // Records written before this test-only stop was removed
+            // always carry it: 0 is the default and resumes; any other
+            // count asked for a stop the request can no longer express.
+            std::size_t reads = 0;
+            if (!readCount(value, reads))
                 return bad(key);
+            if (reads != 0)
+                return {JobErrorKind::BadValue, key,
+                        "field 'stop_after_reads' was removed; stop a run "
+                        "through its stop flag instead"};
         } else if (key == "int8_kernel") {
             // Records written before the int8 family was removed always
             // carry this key: false is the default and resumes; true asked

@@ -232,13 +232,6 @@ struct EvalRequest
     std::size_t checkpointEvery = 0;
 
     /**
-     * Stop (gracefully, as if SIGTERM arrived) once this many reads have
-     * completed. 0 = run to the end. Tests use it to cut a run at an exact
-     * block boundary and resume it.
-     */
-    std::size_t stopAfterReads = 0;
-
-    /**
      * Backend selector, checked by checkBackendTokens(): empty or
      * "compiled", both of which select nothing. Each entry point implies
      * its family (digital for quantized, measured or analytical by the
@@ -437,13 +430,6 @@ class EvalOptions
     checkpointEvery(std::size_t reads)
     {
         req_.checkpointEvery = reads;
-        return *this;
-    }
-
-    EvalOptions&
-    stopAfterReads(std::size_t reads)
-    {
-        req_.stopAfterReads = reads;
         return *this;
     }
 

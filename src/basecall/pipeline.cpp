@@ -1,6 +1,7 @@
 #include "pipeline.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "genomics/mapper.h"
 #include "util/thread_pool.h"
@@ -20,91 +21,40 @@ runPipeline(nn::SequenceModel& model, const EvalRequest& req)
     static const Counter kSkippedReads =
         metrics().counter("pipeline.skipped_reads");
 
-    requireValid(req, "runPipeline");
+    prepareReads(model, req, "runPipeline");
     const genomics::Dataset& dataset = *req.dataset;
-    applyRequestThreads(req);
-    // AOT setup, as in evaluateAccuracy (idempotent per backend).
-    model.compileBackend();
+    // A restored checkpoint prefix would carry no calls, so the pipeline
+    // never checkpoints: an interrupted run reruns from read 0.
+    EvalRequest stage1 = req;
+    stage1.checkpointPath.clear();
 
     PipelineReport report;
-    const std::size_t n = req.maxReads == 0
-        ? dataset.reads.size()
-        : std::min(dataset.reads.size(), req.maxReads);
-    kReads.add(n);
-
     ThreadPool& pool = globalPool();
 
-    // Stage 1: basecalling — reads gather into groups of the requested
-    // batch capacity and the groups shard across workers, each worker
-    // basecalling through its own model replica (per-read noise streams
-    // keep the calls independent of grouping and sharding).
+    // Stage 1: basecalling through the evaluation read loop, whose scorer
+    // keeps each surviving call for the later stages.
     Stopwatch watch;
-    std::vector<genomics::Sequence> calls(n);
-    std::vector<ReadOutcome> outcomes(n, ReadOutcome::Ok);
-    const std::size_t batch = resolvedBatch(req);
-    const FaultInjector faults(resolvedFaults(req));
-    std::vector<nn::SequenceModel> replicas;
-    auto call_block = [&](std::size_t r0, std::size_t r1) {
-        const std::size_t span = r1 - r0;
-        const std::size_t block_groups =
-            span == 0 ? 0 : (span + batch - 1) / batch;
-        auto call_group = [&](nn::SequenceModel& m, std::size_t g) {
-            const std::size_t begin = r0 + g * batch;
-            const std::size_t end = std::min(r1, begin + batch);
-            basecallGroupDegraded(m, dataset, begin, end, req.decoder,
-                                  req.beamWidth, faults,
-                                  outcomes.data() + begin,
-                                  calls.data() + begin);
-        };
-        const std::size_t shards = pool.shardCount(block_groups);
-        if (shards <= 1) {
-            for (std::size_t g = 0; g < block_groups; ++g)
-                call_group(model, g);
-            return;
-        }
-        if (replicas.size() < shards)
-            replicas = makeWorkerReplicas(model, shards);
-        std::vector<std::function<void()>> tasks;
-        tasks.reserve(shards);
-        for (std::size_t s = 0; s < shards; ++s) {
-            tasks.push_back([&, s] {
-                const auto [begin, end] =
-                    ThreadPool::shardRange(block_groups, shards, s);
-                for (std::size_t g = begin; g < end; ++g)
-                    call_group(replicas[s], g);
-            });
-        }
-        pool.runTasks(std::move(tasks));
-    };
+    std::vector<genomics::Sequence> calls(dataset.reads.size());
+    std::vector<std::uint8_t> called(dataset.reads.size(), 0);
+    AccuracyResult basecalled;
     {
         TraceSpan trace(kBasecallSpan);
-        // With a self-healing backend, basecalling proceeds in epoch-sized
-        // blocks so tiles stay frozen while reads are in flight; without
-        // one the whole range is a single block (the historic pass).
-        const std::size_t epoch_reads = model.backend().healthEpochReads();
-        if (epoch_reads == 0) {
-            call_block(0, n);
-        } else {
-            std::size_t done = 0;
-            while (done < n) {
-                const std::size_t r1 = std::min(n, done + epoch_reads);
-                if (model.backend().healthDegraded()) {
-                    for (std::size_t i = done; i < r1; ++i)
-                        outcomes[i] = ReadOutcome::VmmFault;
-                } else {
-                    call_block(done, r1);
-                }
-                done = r1;
-                if (done < n)
-                    model.backend().healthEpochAdvance();
-            }
-        }
+        basecalled = basecallReads(
+            model, stage1, [&](std::size_t i, genomics::Sequence& call) {
+                calls[i] = std::move(call);
+                called[i] = 1;
+                return 0.0;
+            });
     }
     report.stages.push_back({"Basecalling", watch.seconds(), 0.0});
 
-    // Reads stage 1 skipped bypass the rest of the pipeline.
-    for (std::size_t i = 0; i < n; ++i)
-        report.degraded.record(outcomes[i]);
+    // Reads stage 1 skipped, and reads a stop left uncalled, bypass the
+    // rest of the pipeline.
+    const std::size_t n = basecalled.completedReads;
+    report.completedReads = n;
+    report.interrupted = basecalled.interrupted;
+    report.degraded = basecalled.degraded;
+    kReads.add(n);
     kSkippedReads.add(report.degraded.skippedReads());
     const std::size_t survivors = report.degraded.survivors();
 
@@ -117,7 +67,7 @@ runPipeline(nn::SequenceModel& model, const EvalRequest& req)
     {
         TraceSpan trace(kMapSpan);
         pool.parallelFor(n, [&](std::size_t i) {
-            if (survives(outcomes[i]))
+            if (called[i])
                 mappings[i] = mapper.map(calls[i]);
         });
     }

@@ -35,14 +35,21 @@ struct PipelineReport
     double meanMapIdentity = 0.0;  ///< identity at mapped locations
     DegradedResult degraded;       ///< stage-1 failure breakdown; reads it
                                    ///< skips bypass mapping and polishing
+    /** True when a stop (shutdown or req.stopFlag) ended stage 1 early:
+     *  every stage then covers only the first completedReads reads. */
+    bool interrupted = false;
+    std::size_t completedReads = 0; ///< reads stage 1 processed
 };
 
 /**
  * Run basecalling, mapping, and consensus over a dataset, timing each
- * stage. The basecalling stage gathers reads into groups of
- * resolvedBatch(req) and runs each group through the batched forward path;
- * calls are bitwise-identical to the serial per-read loop for any batch
- * size and thread count.
+ * stage. The basecalling stage is basecallReads(), the evaluation read
+ * loop, keeping each call instead of aligning it: calls are
+ * bitwise-identical to the serial per-read loop for any batch size and
+ * thread count, and the loop's block events (meanIdentity 0: the
+ * pipeline's metric is map identity), stop flag and shutdown stop apply.
+ * The pipeline never checkpoints (req.checkpointPath is ignored), so an
+ * interrupted run reruns from read 0.
  *
  * Under fault injection (resolvedFaults(req)) stage 1 degrades gracefully:
  * faulted reads are skipped or retried per the injector's policy, the
@@ -51,8 +58,8 @@ struct PipelineReport
  * denominator).
  *
  * @param model trained basecaller
- * @param req   dataset + read budget + batch/thread/decoder knobs
- *              (req.runs is moot here)
+ * @param req   dataset + read budget + batch/thread/decoder knobs and
+ *              hooks (req.runs is moot here)
  */
 PipelineReport runPipeline(nn::SequenceModel& model, const EvalRequest& req);
 

@@ -3,7 +3,6 @@
 #include "core/deploy.h"
 #include "core/registry.h"
 #include "util/shutdown.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace swordfish::core {
@@ -82,9 +81,6 @@ evaluateNonIdealAccuracy(nn::SequenceModel& model, const NonIdealSetup& setup,
         spec.ensemble.layers = req.ensembleLayers;
         spec.faults = *per_run.faults;
         auto api = makeBackend("evaluateNonIdealAccuracy", family, spec);
-        const CompileResult compiled = api->compile(m);
-        if (!compiled.success())
-            panic("evaluateNonIdealAccuracy: ", compiled.error.message);
         EvalRequest this_run = per_run;
         if (checkpointing)
             this_run.checkpointPath =
@@ -104,28 +100,16 @@ evaluateNonIdealAccuracy(nn::SequenceModel& model, const NonIdealSetup& setup,
         run_complete[r] = acc.interrupted ? 0 : 1;
     };
 
-    ThreadPool& pool = globalPool();
-    const std::size_t shards = pool.shardCount(runs);
-    if (shards <= 1) {
-        // Serial over runs; within each run, evaluateAccuracy slices the
-        // reads across the workers and basecalls each slice in groups of
-        // at most the batch.
-        for (std::size_t r = 0; r < runs; ++r)
-            run_one(model, r);
-    } else {
-        auto replicas = basecall::makeWorkerReplicas(model, shards);
-        std::vector<std::function<void()>> tasks;
-        tasks.reserve(shards);
-        for (std::size_t s = 0; s < shards; ++s) {
-            tasks.push_back([&, s] {
-                const auto [begin, end] = ThreadPool::shardRange(runs,
-                                                                 shards, s);
-                for (std::size_t r = begin; r < end; ++r)
-                    run_one(replicas[s], r);
-            });
-        }
-        pool.runTasks(std::move(tasks));
-    }
+    // One shard of runs per worker. A single shard runs serially on the
+    // caller, and then each run's read loop slices its reads across the
+    // workers instead.
+    std::vector<nn::SequenceModel> replicas;
+    basecall::forEachShard(model, runs, replicas,
+                           [&](nn::SequenceModel& m, std::size_t begin,
+                               std::size_t end) {
+                               for (std::size_t r = begin; r < end; ++r)
+                                   run_one(m, r);
+                           });
     model.setBackend(nullptr);
 
     // Fold complete runs only, in run order — an interrupted sweep reports
@@ -150,7 +134,7 @@ evaluateNonIdealAccuracy(nn::SequenceModel& model, const NonIdealSetup& setup,
     return summary;
 }
 
-double
+basecall::AccuracyResult
 evaluateQuantizedAccuracy(const nn::SequenceModel& model,
                           const QuantConfig& quant, const EvalRequest& req)
 {
@@ -163,11 +147,7 @@ evaluateQuantizedAccuracy(const nn::SequenceModel& model,
     spec.seed = req.seedBase;
     auto api = makeBackend("evaluateQuantizedAccuracy", "digital", spec);
     nn::SequenceModel deployed = api->deployModel(model);
-    const CompileResult compiled = api->compile(deployed);
-    if (!compiled.success())
-        panic("evaluateQuantizedAccuracy: ", compiled.error.message);
-    const auto acc = api->runProgram(deployed, req);
-    return acc.meanIdentity;
+    return api->runProgram(deployed, req);
 }
 
 } // namespace swordfish::core

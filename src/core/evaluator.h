@@ -47,9 +47,9 @@ struct AccuracySummary
                              ///< (in run order); all-Ok when injection is
                              ///< off
     /**
-     * True when a checkpointed sweep stopped early (graceful shutdown or
-     * req.stopAfterReads): only complete runs are folded into the summary
-     * and the sweep can resume from the per-run checkpoints.
+     * True when a sweep stopped early (graceful shutdown or req.stopFlag):
+     * only complete runs are folded into the summary, and a checkpointed
+     * sweep can resume from the per-run checkpoints.
      */
     bool interrupted = false;
 };
@@ -95,13 +95,14 @@ AccuracySummary evaluateNonIdealAccuracy(nn::SequenceModel& model,
 
 /**
  * Digital fixed-point accuracy (quantization only, no crossbar) — the
- * Table 3 evaluation path, always the "digital" family. Honors
- * req.maxReads / req.batch / req.threads; req.runs is moot (the path is
+ * Table 3 evaluation path, always the "digital" family. Honors every
+ * basecall::evaluateAccuracy knob (read budget, batch, threads, hooks,
+ * checkpoint) and returns its result; req.runs is moot (the path is
  * noise-free).
  */
-double evaluateQuantizedAccuracy(const nn::SequenceModel& model,
-                                 const QuantConfig& quant,
-                                 const EvalRequest& req);
+basecall::AccuracyResult evaluateQuantizedAccuracy(
+    const nn::SequenceModel& model, const QuantConfig& quant,
+    const EvalRequest& req);
 
 } // namespace swordfish::core
 

@@ -67,17 +67,6 @@ struct CompileError
     explicit operator bool() const { return !ok(); } ///< true on *error*
 };
 
-/** Outcome of BackendApi::compile(): success flag, error, and stats. */
-struct CompileResult
-{
-    CompileError error;           ///< None on success
-    std::size_t weightsCompiled = 0;
-    std::size_t tilesCompiled = 0;
-    double seconds = 0.0;         ///< wall time of the compile step
-
-    bool success() const { return error.ok(); }
-};
-
 // ---------------------------------------------------------------------------
 // The execution engine
 // ---------------------------------------------------------------------------

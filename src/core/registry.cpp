@@ -3,22 +3,10 @@
 #include <utility>
 
 #include "core/deploy.h"
-#include "util/timer.h"
 
 namespace swordfish::core {
 
 namespace {
-
-/** Count the crossbar-mapped parameters a compile sweep will touch. */
-std::size_t
-countVmmWeights(nn::SequenceModel& model)
-{
-    std::size_t n = 0;
-    for (nn::Parameter* p : model.parameters())
-        if (isVmmWeight(p->name))
-            ++n;
-    return n;
-}
 
 /**
  * Digital fixed-point reference (QuantOnlyBackend): exact float GEMM with
@@ -93,20 +81,6 @@ class CrossbarBackendApi : public BackendApi
         return {};
     }
 
-    CompileResult
-    compile(nn::SequenceModel& model) override
-    {
-        CompileResult result;
-        Stopwatch watch;
-        result.error = backend_->compile(model);
-        result.seconds = watch.seconds();
-        if (!result.success())
-            return result;
-        result.weightsCompiled = countVmmWeights(model);
-        result.tilesCompiled = backend_->programmedTiles();
-        return result;
-    }
-
     nn::VmmBackend&
     execution() override
     {
@@ -118,25 +92,6 @@ class CrossbarBackendApi : public BackendApi
 };
 
 } // namespace
-
-CompileResult
-BackendApi::compile(nn::SequenceModel& model)
-{
-    // Generic AOT sweep for backends without a typed per-weight compile:
-    // offer every parameter, then seal. prepareWeight() implementations
-    // are idempotent, so re-compiling a model is safe.
-    CompileResult result;
-    Stopwatch watch;
-    nn::VmmBackend& exec = execution();
-    for (nn::Parameter* p : model.parameters()) {
-        exec.prepareWeight(p->name, p->value);
-        if (isVmmWeight(p->name))
-            ++result.weightsCompiled;
-    }
-    exec.finishCompile();
-    result.seconds = watch.seconds();
-    return result;
-}
 
 basecall::AccuracyResult
 BackendApi::runProgram(nn::SequenceModel& model,

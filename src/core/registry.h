@@ -4,16 +4,16 @@
  * execution path (digital reference, analytical crossbar, measured
  * library) plus a process-wide registry that creates them by family name.
  *
- * The lifecycle mirrors vendor backend APIs (initialize / compile /
- * run-program): each evaluation entry point names the family its
- * evaluation implies (digital for quantized, measured when the scenario
- * uses the library, else analytical), creates the api through the
- * registry, initializes it (typed validation of device / remap / noise /
- * ensemble configs), compiles the model (AOT programming + plan lowering,
- * timed), and runs the evaluation through it. Every failure along the way
- * is a typed core::CompileError — the registry never panics on bad
- * configuration, so tests and config readers can assert on the failure
- * kind.
+ * The lifecycle mirrors vendor backend APIs (initialize / run-program):
+ * each evaluation entry point names the family its evaluation implies
+ * (digital for quantized, measured when the scenario uses the library,
+ * else analytical), creates the api through the registry, initializes it
+ * (typed validation of device / remap / noise / ensemble configs), and
+ * runs the evaluation through it, whose read loop compiles the model once
+ * (AOT programming + plan lowering) before the first read. Every
+ * configuration failure is a typed core::CompileError — the registry
+ * never panics on bad configuration, so tests and config readers can
+ * assert on the failure kind.
  */
 
 #ifndef SWORDFISH_CORE_REGISTRY_H
@@ -54,8 +54,8 @@ struct BackendSpec
 /**
  * Lifecycle wrapper around one execution backend. Construction is cheap
  * and never fails; initialize() performs the typed validation and builds
- * the underlying backend; compile() pays the AOT per-weight setup;
- * runProgram() executes one evaluation through it.
+ * the underlying backend; runProgram() executes one evaluation through it
+ * (compiling the model on the backend before the first read).
  */
 class BackendApi
 {
@@ -69,18 +69,11 @@ class BackendApi
 
     /**
      * Validate the spec and construct the execution backend. Must be
-     * called (and succeed) before execution()/compile()/runProgram().
-     * Returns typed errors: InvalidDeviceConfig, InvalidRemapFraction,
-     * InvalidNoiseSpec, InvalidEnsemble, ScenarioMismatch.
+     * called (and succeed) before execution()/runProgram(). Returns typed
+     * errors: InvalidDeviceConfig, InvalidRemapFraction, InvalidNoiseSpec,
+     * InvalidEnsemble, ScenarioMismatch.
      */
     virtual CompileError initialize() = 0;
-
-    /**
-     * AOT compile: offer every model parameter to the execution backend
-     * (crossbar programming + plan lowering) and seal the result. Returns per-compile stats with wall time; a
-     * typed error leaves the backend unusable.
-     */
-    virtual CompileResult compile(nn::SequenceModel& model);
 
     /**
      * Produce the model actually executed: the digital reference quantizes
@@ -95,7 +88,8 @@ class BackendApi
 
     /**
      * Run one accuracy evaluation with the execution backend installed on
-     * the model; the previous backend binding is restored (to ideal)
+     * the model (basecall::evaluateAccuracy, whose read loop compiles the
+     * model on it); the previous backend binding is restored (to ideal)
      * before returning.
      */
     virtual basecall::AccuracyResult

@@ -335,10 +335,6 @@ JobManager::submit(const JobSpec& spec, std::string& id_out)
     const std::vector<JobError> errors = spec.validate();
     if (!errors.empty())
         return errors.front();
-    if (spec.request.threads != basecall::kInheritThreads)
-        return {JobErrorKind::BadThreads, "request.threads",
-                "daemon jobs inherit the service thread pool; thread "
-                "overrides are not allowed"};
 
     std::lock_guard<std::mutex> lk(mu_);
     if (draining_ || stopping_)

@@ -150,6 +150,13 @@ JobSpec::validate() const
             add(JobErrorKind::BadRefreshSpec, "refresh", err);
     }
 
+    // A job runs on its runner's pool: resizing that pool joins and
+    // replaces it under any sibling job, so a job may not override it.
+    if (request.threads != basecall::kInheritThreads)
+        add(JobErrorKind::BadThreads, "request.threads",
+            "jobs inherit the service thread pool; thread overrides are "
+            "not allowed");
+
     // Request knobs, minus the dataset binding (materialized at run time).
     for (JobError err : request.validate()) {
         if (err.kind == JobErrorKind::NoDataset)
@@ -450,6 +457,25 @@ JobResult::fromJson(const std::string& text, JobResult& out)
 // Execution
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/** The result of a one-run job: what its read loop measured. */
+JobResult
+singleRunResult(double mean, const basecall::DegradedResult& degraded,
+                std::size_t completed_reads, bool interrupted)
+{
+    JobResult result;
+    result.mean = mean;
+    result.runs = 1;
+    result.completedReads = completed_reads;
+    result.survivors = degraded.survivors();
+    result.skipped = degraded.skippedReads();
+    result.interrupted = interrupted;
+    return result;
+}
+
+} // namespace
+
 JobResult
 runJobSpec(const JobSpec& spec,
            const std::function<void(const basecall::BlockEvent&)>& on_block,
@@ -482,12 +508,8 @@ runJobSpec(const JobSpec& spec,
       case JobKind::Eval: {
         const basecall::AccuracyResult acc =
             basecall::evaluateAccuracy(model, req);
-        result.mean = acc.meanIdentity;
-        result.runs = 1;
-        result.completedReads = acc.completedReads;
-        result.survivors = acc.degraded.survivors();
-        result.skipped = acc.degraded.skippedReads();
-        result.interrupted = acc.interrupted;
+        result = singleRunResult(acc.meanIdentity, acc.degraded,
+                                 acc.completedReads, acc.interrupted);
         break;
       }
       case JobKind::NonIdeal: {
@@ -515,18 +537,17 @@ runJobSpec(const JobSpec& spec,
       }
       case JobKind::Quantized: {
         const QuantConfig quant{spec.weightBits, spec.activationBits};
-        result.mean = core::evaluateQuantizedAccuracy(model, quant, req);
-        result.runs = 1;
+        const basecall::AccuracyResult acc =
+            core::evaluateQuantizedAccuracy(model, quant, req);
+        result = singleRunResult(acc.meanIdentity, acc.degraded,
+                                 acc.completedReads, acc.interrupted);
         break;
       }
       case JobKind::Pipeline: {
         const basecall::PipelineReport report =
             basecall::runPipeline(model, req);
-        result.mean = report.meanMapIdentity;
-        result.runs = 1;
-        result.survivors = report.degraded.survivors();
-        result.skipped = report.degraded.skippedReads();
-        result.completedReads = result.survivors + result.skipped;
+        result = singleRunResult(report.meanMapIdentity, report.degraded,
+                                 report.completedReads, report.interrupted);
         break;
       }
     }

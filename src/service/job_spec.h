@@ -113,7 +113,9 @@ struct JobSpec
      * the dataset binding which is materialized later), dataset id, model
      * shape, scenario vocabulary, fault/refresh grammar (a job's faults
      * may not name the daemon's service.* chaos sites). The kind implies
-     * the backend family, so the request's selector may not name one.
+     * the backend family, so the request's selector may not name one, and
+     * a job inherits its runner's pool, so it may not override threads.
+     * submit, restart and runJobSpec all check this one validator.
      * Returns every violation (empty = valid).
      */
     std::vector<basecall::JobError> validate() const;

@@ -7,10 +7,10 @@
  * transient job failures, stalls block boundaries, drops connections
  * before dispatch, and drops spool writes; a SIGTERM + restart in the
  * middle of the queue additionally exercises spool-read chaos and the
- * restart quarantine path. The job mix puts a NonIdeal job with its own
- * fault campaign and one with its own refresh policy beside the plain
- * evals, so they share the daemon's workers. The supervision invariants
- * under all of that:
+ * restart quarantine path. The job mix covers every job kind: a NonIdeal
+ * job with its own fault campaign and one with its own refresh policy
+ * share the daemon's workers with plain evals, a quantized job and a
+ * pipeline job. The supervision invariants under all of that:
  *
  *   1. the daemon never dies un-asked;
  *   2. every submitted job reaches a terminal state (or its spool record
@@ -120,10 +120,11 @@ constexpr std::size_t kRefreshJob = 1;
 
 /**
  * The job mix: a NonIdeal job with a fault campaign and one with a refresh
- * policy, then small evals with distinct seeds, two carrying deadlines.
- * Chaos is keyed on job id, so the order fixes each job's schedule; the
- * two NonIdeal jobs come first (j1, j2), where the schedule lets them
- * complete.
+ * policy, then small evals with distinct seeds, two carrying deadlines,
+ * then quantized, pipeline and quantized jobs. Chaos is keyed on job id,
+ * so the order fixes each job's schedule; the two NonIdeal jobs come
+ * first (j1, j2), where the schedule lets them complete, and the last
+ * three (j9..j11) leave the schedules of j1..j8 as they were.
  */
 std::vector<service::JobSpec>
 chaosSpecs()
@@ -158,6 +159,23 @@ chaosSpecs()
             spec.deadlineS = 30.0; // generous: must still complete
         if (i == 4)
             spec.deadlineS = 0.03; // tight: TimedOut is a valid outcome
+        specs.push_back(spec);
+    }
+    // j9's record reads back corrupt at restart under this seed, so a
+    // second quantized job (j11) is the one that can complete after it.
+    for (const service::JobKind kind :
+         {service::JobKind::Quantized, service::JobKind::Pipeline,
+          service::JobKind::Quantized}) {
+        service::JobSpec spec;
+        spec.kind = kind;
+        spec.tenant = "kinds"; // the default tenant's quota is 8 jobs
+        spec.datasetId = "D1";
+        spec.datasetReads = 4;
+        spec.weightBits = 8;
+        spec.activationBits = 8;
+        spec.request.runs = 1;
+        spec.request.seedBase = 200 + specs.size();
+        spec.request.checkpointEvery = 2;
         specs.push_back(spec);
     }
     return specs;

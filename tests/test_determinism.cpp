@@ -27,6 +27,8 @@
 #include "util/fault.h"
 #include "util/thread_pool.h"
 
+#include "test_util.h"
+
 using namespace swordfish;
 using namespace swordfish::core;
 
@@ -374,9 +376,12 @@ TEST(Determinism, ShardedBlockModeMatchesSerial)
         (std::filesystem::temp_directory_path()
          / "swordfish_determinism_shard_ckpt.bin").string();
     std::remove(path.c_str());
+    std::atomic<bool> stop{false};
     const auto half = evalEightReads(
-        4, EvalOptions(Fixture::get().dataset8).checkpoint(path)
-               .checkpointEvery(6).stopAfterReads(6));
+        4, swordfish::testing::stopOnceDone(
+               EvalOptions(Fixture::get().dataset8).checkpoint(path)
+                   .checkpointEvery(6),
+               stop, 6));
     EXPECT_TRUE(half.interrupted);
     EXPECT_EQ(half.completedReads, 6u);
     const auto resumed = evalEightReads(
@@ -703,7 +708,7 @@ TEST(Determinism, QuantizedBatchedMatchesSerial)
         return evaluateQuantizedAccuracy(
             f.model, quant,
             EvalOptions(f.dataset5).maxReads(5).batch(batch)
-                .threads(threads));
+                .threads(threads)).meanIdentity;
     };
     const double ref = eval_q(1, 1);
     EXPECT_EQ(bits(ref), bits(eval_q(1, 3)));

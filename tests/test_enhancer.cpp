@@ -169,7 +169,7 @@ TEST(Evaluator, QuantAccuracyAtFullPrecisionMatchesPlainEval)
         .meanIdentity;
     const double quant = evaluateQuantizedAccuracy(
         f.teacher, QuantConfig{32, 32},
-        EvalOptions(f.dataset).maxReads(2));
+        EvalOptions(f.dataset).maxReads(2)).meanIdentity;
     EXPECT_NEAR(plain, quant, 1e-9);
 }
 
@@ -200,6 +200,6 @@ TEST(Evaluator, IdealScenarioMatchesDigitalQuantEval)
         deployed, scenario, EvalOptions(f.dataset).runs(1).maxReads(2));
     const double digital = evaluateQuantizedAccuracy(
         f.teacher, QuantConfig::deployment(),
-        EvalOptions(f.dataset).maxReads(2));
+        EvalOptions(f.dataset).maxReads(2)).meanIdentity;
     EXPECT_NEAR(s.mean, digital, 0.02);
 }

@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <initializer_list>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -411,8 +413,9 @@ TEST(FaultDegradation, RetriesExhaustedBecomesVmmFault)
 
 TEST(FaultDegradation, PipelineSkipsFaultedReadsInLaterStages)
 {
+    // Stage 1 is the evaluation read loop, so the report must not move a
+    // bit for any batch, thread count or block length.
     Fixture& f = Fixture::get();
-    setGlobalPoolThreads(0);
     const FaultConfig faults = configWith(21,
                                           {{FaultSite::ReadDecode, 0.3},
                                            {FaultSite::Chunk, 0.2},
@@ -423,16 +426,43 @@ TEST(FaultDegradation, PipelineSkipsFaultedReadsInLaterStages)
     for (std::size_t i = 0; i < 6; ++i)
         expected.record(expectedOutcome(inj, i));
 
-    const PipelineReport report = runPipeline(
-        f.model, EvalOptions(f.dataset).maxReads(6).faults(faults));
-    EXPECT_EQ(report.degraded.okReads, expected.okReads);
-    EXPECT_EQ(report.degraded.retriedReads, expected.retriedReads);
-    EXPECT_EQ(report.degraded.decodeErrors, expected.decodeErrors);
-    EXPECT_EQ(report.degraded.vmmFaults, expected.vmmFaults);
-    // mappedFraction's denominator is the survivor count, so it stays a
-    // valid [0, 1] fraction under degradation.
-    EXPECT_GE(report.mappedFraction, 0.0);
-    EXPECT_LE(report.mappedFraction, 1.0);
+    const std::atomic<bool> never{false};
+    std::optional<PipelineReport> first;
+    for (const std::size_t batch : {1, 3, 8}) {
+        for (const std::size_t threads : {0, 4}) {
+            for (const bool blocks : {false, true}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "batch " << batch << " threads " << threads
+                             << " blocks " << blocks);
+                setGlobalPoolThreads(threads);
+                EvalOptions opts(f.dataset);
+                opts.maxReads(6).batch(batch).faults(faults);
+                if (blocks)
+                    opts.checkpointEvery(2).stopFlag(&never);
+                const PipelineReport report = runPipeline(f.model, opts);
+                EXPECT_EQ(report.degraded.okReads, expected.okReads);
+                EXPECT_EQ(report.degraded.retriedReads,
+                          expected.retriedReads);
+                EXPECT_EQ(report.degraded.decodeErrors,
+                          expected.decodeErrors);
+                EXPECT_EQ(report.degraded.nanOutputs, expected.nanOutputs);
+                EXPECT_EQ(report.degraded.vmmFaults, expected.vmmFaults);
+                EXPECT_EQ(report.completedReads, 6u);
+                EXPECT_FALSE(report.interrupted);
+                // mappedFraction's denominator is the survivor count, so it
+                // stays a valid [0, 1] fraction under degradation.
+                EXPECT_GE(report.mappedFraction, 0.0);
+                EXPECT_LE(report.mappedFraction, 1.0);
+                if (!first)
+                    first = report;
+                EXPECT_EQ(bits(report.mappedFraction),
+                          bits(first->mappedFraction));
+                EXPECT_EQ(bits(report.meanMapIdentity),
+                          bits(first->meanMapIdentity));
+            }
+        }
+    }
+    setGlobalPoolThreads(0);
 }
 
 TEST(FaultDegradation, MonteCarloSummaryFoldsBreakdownAcrossRuns)

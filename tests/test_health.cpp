@@ -28,6 +28,8 @@
 #include "util/shutdown.h"
 #include "util/thread_pool.h"
 
+#include "test_util.h"
+
 using namespace swordfish;
 using namespace swordfish::basecall;
 using namespace swordfish::core;
@@ -185,16 +187,17 @@ TEST(RefreshConfigParse, MalformedSpecsRejectedAndOutUntouched)
 
 TEST(Health, BlockModeMachineryIsBitwiseNeutral)
 {
-    // stopAfterReads == n engages the block-mode loop without stopping
-    // early; with healing off the result must equal the plain pass
-    // bit for bit.
+    // A stop flag that is never raised engages the block-mode loop
+    // without stopping early; with healing off the result must equal the
+    // plain pass bit for bit.
     Fixture& f = Fixture::get();
     setGlobalPoolThreads(0);
     CrossbarVmmBackend backend(scenario64(), 9);
     const AccuracyResult plain =
         evalWithBackend(backend, EvalOptions(f.dataset).maxReads(8));
+    const std::atomic<bool> never{false};
     const AccuracyResult blocked = evalWithBackend(
-        backend, EvalOptions(f.dataset).maxReads(8).stopAfterReads(8)
+        backend, EvalOptions(f.dataset).maxReads(8).stopFlag(&never)
                      .checkpointEvery(3));
     EXPECT_FALSE(plain.interrupted);
     EXPECT_FALSE(blocked.interrupted);
@@ -439,9 +442,11 @@ TEST(Health, CheckpointResumeReproducesUninterruptedRun)
 
     // First half: stop after 4 reads (two epochs), checkpointing.
     CrossbarVmmBackend first(scenario64(cfg), 7);
+    std::atomic<bool> stop{false};
     const AccuracyResult half = evalWithBackend(
-        first, EvalOptions(f.dataset).maxReads(8).checkpoint(path)
-                   .stopAfterReads(4));
+        first, swordfish::testing::stopOnceDone(
+                   EvalOptions(f.dataset).maxReads(8).checkpoint(path),
+                   stop, 4));
     EXPECT_TRUE(half.interrupted);
     EXPECT_EQ(half.completedReads, 4u);
     ASSERT_TRUE(std::filesystem::exists(path));
@@ -509,9 +514,11 @@ TEST(Health, OlderVersionCheckpointIsIgnoredNotResumed)
     const std::string path = tempPath("swordfish_health_v1_ckpt.bin");
     std::remove(path.c_str());
     CrossbarVmmBackend first(scenario64(cfg), 7);
+    std::atomic<bool> stop{false};
     const AccuracyResult half = evalWithBackend(
-        first, EvalOptions(f.dataset).maxReads(8).checkpoint(path)
-                   .stopAfterReads(4));
+        first, swordfish::testing::stopOnceDone(
+                   EvalOptions(f.dataset).maxReads(8).checkpoint(path),
+                   stop, 4));
     ASSERT_TRUE(half.interrupted);
     ASSERT_EQ(half.completedReads, 4u);
 

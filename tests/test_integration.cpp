@@ -71,7 +71,7 @@ TEST(Integration, SixteenBitDeploymentIsLossless)
     World& w = World::get();
     const double q16 = evaluateQuantizedAccuracy(
         w.model, QuantConfig::deployment(),
-        EvalOptions(w.dataset).maxReads(4));
+        EvalOptions(w.dataset).maxReads(4)).meanIdentity;
     EXPECT_NEAR(q16, w.idealAccuracy, 0.01);
 }
 
@@ -79,7 +79,8 @@ TEST(Integration, ExtremeQuantizationHurts)
 {
     World& w = World::get();
     const double q2 = evaluateQuantizedAccuracy(
-        w.model, QuantConfig{4, 2}, EvalOptions(w.dataset).maxReads(4));
+        w.model, QuantConfig{4, 2}, EvalOptions(w.dataset).maxReads(4))
+        .meanIdentity;
     EXPECT_LT(q2, w.idealAccuracy - 0.02);
 }
 

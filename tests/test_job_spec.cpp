@@ -65,7 +65,6 @@ TEST(EvalRequestJson, RoundTripPreservesEveryScalarKnob)
     req.beamWidth = 5;
     req.checkpointPath = "/tmp/ck.json";
     req.checkpointEvery = 4;
-    req.stopAfterReads = 50;
     req.backend = "compiled";
 
     EvalRequest back;
@@ -80,7 +79,6 @@ TEST(EvalRequestJson, RoundTripPreservesEveryScalarKnob)
     EXPECT_EQ(back.beamWidth, req.beamWidth);
     EXPECT_EQ(back.checkpointPath, req.checkpointPath);
     EXPECT_EQ(back.checkpointEvery, req.checkpointEvery);
-    EXPECT_EQ(back.stopAfterReads, req.stopAfterReads);
     EXPECT_EQ(back.backend, req.backend);
     // Round-trip fixed point: serialize(parse(serialize(x))) is stable.
     EXPECT_EQ(back.toJson(), req.toJson());
@@ -112,6 +110,36 @@ TEST(EvalRequestJson, RemovedInt8KeyIsReadButNeverWritten)
         EvalRequest::fromJson("{\"version\":1,\"int8_kernel\":0}", out)
             .kind,
         JobErrorKind::BadValue);
+}
+
+TEST(EvalRequestJson, RemovedStopAfterReadsKeyIsReadButNeverWritten)
+{
+    // Every record written before the test-only stop was removed carries
+    // "stop_after_reads":0. It still parses and is ignored; any other
+    // count asked for a stop no request can express, so it is a typed
+    // error naming the field; the key is never written.
+    EXPECT_EQ(EvalRequest{}.toJson().find("stop_after_reads"),
+              std::string::npos);
+    EvalRequest out;
+    ASSERT_FALSE(EvalRequest::fromJson(
+        "{\"version\":1,\"runs\":3,\"stop_after_reads\":0}", out));
+    EXPECT_EQ(out.runs, 3u);
+    EXPECT_EQ(out.toJson(), [] {
+        EvalRequest expect;
+        expect.runs = 3;
+        return expect.toJson();
+    }());
+
+    const JobError err = EvalRequest::fromJson(
+        "{\"version\":1,\"runs\":5,\"stop_after_reads\":4}", out);
+    EXPECT_EQ(err.kind, JobErrorKind::BadValue);
+    EXPECT_EQ(err.field, "stop_after_reads");
+    EXPECT_NE(err.message.find("removed"), std::string::npos);
+    EXPECT_EQ(out.runs, 3u); // untouched on failure
+    EXPECT_EQ(EvalRequest::fromJson(
+                  "{\"version\":1,\"stop_after_reads\":-1}", out)
+                  .kind,
+              JobErrorKind::BadValue);
 }
 
 TEST(EvalRequestJson, SeedsAbove2Pow53SurviveExactly)

@@ -124,11 +124,13 @@ TEST(JobManager, AdmissionRejectsInvalidSpecsTyped)
     bad.request.runs = 0;
     EXPECT_EQ(manager.submit(bad, id).kind, JobErrorKind::BadRuns);
 
-    // Thread overrides are daemon-specific rejections: resizing the global
-    // pool under sibling jobs is unsafe, so admission refuses what the CLI
-    // would accept.
+    // A job inherits its runner's pool: resizing the global pool under
+    // sibling jobs is unsafe, so the spec validator (shared by submit,
+    // restart and runJobSpec) refuses a thread override.
     bad = quickSpec();
     bad.request.threads = 2;
+    ASSERT_FALSE(bad.validate().empty());
+    EXPECT_EQ(bad.validate().front().kind, JobErrorKind::BadThreads);
     EXPECT_EQ(manager.submit(bad, id).kind, JobErrorKind::BadThreads);
 
     // The removed interpreter engine is refused at admission.
@@ -222,30 +224,45 @@ TEST(JobManager, UnknownIdsAreTyped)
 
 TEST(JobManager, CancelRunningJobStopsAtBlockBoundary)
 {
+    // Stall every block boundary (150 ms; observe-only) so the cancel
+    // below lands while the job is still running.
     JobManagerConfig cfg;
     cfg.spoolDir = freshSpool("jm_cancel_running").string();
+    cfg.chaos = FaultConfig{};
+    cfg.chaos.setP(FaultSite::JobStall, 1.0);
     JobManager manager(cfg);
 
-    JobSpec spec = quickSpec();
-    spec.datasetReads = 16; // long enough to still be running when we act
-    spec.request.checkpointEvery = 1;
-    std::string id;
-    ASSERT_FALSE(manager.submit(spec, id));
+    // Every single-run kind basecalls through the one read loop, so each
+    // emits progress and yields to the stop flag at a block boundary.
+    for (const service::JobKind kind :
+         {service::JobKind::Eval, service::JobKind::Quantized,
+          service::JobKind::Pipeline}) {
+        SCOPED_TRACE(service::jobKindName(kind));
+        JobSpec spec = quickSpec();
+        spec.kind = kind;
+        spec.datasetReads = 16; // long enough to still be running
+        spec.request.checkpointEvery = 1;
+        std::string id;
+        ASSERT_FALSE(manager.submit(spec, id));
 
-    // Wait for the first progress event so the job is provably mid-run.
-    std::vector<service::JobEvent> events;
-    bool done = false;
-    const auto until = std::chrono::steady_clock::now() + 120s;
-    while (events.empty() && std::chrono::steady_clock::now() < until)
-        ASSERT_FALSE(manager.stream(id, 0, events, done, 250ms));
-    ASSERT_FALSE(events.empty());
+        // Wait for the first progress event so the job is provably
+        // mid-run.
+        std::vector<service::JobEvent> events;
+        bool done = false;
+        const auto until = std::chrono::steady_clock::now() + 120s;
+        while (events.empty() && std::chrono::steady_clock::now() < until)
+            ASSERT_FALSE(manager.stream(id, 0, events, done, 250ms));
+        ASSERT_FALSE(events.empty());
 
-    ASSERT_FALSE(manager.cancel(id));
-    const JobStatus status = awaitTerminal(manager, id);
-    EXPECT_EQ(status.state, JobState::Cancelled);
-    // Cancellation must not leave a checkpoint behind.
-    EXPECT_FALSE(std::filesystem::exists(
-        std::filesystem::path(cfg.spoolDir) / (id + ".ckpt")));
+        ASSERT_FALSE(manager.cancel(id));
+        const JobStatus status = awaitTerminal(manager, id);
+        EXPECT_EQ(status.state, JobState::Cancelled);
+        EXPECT_TRUE(status.result.interrupted);
+        EXPECT_LT(status.result.completedReads, 16u);
+        // Cancellation must not leave a checkpoint behind.
+        EXPECT_FALSE(std::filesystem::exists(
+            std::filesystem::path(cfg.spoolDir) / (id + ".ckpt")));
+    }
 }
 
 TEST(JobManager, StreamDeliversOrderedDenseEvents)
@@ -375,49 +392,63 @@ TEST(JobManager, ResumeSkipsSpoolRecordsWithForeignIds)
 
 TEST(JobManager, ShutdownMidJobResumesFromCheckpointBitwise)
 {
-    // Reference: the same spec run uninterrupted, directly.
-    JobSpec spec = quickSpec();
-    spec.datasetReads = 10;
-    spec.request.checkpointEvery = 2;
-    spec.request.seedBase = 7;
-    const service::JobResult reference = service::runJobSpec(spec);
+    // An eval or quantized job resumes from its checkpoint; a pipeline
+    // job keeps none and reruns from read 0. Either way the restarted
+    // job lands on the uninterrupted run's bits.
+    for (const service::JobKind kind :
+         {service::JobKind::Eval, service::JobKind::Quantized,
+          service::JobKind::Pipeline}) {
+        SCOPED_TRACE(service::jobKindName(kind));
+        // Reference: the same spec run uninterrupted, directly.
+        JobSpec spec = quickSpec();
+        spec.kind = kind;
+        spec.datasetReads = 10;
+        spec.request.checkpointEvery = 2;
+        spec.request.seedBase = 7;
+        const service::JobResult reference = service::runJobSpec(spec);
 
-    const std::filesystem::path spool = freshSpool("jm_resume");
-    std::string id;
-    {
+        const std::filesystem::path spool = freshSpool("jm_resume");
+        std::string id;
+        {
+            // Stall every block boundary (150 ms; observe-only) so the
+            // shutdown below lands while the job is still running.
+            JobManagerConfig cfg;
+            cfg.spoolDir = spool.string();
+            cfg.chaos = FaultConfig{};
+            cfg.chaos.setP(FaultSite::JobStall, 1.0);
+            JobManager manager(cfg);
+            ASSERT_FALSE(manager.submit(spec, id));
+
+            // Let it make some progress, then shut the daemon down
+            // mid-job.
+            std::vector<service::JobEvent> events;
+            bool done = false;
+            const auto until = std::chrono::steady_clock::now() + 120s;
+            while (events.empty()
+                   && std::chrono::steady_clock::now() < until)
+                ASSERT_FALSE(manager.stream(id, 0, events, done, 250ms));
+            ASSERT_FALSE(events.empty());
+            manager.shutdown();
+
+            // The interrupted job is re-queued (an eval or quantized job
+            // with its checkpoint kept).
+            JobStatus status;
+            ASSERT_FALSE(manager.status(id, status));
+            EXPECT_EQ(status.state, JobState::Queued);
+        }
+
         JobManagerConfig cfg;
         cfg.spoolDir = spool.string();
         JobManager manager(cfg);
-        ASSERT_FALSE(manager.submit(spec, id));
-
-        // Let it make some progress, then shut the daemon down mid-job.
-        std::vector<service::JobEvent> events;
-        bool done = false;
-        const auto until = std::chrono::steady_clock::now() + 120s;
-        while (events.empty() && std::chrono::steady_clock::now() < until)
-            ASSERT_FALSE(manager.stream(id, 0, events, done, 250ms));
-        ASSERT_FALSE(events.empty());
-        manager.shutdown();
-
-        // If the job was still running it must now be re-queued with its
-        // checkpoint kept; if it won the race and completed, the resume
-        // phase below degenerates to a plain restart (still valid).
-        JobStatus status;
-        ASSERT_FALSE(manager.status(id, status));
-        EXPECT_TRUE(status.state == JobState::Queued
-                    || status.state == JobState::Completed);
+        manager.resumeSpooled();
+        const JobStatus status = awaitTerminal(manager, id);
+        EXPECT_EQ(status.state, JobState::Completed);
+        EXPECT_FALSE(status.result.interrupted);
+        EXPECT_EQ(status.result.completedReads, reference.completedReads);
+        EXPECT_EQ(status.result.survivors, reference.survivors);
+        // The resumed run is bitwise identical to the uninterrupted one.
+        EXPECT_EQ(bits(status.result.mean), bits(reference.mean));
     }
-
-    JobManagerConfig cfg;
-    cfg.spoolDir = spool.string();
-    JobManager manager(cfg);
-    manager.resumeSpooled();
-    const JobStatus status = awaitTerminal(manager, id);
-    EXPECT_EQ(status.state, JobState::Completed);
-    EXPECT_FALSE(status.result.interrupted);
-    EXPECT_EQ(status.result.completedReads, reference.completedReads);
-    // The resumed run is bitwise identical to the uninterrupted one.
-    EXPECT_EQ(bits(status.result.mean), bits(reference.mean));
 }
 
 TEST(JobManager, FaultAndRefreshJobsRunConcurrentlyBitwise)
@@ -502,39 +533,48 @@ TEST(JobManager, FaultAndRefreshJobsRunConcurrentlyBitwise)
  */
 TEST(ServiceDeterminism, DaemonJobMatchesDirectRunBitwise)
 {
-    JobSpec spec;
-    spec.kind = service::JobKind::NonIdeal;
-    spec.datasetId = "D1";
-    spec.datasetReads = 4;
-    spec.scenarioKind = "combined";
-    spec.crossbarSize = 32;
-    spec.request.runs = 2;
-    spec.request.seedBase = 11;
-    spec.request.checkpointEvery = 2;
+    JobSpec nonideal;
+    nonideal.kind = service::JobKind::NonIdeal;
+    nonideal.datasetId = "D1";
+    nonideal.datasetReads = 4;
+    nonideal.scenarioKind = "combined";
+    nonideal.crossbarSize = 32;
+    nonideal.request.runs = 2;
+    nonideal.request.seedBase = 11;
+    nonideal.request.checkpointEvery = 2;
+    nonideal.request.backend = "compiled";
+    JobSpec quantized = nonideal;
+    quantized.kind = service::JobKind::Quantized;
+    quantized.weightBits = 8;
+    quantized.activationBits = 8;
+    JobSpec pipeline = nonideal;
+    pipeline.kind = service::JobKind::Pipeline;
 
     std::vector<SimdLevel> levels = {SimdLevel::Scalar};
     if (cpuSupportsAvx2())
         levels.push_back(SimdLevel::Avx2);
 
-    spec.request.backend = "compiled";
     for (const SimdLevel level : levels) {
         SCOPED_TRACE(simdLevelName(level));
         ScopedSimdLevel scoped(level);
+        for (const JobSpec& spec : {nonideal, quantized, pipeline}) {
+            SCOPED_TRACE(service::jobKindName(spec.kind));
+            const service::JobResult direct = service::runJobSpec(spec);
 
-        const service::JobResult direct = service::runJobSpec(spec);
+            JobManagerConfig cfg;
+            cfg.spoolDir = freshSpool("jm_determinism").string();
+            JobManager manager(cfg);
+            std::string id;
+            ASSERT_FALSE(manager.submit(spec, id));
+            const JobStatus status = awaitTerminal(manager, id);
+            ASSERT_EQ(status.state, JobState::Completed);
 
-        JobManagerConfig cfg;
-        cfg.spoolDir = freshSpool("jm_determinism").string();
-        JobManager manager(cfg);
-        std::string id;
-        ASSERT_FALSE(manager.submit(spec, id));
-        const JobStatus status = awaitTerminal(manager, id);
-        ASSERT_EQ(status.state, JobState::Completed);
-
-        EXPECT_EQ(bits(status.result.mean), bits(direct.mean));
-        EXPECT_EQ(bits(status.result.stddev), bits(direct.stddev));
-        EXPECT_EQ(status.result.runs, direct.runs);
-        EXPECT_EQ(status.result.survivors, direct.survivors);
-        EXPECT_EQ(status.result.skipped, direct.skipped);
+            EXPECT_EQ(bits(status.result.mean), bits(direct.mean));
+            EXPECT_EQ(bits(status.result.stddev), bits(direct.stddev));
+            EXPECT_EQ(status.result.runs, direct.runs);
+            EXPECT_EQ(status.result.completedReads, direct.completedReads);
+            EXPECT_EQ(status.result.survivors, direct.survivors);
+            EXPECT_EQ(status.result.skipped, direct.skipped);
+        }
     }
 }

@@ -173,24 +173,34 @@ TEST(Supervision, SpecKnobsRoundTripThroughJson)
 TEST(Supervision, DeadlineExpiryMidBlockTimesOut)
 {
     // Chaos-stall every block boundary (150ms each) so a 50ms deadline
-    // reliably expires while the job is mid-run.
+    // reliably expires while the job is mid-run, whatever its kind: all
+    // four basecall through the one read loop, which yields at the first
+    // boundary after the watchdog raises the stop flag.
     JobManagerConfig cfg;
     cfg.chaos = chaosConfig(FaultSite::JobStall, 1.0);
     cfg.spoolDir = freshSpool("sup_deadline").string();
     cfg.watchdogPollMs = 5;
     JobManager manager(cfg);
 
-    JobSpec spec = quickSpec();
-    spec.request.checkpointEvery = 1; // more block boundaries to yield at
-    spec.deadlineS = 0.05;
-    std::string id;
-    ASSERT_FALSE(manager.submit(spec, id));
+    for (const service::JobKind kind :
+         {service::JobKind::Eval, service::JobKind::NonIdeal,
+          service::JobKind::Quantized, service::JobKind::Pipeline}) {
+        SCOPED_TRACE(service::jobKindName(kind));
+        JobSpec spec = quickSpec();
+        spec.kind = kind;
+        spec.crossbarSize = 32;
+        spec.request.checkpointEvery = 1; // more boundaries to yield at
+        spec.deadlineS = 0.05;
+        std::string id;
+        ASSERT_FALSE(manager.submit(spec, id));
 
-    const JobStatus status = awaitTerminal(manager, id);
-    EXPECT_EQ(status.state, JobState::TimedOut);
-    EXPECT_TRUE(status.result.interrupted);
-    EXPECT_NE(status.error.find("deadline"), std::string::npos)
-        << status.error;
+        const JobStatus status = awaitTerminal(manager, id);
+        EXPECT_EQ(status.state, JobState::TimedOut);
+        EXPECT_TRUE(status.result.interrupted);
+        EXPECT_LT(status.result.completedReads, spec.datasetReads);
+        EXPECT_NE(status.error.find("deadline"), std::string::npos)
+            << status.error;
+    }
     // A second job without a deadline is untouched by the watchdog.
     JobSpec free_spec = quickSpec();
     std::string id2;
@@ -360,22 +370,56 @@ TEST(Supervision, SpooledRemovedBackendTokenFailsTypedAtRestart)
     }
 }
 
+TEST(Supervision, SpooledThreadOverrideFailsTypedAtRestart)
+{
+    // submit refuses a thread override, and so must restart: a worker
+    // running one would resize the process pool under its sibling jobs.
+    // The shared validator fails such a record typed, and persists that.
+    const std::filesystem::path spool = freshSpool("sup_threads");
+    JobSpec spec = quickSpec();
+    spec.request.threads = 1;
+    forgeRecord(spool, "j1", "queued", 0, spec);
+
+    JobManagerConfig cfg;
+    cfg.workers = 0;
+    cfg.spoolDir = spool.string();
+    JobManager manager(cfg);
+    EXPECT_EQ(manager.resumeSpooled(), 0u);
+    JobStatus status;
+    ASSERT_FALSE(manager.status("j1", status));
+    EXPECT_EQ(status.state, JobState::Failed);
+    EXPECT_NE(status.error.find("thread"), std::string::npos)
+        << status.error;
+    std::string id;
+    EXPECT_EQ(manager.submit(spec, id).kind, JobErrorKind::BadThreads);
+
+    JobManager again(cfg);
+    EXPECT_EQ(again.resumeSpooled(), 0u);
+    ASSERT_FALSE(again.status("j1", status));
+    EXPECT_EQ(status.state, JobState::Failed);
+}
+
 TEST(Supervision, ParentFormatRecordResumesBitwise)
 {
-    // Records written before the int8 family was removed carry
-    // "int8_kernel":false in their request. Such a record still resumes,
+    // Records written before the int8 family and the stop_after_reads
+    // knob were removed carry "int8_kernel":false and
+    // "stop_after_reads":0 in their request. Such a record still resumes,
     // and completes bitwise like a fresh submit of the same spec.
     const JobSpec spec;
     std::string spec_json = spec.toJson();
-    if (spec_json.find("\"int8_kernel\"") == std::string::npos) {
+    for (const std::string field :
+         {"\"stop_after_reads\":0", "\"int8_kernel\":false"}) {
+        if (spec_json.find(field) != std::string::npos)
+            continue;
         // Where the old writer put it: just before the request's backend.
         const std::size_t request = spec_json.find("\"request\":");
         ASSERT_NE(request, std::string::npos);
         const std::size_t backend =
             spec_json.find("\"backend\":", request);
         ASSERT_NE(backend, std::string::npos);
-        spec_json.insert(backend, "\"int8_kernel\":false,");
+        spec_json.insert(backend, field + ",");
     }
+    ASSERT_NE(spec_json.find("\"stop_after_reads\":0"), std::string::npos);
     ASSERT_NE(spec_json.find("\"int8_kernel\":false"), std::string::npos);
 
     const std::filesystem::path spool = freshSpool("sup_parent_record");

@@ -1,17 +1,19 @@
 /**
  * @file
  * Shared test helpers: random tensors, numeric gradient checking for NN
- * layers, and tolerances.
+ * layers, tolerances, and a request that stops on a block boundary.
  */
 
 #ifndef SWORDFISH_TESTS_TEST_UTIL_H
 #define SWORDFISH_TESTS_TEST_UTIL_H
 
+#include <atomic>
 #include <cmath>
 #include <functional>
 
 #include <gtest/gtest.h>
 
+#include "basecall/eval_request.h"
 #include "nn/module.h"
 #include "tensor/matrix.h"
 #include "util/rng.h"
@@ -28,6 +30,23 @@ randomMatrix(std::size_t rows, std::size_t cols, std::uint64_t seed,
     for (float& v : m.raw())
         v = static_cast<float>(rng.gauss(0.0, sigma));
     return m;
+}
+
+/**
+ * `opts` plus a stop on the block boundary where `reads` reads are done:
+ * its block sink raises `flag`, which the read loop checks right after
+ * the sink returns.
+ */
+inline basecall::EvalOptions
+stopOnceDone(basecall::EvalOptions opts, std::atomic<bool>& flag,
+               std::size_t reads)
+{
+    opts.stopFlag(&flag).onBlock(
+        [&flag, reads](const basecall::BlockEvent& ev) {
+            if (ev.done >= reads)
+                flag.store(true, std::memory_order_relaxed);
+        });
+    return opts;
 }
 
 /** Sum-of-elements loss, gradient of which is all-ones. */
