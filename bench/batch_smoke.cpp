@@ -85,6 +85,7 @@ main()
     // 2. Per-call basecalls: batched groups vs the serial loop.
     CrossbarVmmBackend backend(scenario, 21);
     model.setBackend(&backend);
+    model.compileBackend();
     std::vector<genomics::Sequence> serial;
     for (std::size_t i = 0; i < 4; ++i) {
         model.beginRead(i);

@@ -396,9 +396,9 @@ prepareReads(nn::SequenceModel& model, const EvalRequest& req,
 {
     requireValid(req, where);
     applyRequestThreads(req);
-    // AOT setup: offer every weight to the installed backend before the
-    // first read, so programming/plan lowering never races the hot path
-    // and the first read's latency matches steady state.
+    // Offer every weight to the installed backend before the first read:
+    // a crossbar backend programs its tiles only here, so the read loop's
+    // matmuls only read them.
     model.compileBackend();
 }
 

@@ -190,11 +190,8 @@ AccuracyEnhancer::enhance(const nn::SequenceModel& deployed,
         // non-ideality.
         CrossbarVmmBackend probe(scenario, /*run_seed=*/0);
         probe.setSramRemap(out.remap);
-        if (!chunks_.empty()) {
-            nn::SequenceModel probe_model = out.model;
-            probe_model.setBackend(&probe);
-            probe_model.forward(chunks_.front().signal);
-        }
+        if (const CompileError err = probe.compile(out.model))
+            panic("Enhancer: RSA+KD probe: ", err.message);
         retrain(out.model, scenario, config, /*distill=*/true,
                 &probe.sramMasks());
         break;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <mutex>
 #include <sstream>
 
 #include "core/vmm_backend.h"
@@ -249,13 +248,6 @@ TileHealthMonitor::registerWeight(const std::string& name,
     WeightState& slot = states_[name] = std::move(ws);
     for (std::size_t idx = 0; idx < n; ++idx)
         captureReference(name, slot, idx);
-    // Catch-up: a weight programmed mid-run (lazy programming on a resumed
-    // sweep) replays every elapsed epoch so its healing history is the one
-    // an uninterrupted run would have produced. All per-epoch draws are
-    // keyed by (tile, epoch), so replay order across weights is
-    // irrelevant.
-    for (std::uint64_t e = 1; e <= epoch_; ++e)
-        advanceWeight(name, slot, e);
 }
 
 void
@@ -497,7 +489,6 @@ TileHealthMonitor::advanceEpoch()
     static const Gauge kSparesGauge =
         metrics().gauge("health.spares.left");
 
-    std::unique_lock<std::shared_mutex> lock(backend_.programMutex_);
     ++epoch_;
     simHours_ = static_cast<double>(epoch_) * config_.epochHours();
     ++stats_.epochs;

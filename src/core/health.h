@@ -163,8 +163,8 @@ struct HealthStats
 /**
  * The maintenance loop over one backend's programmed tiles. Owned by the
  * backend; all entry points run serially with respect to matmuls (the
- * evaluation loops call healthEpochAdvance() only between read blocks,
- * registerWeight() runs under the backend's program lock).
+ * backend's compile calls registerWeight() before the first read, and the
+ * evaluation loops call healthEpochAdvance() only between read blocks).
  */
 class TileHealthMonitor
 {
@@ -176,10 +176,9 @@ class TileHealthMonitor
      * Track a freshly-programmed weight. `truths` holds the pre-fault
      * digital sub-matrix of each tile in row-major tile order — the ground
      * truth the probes compare against (a tile killed by a programming
-     * fault is detected precisely because its truth is *not* zero). When
-     * the monitor is already past epoch 0 (a resumed run programming its
-     * weights lazily), the weight catches up by replaying every elapsed
-     * epoch, so resumed and uninterrupted runs share one healing history.
+     * fault is detected precisely because its truth is *not* zero).
+     * Weights register at compile, before the first epoch; a resumed run
+     * replays its elapsed epochs afterwards, over every weight at once.
      */
     void registerWeight(const std::string& name,
                         std::vector<Matrix> truths);

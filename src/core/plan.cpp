@@ -22,13 +22,6 @@ compileFailureName(CompileFailure failure)
     return "unknown";
 }
 
-std::string
-ExecPlan::describe() const
-{
-    return std::to_string(weights.size()) + " weights, "
-        + std::to_string(totalTiles) + " tiles";
-}
-
 WeightPlan
 buildAnalyticalWeightPlan(
     std::size_t rows, std::size_t cols, std::size_t tile_size,

@@ -3,17 +3,15 @@
  * Ahead-of-time execution plans for the crossbar VMM backend, plus the
  * typed compile-error surface shared by the backend registry.
  *
- * compile() lowers a (model, NonIdealityConfig) pair into a flat
- * ExecPlan: one WeightPlan per mapped weight holding the pre-resolved
- * column slices, a flat tile-op list in execution order (column tile
- * outer, row tile inner — which fixes the conversion-noise draw order and
- * the float accumulation order), the folded measured-library gain/offset
- * vectors, and the precomputed per-row conversion-counter factors. The
- * WeightPlan is the only way a crossbar VMM executes: the backend builds
- * it when a weight is programmed, whether by compile() or lazily by a
- * first matmul, and its dispatch loop runs the ops directly, with no grid
- * arithmetic on the hot path (and, once compile() has sealed the plan, no
- * lock or map lookup either).
+ * The backend's compile() programs each mapped weight and lowers it into
+ * one WeightPlan holding the pre-resolved column slices, a flat tile-op
+ * list in execution order (column tile outer, row tile inner — which fixes
+ * the conversion-noise draw order and the float accumulation order), the
+ * folded measured-library gain/offset vectors, and the precomputed per-row
+ * conversion-counter factors. The WeightPlan is the only way a crossbar
+ * VMM executes: compile() is the only place it is built, and the dispatch
+ * loop runs its ops directly, with no grid arithmetic and no lock on the
+ * hot path.
  *
  * Typed errors: compilation failures (unknown backend, shape mismatch
  * against a cached plan, degenerate device configs, out-of-range remap
@@ -29,7 +27,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "crossbar/crossbar.h"
@@ -156,32 +153,6 @@ struct WeightPlan
     std::size_t tileVmms = 0;
     std::size_t dacPerRow = 0;
     std::size_t adcPerRow = 0;
-};
-
-/**
- * A compiled model: the WeightPlan of every compiled weight, plus stats.
- * The plans themselves live with the programmed weights; the map only
- * indexes them for the lock-free lookup after sealing.
- */
-struct ExecPlan
-{
-    std::unordered_map<std::string, const WeightPlan*> weights;
-    std::size_t totalTiles = 0;
-    double compileSeconds = 0.0;
-
-    /** The plan for a weight, or nullptr when it was never compiled
-     *  (direct matmul callers run the plan built at lazy programming). */
-    const WeightPlan*
-    find(const std::string& name) const
-    {
-        const auto it = weights.find(name);
-        return it == weights.end() ? nullptr : it->second;
-    }
-
-    std::size_t weightCount() const { return weights.size(); }
-
-    /** One-line summary for logs / bench JSON. */
-    std::string describe() const;
 };
 
 /**

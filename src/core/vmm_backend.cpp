@@ -1,6 +1,7 @@
 #include "vmm_backend.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -198,8 +199,8 @@ CrossbarVmmBackend::conversionRng() const
     if (tls_batch.owner == instanceId_ && tls_batch.activeLane != kNoLane
         && tls_batch.activeLane < tls_batch.laneRngs.size())
         return tls_batch.laneRngs[tls_batch.activeLane];
-    // Threads that never saw beginRead() (direct matmul callers, e.g.
-    // training-time noise injection) run on the read-0 stream.
+    // Threads that never saw beginRead() (direct matmul callers) run on
+    // the read-0 stream.
     if (tls_stream.owner != instanceId_) {
         tls_stream.owner = instanceId_;
         tls_stream.streamKey = 0;
@@ -248,58 +249,6 @@ CrossbarVmmBackend::onActivationsRows(Matrix& m, std::size_t row_begin,
     // Per-lane quantization scale: identical to onActivations() on the
     // lane's standalone matrix.
     activationQuant_.applyRows(m, row_begin, row_end);
-}
-
-const CrossbarVmmBackend::MappedWeight&
-CrossbarVmmBackend::mapped(const std::string& name, const Matrix& w)
-{
-    {
-        std::shared_lock<std::shared_mutex> lock(programMutex_);
-        auto it = weights_.find(name);
-        if (it != weights_.end()) {
-            if (it->second.rows != w.rows() || it->second.cols != w.cols())
-                panic("CrossbarVmmBackend: shape of ", name,
-                      " changed after programming");
-            return it->second;
-        }
-    }
-
-    std::unique_lock<std::shared_mutex> lock(programMutex_);
-    auto it = weights_.find(name);
-    if (it != weights_.end()) {
-        // Another read-shard programmed it while we waited for the lock.
-        if (it->second.rows != w.rows() || it->second.cols != w.cols())
-            panic("CrossbarVmmBackend: shape of ", name,
-                  " changed after programming");
-        return it->second;
-    }
-
-    MappedWeight mw;
-    mw.rows = w.rows();
-    mw.cols = w.cols();
-    mw.absMax = w.absMax() > 0.0f ? w.absMax() : 1.0f;
-    sramMasks_[name].assign(w.size(), 0);
-    std::vector<Matrix> truths;
-    if (config_.usesLibrary())
-        programMeasured(mw, name, w);
-    else
-        programAnalytical(mw, name, w,
-                          health_ != nullptr ? &truths : nullptr);
-    MappedWeight& slot = weights_.emplace(name, std::move(mw)).first->second;
-    // Lowered from the emplaced node, never the moved-from local: the plan
-    // caches pointers into it.
-    slot.plan = config_.usesLibrary()
-        ? buildMeasuredWeightPlan(slot.rows, slot.cols, slot.measuredWeights,
-                                  slot.measuredGain, slot.measuredOffset,
-                                  slot.absMax)
-        : buildAnalyticalWeightPlan(slot.rows, slot.cols,
-                                    config_.crossbar.size, slot.tiles,
-                                    &slot.extras);
-    // Registration replays any elapsed health epochs (still under the
-    // unique programming lock, so no matmul sees a half-healed weight).
-    if (health_ != nullptr && !config_.usesLibrary())
-        health_->registerWeight(name, std::move(truths));
-    return slot;
 }
 
 std::vector<std::uint8_t>
@@ -601,25 +550,6 @@ CrossbarVmmBackend::matmulBatched(const std::string& name, const Matrix& w,
             tls_batch.laneStreams.data());
 }
 
-const WeightPlan&
-CrossbarVmmBackend::weightPlan(const std::string& name, const Matrix& w)
-{
-    // Once the plan is sealed (acquire pairs with the release in
-    // finishCompile()), compiled weights skip the lock and the map lookup.
-    if (planReady_.load(std::memory_order_acquire)) {
-        if (const WeightPlan* wp = plan_.find(name)) {
-            if (wp->rows != w.rows() || wp->cols != w.cols())
-                panic("CrossbarVmmBackend: shape of ", name,
-                      " changed after programming");
-            return *wp;
-        }
-    }
-    // Weights outside the plan (direct matmul callers: training, enhancer
-    // probes) run the same plan, built when their first matmul programmed
-    // them.
-    return mapped(name, w).plan;
-}
-
 void
 CrossbarVmmBackend::execute(const std::string& name, const Matrix& w,
                             const Matrix& x, Matrix& y,
@@ -630,14 +560,20 @@ CrossbarVmmBackend::execute(const std::string& name, const Matrix& w,
     TraceSpan trace(counters.span);
     counters.calls.add();
 
-    const WeightPlan& wp = weightPlan(name, w);
-    if (wp.measured)
-        runMeasured(wp, x, y, layout);
+    const WeightPlan* wp = plan(name);
+    if (wp == nullptr)
+        panic("CrossbarVmmBackend: ", name,
+              " not compiled (compile the model before its first read)");
+    if (wp->rows != w.rows() || wp->cols != w.cols())
+        panic("CrossbarVmmBackend: shape of ", name,
+              " changed after programming");
+    if (wp->measured)
+        runMeasured(*wp, x, y, layout);
     else
-        runAnalytical(wp, x, y, layout, rngs);
-    counters.tileVmms.add(wp.tileVmms);
-    counters.dac.add(x.rows() * wp.dacPerRow);
-    counters.adc.add(x.rows() * wp.adcPerRow);
+        runAnalytical(*wp, x, y, layout, rngs);
+    counters.tileVmms.add(wp->tileVmms);
+    counters.dac.add(x.rows() * wp->dacPerRow);
+    counters.adc.add(x.rows() * wp->adcPerRow);
 
     std::size_t row = 0;
     for (const LaneSpan& span : layout) {
@@ -702,35 +638,47 @@ CrossbarVmmBackend::runMeasured(const WeightPlan& wp, const Matrix& x,
 }
 
 // ---------------------------------------------------------------------------
-// Ahead-of-time compilation
+// Compilation: the one place weights are programmed
 // ---------------------------------------------------------------------------
 
 CompileError
 CrossbarVmmBackend::compileWeight(const std::string& name, const Matrix& w)
 {
-    // Typed pre-check before mapped(), which panics on a shape change: a
-    // caller compiling a weight against an existing plan deserves a value
-    // error it can surface, not an abort.
-    {
-        std::shared_lock<std::shared_mutex> lock(programMutex_);
-        const auto it = weights_.find(name);
-        if (it != weights_.end()
-            && (it->second.rows != w.rows() || it->second.cols != w.cols()))
-            return {CompileFailure::ShapeMismatch,
-                    "shape of " + name + " ("
-                        + std::to_string(w.rows()) + "x"
-                        + std::to_string(w.cols())
-                        + ") does not match the compiled plan ("
-                        + std::to_string(it->second.rows) + "x"
-                        + std::to_string(it->second.cols) + ")"};
+    if (const auto it = weights_.find(name); it != weights_.end()) {
+        if (it->second.rows == w.rows() && it->second.cols == w.cols())
+            return {}; // already compiled
+        return {CompileFailure::ShapeMismatch,
+                "shape of " + name + " (" + std::to_string(w.rows()) + "x"
+                    + std::to_string(w.cols())
+                    + ") does not match the compiled plan ("
+                    + std::to_string(it->second.rows) + "x"
+                    + std::to_string(it->second.cols) + ")"};
     }
 
-    // Seeds are pure in (runSeed, name, tile), never in call order, so AOT
-    // programming here is bitwise-equal to lazy first-matmul programming.
-    const MappedWeight& mw = mapped(name, w);
-    std::unique_lock<std::shared_mutex> lock(programMutex_);
-    if (plan_.weights.emplace(name, &mw.plan).second) // idempotent
-        plan_.totalTiles += mw.plan.ops.size();
+    // Seeds are pure in (runSeed, name, tile), never in compile order.
+    MappedWeight mw;
+    mw.rows = w.rows();
+    mw.cols = w.cols();
+    mw.absMax = w.absMax() > 0.0f ? w.absMax() : 1.0f;
+    sramMasks_[name].assign(w.size(), 0);
+    std::vector<Matrix> truths;
+    if (config_.usesLibrary())
+        programMeasured(mw, name, w);
+    else
+        programAnalytical(mw, name, w,
+                          health_ != nullptr ? &truths : nullptr);
+    MappedWeight& slot = weights_.emplace(name, std::move(mw)).first->second;
+    // Lowered from the emplaced node, never the moved-from local: the plan
+    // caches pointers into it.
+    slot.plan = config_.usesLibrary()
+        ? buildMeasuredWeightPlan(slot.rows, slot.cols, slot.measuredWeights,
+                                  slot.measuredGain, slot.measuredOffset,
+                                  slot.absMax)
+        : buildAnalyticalWeightPlan(slot.rows, slot.cols,
+                                    config_.crossbar.size, slot.tiles,
+                                    &slot.extras);
+    if (health_ != nullptr)
+        health_->registerWeight(name, std::move(truths));
     return {};
 }
 
@@ -743,7 +691,6 @@ CrossbarVmmBackend::compile(nn::SequenceModel& model)
         if (const CompileError err = compileWeight(p->name, p->value))
             return err;
     }
-    finishCompile();
     return {};
 }
 
@@ -759,13 +706,11 @@ CrossbarVmmBackend::prepareWeight(const std::string& name, const Matrix& w)
         panic("CrossbarVmmBackend::prepareWeight: ", err.message);
 }
 
-void
-CrossbarVmmBackend::finishCompile()
+const WeightPlan*
+CrossbarVmmBackend::plan(const std::string& name) const
 {
-    // Release pairs with the acquire in weightPlan(): a thread that sees
-    // planReady_ sees the fully-built plan. Compile sweeps run between
-    // evaluations, never concurrently with matmuls.
-    planReady_.store(true, std::memory_order_release);
+    const auto it = weights_.find(name);
+    return it == weights_.end() ? nullptr : &it->second.plan;
 }
 
 } // namespace swordfish::core

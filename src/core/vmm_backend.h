@@ -20,11 +20,9 @@
 #ifndef SWORDFISH_CORE_VMM_BACKEND_H
 #define SWORDFISH_CORE_VMM_BACKEND_H
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -159,31 +157,33 @@ class CrossbarVmmBackend : public nn::VmmBackend
     const NoiseModel& noiseModel() const { return noise_; }
 
     /**
-     * Ahead-of-time compile: program every crossbar-mapped weight of the
-     * model, index its WeightPlan in the ExecPlan, then seal the plan.
-     * Typed errors (shape mismatch against an already-compiled weight) are
-     * returned, not panicked. Idempotent; must not run concurrently with
-     * matmuls (the evaluation entry points compile before the first read).
+     * Program every crossbar-mapped weight of the model (see
+     * compileWeight()). The evaluation entry points compile before the
+     * first read; compiling must not run concurrently with matmuls.
      */
     CompileError compile(nn::SequenceModel& model);
 
-    /** Compile a single weight (see compile()). */
+    /**
+     * The one place a weight is programmed: program its tiles (or its
+     * measured matrix), lower its WeightPlan and register it with the
+     * health monitor. Compiling a known name again with the same shape
+     * does nothing; another shape is a typed ShapeMismatch, not a panic.
+     */
     CompileError compileWeight(const std::string& name, const Matrix& w);
 
-    /** nn-layer AOT hooks: route to compileWeight()/plan sealing. */
+    /** nn-layer compile hook: compileWeight() for the crossbar-mapped
+     *  weights, panicking on a typed error. */
     void prepareWeight(const std::string& name, const Matrix& w) override;
-    void finishCompile() override;
 
-    /** The execution plan: every compiled weight's WeightPlan. */
-    const ExecPlan& plan() const { return plan_; }
+    /** A compiled weight's plan, or nullptr when it was never compiled. */
+    const WeightPlan* plan(const std::string& name) const;
 
     /**
-     * Thread-safe after a weight is programmed: the first matmul for a
-     * name that compile() did not cover programs its tiles and builds its
-     * WeightPlan under a lock; afterwards concurrent calls only read the
-     * tile set and draw conversion noise from the calling thread's
-     * per-read stream (see beginRead()). Runs matmulBatched()'s body
-     * over a one-lane layout on that stream.
+     * Runs matmulBatched()'s body over a one-lane layout on the calling
+     * thread's per-read conversion stream (see beginRead()). The weight
+     * must have been compiled: a matmul on an uncompiled weight, or on a
+     * compiled one whose shape changed, panics. Concurrent calls only read
+     * the compiled weight map.
      */
     void matmul(const std::string& name, const Matrix& w, const Matrix& x,
                 Matrix& y) override;
@@ -237,7 +237,7 @@ class CrossbarVmmBackend : public nn::VmmBackend
     }
 
     /** Number of tiles programmed so far. */
-    std::size_t programmedTiles() const { return tileCount_.load(); }
+    std::size_t programmedTiles() const { return tileCount_; }
 
     const NonIdealityConfig& config() const { return config_; }
 
@@ -294,10 +294,6 @@ class CrossbarVmmBackend : public nn::VmmBackend
         WeightPlan plan;
     };
 
-    const MappedWeight& mapped(const std::string& name, const Matrix& w);
-    /** The weight's plan: the sealed lock-free lookup for compiled
-     *  weights, else the plan built by (lazy) programming. */
-    const WeightPlan& weightPlan(const std::string& name, const Matrix& w);
     /**
      * Run one VMM over stacked lanes: rngs[i] is the conversion stream of
      * layout[i], lane_keys[lane] the read-stream id that keys that lane's
@@ -337,19 +333,13 @@ class CrossbarVmmBackend : public nn::VmmBackend
     Quantizer activationQuant_;
     std::optional<crossbar::MeasurementLibrary> library_;
     SramRemapConfig remap_;
-    // Programming happens once per weight name under the unique lock;
-    // matmul holds the shared lock only for the map lookup (nodes are
-    // never erased, so returned references stay valid).
-    mutable std::shared_mutex programMutex_;
+    // Written only by compileWeight(), before the first read; matmuls only
+    // read it, so it needs no lock (nodes are never erased, so the plans'
+    // cached pointers stay valid).
     std::map<std::string, MappedWeight> weights_;
     std::map<std::string, std::vector<std::uint8_t>> sramMasks_;
-    std::atomic<std::size_t> tileCount_ = 0;
+    std::size_t tileCount_ = 0;
     std::unique_ptr<TileHealthMonitor> health_; ///< null = healing off
-    // The AOT execution plan. Mutated only by compileWeight() under the
-    // unique lock; sealed by finishCompile() with a release store so the
-    // hot path can read it lock-free after the acquire load succeeds.
-    ExecPlan plan_;
-    std::atomic<bool> planReady_ = false;
 };
 
 } // namespace swordfish::core

@@ -133,10 +133,10 @@ class SequenceModel
     }
 
     /**
-     * Offer every parameter to the backend's ahead-of-time compile hook
-     * and seal the result (see VmmBackend::prepareWeight). The evaluation
-     * entry points call this before the first read; it is idempotent, and
-     * a no-op for backends without per-weight setup.
+     * Offer every parameter to the backend's compile hook (see
+     * VmmBackend::prepareWeight). The evaluation entry points call this
+     * before the first read; it is idempotent, and a no-op for backends
+     * without per-weight setup.
      */
     void
     compileBackend()

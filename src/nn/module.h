@@ -125,24 +125,19 @@ class VmmBackend
     }
 
     /**
-     * Ahead-of-time compile hook: the evaluation entry points offer every
-     * model parameter to the backend before the first read, so backends
-     * with a per-weight setup cost (crossbar programming, execution-plan
-     * lowering) can pay it up front instead of on the first matmul. Backends filter for the parameters they map
-     * (biases are offered too) and must produce state bitwise identical
-     * to what lazy first-use setup would have produced — programming
-     * seeds are pure in (run seed, name, tile), never in call order.
+     * Compile hook: the evaluation entry points offer every model
+     * parameter to the backend before the first read. Backends with
+     * per-weight state (crossbar programming, execution-plan lowering)
+     * build it here and only here, so their matmuls only read it; they
+     * filter for the parameters they map (biases are offered too).
      * Default: stateless backends ignore it.
      */
     virtual void prepareWeight(const std::string& /*name*/,
                                const Matrix& /*w*/)
     {}
 
-    /**
-     * Called once after the prepareWeight() sweep: backends that build an
-     * execution plan seal it here (the plan is immutable afterwards, which
-     * is what lets the hot path read it without locking). Default: no-op.
-     */
+    /** Called once after the prepareWeight() sweep. Default: no-op, and
+     *  no backend in the library overrides it. */
     virtual void finishCompile() {}
 
     /**

@@ -42,6 +42,8 @@
 #include "util/fault.h"
 #include "util/json.h"
 
+#include "test_util.h"
+
 using namespace swordfish;
 using namespace std::chrono_literals;
 
@@ -203,6 +205,7 @@ TEST(ChaosSmoke, SupervisedDaemonSurvivesChaosBitwise)
         references.push_back(service::runJobSpec(spec));
 
     pid_t daemon = startDaemon();
+    swordfish::testing::ChildGuard guard(daemon);
     ASSERT_GT(daemon, 0);
 
     // Submit everything, honoring overload shedding if it triggers.
@@ -239,6 +242,7 @@ TEST(ChaosSmoke, SupervisedDaemonSurvivesChaosBitwise)
     EXPECT_EQ(WEXITSTATUS(wstatus), 0);
 
     daemon = startDaemon();
+    guard.arm(daemon);
     ASSERT_GT(daemon, 0);
 
     // Poll the job index until every submitted job is terminal — or gone,

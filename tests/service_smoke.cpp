@@ -30,6 +30,8 @@
 #include "service/job_spec.h"
 #include "util/json.h"
 
+#include "test_util.h"
+
 using namespace swordfish;
 using namespace std::chrono_literals;
 
@@ -116,6 +118,7 @@ TEST(ServiceSmoke, FullDaemonLifecycle)
     const service::JobResult reference = service::runJobSpec(longSpec());
 
     pid_t daemon = startDaemon();
+    swordfish::testing::ChildGuard guard(daemon);
     ASSERT_GT(daemon, 0);
     auto client = connectDaemon();
     ASSERT_NE(client, nullptr) << "daemon did not come up";
@@ -169,6 +172,7 @@ TEST(ServiceSmoke, FullDaemonLifecycle)
 
     // Restart on the same spool: jA resumes from its checkpoint.
     daemon = startDaemon();
+    guard.arm(daemon);
     ASSERT_GT(daemon, 0);
     client = connectDaemon();
     ASSERT_NE(client, nullptr) << "daemon did not restart";

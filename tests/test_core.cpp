@@ -134,6 +134,7 @@ TEST(VmmBackend, IdealKindMatchesPlainForwardAcrossTiling)
     // path must reassemble the exact product.
     CrossbarVmmBackend backend(idealScenario(8), 1);
     m.setBackend(&backend);
+    m.compileBackend();
     const Matrix y = m.forward(x);
     m.setBackend(nullptr);
 
@@ -149,9 +150,13 @@ TEST(VmmBackend, TilesProgrammedOncePerWeight)
     auto m = toyModel();
     CrossbarVmmBackend backend(idealScenario(8), 2);
     m.setBackend(&backend);
+    m.compileBackend();
+    const auto tiles = backend.programmedTiles();
+    EXPECT_EQ(tiles, 3u * 2 + 2);
+    // Forwards and a second compile program nothing more.
     const Matrix x = randomMatrix(3, 20, 5);
     m.forward(x);
-    const auto tiles = backend.programmedTiles();
+    m.compileBackend();
     m.forward(x);
     EXPECT_EQ(backend.programmedTiles(), tiles);
     m.setBackend(nullptr);
@@ -168,6 +173,7 @@ TEST(VmmBackend, CombinedNoiseChangesOutputs)
     cfg.crossbar.size = 8;
     CrossbarVmmBackend backend(cfg, 3);
     m.setBackend(&backend);
+    m.compileBackend();
     const Matrix noisy = m.forward(x);
     m.setBackend(nullptr);
 
@@ -187,8 +193,10 @@ TEST(VmmBackend, DifferentRunSeedsDifferentNoise)
 
     CrossbarVmmBackend b1(cfg, 10), b2(cfg, 11);
     m.setBackend(&b1);
+    m.compileBackend();
     const Matrix y1 = m.forward(x);
     m.setBackend(&b2);
+    m.compileBackend();
     const Matrix y2 = m.forward(x);
     m.setBackend(nullptr);
     float diff = 0.0f;
@@ -208,6 +216,7 @@ TEST(VmmBackend, MeasuredModeRunsAndDiffers)
     cfg.crossbar.size = 64;
     CrossbarVmmBackend backend(cfg, 4);
     m.setBackend(&backend);
+    m.compileBackend();
     const Matrix noisy = m.forward(x);
     m.setBackend(nullptr);
     float diff = 0.0f;
@@ -228,6 +237,7 @@ TEST(VmmBackend, SramMasksRecordRemapFraction)
     backend.setSramRemap(remap);
 
     m.setBackend(&backend);
+    m.compileBackend();
     m.forward(randomMatrix(2, 20, 9));
     m.setBackend(nullptr);
 
@@ -260,6 +270,7 @@ TEST(VmmBackend, RemapImprovesFidelity)
         remap.fraction = fraction;
         backend.setSramRemap(remap);
         m.setBackend(&backend);
+        m.compileBackend();
         const Matrix y = m.forward(x);
         m.setBackend(nullptr);
         float err = 0.0f;
@@ -289,8 +300,28 @@ TEST(VmmBackend, ShapeChangePanics)
     CrossbarVmmBackend backend(cfg, 8);
     Matrix y;
     const Matrix w1 = randomMatrix(4, 6, 12);
+    ASSERT_TRUE(backend.compileWeight("w", w1).ok());
     backend.matmul("w", w1, randomMatrix(2, 6, 13), y);
     const Matrix w2 = randomMatrix(5, 6, 14);
     EXPECT_DEATH(backend.matmul("w", w2, randomMatrix(2, 6, 15), y),
                  "changed");
+}
+
+TEST(VmmBackend, MatmulBeforeCompilePanics)
+{
+    // compileWeight() is the only place a weight is programmed: a matmul
+    // on a weight that was never compiled is a caller bug, not a cue to
+    // program it.
+    NonIdealityConfig cfg;
+    cfg.crossbar.size = 8;
+    CrossbarVmmBackend backend(cfg, 8);
+    Matrix y;
+    const Matrix w = randomMatrix(4, 6, 12);
+    EXPECT_DEATH(backend.matmul("w", w, randomMatrix(2, 6, 13), y),
+                 "not compiled");
+    // Compiling one weight does not cover another.
+    ASSERT_TRUE(backend.compileWeight("w", w).ok());
+    EXPECT_DEATH(backend.matmul("v", w, randomMatrix(2, 6, 13), y),
+                 "not compiled");
+    EXPECT_EQ(backend.plan("v"), nullptr);
 }

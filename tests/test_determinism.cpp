@@ -212,8 +212,6 @@ class LaneWidthRecorder : public nn::VmmBackend
         inner_.prepareWeight(name, w);
     }
 
-    void finishCompile() override { inner_.finishCompile(); }
-
   private:
     nn::VmmBackend& inner_;
     std::atomic<std::size_t> widest_{0};
@@ -443,6 +441,7 @@ TEST(Determinism, BatchedBasecallsIdenticalToSerial)
     scenario.crossbar.size = 64;
     CrossbarVmmBackend backend(scenario, 13);
     f.model.setBackend(&backend);
+    f.model.compileBackend();
 
     std::vector<genomics::Sequence> serial;
     for (std::size_t i = 0; i < 5; ++i) {

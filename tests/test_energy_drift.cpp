@@ -161,9 +161,11 @@ TEST(Drift, ReprogramReappliesSramRemap)
     for (std::size_t i = 0; i < mask.size(); i += 3)
         mask[i] = 1;
     tile.remapCellsToSram(mask);
-    for (std::size_t i = 0; i < mask.size(); ++i)
-        if (mask[i] != 0)
+    for (std::size_t i = 0; i < mask.size(); ++i) {
+        if (mask[i] != 0) {
             ASSERT_EQ(tile.effectiveWeights().raw()[i], w.raw()[i]);
+        }
+    }
 
     // Age the tile, then reprogram with a fresh seed. SRAM cells are
     // digital state, so the reprogram must restore them exactly even
@@ -172,9 +174,11 @@ TEST(Drift, ReprogramReappliesSramRemap)
     tile.applyDrift(500.0, crossbar::DriftConfig{}, rng);
     tile.reprogram(20);
     EXPECT_EQ(tile.agedHours(), 0.0);
-    for (std::size_t i = 0; i < mask.size(); ++i)
-        if (mask[i] != 0)
+    for (std::size_t i = 0; i < mask.size(); ++i) {
+        if (mask[i] != 0) {
             EXPECT_EQ(tile.effectiveWeights().raw()[i], w.raw()[i]);
+        }
+    }
     EXPECT_EQ(tile.sramMask(), mask);
 }
 

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "basecall/bonito_lite.h"
 #include "core/deploy.h"
 #include "core/enhancer.h"
@@ -42,6 +44,24 @@ struct Fixture
     std::vector<TrainChunk> chunks;
     Dataset dataset;
 };
+
+/** True when every parameter of the two models holds the same bits. */
+bool
+sameWeightBits(nn::SequenceModel& a, nn::SequenceModel& b)
+{
+    const auto pa = a.parameters();
+    const auto pb = b.parameters();
+    if (pa.size() != pb.size())
+        return false;
+    for (std::size_t i = 0; i < pa.size(); ++i)
+        if (pa[i]->size() != pb[i]->size()
+            || std::memcmp(pa[i]->value.raw().data(),
+                           pb[i]->value.raw().data(),
+                           pa[i]->size() * sizeof(float))
+                != 0)
+            return false;
+    return true;
+}
 
 } // namespace
 
@@ -123,6 +143,35 @@ TEST(Enhancer, VatChangesWeights)
     for (std::size_t j = 0; j < a[0]->size(); ++j)
         changed |= a[0]->value.raw()[j] != b[0]->value.raw()[j];
     EXPECT_TRUE(changed);
+}
+
+TEST(Enhancer, RsaKdRetrainsUnderSramMasks)
+{
+    // RSA+KD compiles a probe crossbar to learn which weights the remap
+    // holds in SRAM, then KD-retrains under those masks: deterministic,
+    // a change to the deployed weights, and not plain KD (which empty
+    // masks would reduce it to).
+    Fixture f;
+    AccuracyEnhancer enhancer(f.teacher, f.chunks);
+    NonIdealityConfig scenario;
+    scenario.kind = NonIdealityKind::Combined;
+    nn::SequenceModel deployed = quantizeModel(f.teacher, scenario.quant);
+    EnhancerConfig cfg;
+    cfg.retrainEpochs = 1;
+    cfg.sramFraction = 0.1;
+    auto run = [&](Technique technique) {
+        cfg.technique = technique;
+        EnhancedModel out = enhancer.enhance(deployed, scenario, cfg);
+        EXPECT_DOUBLE_EQ(out.remap.fraction,
+                         technique == Technique::RsaKd ? 0.1 : 0.0);
+        return std::move(out.model);
+    };
+    nn::SequenceModel first = run(Technique::RsaKd);
+    nn::SequenceModel second = run(Technique::RsaKd);
+    nn::SequenceModel kd = run(Technique::Kd);
+    EXPECT_TRUE(sameWeightBits(first, second));
+    EXPECT_FALSE(sameWeightBits(first, deployed));
+    EXPECT_FALSE(sameWeightBits(first, kd));
 }
 
 TEST(Enhancer, AllCombinesSchemeRemapAndRetraining)

@@ -357,10 +357,7 @@ TEST(Health, BackoffGatesRetryEpochs)
     cfg.drift = noDrift();
 
     CrossbarVmmBackend backend(scenario64(cfg), 5, faults);
-    f.model.setBackend(&backend);
-    // Program the weights (first forward pass maps them lazily).
-    basecallRead(f.model, f.dataset.reads[0]);
-    f.model.setBackend(nullptr);
+    ASSERT_TRUE(backend.compile(f.model).ok());
     ASSERT_NE(backend.health(), nullptr);
 
     std::vector<std::uint64_t> attempts_at; // cumulative, index = epoch

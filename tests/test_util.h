@@ -1,7 +1,8 @@
 /**
  * @file
  * Shared test helpers: random tensors, numeric gradient checking for NN
- * layers, tolerances, and a request that stops on a block boundary.
+ * layers, tolerances, a request that stops on a block boundary, and a
+ * guard that never leaves a forked child running.
  */
 
 #ifndef SWORDFISH_TESTS_TEST_UTIL_H
@@ -9,7 +10,10 @@
 
 #include <atomic>
 #include <cmath>
+#include <csignal>
 #include <functional>
+#include <sys/types.h>
+#include <sys/wait.h>
 
 #include <gtest/gtest.h>
 
@@ -48,6 +52,44 @@ stopOnceDone(basecall::EvalOptions opts, std::atomic<bool>& flag,
         });
     return opts;
 }
+
+/**
+ * Kills and reaps the guarded child on scope exit, or when re-armed, if it
+ * is still running. A failed ASSERT_* returns from the test body, and a
+ * forked daemon left behind would keep ctest's output pipe open. A child
+ * the test already reaped is left alone: waitpid() then no longer reports
+ * it as ours.
+ */
+class ChildGuard
+{
+  public:
+    explicit ChildGuard(pid_t pid) : pid_(pid) {}
+    ~ChildGuard() { release(); }
+    ChildGuard(const ChildGuard&) = delete;
+    ChildGuard& operator=(const ChildGuard&) = delete;
+
+    /** Guard `pid` from now on, settling the previous child first. */
+    void
+    arm(pid_t pid)
+    {
+        if (pid != pid_) // a recycled pid is the new child, not the old
+            release();
+        pid_ = pid;
+    }
+
+  private:
+    void
+    release()
+    {
+        if (pid_ > 0 && waitpid(pid_, nullptr, WNOHANG) == 0) {
+            kill(pid_, SIGKILL);
+            waitpid(pid_, nullptr, 0);
+        }
+        pid_ = -1;
+    }
+
+    pid_t pid_;
+};
 
 /** Sum-of-elements loss, gradient of which is all-ones. */
 inline double
