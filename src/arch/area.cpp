@@ -19,7 +19,8 @@ computeArea(const PartitionMap& map, const AreaParams& params,
     // feeds one shared ADC bank per tile group.
     report.crossbarMm2 = k * tiles * size * size * 2.0 * params.cellUm2
         * um2_to_mm2;
-    report.adcMm2 = tiles * 4.0 * params.adcUm2 * um2_to_mm2;
+    report.adcMm2 = tiles * static_cast<double>(kAdcsPerTile)
+        * params.adcUm2 * um2_to_mm2;
     report.dacMm2 = k * tiles * size * params.dacPerRowUm2 * um2_to_mm2;
 
     // RSA SRAM: remapped weights at deployment precision, plus mapping

@@ -31,10 +31,11 @@ estimateEnergy(Variant variant, const PartitionMap& map,
         // pair: two devices per weight).
         pj_per_step += k * 2.0 * static_cast<double>(site.weightCount())
             * energy.crossbarReadPjPerCell;
-        // Each tile converts its active rows (DAC) and columns (ADC).
-        pj_per_step += k * static_cast<double>(site.cols)
+        // Each row tile drives its inputs (DAC) and each column tile
+        // converts its partial sums (ADC).
+        pj_per_step += k * static_cast<double>(site.dacPerRow())
             * energy.dacPjPerConversion;
-        pj_per_step += static_cast<double>(site.rows)
+        pj_per_step += static_cast<double>(site.adcPerRow())
             * energy.adcPjPerConversion;
     }
     pj_per_step += energy.digitalPjPerStep;

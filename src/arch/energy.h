@@ -51,8 +51,9 @@ struct EnergyResult
  * Estimate energy per called base for a variant.
  *
  * Accounts for: crossbar reads over all mapped cells per timestep, ADC
- * conversions (tile columns through shared converters), DAC conversions
- * (tile rows), digital post-processing, host I/O, and the maintenance
+ * and DAC conversions (TileGrid::adcPerRow() and dacPerRow(), the counts
+ * the simulator's vmm.* counters report per input row), digital
+ * post-processing, host I/O, and the maintenance
  * energy of the mitigation (R-V-W refresh writes, RSA SRAM traffic and
  * retraining updates). With layer-ensemble averaging (`ensemble_k` > 1)
  * every replica integrates and drives its rows, so cell-read and DAC

@@ -9,26 +9,23 @@
 
 namespace swordfish::arch {
 
-namespace {
-
-std::size_t
-ceilDiv(std::size_t a, std::size_t b)
+TileGrid::TileGrid(std::size_t rows, std::size_t cols, std::size_t size)
+    : rows(rows), cols(cols), size(size)
 {
-    return (a + b - 1) / b;
+    if (size == 0)
+        panic("TileGrid: crossbar size must be positive");
+    rowTiles = (rows + size - 1) / size;
+    colTiles = (cols + size - 1) / size;
 }
 
+namespace {
+
 VmmSite
-makeSite(const std::string& name, VmmKind kind, std::size_t rows,
-         std::size_t cols, std::size_t crossbar_size)
+makeSite(const nn::Parameter& weight, VmmKind kind, std::size_t crossbar_size)
 {
-    VmmSite site;
-    site.name = name;
-    site.kind = kind;
-    site.rows = rows;
-    site.cols = cols;
-    site.rowTiles = ceilDiv(rows, crossbar_size);
-    site.colTiles = ceilDiv(cols, crossbar_size);
-    return site;
+    return {TileGrid(weight.value.rows(), weight.value.cols(),
+                     crossbar_size),
+            weight.name, kind};
 }
 
 } // namespace
@@ -45,24 +42,18 @@ buildPartitionMap(nn::SequenceModel& model, std::size_t crossbar_size)
     for (std::size_t i = 0; i < model.layerCount(); ++i) {
         nn::Module& layer = model.layer(i);
         if (auto* conv = dynamic_cast<nn::Conv1d*>(&layer)) {
-            map.sites.push_back(makeSite(
-                conv->weight().name, VmmKind::Convolution,
-                conv->weight().value.rows(), conv->weight().value.cols(),
-                crossbar_size));
+            map.sites.push_back(makeSite(conv->weight(),
+                                         VmmKind::Convolution,
+                                         crossbar_size));
         } else if (auto* lstm = dynamic_cast<nn::Lstm*>(&layer)) {
-            map.sites.push_back(makeSite(
-                lstm->inputWeight().name, VmmKind::LstmInput,
-                lstm->inputWeight().value.rows(),
-                lstm->inputWeight().value.cols(), crossbar_size));
-            map.sites.push_back(makeSite(
-                lstm->recurrentWeight().name, VmmKind::LstmRecurrent,
-                lstm->recurrentWeight().value.rows(),
-                lstm->recurrentWeight().value.cols(), crossbar_size));
+            map.sites.push_back(makeSite(lstm->inputWeight(),
+                                         VmmKind::LstmInput, crossbar_size));
+            map.sites.push_back(makeSite(lstm->recurrentWeight(),
+                                         VmmKind::LstmRecurrent,
+                                         crossbar_size));
         } else if (auto* linear = dynamic_cast<nn::Linear*>(&layer)) {
-            map.sites.push_back(makeSite(
-                linear->weight().name, VmmKind::Linear,
-                linear->weight().value.rows(),
-                linear->weight().value.cols(), crossbar_size));
+            map.sites.push_back(makeSite(linear->weight(), VmmKind::Linear,
+                                         crossbar_size));
         }
         // Activation layers have no VMM weights: they run on the digital
         // peripheral units (paper Section 3.2 step 1).

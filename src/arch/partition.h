@@ -8,6 +8,8 @@
 #ifndef SWORDFISH_ARCH_PARTITION_H
 #define SWORDFISH_ARCH_PARTITION_H
 
+#include <algorithm>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -30,23 +32,50 @@ vmmKindName(VmmKind kind)
     }
 }
 
-/** One weight matrix mapped onto crossbar tiles. */
-struct VmmSite
+/**
+ * How a rows x cols weight tiles onto size x size crossbars: the one tiling
+ * that programming, execution, the conversion counters, refresh and the
+ * energy and area models all read. Tiles are numbered in grid order
+ * (rt * colTiles + ct); the last row tile and the last column tile are
+ * ragged.
+ */
+struct TileGrid
 {
-    std::string name;     ///< parameter name (e.g. "lstm0.wih")
-    VmmKind kind = VmmKind::Linear;
     std::size_t rows = 0; ///< output features
     std::size_t cols = 0; ///< input features (crossbar fan-in)
+    std::size_t size = 0; ///< crossbar edge
     std::size_t rowTiles = 0;
     std::size_t colTiles = 0;
-    /**
-     * VMMs executed at this site per network timestep; recurrent sites
-     * serialize against the previous timestep and so bound the pipeline.
-     */
-    double opsPerStep = 1.0;
+
+    TileGrid(std::size_t rows, std::size_t cols, std::size_t size);
 
     std::size_t tileCount() const { return rowTiles * colTiles; }
     std::size_t weightCount() const { return rows * cols; }
+
+    std::size_t rowBegin(std::size_t rt) const { return rt * size; }
+    std::size_t rowEnd(std::size_t rt) const
+    {
+        return std::min(rows, rowBegin(rt) + size);
+    }
+    std::size_t colBegin(std::size_t ct) const { return ct * size; }
+    std::size_t colEnd(std::size_t ct) const
+    {
+        return std::min(cols, colBegin(ct) + size);
+    }
+
+    /** DAC conversions per input row: each row tile drives every input of
+     *  its column tiles. */
+    std::size_t dacPerRow() const { return cols * rowTiles; }
+    /** ADC conversions per input row: each column tile converts a partial
+     *  sum for every output of its row tiles. */
+    std::size_t adcPerRow() const { return rows * colTiles; }
+};
+
+/** One weight matrix mapped onto crossbar tiles. */
+struct VmmSite : TileGrid
+{
+    std::string name; ///< parameter name (e.g. "lstm0.wih")
+    VmmKind kind = VmmKind::Linear;
 };
 
 /** The complete mapping of a network onto a crossbar fabric. */

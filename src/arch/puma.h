@@ -17,13 +17,16 @@
 
 namespace swordfish::arch {
 
+/** Shared column ADCs per tile (MVMU): the area model sizes them and the
+ *  pipeline step serializes a tile's columns through them. */
+inline constexpr std::size_t kAdcsPerTile = 4;
+
 /** Timing constants (nanoseconds unless noted). */
 struct TimingParams
 {
     double vmmSettleNs = 100.0;   ///< crossbar read (settle + sense)
     double dacNs = 4.0;           ///< input conversion (row-parallel)
     double adcConvNs = 1.0;       ///< one ADC conversion
-    std::size_t adcsPerTile = 4;  ///< shared column ADCs per MVMU
     double digitalNs = 20.0;      ///< activation / ALU / routing per step
     double ioNsPerSample = 0.5;   ///< host input streaming per raw sample
     double perReadOverheadNs = 2.0e4; ///< pipeline fill/flush per read

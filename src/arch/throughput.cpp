@@ -8,10 +8,10 @@ double
 pipelineStepNs(const PartitionMap& map, const TimingParams& timing,
                std::size_t batch)
 {
-    // ADC serialization: the tile's columns share adcsPerTile converters,
+    // ADC serialization: the tile's columns share kAdcsPerTile converters,
     // and every batched lane needs its own conversion pass.
     const double adc_serial = static_cast<double>(map.crossbarSize)
-        / static_cast<double>(timing.adcsPerTile) * timing.adcConvNs;
+        / static_cast<double>(kAdcsPerTile) * timing.adcConvNs;
     const double lanes = batch > 0 ? static_cast<double>(batch) : 1.0;
     // Settle, DAC drive, and digital post-processing happen once per
     // batched VMM and amortize across the lanes.
@@ -24,7 +24,7 @@ flopsPerStep(const PartitionMap& map)
 {
     double macs = 0.0;
     for (const VmmSite& site : map.sites)
-        macs += static_cast<double>(site.weightCount()) * site.opsPerStep;
+        macs += static_cast<double>(site.weightCount());
     return 2.0 * macs;
 }
 

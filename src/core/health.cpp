@@ -184,13 +184,12 @@ TileHealthMonitor::TileHealthMonitor(CrossbarVmmBackend& backend,
 }
 
 crossbar::CrossbarTile&
-TileHealthMonitor::liveTile(const std::string& name, const WeightState& ws,
-                            std::size_t idx) const
+TileHealthMonitor::liveTile(const std::string& name, std::size_t idx) const
 {
     auto it = backend_.weights_.find(name);
     if (it == backend_.weights_.end())
         panic("TileHealthMonitor: weight ", name, " vanished");
-    return it->second.tiles[idx / ws.colTiles][idx % ws.colTiles];
+    return it->second.tiles[idx];
 }
 
 void
@@ -198,8 +197,7 @@ TileHealthMonitor::captureReference(const std::string& name,
                                     WeightState& ws, std::size_t idx)
 {
     TileState& ts = ws.tiles[idx];
-    const crossbar::CrossbarTile& tile = liveTile(name, ws, idx);
-    const Matrix& eff = tile.effectiveWeights();
+    const Matrix& eff = liveTile(name, idx).effectiveWeights();
     gemmBT(ts.probe, eff, ts.reference);
     ts.checksumRef.assign(eff.rows(), 0.0f);
     for (std::size_t o = 0; o < eff.rows(); ++o) {
@@ -222,12 +220,9 @@ TileHealthMonitor::registerWeight(const std::string& name,
     if (it == backend_.weights_.end())
         panic("TileHealthMonitor::registerWeight: ", name,
               " not programmed");
-    const auto& mw = it->second;
     WeightState ws;
-    ws.rowTiles = mw.tiles.size();
-    ws.colTiles = ws.rowTiles > 0 ? mw.tiles[0].size() : 0;
     ws.sparesLeft = config_.spares;
-    const std::size_t n = ws.rowTiles * ws.colTiles;
+    const std::size_t n = it->second.tiles.size();
     if (truths.size() != n)
         panic("TileHealthMonitor::registerWeight: ", name, " has ", n,
               " tiles but ", truths.size(), " truth blocks");
@@ -251,21 +246,18 @@ TileHealthMonitor::registerWeight(const std::string& name,
 }
 
 void
-TileHealthMonitor::ageTile(const std::string& name, WeightState& ws,
-                           std::size_t idx, std::uint64_t e)
+TileHealthMonitor::ageTile(const std::string& name, std::size_t idx,
+                           std::uint64_t e)
 {
     const double hours = config_.epochHours();
     if (hours <= 0.0)
         return;
     const std::uint64_t name_hash = std::hash<std::string>{}(name);
     Rng rng(hashSeed({backend_.runSeed_, name_hash, idx, e, kAgeTag}));
-    liveTile(name, ws, idx).applyDrift(hours, config_.drift, rng);
+    liveTile(name, idx).applyDrift(hours, config_.drift, rng);
     // Ensemble replicas age alongside the primary, each on its own
     // replica-keyed stream (independent hardware, independent drift).
-    auto it = backend_.weights_.find(name);
-    if (it == backend_.weights_.end() || it->second.extras.empty())
-        return;
-    auto& reps = it->second.extras[idx / ws.colTiles][idx % ws.colTiles];
+    auto& reps = backend_.weights_.find(name)->second.extras[idx];
     for (std::size_t j = 0; j < reps.size(); ++j) {
         Rng rep_rng(hashSeed({backend_.runSeed_, name_hash, idx, e,
                               kAgeTag, kEnsembleTag, j + 1}));
@@ -278,9 +270,8 @@ TileHealthMonitor::driftError(const std::string& name,
                               const WeightState& ws, std::size_t idx) const
 {
     const TileState& ts = ws.tiles[idx];
-    const crossbar::CrossbarTile& tile = liveTile(name, ws, idx);
     Matrix cur;
-    gemmBT(ts.probe, tile.effectiveWeights(), cur);
+    gemmBT(ts.probe, liveTile(name, idx).effectiveWeights(), cur);
     // Persistently-stuck output column (a defective sense amp on this
     // physical array): keyed per hardware generation, so only failover —
     // not re-programming — can clear it.
@@ -307,7 +298,7 @@ TileHealthMonitor::checksumError(const std::string& name,
                                  std::size_t idx) const
 {
     const TileState& ts = ws.tiles[idx];
-    const Matrix& eff = liveTile(name, ws, idx).effectiveWeights();
+    const Matrix& eff = liveTile(name, idx).effectiveWeights();
     if (ts.checksumRef.size() != eff.rows())
         return 0.0;
     float max_ref = 0.0f;
@@ -338,15 +329,15 @@ TileHealthMonitor::attemptRefresh(const std::string& name, WeightState& ws,
     ++stats_.refreshAttempts;
 
     TileState& ts = ws.tiles[idx];
-    auto it = backend_.weights_.find(name);
-    crossbar::CrossbarTile& tile =
-        it->second.tiles[idx / ws.colTiles][idx % ws.colTiles];
+    auto& mw = backend_.weights_.find(name)->second;
     const std::uint64_t name_hash = std::hash<std::string>{}(name);
 
+    // The rebuild starts from the probe truth, not the tile's own weights,
+    // which a programming fault may have zeroed. Each attempt is an
+    // independent R-V-W pass (on fresh hardware after a failover), so the
+    // programming fault re-draws per (generation, attempt, epoch) instead
+    // of replaying the original outcome.
     Matrix sub = ts.truth;
-    // Each attempt is an independent R-V-W pass (on fresh hardware after a
-    // failover), so the programming fault re-draws per (generation,
-    // attempt, epoch) instead of replaying the original outcome.
     const FaultInjector& inj = backend_.faults_;
     if (inj.enabled()
         && inj.fires(FaultSite::TileProgram,
@@ -357,33 +348,15 @@ TileHealthMonitor::attemptRefresh(const std::string& name, WeightState& ws,
     const std::uint64_t seed = hashSeed({backend_.runSeed_, name_hash, idx,
                                          ts.generation, ts.attempts, e,
                                          kReprogramTag});
-    // Re-programming samples the backend's resolved NoiseModel (toggles
-    // plus extended sources), matching what programAnalytical built.
-    crossbar::CrossbarTile fresh(backend_.config_.crossbar, sub,
-                                 it->second.absMax,
-                                 backend_.noise_.toggles, seed,
-                                 backend_.noise_.extended);
-    const std::vector<std::uint8_t> mask = tile.sramMask();
+    // SRAM cells are one digital store: the fresh tile and every replica
+    // keep the remap. A refresh re-programs the whole replica group.
+    const std::vector<std::uint8_t> mask = mw.tiles[idx].sramMask();
+    crossbar::CrossbarTile fresh = backend_.programTile(sub, mw.absMax, seed);
     if (!mask.empty())
         fresh.remapCellsToSram(mask);
-    tile = std::move(fresh);
-    // A refresh re-programs the whole replica group: each extra replica
-    // redraws its programming noise from the same replica-seed convention
-    // used at initial programming.
-    if (!it->second.extras.empty()) {
-        auto& reps =
-            it->second.extras[idx / ws.colTiles][idx % ws.colTiles];
-        for (std::size_t j = 0; j < reps.size(); ++j) {
-            crossbar::CrossbarTile rep(
-                backend_.config_.crossbar, sub, it->second.absMax,
-                backend_.noise_.toggles,
-                hashSeed({seed, kEnsembleTag, j + 1}),
-                backend_.noise_.extended);
-            if (!mask.empty())
-                rep.remapCellsToSram(mask);
-            reps[j] = std::move(rep);
-        }
-    }
+    mw.tiles[idx] = std::move(fresh);
+    mw.extras[idx] = backend_.programReplicas(sub, mw.absMax, seed, mask,
+                                              mw.extras[idx].size());
     captureReference(name, ws, idx);
 
     // Post-refresh verify probe: threshold-less (interval-only) configs
@@ -413,7 +386,7 @@ TileHealthMonitor::advanceWeight(const std::string& name, WeightState& ws,
     const double sim_h = static_cast<double>(e) * config_.epochHours();
     const std::size_t n = ws.tiles.size();
     for (std::size_t idx = 0; idx < n; ++idx)
-        ageTile(name, ws, idx, e);
+        ageTile(name, idx, e);
 
     for (std::size_t idx = 0; idx < n; ++idx) {
         TileState& ts = ws.tiles[idx];

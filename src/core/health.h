@@ -174,7 +174,7 @@ class TileHealthMonitor
 
     /**
      * Track a freshly-programmed weight. `truths` holds the pre-fault
-     * digital sub-matrix of each tile in row-major tile order — the ground
+     * digital sub-matrix of each tile in grid order — the ground
      * truth the probes compare against (a tile killed by a programming
      * fault is detected precisely because its truth is *not* zero).
      * Weights register at compile, before the first epoch; a resumed run
@@ -228,10 +228,8 @@ class TileHealthMonitor
     /** Healing state of one weight matrix (owns its spare pool). */
     struct WeightState
     {
-        std::size_t rowTiles = 0;
-        std::size_t colTiles = 0;
         std::size_t sparesLeft = 0;
-        std::vector<TileState> tiles; ///< row-major tile order
+        std::vector<TileState> tiles; ///< grid order, as the backend's
     };
 
     /** Run epoch `e` (aging + probe + refresh) over one weight. */
@@ -239,8 +237,7 @@ class TileHealthMonitor
                        std::uint64_t e);
 
     /** Age one tile by epochHours() with a per-(tile, epoch) stream. */
-    void ageTile(const std::string& name, WeightState& ws, std::size_t idx,
-                 std::uint64_t e);
+    void ageTile(const std::string& name, std::size_t idx, std::uint64_t e);
 
     /**
      * Probe error of the tile's current state against its reference:
@@ -256,9 +253,11 @@ class TileHealthMonitor
                          std::size_t idx) const;
 
     /**
-     * Re-program the tile (fresh noise + fault re-draw for the current
-     * generation/attempt), re-apply its SRAM remap, capture the new
-     * reference, and verify it against the threshold. True on success.
+     * Re-program the tile and its ensemble replicas from the probe truth
+     * (fresh noise + fault re-draw for the current generation/attempt,
+     * through the backend's tile-programming path), re-apply its SRAM
+     * remap, capture the new reference, and verify it against the
+     * threshold. True on success.
      */
     bool attemptRefresh(const std::string& name, WeightState& ws,
                         std::size_t idx, std::uint64_t e);
@@ -269,7 +268,6 @@ class TileHealthMonitor
 
     /** The live tile behind states_[name].tiles[idx]. */
     crossbar::CrossbarTile& liveTile(const std::string& name,
-                                     const WeightState& ws,
                                      std::size_t idx) const;
 
     CrossbarVmmBackend& backend_;

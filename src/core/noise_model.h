@@ -1,6 +1,6 @@
 /**
  * @file
- * The composable NoiseModel layer (ROADMAP item 5).
+ * The composable NoiseModel layer.
  *
  * A NoiseModel is the full noise composition one crossbar backend runs
  * under: the six legacy non-ideality groups (crossbar::NoiseToggles —

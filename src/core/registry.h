@@ -10,10 +10,10 @@
  * else analytical), creates the api through the registry, initializes it
  * (typed validation of device / remap / noise / ensemble configs), and
  * runs the evaluation through it, whose read loop compiles the model once
- * (AOT programming + plan lowering) before the first read. Every
- * configuration failure is a typed core::CompileError — the registry
- * never panics on bad configuration, so tests and config readers can
- * assert on the failure kind.
+ * (AOT tile programming) before the first read. Every configuration
+ * failure is a typed core::CompileError — the registry never panics on
+ * bad configuration, so tests and config readers can assert on the
+ * failure kind.
  */
 
 #ifndef SWORDFISH_CORE_REGISTRY_H

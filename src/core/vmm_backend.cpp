@@ -288,6 +288,34 @@ CrossbarVmmBackend::selectSramCells(const Matrix& error,
     return mask;
 }
 
+crossbar::CrossbarTile
+CrossbarVmmBackend::programTile(const Matrix& sub, float abs_max,
+                                std::uint64_t seed) const
+{
+    // The resolved NoiseModel: explicit spec > SWORDFISH_NOISE override >
+    // the kind's NoiseModel::preset (the legacy toggle set, with the
+    // extended sources off).
+    return crossbar::CrossbarTile(config_.crossbar, sub, abs_max,
+                                  noise_.toggles, seed, noise_.extended);
+}
+
+std::vector<crossbar::CrossbarTile>
+CrossbarVmmBackend::programReplicas(const Matrix& sub, float abs_max,
+                                    std::uint64_t seed,
+                                    const std::vector<std::uint8_t>& mask,
+                                    std::size_t count) const
+{
+    std::vector<crossbar::CrossbarTile> reps;
+    reps.reserve(count);
+    for (std::size_t j = 1; j <= count; ++j) {
+        reps.push_back(
+            programTile(sub, abs_max, hashSeed({seed, kEnsembleTag, j})));
+        if (!mask.empty())
+            reps.back().remapCellsToSram(mask);
+    }
+    return reps;
+}
+
 void
 CrossbarVmmBackend::programAnalytical(MappedWeight& mw,
                                       const std::string& name,
@@ -301,14 +329,8 @@ CrossbarVmmBackend::programAnalytical(MappedWeight& mw,
         metrics().counter("fault.injected.program_tiles");
     TraceSpan trace(kProgramSpan);
 
-    const std::size_t s = config_.crossbar.size;
-    const std::size_t row_tiles = (mw.rows + s - 1) / s;
-    const std::size_t col_tiles = (mw.cols + s - 1) / s;
-    // The resolved NoiseModel: explicit spec > SWORDFISH_NOISE override >
-    // the kind's NoiseModel::preset (the legacy toggle set, with the
-    // extended sources off).
-    const crossbar::NoiseToggles toggles = noise_.toggles;
-    const crossbar::ExtendedNoise& extended = noise_.extended;
+    const arch::TileGrid& g = mw.grid;
+    const std::size_t n_tiles = g.tileCount();
     auto& masks = sramMasks_[name];
 
     // Layer ensemble averaging: replicas 1..K-1 are programmed alongside
@@ -320,19 +342,15 @@ CrossbarVmmBackend::programAnalytical(MappedWeight& mw,
     // builds fan out across the pool (inline when already on a worker).
     // Tiles land in indexed slots and masks in disjoint regions, keeping
     // the result identical to the serial order.
-    std::vector<std::optional<crossbar::CrossbarTile>> built(
-        row_tiles * col_tiles);
-    std::vector<std::vector<crossbar::CrossbarTile>> built_extras(
-        row_tiles * col_tiles);
+    std::vector<std::optional<crossbar::CrossbarTile>> built(n_tiles);
+    mw.extras.resize(n_tiles);
     if (truths != nullptr)
-        truths->resize(row_tiles * col_tiles);
-    globalPool().parallelFor(row_tiles * col_tiles, [&](std::size_t idx) {
-        const std::size_t rt = idx / col_tiles;
-        const std::size_t ct = idx % col_tiles;
-        const std::size_t r0 = rt * s;
-        const std::size_t r1 = std::min(mw.rows, r0 + s);
-        const std::size_t c0 = ct * s;
-        const std::size_t c1 = std::min(mw.cols, c0 + s);
+        truths->resize(n_tiles);
+    globalPool().parallelFor(n_tiles, [&](std::size_t idx) {
+        const std::size_t rt = idx / g.colTiles;
+        const std::size_t ct = idx % g.colTiles;
+        const std::size_t r0 = g.rowBegin(rt), r1 = g.rowEnd(rt);
+        const std::size_t c0 = g.colBegin(ct), c1 = g.colEnd(ct);
 
         Matrix sub(r1 - r0, c1 - c0);
         for (std::size_t r = r0; r < r1; ++r)
@@ -356,8 +374,7 @@ CrossbarVmmBackend::programAnalytical(MappedWeight& mw,
 
         const std::uint64_t tile_seed = hashSeed(
             {runSeed_, std::hash<std::string>{}(name), rt, ct});
-        crossbar::CrossbarTile tile(config_.crossbar, sub, mw.absMax,
-                                    toggles, tile_seed, extended);
+        crossbar::CrossbarTile tile = programTile(sub, mw.absMax, tile_seed);
 
         std::vector<std::uint8_t> mask;
         if (remap_.fraction > 0.0) {
@@ -365,45 +382,20 @@ CrossbarVmmBackend::programAnalytical(MappedWeight& mw,
             tile.remapCellsToSram(mask);
             for (std::size_t r = r0; r < r1; ++r)
                 for (std::size_t c = c0; c < c1; ++c)
-                    masks[r * mw.cols + c] = mask[
+                    masks[r * g.cols + c] = mask[
                         (r - r0) * (c1 - c0) + (c - c0)];
         }
 
-        // Ensemble replicas share the digital sub-matrix and the SRAM
-        // remap (SRAM cells are one digital store, not re-programmed per
-        // replica) but draw programming noise from their own seeds.
-        if (replicas > 1) {
-            auto& reps = built_extras[idx];
-            reps.reserve(replicas - 1);
-            for (std::size_t j = 1; j < replicas; ++j) {
-                crossbar::CrossbarTile rep(
-                    config_.crossbar, sub, mw.absMax, toggles,
-                    hashSeed({tile_seed, kEnsembleTag, j}), extended);
-                if (!mask.empty())
-                    rep.remapCellsToSram(mask);
-                reps.push_back(std::move(rep));
-            }
-        }
+        mw.extras[idx] = programReplicas(sub, mw.absMax, tile_seed, mask,
+                                         replicas - 1);
         built[idx].emplace(std::move(tile));
     });
 
-    mw.tiles.resize(row_tiles);
-    for (std::size_t rt = 0; rt < row_tiles; ++rt) {
-        mw.tiles[rt].reserve(col_tiles);
-        for (std::size_t ct = 0; ct < col_tiles; ++ct)
-            mw.tiles[rt].push_back(std::move(*built[rt * col_tiles + ct]));
-    }
-    if (replicas > 1) {
-        mw.extras.resize(row_tiles);
-        for (std::size_t rt = 0; rt < row_tiles; ++rt) {
-            mw.extras[rt].reserve(col_tiles);
-            for (std::size_t ct = 0; ct < col_tiles; ++ct)
-                mw.extras[rt].push_back(
-                    std::move(built_extras[rt * col_tiles + ct]));
-        }
-    }
-    tileCount_ += row_tiles * col_tiles * replicas;
-    kProgramTiles.add(row_tiles * col_tiles * replicas);
+    mw.tiles.reserve(n_tiles);
+    for (std::optional<crossbar::CrossbarTile>& tile : built)
+        mw.tiles.push_back(std::move(*tile));
+    tileCount_ += n_tiles * replicas;
+    kProgramTiles.add(n_tiles * replicas);
 }
 
 void
@@ -418,10 +410,8 @@ CrossbarVmmBackend::programMeasured(MappedWeight& mw,
         metrics().counter("fault.injected.program_tiles");
     TraceSpan trace(kProgramSpan);
 
-    const std::size_t s = config_.crossbar.size;
-    const std::size_t row_tiles = (mw.rows + s - 1) / s;
-    const std::size_t col_tiles = (mw.cols + s - 1) / s;
-    const std::size_t n_tiles = row_tiles * col_tiles;
+    const arch::TileGrid& g = mw.grid;
+    const std::size_t n_tiles = g.tileCount();
     auto& masks = sramMasks_[name];
 
     // Library draws happen up front in tile order so the instance choice
@@ -432,9 +422,9 @@ CrossbarVmmBackend::programMeasured(MappedWeight& mw,
     for (std::size_t i = 0; i < n_tiles; ++i)
         instances[i] = library_->sampleInstance(draw);
 
-    mw.measuredWeights = Matrix(mw.rows, mw.cols);
-    mw.measuredGain.assign(mw.rows, 1.0f);
-    mw.measuredOffset.assign(mw.rows, 0.0f);
+    mw.measuredWeights = Matrix(g.rows, g.cols);
+    mw.measuredGain.assign(g.rows, 1.0f);
+    std::vector<float> offset(g.rows, 0.0f);
 
     // R-V-W programming shrinks the programming-induced part of the
     // measured error (~70% of the per-cell error in the characterized
@@ -450,13 +440,10 @@ CrossbarVmmBackend::programMeasured(MappedWeight& mw,
     std::vector<std::vector<float>> tile_gain(n_tiles);
     std::vector<std::vector<float>> tile_offset(n_tiles);
     globalPool().parallelFor(n_tiles, [&](std::size_t idx) {
-        const std::size_t rt = idx / col_tiles;
-        const std::size_t ct = idx % col_tiles;
-        const std::size_t r0 = rt * s;
-        const std::size_t r1 = std::min(mw.rows, r0 + s);
-        const std::size_t c0 = ct * s;
-        const std::size_t c1 = std::min(mw.cols, c0 + s);
-        const std::size_t tr = r1 - r0, tc = c1 - c0;
+        const std::size_t rt = idx / g.colTiles;
+        const std::size_t ct = idx % g.colTiles;
+        const std::size_t r0 = g.rowBegin(rt), c0 = g.colBegin(ct);
+        const std::size_t tr = g.rowEnd(rt) - r0, tc = g.colEnd(ct) - c0;
 
         const auto profile = library_->profile(instances[idx], tr, tc);
 
@@ -494,7 +481,7 @@ CrossbarVmmBackend::programMeasured(MappedWeight& mw,
             for (std::size_t c = 0; c < tc; ++c) {
                 mw.measuredWeights(r0 + r, c0 + c) = eff(r, c);
                 if (!mask.empty())
-                    masks[(r0 + r) * mw.cols + (c0 + c)] =
+                    masks[(r0 + r) * g.cols + (c0 + c)] =
                         mask[r * tc + c];
             }
         }
@@ -510,13 +497,15 @@ CrossbarVmmBackend::programMeasured(MappedWeight& mw,
     // reports them per physical column, and column tiles sharing an output
     // must combine in a fixed order for bitwise reproducibility.
     for (std::size_t idx = 0; idx < n_tiles; ++idx) {
-        const std::size_t rt = idx / col_tiles;
-        const std::size_t r0 = rt * s;
+        const std::size_t r0 = g.rowBegin(idx / g.colTiles);
         for (std::size_t r = 0; r < tile_gain[idx].size(); ++r) {
             mw.measuredGain[r0 + r] *= tile_gain[idx][r];
-            mw.measuredOffset[r0 + r] += tile_offset[idx][r];
+            offset[r0 + r] += tile_offset[idx][r];
         }
     }
+    mw.measuredOffsetFold.resize(g.rows);
+    for (std::size_t o = 0; o < g.rows; ++o)
+        mw.measuredOffsetFold[o] = offset[o] * mw.absMax;
     tileCount_ += n_tiles;
     kProgramTiles.add(n_tiles);
 }
@@ -560,20 +549,22 @@ CrossbarVmmBackend::execute(const std::string& name, const Matrix& w,
     TraceSpan trace(counters.span);
     counters.calls.add();
 
-    const WeightPlan* wp = plan(name);
-    if (wp == nullptr)
+    const auto it = weights_.find(name);
+    if (it == weights_.end())
         panic("CrossbarVmmBackend: ", name,
               " not compiled (compile the model before its first read)");
-    if (wp->rows != w.rows() || wp->cols != w.cols())
+    const MappedWeight& mw = it->second;
+    const arch::TileGrid& g = mw.grid;
+    if (g.rows != w.rows() || g.cols != w.cols())
         panic("CrossbarVmmBackend: shape of ", name,
               " changed after programming");
-    if (wp->measured)
-        runMeasured(*wp, x, y, layout);
+    if (config_.usesLibrary())
+        runMeasured(mw, x, y, layout);
     else
-        runAnalytical(*wp, x, y, layout, rngs);
-    counters.tileVmms.add(wp->tileVmms);
-    counters.dac.add(x.rows() * wp->dacPerRow);
-    counters.adc.add(x.rows() * wp->adcPerRow);
+        runAnalytical(mw, x, y, layout, rngs);
+    counters.tileVmms.add(g.tileCount());
+    counters.dac.add(x.rows() * g.dacPerRow());
+    counters.adc.add(x.rows() * g.adcPerRow());
 
     std::size_t row = 0;
     for (const LaneSpan& span : layout) {
@@ -584,44 +575,51 @@ CrossbarVmmBackend::execute(const std::string& name, const Matrix& w,
 }
 
 void
-CrossbarVmmBackend::runAnalytical(const WeightPlan& wp, const Matrix& x,
+CrossbarVmmBackend::runAnalytical(const MappedWeight& mw, const Matrix& x,
                                   Matrix& y, const BatchLayout& layout,
                                   Rng* const* rngs)
 {
-    y.resizeUninit(x.rows(), wp.rows);
+    const arch::TileGrid& g = mw.grid;
+    y.resizeUninit(x.rows(), g.rows);
     y.zero(); // accumulation target
 
     Matrix& x_sub = tls_scratch.xSub;
     crossbar::VmmScratch& scratch = tls_scratch.tile;
-    for (const PlanColSlice& slice : wp.slices) {
-        x_sub.resizeUninit(x.rows(), slice.width); // fully overwritten
+    // Column tile outer, row tile inner: this order fixes the
+    // conversion-noise draws and the float accumulation.
+    for (std::size_t ct = 0; ct < g.colTiles; ++ct) {
+        const std::size_t c0 = g.colBegin(ct);
+        const std::size_t width = g.colEnd(ct) - c0;
+        x_sub.resizeUninit(x.rows(), width); // fully overwritten
         for (std::size_t t = 0; t < x.rows(); ++t)
-            for (std::size_t c = 0; c < slice.width; ++c)
-                x_sub(t, c) = x(t, slice.colBegin + c);
+            for (std::size_t c = 0; c < width; ++c)
+                x_sub(t, c) = x(t, c0 + c);
 
-        for (std::size_t i = 0; i < slice.opCount; ++i) {
-            const PlanTileOp& op = wp.ops[slice.opBegin + i];
-            op.tile->vmm(x_sub, layout, rngs, scratch, op.extras);
+        for (std::size_t rt = 0; rt < g.rowTiles; ++rt) {
+            const std::size_t idx = rt * g.colTiles + ct;
+            mw.tiles[idx].vmm(x_sub, layout, rngs, scratch, &mw.extras[idx]);
             const Matrix& part = scratch.y;
+            const std::size_t r0 = g.rowBegin(rt);
             // Digital accumulation of partial sums across column tiles.
             for (std::size_t t = 0; t < part.rows(); ++t)
                 for (std::size_t r = 0; r < part.cols(); ++r)
-                    y(t, op.rowBegin + r) += part(t, r);
+                    y(t, r0 + r) += part(t, r);
         }
     }
 }
 
 void
-CrossbarVmmBackend::runMeasured(const WeightPlan& wp, const Matrix& x,
+CrossbarVmmBackend::runMeasured(const MappedWeight& mw, const Matrix& x,
                                 Matrix& y, const BatchLayout& layout)
 {
-    y.resizeUninit(x.rows(), wp.rows);
+    y.resizeUninit(x.rows(), mw.grid.rows);
     y.zero();
-    gemmBT(x, *wp.measuredWeights, y, /*accumulate=*/true);
+    gemmBT(x, mw.measuredWeights, y, /*accumulate=*/true);
     // One gain/offset fold over the whole operand, with each lane's own
     // input absmax (the Matrix::absMax() kernel, so a one-lane layout
     // folds exactly as the whole operand).
-    const std::vector<float>& gain = *wp.gain;
+    const std::vector<float>& gain = mw.measuredGain;
+    const std::vector<float>& offset_fold = mw.measuredOffsetFold;
     std::size_t row = 0;
     for (const LaneSpan& span : layout) {
         const float* src = x.raw().data() + row * x.cols();
@@ -631,7 +629,7 @@ CrossbarVmmBackend::runMeasured(const WeightPlan& wp, const Matrix& x,
         for (std::size_t t = row; t < row + span.rows; ++t) {
             float* out = y.rowPtr(t);
             for (std::size_t o = 0; o < y.cols(); ++o)
-                out[o] = out[o] * gain[o] + wp.offsetFold[o] * x_max;
+                out[o] = out[o] * gain[o] + offset_fold[o] * x_max;
         }
         row += span.rows;
     }
@@ -645,21 +643,20 @@ CompileError
 CrossbarVmmBackend::compileWeight(const std::string& name, const Matrix& w)
 {
     if (const auto it = weights_.find(name); it != weights_.end()) {
-        if (it->second.rows == w.rows() && it->second.cols == w.cols())
+        const arch::TileGrid& g = it->second.grid;
+        if (g.rows == w.rows() && g.cols == w.cols())
             return {}; // already compiled
         return {CompileFailure::ShapeMismatch,
                 "shape of " + name + " (" + std::to_string(w.rows()) + "x"
                     + std::to_string(w.cols())
-                    + ") does not match the compiled plan ("
-                    + std::to_string(it->second.rows) + "x"
-                    + std::to_string(it->second.cols) + ")"};
+                    + ") does not match the compiled weight ("
+                    + std::to_string(g.rows) + "x" + std::to_string(g.cols)
+                    + ")"};
     }
 
     // Seeds are pure in (runSeed, name, tile), never in compile order.
-    MappedWeight mw;
-    mw.rows = w.rows();
-    mw.cols = w.cols();
-    mw.absMax = w.absMax() > 0.0f ? w.absMax() : 1.0f;
+    MappedWeight mw(arch::TileGrid(w.rows(), w.cols(), config_.crossbar.size),
+                    w.absMax() > 0.0f ? w.absMax() : 1.0f);
     sramMasks_[name].assign(w.size(), 0);
     std::vector<Matrix> truths;
     if (config_.usesLibrary())
@@ -667,16 +664,7 @@ CrossbarVmmBackend::compileWeight(const std::string& name, const Matrix& w)
     else
         programAnalytical(mw, name, w,
                           health_ != nullptr ? &truths : nullptr);
-    MappedWeight& slot = weights_.emplace(name, std::move(mw)).first->second;
-    // Lowered from the emplaced node, never the moved-from local: the plan
-    // caches pointers into it.
-    slot.plan = config_.usesLibrary()
-        ? buildMeasuredWeightPlan(slot.rows, slot.cols, slot.measuredWeights,
-                                  slot.measuredGain, slot.measuredOffset,
-                                  slot.absMax)
-        : buildAnalyticalWeightPlan(slot.rows, slot.cols,
-                                    config_.crossbar.size, slot.tiles,
-                                    &slot.extras);
+    weights_.emplace(name, std::move(mw));
     if (health_ != nullptr)
         health_->registerWeight(name, std::move(truths));
     return {};
@@ -704,13 +692,6 @@ CrossbarVmmBackend::prepareWeight(const std::string& name, const Matrix& w)
     // (the registry's typed path goes through compile() instead).
     if (const CompileError err = compileWeight(name, w))
         panic("CrossbarVmmBackend::prepareWeight: ", err.message);
-}
-
-const WeightPlan*
-CrossbarVmmBackend::plan(const std::string& name) const
-{
-    const auto it = weights_.find(name);
-    return it == weights_.end() ? nullptr : &it->second.plan;
 }
 
 } // namespace swordfish::core

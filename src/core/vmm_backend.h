@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "arch/partition.h"
 #include "core/health.h"
 #include "core/noise_model.h"
 #include "core/nonideality.h"
@@ -164,8 +165,8 @@ class CrossbarVmmBackend : public nn::VmmBackend
     CompileError compile(nn::SequenceModel& model);
 
     /**
-     * The one place a weight is programmed: program its tiles (or its
-     * measured matrix), lower its WeightPlan and register it with the
+     * The one place a weight is programmed: tile it (arch::TileGrid),
+     * program its tiles (or its measured matrix) and register it with the
      * health monitor. Compiling a known name again with the same shape
      * does nothing; another shape is a typed ShapeMismatch, not a panic.
      */
@@ -174,9 +175,6 @@ class CrossbarVmmBackend : public nn::VmmBackend
     /** nn-layer compile hook: compileWeight() for the crossbar-mapped
      *  weights, panicking on a typed error. */
     void prepareWeight(const std::string& name, const Matrix& w) override;
-
-    /** A compiled weight's plan, or nullptr when it was never compiled. */
-    const WeightPlan* plan(const std::string& name) const;
 
     /**
      * Runs matmulBatched()'s body over a one-lane layout on the calling
@@ -274,24 +272,26 @@ class CrossbarVmmBackend : public nn::VmmBackend
     /** Tiled non-ideal representation of one weight matrix. */
     struct MappedWeight
     {
-        std::size_t rows = 0;
-        std::size_t cols = 0;
-        // Analytical tiles, indexed [rowTile][colTile].
-        std::vector<std::vector<crossbar::CrossbarTile>> tiles;
-        // Ensemble replicas 1..K-1 per tile, indexed [rowTile][colTile]
-        // (empty when the ensemble is off for this weight). `tiles` is
-        // replica 0 and owns the shared ADC pass.
-        std::vector<std::vector<std::vector<crossbar::CrossbarTile>>>
-            extras;
+        MappedWeight(const arch::TileGrid& g, float abs_max)
+            : grid(g), absMax(abs_max)
+        {
+        }
+
+        arch::TileGrid grid;
+        float absMax;
+        // Analytical tiles in grid order (rt * grid.colTiles + ct).
+        std::vector<crossbar::CrossbarTile> tiles;
+        // Ensemble replicas 1..K-1 of each tile, in grid order (each empty
+        // when the ensemble is off for this weight). `tiles` is replica 0
+        // and owns the shared ADC pass.
+        std::vector<std::vector<crossbar::CrossbarTile>> extras;
         // Measured mode: one effective weight matrix (profile applied),
-        // plus per-output gain/offset.
+        // per-output gain, and per-output offset * absMax. The fold
+        // offset[o] * absMax * x_max evaluates left to right, so folding
+        // the first product once at programming is bitwise neutral.
         Matrix measuredWeights;
         std::vector<float> measuredGain;
-        std::vector<float> measuredOffset;
-        float absMax = 0.0f;
-        // The lowered form of the above, built once the node is in the
-        // map (it caches pointers into the node).
-        WeightPlan plan;
+        std::vector<float> measuredOffsetFold;
     };
 
     /**
@@ -303,20 +303,36 @@ class CrossbarVmmBackend : public nn::VmmBackend
                  Matrix& y, const BatchLayout& layout, Rng* const* rngs,
                  const std::uint64_t* lane_keys);
     /** The execution body of each modeling approach. */
-    void runAnalytical(const WeightPlan& wp, const Matrix& x, Matrix& y,
+    void runAnalytical(const MappedWeight& mw, const Matrix& x, Matrix& y,
                        const BatchLayout& layout, Rng* const* rngs);
-    void runMeasured(const WeightPlan& wp, const Matrix& x, Matrix& y,
+    void runMeasured(const MappedWeight& mw, const Matrix& x, Matrix& y,
                      const BatchLayout& layout);
     /**
      * When `truths` is non-null it receives each tile's pre-fault digital
-     * sub-matrix in row-major tile order (the health monitor's ground
-     * truth for probes and re-programming).
+     * sub-matrix in grid order (the health monitor's ground truth for
+     * probes and re-programming).
      */
     void programAnalytical(MappedWeight& mw, const std::string& name,
                            const Matrix& w,
                            std::vector<Matrix>* truths = nullptr);
     void programMeasured(MappedWeight& mw, const std::string& name,
                          const Matrix& w);
+    /**
+     * Program one tile under the resolved noise model; initial programming
+     * and the health monitor's refresh both build tiles here.
+     */
+    crossbar::CrossbarTile programTile(const Matrix& sub, float abs_max,
+                                       std::uint64_t seed) const;
+    /**
+     * Program `count` ensemble replicas of the tile programmed with
+     * `seed`: replica j (1-based) is seeded hashSeed({seed, kEnsembleTag,
+     * j}) and shares the tile's SRAM `mask` (SRAM cells are one digital
+     * store, not re-programmed per replica).
+     */
+    std::vector<crossbar::CrossbarTile>
+    programReplicas(const Matrix& sub, float abs_max, std::uint64_t seed,
+                    const std::vector<std::uint8_t>& mask,
+                    std::size_t count) const;
     std::vector<std::uint8_t> selectSramCells(const Matrix& error,
                                               const std::string& name,
                                               std::size_t tile_index) const;
@@ -334,8 +350,7 @@ class CrossbarVmmBackend : public nn::VmmBackend
     std::optional<crossbar::MeasurementLibrary> library_;
     SramRemapConfig remap_;
     // Written only by compileWeight(), before the first read; matmuls only
-    // read it, so it needs no lock (nodes are never erased, so the plans'
-    // cached pointers stay valid).
+    // read it, so it needs no lock.
     std::map<std::string, MappedWeight> weights_;
     std::map<std::string, std::vector<std::uint8_t>> sramMasks_;
     std::size_t tileCount_ = 0;

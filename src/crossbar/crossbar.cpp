@@ -12,7 +12,7 @@ CrossbarTile::CrossbarTile(const CrossbarConfig& config,
                            const Matrix& weights, float abs_max,
                            const NoiseToggles& toggles, std::uint64_t seed,
                            const ExtendedNoise& extended)
-    : config_(config), toggles_(toggles), extended_(extended),
+    : config_(config), extended_(extended),
       ideal_(weights),
       absMax_(abs_max > 0.0f ? abs_max : weights.absMax())
 {
@@ -372,24 +372,15 @@ CrossbarTile::applyDrift(double hours, const DriftConfig& drift, Rng& rng)
     // Incremental power-law decay from t_before to t_after with a
     // per-cell exponent; the differential pair decays coherently, so the
     // effective weight scales by the same factor.
-    for (float& w : effective_.raw()) {
+    FloatVec& eff = effective_.raw();
+    for (std::size_t i = 0; i < eff.size(); ++i) {
         const double nu = std::max(0.0,
                                    rng.gauss(drift.nu, drift.nuSigma));
+        if (!sramMask_.empty() && sramMask_[i] != 0)
+            continue;
         const double factor = std::pow(t_after / t_before, -nu);
-        w = static_cast<float>(static_cast<double>(w) * factor);
+        eff[i] = static_cast<float>(static_cast<double>(eff[i]) * factor);
     }
-}
-
-void
-CrossbarTile::reprogram(std::uint64_t new_seed)
-{
-    agedHours_ = 0.0;
-    buildEffectiveWeights(toggles_, new_seed);
-    // SRAM-remapped cells are digital: they neither drift nor pick up
-    // fresh programming noise, so restore their exact values.
-    for (std::size_t i = 0; i < sramMask_.size(); ++i)
-        if (sramMask_[i] != 0)
-            effective_.raw()[i] = ideal_.raw()[i];
 }
 
 Matrix

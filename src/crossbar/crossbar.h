@@ -169,7 +169,8 @@ class CrossbarTile
      * Overwrite selected cells with exact digital weights (models RSA's
      * SRAM remap: inputs for those devices route through SRAM instead).
      * mask has one entry per cell; true = remapped to SRAM. The mask is
-     * retained so reprogram() restores the remap automatically.
+     * retained (sramMask()) so drift can skip those cells and a refresh
+     * can re-apply it.
      */
     void remapCellsToSram(const std::vector<std::uint8_t>& mask);
 
@@ -178,21 +179,12 @@ class CrossbarTile
 
     /**
      * Age the tile: apply retention drift for `hours` of operation since
-     * the last (re)programming. Cumulative across calls.
+     * programming. Cumulative across calls. Cells remapped to SRAM are
+     * digital state and do not drift; every cell still draws its drift
+     * exponent, so the analog cells see the same stream with or without
+     * a remap.
      */
     void applyDrift(double hours, const DriftConfig& drift, Rng& rng);
-
-    /** Cumulative drift hours since the last (re)programming. */
-    double agedHours() const { return agedHours_; }
-
-    /**
-     * Reprogram the tile in place (R-V-W style refresh): regenerates the
-     * effective weights with fresh programming noise, clearing any
-     * accumulated drift. Cells previously remapped to SRAM are digital
-     * state and do not drift or re-program, so their exact values are
-     * re-applied from the retained mask.
-     */
-    void reprogram(std::uint64_t new_seed);
 
     std::size_t rows() const { return ideal_.rows(); }
     std::size_t cols() const { return ideal_.cols(); }
@@ -205,7 +197,6 @@ class CrossbarTile
                             const DeviceConfig& device, std::uint64_t seed);
 
     CrossbarConfig config_;
-    NoiseToggles toggles_;
     ExtendedNoise extended_;
     Matrix ideal_;             ///< digital weights as given
     Matrix effective_;         ///< what the analog tile actually computes

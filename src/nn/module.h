@@ -127,9 +127,9 @@ class VmmBackend
     /**
      * Compile hook: the evaluation entry points offer every model
      * parameter to the backend before the first read. Backends with
-     * per-weight state (crossbar programming, execution-plan lowering)
-     * build it here and only here, so their matmuls only read it; they
-     * filter for the parameters they map (biases are offered too).
+     * per-weight state (crossbar tile programming) build it here and
+     * only here, so their matmuls only read it; they filter for the
+     * parameters they map (biases are offered too).
      * Default: stateless backends ignore it.
      */
     virtual void prepareWeight(const std::string& /*name*/,

@@ -1,12 +1,17 @@
-/** @file Tests for the architecture model: partition & map, area,
- *  throughput. */
+/** @file Tests for the architecture model: the tile grid, partition &
+ *  map, area, throughput, and the one tiling the simulator and the
+ *  hardware-cost models share. */
 
 #include <gtest/gtest.h>
 
 #include "arch/area.h"
+#include "arch/energy.h"
 #include "arch/partition.h"
 #include "arch/throughput.h"
 #include "basecall/bonito_lite.h"
+#include "core/vmm_backend.h"
+#include "test_util.h"
+#include "util/metrics.h"
 
 using namespace swordfish;
 using namespace swordfish::arch;
@@ -19,7 +24,115 @@ model()
     return basecall::buildBonitoLite();
 }
 
+/** A vmm.* counter's current total (0 before its first add). */
+std::uint64_t
+vmmCount(const char* name)
+{
+    const auto snap = metrics().snapshot();
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0 : it->second;
+}
+
 } // namespace
+
+TEST(TileGrid, RaggedBoundsAndConversions)
+{
+    // 130x70 at tile 64: row tiles of 64/64/2 outputs, column tiles of
+    // 64/6 inputs.
+    const TileGrid g(130, 70, 64);
+    ASSERT_EQ(g.rowTiles, 3u);
+    ASSERT_EQ(g.colTiles, 2u);
+    EXPECT_EQ(g.tileCount(), 6u);
+    EXPECT_EQ(g.weightCount(), 130u * 70u);
+    const std::size_t row_ends[] = {64, 128, 130};
+    for (std::size_t rt = 0; rt < g.rowTiles; ++rt) {
+        EXPECT_EQ(g.rowBegin(rt), rt * 64);
+        EXPECT_EQ(g.rowEnd(rt), row_ends[rt]);
+    }
+    const std::size_t col_ends[] = {64, 70};
+    for (std::size_t ct = 0; ct < g.colTiles; ++ct) {
+        EXPECT_EQ(g.colBegin(ct), ct * 64);
+        EXPECT_EQ(g.colEnd(ct), col_ends[ct]);
+    }
+    // Every tile converts each of its inputs (DAC) and each of its
+    // outputs (ADC) once per input row.
+    std::size_t dac = 0, adc = 0;
+    for (std::size_t rt = 0; rt < g.rowTiles; ++rt) {
+        for (std::size_t ct = 0; ct < g.colTiles; ++ct) {
+            dac += g.colEnd(ct) - g.colBegin(ct);
+            adc += g.rowEnd(rt) - g.rowBegin(rt);
+        }
+    }
+    EXPECT_EQ(g.dacPerRow(), dac);
+    EXPECT_EQ(g.adcPerRow(), adc);
+}
+
+TEST(TileGrid, OneTilingForProgrammingCountersAndEnergy)
+{
+    // The partition map, the programmed tiles and the vmm.* counters of
+    // both modeling families read the same grid.
+    constexpr std::size_t kSteps = 3;
+    for (const std::size_t size : {std::size_t{64}, std::size_t{256}}) {
+        for (const core::NonIdealityKind kind :
+             {core::NonIdealityKind::Combined,
+              core::NonIdealityKind::Measured}) {
+            SCOPED_TRACE(std::to_string(size) + " "
+                         + core::nonIdealityName(kind));
+            auto m = model();
+            const PartitionMap map = buildPartitionMap(m, size);
+            core::NonIdealityConfig scenario;
+            scenario.kind = kind;
+            scenario.crossbar.size = size;
+            core::CrossbarVmmBackend backend(scenario, 1);
+            ASSERT_TRUE(backend.compile(m).ok());
+            EXPECT_EQ(backend.programmedTiles(), map.totalTiles());
+
+            for (const VmmSite& site : map.sites) {
+                SCOPED_TRACE(site.name);
+                const nn::Parameter* weight = nullptr;
+                for (nn::Parameter* p : m.parameters())
+                    if (p->name == site.name)
+                        weight = p;
+                ASSERT_NE(weight, nullptr);
+                const Matrix x =
+                    swordfish::testing::randomMatrix(kSteps, site.cols, 5);
+                const std::uint64_t tiles0 = vmmCount("vmm.tile_vmms");
+                const std::uint64_t dac0 = vmmCount("vmm.dac_conversions");
+                const std::uint64_t adc0 = vmmCount("vmm.adc_conversions");
+                Matrix y;
+                backend.matmul(site.name, weight->value, x, y);
+                EXPECT_EQ(vmmCount("vmm.tile_vmms") - tiles0,
+                          site.tileCount());
+                EXPECT_EQ(vmmCount("vmm.dac_conversions") - dac0,
+                          kSteps * site.dacPerRow());
+                EXPECT_EQ(vmmCount("vmm.adc_conversions") - adc0,
+                          kSteps * site.adcPerRow());
+            }
+        }
+    }
+
+    // The energy model charges the same conversions: with only the DAC
+    // energy left and one timestep per base, the charge per base is the
+    // per-step DAC count. Each 128x32 LSTM weight spans two row tiles at
+    // 64x64, each driving its own copy of the input.
+    auto m = model();
+    EnergyParams dac_only;
+    dac_only.crossbarReadPjPerCell = 0.0;
+    dac_only.adcPjPerConversion = 0.0;
+    dac_only.dacPjPerConversion = 1.0;
+    dac_only.digitalPjPerStep = 0.0;
+    dac_only.sramPjPerAccess = 0.0;
+    dac_only.ioPjPerSample = 0.0;
+    dac_only.writePulsePj = 0.0;
+    dac_only.verifyReadPj = 0.0;
+    dac_only.gpuPjPerFlop = 0.0;
+    WorkloadProfile one_step;
+    one_step.samplesPerBase = static_cast<double>(one_step.convStride);
+    const EnergyResult e = estimateEnergy(
+        Variant::Ideal, buildPartitionMap(m, 64), TimingParams{}, dac_only,
+        one_step);
+    EXPECT_EQ(e.pjPerBase, 421.0);
+}
 
 TEST(Partition, EnumeratesAllVmmSites)
 {
@@ -84,6 +197,9 @@ TEST(Partition, DescribeListsEverySite)
 
 TEST(Partition, ZeroSizeIsFatal)
 {
+    // The tiling test above compiles on the thread pool; a forked child
+    // cannot join those workers at exit, so re-execute instead of fork.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     auto m = model();
     EXPECT_EXIT(buildPartitionMap(m, 0), ::testing::ExitedWithCode(1),
                 "positive");

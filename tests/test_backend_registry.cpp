@@ -1,10 +1,9 @@
-/** @file Backend registry and plan-compiler tests: the typed
- *  compile-error surface (unknown backend, shape mismatch against a cached
- *  plan, degenerate device configs, out-of-range remap fractions, scenario
- *  mismatches), registry dispatch across the three families and the
- *  families each evaluation entry point implies, the WeightPlan lowering,
- *  and the crossbar-mapping edge-case regressions that motivated the typed
- *  validation. */
+/** @file Backend registry tests: the typed compile-error surface (unknown
+ *  backend, shape mismatch against a compiled weight, degenerate device
+ *  configs, out-of-range remap fractions, scenario mismatches), registry
+ *  dispatch across the three families and the families each evaluation
+ *  entry point implies, and the crossbar-mapping edge-case regressions
+ *  that motivated the typed validation. */
 
 #include <gtest/gtest.h>
 
@@ -26,7 +25,6 @@
 
 using namespace swordfish;
 using namespace swordfish::core;
-using swordfish::testing::randomMatrix;
 
 namespace {
 
@@ -258,34 +256,6 @@ TEST(BackendRegistry, DispatchesEveryFamilyEndToEnd)
     }
 }
 
-TEST(BackendRegistry, CompiledPlanCoversEveryMappedWeight)
-{
-    Fixture& f = Fixture::get();
-    BackendSpec spec;
-    spec.scenario = analyticalScenario();
-    spec.seed = 4;
-    auto api = BackendRegistry::instance().create("analytical", spec);
-    ASSERT_NE(api, nullptr);
-    ASSERT_TRUE(api->initialize().ok());
-    auto& backend = static_cast<CrossbarVmmBackend&>(api->execution());
-    const CompileError compiled = backend.compile(f.model);
-    ASSERT_TRUE(compiled.ok()) << compiled.message;
-    EXPECT_GT(backend.programmedTiles(), 0u);
-
-    std::size_t vmm_weights = 0;
-    for (nn::Parameter* p : f.model.parameters()) {
-        SCOPED_TRACE(p->name);
-        const WeightPlan* wp = backend.plan(p->name);
-        ASSERT_EQ(wp != nullptr, isVmmWeight(p->name));
-        if (wp != nullptr) {
-            ++vmm_weights;
-            EXPECT_EQ(wp->rows, p->value.rows());
-            EXPECT_EQ(wp->cols, p->value.cols());
-        }
-    }
-    EXPECT_GT(vmm_weights, 0u);
-}
-
 TEST(BackendRegistry, CompiledSelectorSelectsNothing)
 {
     // "compiled" is the one accepted selector token: it must not move a
@@ -322,81 +292,3 @@ TEST(ImpliedFamilyDeathTest, FamilyTokenDiesBadBackend)
         "bad_backend");
 }
 
-// ---------------------------------------------------------------------------
-// WeightPlan lowering
-// ---------------------------------------------------------------------------
-
-TEST(WeightPlanLowering, RaggedGridOpOrderBoundsAndCounters)
-{
-    // 130x70 at tile 64: row tiles of 64/64/2 outputs, column slices of
-    // 64/6 inputs.
-    constexpr std::size_t kRows = 130, kCols = 70, kTile = 64;
-    crossbar::CrossbarConfig config;
-    config.size = kTile;
-    const Matrix w = randomMatrix(kRows, kCols, 3);
-    const std::size_t row_tiles = 3, col_tiles = 2;
-    std::vector<std::vector<crossbar::CrossbarTile>> tiles(row_tiles);
-    std::vector<std::vector<std::vector<crossbar::CrossbarTile>>> extras(
-        row_tiles);
-    for (std::size_t rt = 0; rt < row_tiles; ++rt) {
-        extras[rt].resize(col_tiles);
-        for (std::size_t ct = 0; ct < col_tiles; ++ct) {
-            const std::size_t r0 = rt * kTile, c0 = ct * kTile;
-            const std::size_t r1 = std::min(kRows, r0 + kTile);
-            const std::size_t c1 = std::min(kCols, c0 + kTile);
-            Matrix sub(r1 - r0, c1 - c0);
-            for (std::size_t r = r0; r < r1; ++r)
-                for (std::size_t c = c0; c < c1; ++c)
-                    sub(r - r0, c - c0) = w(r, c);
-            tiles[rt].emplace_back(config, sub, w.absMax(),
-                                   crossbar::NoiseToggles::allOff(),
-                                   rt * col_tiles + ct);
-            extras[rt][ct].emplace_back(config, sub, w.absMax(),
-                                        crossbar::NoiseToggles::allOff(),
-                                        100 + rt * col_tiles + ct);
-        }
-    }
-
-    for (const bool with_extras : {false, true}) {
-        SCOPED_TRACE(with_extras ? "with extras" : "without extras");
-        const WeightPlan plan = buildAnalyticalWeightPlan(
-            kRows, kCols, kTile, tiles, with_extras ? &extras : nullptr);
-        EXPECT_EQ(plan.rows, kRows);
-        EXPECT_EQ(plan.cols, kCols);
-        EXPECT_FALSE(plan.measured);
-
-        // Column tile outer, row tile inner.
-        ASSERT_EQ(plan.slices.size(), col_tiles);
-        ASSERT_EQ(plan.ops.size(), row_tiles * col_tiles);
-        const std::size_t widths[] = {64, 6};
-        std::size_t tile_vmms = 0, dac = 0, adc = 0;
-        for (std::size_t ct = 0; ct < col_tiles; ++ct) {
-            const PlanColSlice& slice = plan.slices[ct];
-            EXPECT_EQ(slice.colBegin, ct * kTile);
-            EXPECT_EQ(slice.width, widths[ct]);
-            EXPECT_EQ(slice.opBegin, ct * row_tiles);
-            EXPECT_EQ(slice.opCount, row_tiles);
-            for (std::size_t rt = 0; rt < row_tiles; ++rt) {
-                const PlanTileOp& op = plan.ops[slice.opBegin + rt];
-                EXPECT_EQ(op.tile, &tiles[rt][ct]);
-                EXPECT_EQ(op.rowBegin, rt * kTile);
-                EXPECT_EQ(op.extras,
-                          with_extras ? &extras[rt][ct] : nullptr);
-                ++tile_vmms;
-                dac += slice.width;
-                adc += op.tile->rows();
-            }
-        }
-        EXPECT_EQ(plan.tileVmms, tile_vmms);
-        EXPECT_EQ(plan.dacPerRow, dac);
-        EXPECT_EQ(plan.adcPerRow, adc);
-    }
-
-    // An empty replica grid is the no-ensemble case.
-    const std::vector<std::vector<std::vector<crossbar::CrossbarTile>>>
-        none;
-    const WeightPlan plain =
-        buildAnalyticalWeightPlan(kRows, kCols, kTile, tiles, &none);
-    for (const PlanTileOp& op : plain.ops)
-        EXPECT_EQ(op.extras, nullptr);
-}

@@ -164,9 +164,12 @@ TEST(Integration, PipelineRunsAndBasecallingDominates)
     // A serial pipeline: the basecall stage shards its reads across the
     // pool while the mapping stage's index build is serial, so with a
     // wider pool the share below would follow the number of free cores.
+    // Twelve reads keep basecalling well above the index build (about
+    // 2.5x on a 4-vCPU VM), so one host stall cannot sink the share.
+    const Dataset reads = makeDataset(specById("D1"), PoreModel{}, 12);
     const std::size_t pool_width = globalPool().threadCount();
-    const auto report = runPipeline(
-        w.model, EvalOptions(w.dataset).maxReads(3).threads(1));
+    const auto report =
+        runPipeline(w.model, EvalOptions(reads).threads(1));
     setGlobalPoolThreads(pool_width);
     ASSERT_EQ(report.stages.size(), 3u);
     EXPECT_GT(report.totalSeconds, 0.0);
