@@ -9,11 +9,12 @@
  * alignment.
  *
  * `--roofline` switches to a self-contained report: it measures the
- * machine's practical peak FMA throughput (scalar and AVX2) and streaming
- * bandwidth once, then times each hot kernel at both SIMD levels and emits
- * one JSON line per (kernel, level, batch) point with achieved GFLOPs and
- * the fraction of the matching ceiling — the format EXPERIMENTS.md §roofline
- * documents and CI diffs against bench/roofline_baseline.json:
+ * machine's practical peak FMA throughput (scalar, AVX2 and AVX-512) and
+ * streaming bandwidth once, then times each hot kernel at the scalar and
+ * AVX2 levels (gemm_bt and adc_convert also at AVX-512, report-only) and
+ * emits one JSON line per (kernel, level, batch) point with achieved GFLOPs
+ * and the fraction of the matching ceiling — the format EXPERIMENTS.md
+ * §roofline documents and CI diffs against bench/roofline_baseline.json:
  *
  *   micro_kernels --roofline [--quick] [--baseline FILE] [--out FILE]
  *
@@ -29,6 +30,7 @@
 #endif
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -120,7 +122,7 @@ class SerialOmpScope
  * the recurrent tile step of a 1-, 2- and 6-lane group (1x64x32, 2x64x32,
  * 6x64x32; the first two show the fixed per-call cost), a stacked LSTM
  * projection (1024x128x32) and conv0 (1024x32x5). Args: m, n, k,
- * SimdLevel int.
+ * SimdLevel int (0 scalar, 1 AVX2, 2 AVX-512).
  */
 void
 BM_GemmBTShape(benchmark::State& state)
@@ -129,8 +131,8 @@ BM_GemmBTShape(benchmark::State& state)
     const auto n = static_cast<std::size_t>(state.range(1));
     const auto k = static_cast<std::size_t>(state.range(2));
     const auto level = static_cast<SimdLevel>(state.range(3));
-    if (level == SimdLevel::Avx2 && !cpuSupportsAvx2()) {
-        state.SkipWithError("CPU lacks AVX2/FMA");
+    if (!simdLevelSupported(level)) {
+        state.SkipWithError("CPU lacks this SIMD level");
         return;
     }
     const ScopedSimdLevel scoped(level);
@@ -147,12 +149,12 @@ BM_GemmBTShape(benchmark::State& state)
                             * static_cast<std::int64_t>(m * n * k));
 }
 BENCHMARK(BM_GemmBTShape)
-    ->ArgNames({"m", "n", "k", "avx2"})
-    ->Args({1, 64, 32, 0})->Args({1, 64, 32, 1})
-    ->Args({2, 64, 32, 0})->Args({2, 64, 32, 1})
-    ->Args({6, 64, 32, 0})->Args({6, 64, 32, 1})
-    ->Args({1024, 128, 32, 0})->Args({1024, 128, 32, 1})
-    ->Args({1024, 32, 5, 0})->Args({1024, 32, 5, 1});
+    ->ArgNames({"m", "n", "k", "level"})
+    ->ArgsProduct({{1}, {64}, {32}, {0, 1, 2}})
+    ->ArgsProduct({{2}, {64}, {32}, {0, 1, 2}})
+    ->ArgsProduct({{6}, {64}, {32}, {0, 1, 2}})
+    ->ArgsProduct({{1024}, {128}, {32}, {0, 1, 2}})
+    ->ArgsProduct({{1024}, {32}, {5}, {0, 1, 2}});
 
 void
 BM_CrossbarVmmFast(benchmark::State& state)
@@ -181,8 +183,8 @@ BM_BatchedVmmLanes(benchmark::State& state)
 {
     const auto lanes = static_cast<std::size_t>(state.range(0));
     const auto level = static_cast<SimdLevel>(state.range(1));
-    if (level == SimdLevel::Avx2 && !cpuSupportsAvx2()) {
-        state.SkipWithError("CPU lacks AVX2/FMA");
+    if (!simdLevelSupported(level)) {
+        state.SkipWithError("CPU lacks this SIMD level");
         return;
     }
     const ScopedSimdLevel scoped(level);
@@ -215,14 +217,69 @@ BENCHMARK(BM_BatchedVmmLanes)
     ->Args({4, 0})->Args({4, 1})
     ->Args({8, 0})->Args({8, 1});
 
+/**
+ * One Combined-tile VMM of a BonitoLite LSTM weight tile (64 outputs x 32
+ * inputs on a 64x64 array) over 8 lanes, per SIMD level: input scaling,
+ * DAC, GEMM, sneak, and the noisy ADC on every lane's own stream. 1 row per
+ * lane is a recurrent step of an 8-read batch. A larger `rows` is an input
+ * projection over whole reads: each lane's span is `rows` times a
+ * lognormal factor (sigma 0.25, as genomics::simulateRead draws read
+ * lengths), so the spans are unequal as in the model's conv and input
+ * layers. Args: rows per lane (mean), SimdLevel int.
+ */
+void
+BM_TileVmmLanes(benchmark::State& state)
+{
+    const auto rows = static_cast<std::size_t>(state.range(0));
+    const auto level = static_cast<SimdLevel>(state.range(1));
+    if (!simdLevelSupported(level)) {
+        state.SkipWithError("CPU lacks this SIMD level");
+        return;
+    }
+    const ScopedSimdLevel scoped(level);
+    constexpr std::size_t kLanes = 8, kOut = 64, kIn = 32;
+    crossbar::CrossbarConfig config;
+    config.size = 64;
+    const Matrix w = randomMatrix(kOut, kIn, 3);
+    const crossbar::CrossbarTile tile(
+        config, w, 0.0f, crossbar::NoiseToggles::combined(), 7);
+    BatchLayout layout;
+    Rng length_rng(5);
+    for (std::size_t l = 0; l < kLanes; ++l) {
+        const double factor =
+            rows == 1 ? 1.0 : std::exp(length_rng.gauss(0.0, 0.25));
+        layout.push_back(
+            {l, static_cast<std::size_t>(static_cast<double>(rows) * factor)});
+    }
+    const std::size_t total_rows = layoutRows(layout);
+    const Matrix x = randomMatrix(total_rows, kIn, 4);
+    std::vector<Rng> rngs;
+    std::vector<Rng*> rng_ptrs;
+    for (std::size_t l = 0; l < kLanes; ++l)
+        rngs.emplace_back(100 + l);
+    for (auto& r : rngs)
+        rng_ptrs.push_back(&r);
+    crossbar::VmmScratch scratch;
+    for (auto _ : state) {
+        tile.vmm(x, layout, rng_ptrs.data(), scratch);
+        benchmark::DoNotOptimize(scratch.y.data());
+    }
+    // Items are ADC conversions.
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations())
+                            * static_cast<std::int64_t>(total_rows * kOut));
+}
+BENCHMARK(BM_TileVmmLanes)
+    ->ArgNames({"rows", "level"})
+    ->ArgsProduct({{1, 100}, {0, 1, 2}});
+
 /** Fused LSTM gate block per (batch size, SIMD level). */
 void
 BM_LstmGate(benchmark::State& state)
 {
     const auto batch = static_cast<std::size_t>(state.range(0));
     const auto level = static_cast<SimdLevel>(state.range(1));
-    if (level == SimdLevel::Avx2 && !cpuSupportsAvx2()) {
-        state.SkipWithError("CPU lacks AVX2/FMA");
+    if (!simdLevelSupported(level)) {
+        state.SkipWithError("CPU lacks this SIMD level");
         return;
     }
     const ScopedSimdLevel scoped(level);
@@ -286,8 +343,8 @@ BM_AdcConvertRows(benchmark::State& state)
 {
     const auto n = static_cast<std::size_t>(state.range(0));
     const auto level = static_cast<SimdLevel>(state.range(1));
-    if (level == SimdLevel::Avx2 && !cpuSupportsAvx2()) {
-        state.SkipWithError("CPU lacks AVX2/FMA");
+    if (!simdLevelSupported(level)) {
+        state.SkipWithError("CPU lacks this SIMD level");
         return;
     }
     const ScopedSimdLevel scoped(level);
@@ -303,9 +360,7 @@ BM_AdcConvertRows(benchmark::State& state)
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations())
                             * static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_AdcConvertRows)
-    ->Args({256, 0})->Args({256, 1})
-    ->Args({2048, 0})->Args({2048, 1});
+BENCHMARK(BM_AdcConvertRows)->ArgsProduct({{256, 2048}, {0, 1, 2}});
 
 /** Table-lookup DAC row kernel per (block length, SIMD level). */
 void
@@ -313,8 +368,8 @@ BM_DacConvertRows(benchmark::State& state)
 {
     const auto n = static_cast<std::size_t>(state.range(0));
     const auto level = static_cast<SimdLevel>(state.range(1));
-    if (level == SimdLevel::Avx2 && !cpuSupportsAvx2()) {
-        state.SkipWithError("CPU lacks AVX2/FMA");
+    if (!simdLevelSupported(level)) {
+        state.SkipWithError("CPU lacks this SIMD level");
         return;
     }
     const ScopedSimdLevel scoped(level);
@@ -503,15 +558,19 @@ runRoofline(bool quick, const std::string& baseline_path,
     RooflineReport report;
 
     // --- Ceilings: practical peak FMA rate per level, streaming bandwidth.
-    double peak[2] = {0.0, 0.0};
-    for (int lvl = 0; lvl <= (avx2_ok ? 1 : 0); ++lvl) {
+    double peak[3] = {0.0, 0.0, 0.0};
+    for (const SimdLevel level :
+         {SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512}) {
+        if (!simdLevelSupported(level))
+            continue;
         double flops = 0.0;
         const double secs = bestSeconds(
-            [&] { flops = kernels::peakFmaFlops(peak_iters, lvl == 1); },
+            [&] { flops = kernels::peakFmaFlops(peak_iters, level); },
             budget);
+        const int lvl = static_cast<int>(level);
         peak[lvl] = flops / secs / 1e9;
-        report.add({"peak_fma", simdLevelName(static_cast<SimdLevel>(lvl)),
-                    0, peak[lvl], "gflops", 1.0});
+        report.add({"peak_fma", simdLevelName(level), 0, peak[lvl], "gflops",
+                    1.0});
     }
 
     const std::size_t triad_n = quick ? 1u << 21 : 1u << 23;
@@ -552,14 +611,31 @@ runRoofline(bool quick, const std::string& baseline_path,
         });
     };
 
+    // A report-only AVX-512 point (no baseline entry): `flops` per call of
+    // fn against the AVX-512 FMA peak, on a CPU with the level.
+    const auto avx512Point = [&](const char* kernel, double flops,
+                                 auto&& fn) {
+        if (!cpuSupportsAvx512())
+            return;
+        const ScopedSimdLevel scoped(SimdLevel::Avx512);
+        const double rate = flops / bestSeconds(fn, budget) / 1e9;
+        const double ceiling = peak[static_cast<int>(SimdLevel::Avx512)];
+        report.add({kernel, simdLevelName(SimdLevel::Avx512), 0, rate,
+                    "gflops", rate / ceiling});
+    };
+
     // --- gemmBT: the projection / VMM workhorse, 2k flops per output.
     {
         const std::size_t m = 128, k = 256, n = 1024;
         const Matrix x = randomMatrix(m, k, 1);
         const Matrix w = randomMatrix(n, k, 2);
         Matrix y;
-        flopsPoint("gemm_bt", 2.0 * static_cast<double>(m * k * n),
-                   [&] { gemmBT(x, w, y); });
+        const double flops = 2.0 * static_cast<double>(m * k * n);
+        flopsPoint("gemm_bt", flops, [&] { gemmBT(x, w, y); });
+        // On one OpenMP thread, so the line reads the row-pair kernel
+        // against its one-thread peak rather than the team's scheduling.
+        const SerialOmpScope serial;
+        avx512Point("gemm_bt", flops, [&] { gemmBT(x, w, y); });
     }
 
     // --- gemmBT at the model's short-k shapes (report-only: no baseline
@@ -729,6 +805,11 @@ runRoofline(bool quick, const std::string& baseline_path,
                 report.addSpeedup("adc_convert", 0, adc_scalar / adc_secs);
                 report.addSpeedup("dac_convert", 0, dac_scalar / dac_secs);
             }
+        });
+        avx512Point("adc_convert", kAdcFlopsPerElement * elems, [&] {
+            block.y = block.x;
+            kernels::adcConvertRows(block.y.data(), kElems, adc,
+                                    block.words.data(), 1.5f);
         });
     }
 

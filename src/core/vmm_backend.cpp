@@ -588,16 +588,22 @@ CrossbarVmmBackend::runAnalytical(const MappedWeight& mw, const Matrix& x,
     // Column tile outer, row tile inner: this order fixes the
     // conversion-noise draws and the float accumulation.
     for (std::size_t ct = 0; ct < g.colTiles; ++ct) {
-        const std::size_t c0 = g.colBegin(ct);
-        const std::size_t width = g.colEnd(ct) - c0;
-        x_sub.resizeUninit(x.rows(), width); // fully overwritten
-        for (std::size_t t = 0; t < x.rows(); ++t)
-            for (std::size_t c = 0; c < width; ++c)
-                x_sub(t, c) = x(t, c0 + c);
+        // One column tile spans every input: x goes in as it is.
+        const Matrix* input = &x;
+        if (g.colTiles > 1) {
+            const std::size_t c0 = g.colBegin(ct);
+            const std::size_t width = g.colEnd(ct) - c0;
+            x_sub.resizeUninit(x.rows(), width); // fully overwritten
+            for (std::size_t t = 0; t < x.rows(); ++t)
+                for (std::size_t c = 0; c < width; ++c)
+                    x_sub(t, c) = x(t, c0 + c);
+            input = &x_sub;
+        }
 
         for (std::size_t rt = 0; rt < g.rowTiles; ++rt) {
             const std::size_t idx = rt * g.colTiles + ct;
-            mw.tiles[idx].vmm(x_sub, layout, rngs, scratch, &mw.extras[idx]);
+            mw.tiles[idx].vmm(*input, layout, rngs, scratch,
+                              &mw.extras[idx]);
             const Matrix& part = scratch.y;
             const std::size_t r0 = g.rowBegin(rt);
             // Digital accumulation of partial sums across column tiles.

@@ -54,6 +54,8 @@
 
 #if SWORDFISH_X86
 #define SWORDFISH_AVX2_TARGET __attribute__((target("avx2,fma")))
+#define SWORDFISH_AVX512_TARGET \
+    __attribute__((target("avx512f,avx512vl,avx512dq,avx2,fma")))
 #endif
 
 namespace swordfish {
@@ -65,7 +67,11 @@ namespace swordfish {
 const char*
 simdLevelName(SimdLevel level)
 {
-    return level == SimdLevel::Avx2 ? "avx2" : "scalar";
+    switch (level) {
+      case SimdLevel::Avx2: return "avx2";
+      case SimdLevel::Avx512: return "avx512";
+      default: return "scalar";
+    }
 }
 
 bool
@@ -119,6 +125,32 @@ cpuSupportsAvx2()
 #endif
 }
 
+bool
+cpuSupportsAvx512()
+{
+#if SWORDFISH_X86 && defined(__GNUC__)
+    static const bool ok = [] {
+        __builtin_cpu_init();
+        return cpuSupportsAvx2() && __builtin_cpu_supports("avx512f") != 0
+            && __builtin_cpu_supports("avx512vl") != 0
+            && __builtin_cpu_supports("avx512dq") != 0;
+    }();
+    return ok;
+#else
+    return false;
+#endif
+}
+
+bool
+simdLevelSupported(SimdLevel level)
+{
+    switch (level) {
+      case SimdLevel::Avx2: return cpuSupportsAvx2();
+      case SimdLevel::Avx512: return cpuSupportsAvx512();
+      default: return true;
+    }
+}
+
 namespace {
 
 /** Scoped test override slot: -1 = none, else a SimdLevel value. */
@@ -135,6 +167,8 @@ resolveMode(SimdConfig::Mode mode)
             panic("SWORDFISH_SIMD=avx2: this CPU lacks AVX2/FMA");
         return SimdLevel::Avx2;
       default:
+        if (cpuSupportsAvx512())
+            return SimdLevel::Avx512;
         return cpuSupportsAvx2() ? SimdLevel::Avx2 : SimdLevel::Scalar;
     }
 }
@@ -160,8 +194,8 @@ activeSimdLevel()
 ScopedSimdLevel::ScopedSimdLevel(SimdLevel level)
     : prev_(g_simd_override.load(std::memory_order_relaxed))
 {
-    if (level == SimdLevel::Avx2 && !cpuSupportsAvx2())
-        panic("ScopedSimdLevel: this CPU lacks AVX2/FMA");
+    if (!simdLevelSupported(level))
+        panic("ScopedSimdLevel: this CPU lacks ", simdLevelName(level));
     g_simd_override.store(static_cast<int>(level),
                           std::memory_order_relaxed);
 }
@@ -1199,13 +1233,327 @@ dacConvertAvx2(const float* x, float* out, std::size_t n,
     dacConvertScalar(x, out, n8, n, d);
 }
 
+// ---------------------------------------------------------------------------
+// AVX-512 kernels (the AVX2 op sequences on 16 lanes; every kernel without
+// a body here runs its AVX2 body at this level)
+// ---------------------------------------------------------------------------
+
+// GCC 12's AVX-512 headers seed unmasked builtins with a self-initialized
+// _mm512_undefined_* register and warn about it wherever they inline.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
+/**
+ * reduceLanes8 on both 256-bit halves of eight row-pair accumulators at
+ * once: half h of lane i of the result is the fixed tree of half h of
+ * acc[i]. The two-source permutes build, per half, the 128-bit blocks
+ * AVX2's permute2f128 0x20 and 0x31 select; the in-lane shuffles are the
+ * same instructions on 128-bit lanes.
+ */
+SWORDFISH_AVX512_TARGET __attribute__((always_inline)) inline __m512
+reduceLanes8x2(const __m512* acc)
+{
+    const __m512i lo_blocks = _mm512_setr_epi32(0, 1, 2, 3, 16, 17, 18, 19,
+                                                8, 9, 10, 11, 24, 25, 26, 27);
+    const __m512i hi_blocks = _mm512_setr_epi32(4, 5, 6, 7, 20, 21, 22, 23,
+                                                12, 13, 14, 15, 28, 29, 30,
+                                                31);
+    __m512 h[4];
+    for (std::size_t i = 0; i < 4; ++i)
+        h[i] = _mm512_add_ps(
+            _mm512_permutex2var_ps(acc[i], lo_blocks, acc[i + 4]),
+            _mm512_permutex2var_ps(acc[i], hi_blocks, acc[i + 4]));
+    const __m512 q01 =
+        _mm512_add_ps(_mm512_shuffle_ps(h[0], h[1], _MM_SHUFFLE(1, 0, 1, 0)),
+                      _mm512_shuffle_ps(h[0], h[1], _MM_SHUFFLE(3, 2, 3, 2)));
+    const __m512 q23 =
+        _mm512_add_ps(_mm512_shuffle_ps(h[2], h[3], _MM_SHUFFLE(1, 0, 1, 0)),
+                      _mm512_shuffle_ps(h[2], h[3], _MM_SHUFFLE(3, 2, 3, 2)));
+    return _mm512_add_ps(
+        _mm512_shuffle_ps(q01, q23, _MM_SHUFFLE(2, 0, 2, 0)),
+        _mm512_shuffle_ps(q01, q23, _MM_SHUFFLE(3, 1, 3, 1)));
+}
+
+/** Row a0's 8 floats in the low half, row a1's in the high half. */
+SWORDFISH_AVX512_TARGET inline __m512
+rowPair(__m256 a0, __m256 a1)
+{
+    return _mm512_insertf32x8(_mm512_castps256_ps512(a0), a1, 1);
+}
+
+/**
+ * gemmBTPassAvx2 for two A rows at once: each 256-bit half of the
+ * accumulators runs one row's 8-lane blocked reduction, and each B row
+ * load is broadcast to both halves. The ragged tail enters through a
+ * masked FMA (`tail` selects lanes 0..r-1 of both halves) that leaves the
+ * other lanes untouched, as AVX2's blend does. Forced inline with its
+ * reduction: GCC 12 otherwise keeps acc[] on the stack, which made this
+ * pass slower than AVX2's.
+ */
+template <std::size_t N>
+SWORDFISH_AVX512_TARGET __attribute__((always_inline)) inline __m512
+gemmBTPairPassAvx512(const float* a0, const float* a1, const float* b0,
+                     std::size_t k, std::size_t k8, __mmask8 tail,
+                     __m512 tail_a)
+{
+    __m512 acc[8];
+    for (std::size_t i = 0; i < 8; ++i)
+        acc[i] = _mm512_setzero_ps();
+    for (std::size_t p = 0; p < k8; p += 8) {
+        const __m512 va =
+            rowPair(_mm256_loadu_ps(a0 + p), _mm256_loadu_ps(a1 + p));
+        for (std::size_t i = 0; i < N; ++i)
+            acc[i] = _mm512_fmadd_ps(
+                va, _mm512_broadcast_f32x8(_mm256_loadu_ps(b0 + i * k + p)),
+                acc[i]);
+    }
+    if (k8 != k) {
+        const auto both = static_cast<__mmask16>(tail | (tail << 8));
+        for (std::size_t i = 0; i < N; ++i)
+            acc[i] = _mm512_mask_mov_ps(
+                acc[i], both,
+                _mm512_fmadd_ps(tail_a,
+                                _mm512_broadcast_f32x8(_mm256_maskz_loadu_ps(
+                                    tail, b0 + i * k + k8)),
+                                acc[i]));
+    }
+    return reduceLanes8x2(acc);
+}
+
+/** gemmBTRowAvx2 for rows a0 and a1 (into c0 and c1) at once. */
+SWORDFISH_AVX512_TARGET void
+gemmBTRowPairAvx512(const float* a0, const float* a1, const Matrix& b,
+                    float* c0, float* c1, std::size_t k, std::size_t n)
+{
+    std::size_t j = 0;
+    if (n >= 4) {
+        const std::size_t k8 = k & ~std::size_t{7};
+        const auto tail = static_cast<__mmask8>((1u << (k - k8)) - 1u);
+        const __m512 tail_a = rowPair(_mm256_maskz_loadu_ps(tail, a0 + k8),
+                                      _mm256_maskz_loadu_ps(tail, a1 + k8));
+        for (; j + 8 <= n; j += 8) {
+            const __m512 sums = gemmBTPairPassAvx512<8>(a0, a1, b.rowPtr(j),
+                                                        k, k8, tail, tail_a);
+            _mm256_storeu_ps(c0 + j,
+                             _mm256_add_ps(_mm256_loadu_ps(c0 + j),
+                                           _mm512_castps512_ps256(sums)));
+            _mm256_storeu_ps(c1 + j,
+                             _mm256_add_ps(_mm256_loadu_ps(c1 + j),
+                                           _mm512_extractf32x8_ps(sums, 1)));
+        }
+        if (j + 4 <= n) {
+            const __m512 sums = gemmBTPairPassAvx512<4>(a0, a1, b.rowPtr(j),
+                                                        k, k8, tail, tail_a);
+            _mm_storeu_ps(c0 + j, _mm_add_ps(_mm_loadu_ps(c0 + j),
+                                             _mm512_castps512_ps128(sums)));
+            _mm_storeu_ps(c1 + j, _mm_add_ps(_mm_loadu_ps(c1 + j),
+                                             _mm512_extractf32x4_ps(sums, 2)));
+            j += 4;
+        }
+    }
+    for (; j < n; ++j) {
+        c0[j] += dotAvx2(a0, b.rowPtr(j), k);
+        c1[j] += dotAvx2(a1, b.rowPtr(j), k);
+    }
+}
+
+/** logUnitAvx2 on 16 lanes; the m < sqrt(1/2) select is a mask. */
+SWORDFISH_AVX512_TARGET inline __m512
+logUnitAvx512(__m512 u)
+{
+    const __m512i b = _mm512_castps_si512(u);
+    const __m512i e0 = _mm512_sub_epi32(_mm512_srli_epi32(b, 23),
+                                        _mm512_set1_epi32(126));
+    const __m512 m = _mm512_castsi512_ps(_mm512_or_si512(
+        _mm512_and_si512(b, _mm512_set1_epi32(0x7fffff)),
+        _mm512_set1_epi32(0x3f000000)));
+    const __mmask16 low =
+        _mm512_cmp_ps_mask(m, _mm512_set1_ps(kSqrtHalf), _CMP_LT_OQ);
+    const __m512 e = _mm512_cvtepi32_ps(
+        _mm512_mask_sub_epi32(e0, low, e0, _mm512_set1_epi32(1)));
+    const __m512 x = _mm512_sub_ps(
+        _mm512_add_ps(m, _mm512_maskz_mov_ps(low, m)), _mm512_set1_ps(1.0f));
+    const __m512 z = _mm512_mul_ps(x, x);
+    __m512 p = _mm512_set1_ps(kLogP0);
+    p = _mm512_fmadd_ps(p, x, _mm512_set1_ps(kLogP1));
+    p = _mm512_fmadd_ps(p, x, _mm512_set1_ps(kLogP2));
+    p = _mm512_fmadd_ps(p, x, _mm512_set1_ps(kLogP3));
+    p = _mm512_fmadd_ps(p, x, _mm512_set1_ps(kLogP4));
+    p = _mm512_fmadd_ps(p, x, _mm512_set1_ps(kLogP5));
+    p = _mm512_fmadd_ps(p, x, _mm512_set1_ps(kLogP6));
+    p = _mm512_fmadd_ps(p, x, _mm512_set1_ps(kLogP7));
+    p = _mm512_fmadd_ps(p, x, _mm512_set1_ps(kLogP8));
+    __m512 y = _mm512_mul_ps(_mm512_mul_ps(p, x), z);
+    y = _mm512_fmadd_ps(e, _mm512_set1_ps(kLn2Lo), y);
+    y = _mm512_fmadd_ps(_mm512_set1_ps(-0.5f), z, y);
+    return _mm512_fmadd_ps(e, _mm512_set1_ps(kLn2Hi), _mm512_add_ps(x, y));
+}
+
+/** sinCosTurnAvx2 on 16 lanes; the odd-q swap is a mask blend. */
+SWORDFISH_AVX512_TARGET inline void
+sinCosTurnAvx512(__m512i u2, __m512& c, __m512& s)
+{
+    const __m512i q = _mm512_srli_epi32(
+        _mm512_add_epi32(u2, _mm512_set1_epi32(1 << 21)), 22);
+    const __m512i f = _mm512_sub_epi32(u2, _mm512_slli_epi32(q, 22));
+    const __m512 x = _mm512_mul_ps(_mm512_cvtepi32_ps(f),
+                                   _mm512_set1_ps(kRadPerTurnLsb));
+    const __m512 z = _mm512_mul_ps(x, x);
+    __m512 ps = _mm512_fmadd_ps(_mm512_set1_ps(kSinP0), z,
+                                _mm512_set1_ps(kSinP1));
+    ps = _mm512_fmadd_ps(ps, z, _mm512_set1_ps(kSinP2));
+    const __m512 sx = _mm512_fmadd_ps(ps, _mm512_mul_ps(x, z), x);
+    __m512 pc = _mm512_fmadd_ps(_mm512_set1_ps(kCosP0), z,
+                                _mm512_set1_ps(kCosP1));
+    pc = _mm512_fmadd_ps(pc, z, _mm512_set1_ps(kCosP2));
+    const __m512 cx = _mm512_fmadd_ps(
+        pc, _mm512_mul_ps(z, z),
+        _mm512_fmadd_ps(_mm512_set1_ps(-0.5f), z, _mm512_set1_ps(1.0f)));
+    const __mmask16 swap = _mm512_test_epi32_mask(q, _mm512_set1_epi32(1));
+    const __m512i two = _mm512_set1_epi32(2);
+    const __m512i c_sign = _mm512_slli_epi32(
+        _mm512_and_si512(_mm512_add_epi32(q, _mm512_set1_epi32(1)), two), 30);
+    const __m512i s_sign = _mm512_slli_epi32(_mm512_and_si512(q, two), 30);
+    c = _mm512_xor_ps(_mm512_mask_blend_ps(swap, cx, sx),
+                      _mm512_castsi512_ps(c_sign));
+    s = _mm512_xor_ps(_mm512_mask_blend_ps(swap, sx, cx),
+                      _mm512_castsi512_ps(s_sign));
+}
+
+/**
+ * The 32 normals of words[0..16), in element order: the first vector
+ * holds elements 0..15 (words 0..7), the second elements 16..31.
+ */
+SWORDFISH_AVX512_TARGET inline void
+gaussHexAvx512(const std::uint64_t* words, __m512& first, __m512& second)
+{
+    const __m512i a = _mm512_loadu_si512(words);
+    const __m512i b = _mm512_loadu_si512(words + 8);
+    // Low and high 32-bit halves of the sixteen words, in word order.
+    const __m512i lo = _mm512_permutex2var_epi32(
+        a, _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24,
+                             26, 28, 30),
+        b);
+    const __m512i hi = _mm512_permutex2var_epi32(
+        a, _mm512_setr_epi32(1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25,
+                             27, 29, 31),
+        b);
+    const __m512i j = _mm512_add_epi32(_mm512_srli_epi32(hi, 8),
+                                       _mm512_set1_epi32(1));
+    const __m512i u2 = _mm512_or_si512(
+        _mm512_srli_epi32(lo, 16),
+        _mm512_slli_epi32(_mm512_and_si512(hi, _mm512_set1_epi32(0xff)),
+                          16));
+    const __m512 u1 = _mm512_mul_ps(_mm512_cvtepi32_ps(j),
+                                    _mm512_set1_ps(0x1.0p-24f));
+    const __m512 r = _mm512_sqrt_ps(
+        _mm512_mul_ps(logUnitAvx512(u1), _mm512_set1_ps(-2.0f)));
+    __m512 c, s;
+    sinCosTurnAvx512(u2, c, s);
+    const __m512 nc = _mm512_mul_ps(r, c);
+    const __m512 ns = _mm512_mul_ps(r, s);
+    // Interleave to c0 s0 c1 s1 ...: unpack works per 128-bit lane, so
+    // 128-bit lane L of lo_pairs holds words 4L, 4L+1 and of hi_pairs
+    // words 4L+2, 4L+3.
+    const __m512 lo_pairs = _mm512_unpacklo_ps(nc, ns);
+    const __m512 hi_pairs = _mm512_unpackhi_ps(nc, ns);
+    first = _mm512_permutex2var_ps(
+        lo_pairs,
+        _mm512_setr_epi32(0, 1, 2, 3, 16, 17, 18, 19, 4, 5, 6, 7, 20, 21, 22,
+                          23),
+        hi_pairs);
+    second = _mm512_permutex2var_ps(
+        lo_pairs,
+        _mm512_setr_epi32(8, 9, 10, 11, 24, 25, 26, 27, 12, 13, 14, 15, 28,
+                          29, 30, 31),
+        hi_pairs);
+}
+
+/** roundHalfUpCodeAvx2 on 16 lanes (roundscale truncates). */
+SWORDFISH_AVX512_TARGET inline __m512
+roundHalfUpCodeAvx512(__m512 t, __m512 max_code)
+{
+    const __m512 tr =
+        _mm512_roundscale_ps(t, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+    const __mmask16 up = _mm512_cmp_ps_mask(
+        _mm512_sub_ps(t, tr), _mm512_set1_ps(0.5f), _CMP_GE_OQ);
+    return _mm512_min_ps(
+        _mm512_add_ps(tr, _mm512_maskz_mov_ps(up, _mm512_set1_ps(1.0f))),
+        max_code);
+}
+
+/** adcOctAvx2 on 16 lanes. */
+SWORDFISH_AVX512_TARGET inline __m512
+adcHexAvx512(__m512 y, __m512 z, __m512 gain, __m512 offset, __m512 noise,
+             __m512 range, __m512 step, __m512 max_code, __m512 scale)
+{
+    __m512 v = _mm512_fmadd_ps(y, gain, offset);
+    v = _mm512_fmadd_ps(z, noise, v);
+    const __m512 neg_range = _mm512_xor_ps(range, _mm512_set1_ps(-0.0f));
+    v = _mm512_min_ps(_mm512_max_ps(v, neg_range), range);
+    const __m512 code = roundHalfUpCodeAvx512(
+        _mm512_div_ps(_mm512_add_ps(v, range), step), max_code);
+    return _mm512_mul_ps(_mm512_fmadd_ps(code, step, neg_range), scale);
+}
+
+SWORDFISH_AVX512_TARGET void
+adcConvertAvx512(float* y, std::size_t n, const AdcTransfer& a,
+                 const std::uint64_t* words, float scale)
+{
+    const __m512 gain = _mm512_set1_ps(a.gain);
+    const __m512 offset = _mm512_set1_ps(a.offset);
+    const __m512 noise = _mm512_set1_ps(a.noiseScale);
+    const __m512 range = _mm512_set1_ps(a.range);
+    const __m512 step = _mm512_set1_ps(a.step);
+    const __m512 max_code = _mm512_set1_ps(a.maxCode);
+    const __m512 sc = _mm512_set1_ps(scale);
+    const std::size_t n32 = n & ~std::size_t{31};
+    for (std::size_t i = 0; i < n32; i += 32) {
+        __m512 z0, z1;
+        gaussHexAvx512(words + i / 2, z0, z1);
+        _mm512_storeu_ps(y + i, adcHexAvx512(_mm512_loadu_ps(y + i), z0,
+                                             gain, offset, noise, range,
+                                             step, max_code, sc));
+        _mm512_storeu_ps(y + i + 16,
+                         adcHexAvx512(_mm512_loadu_ps(y + i + 16), z1, gain,
+                                      offset, noise, range, step, max_code,
+                                      sc));
+    }
+    // The last n mod 32: AVX2's 16-element step, then the scalar tail
+    // (n32 is even, so element i still takes word i / 2).
+    adcConvertAvx2(y + n32, n - n32, a, words + n32 / 2, scale);
+}
+
+SWORDFISH_AVX512_TARGET float
+peakFmaAvx512(std::size_t iters)
+{
+    __m512 a[8];
+    for (std::size_t j = 0; j < 8; ++j)
+        a[j] = _mm512_set1_ps(0.1f * static_cast<float>(j + 1));
+    const __m512 m = _mm512_set1_ps(0.999999f);
+    const __m512 d = _mm512_set1_ps(1e-30f);
+    for (std::size_t i = 0; i < iters; ++i)
+        for (std::size_t j = 0; j < 8; ++j)
+            a[j] = _mm512_fmadd_ps(a[j], m, d);
+    __m512 s = a[0];
+    for (std::size_t j = 1; j < 8; ++j)
+        s = _mm512_add_ps(s, a[j]);
+    alignas(64) float lane[16];
+    _mm512_store_ps(lane, s);
+    return reduceLanes(lane) + reduceLanes(lane + 8);
+}
+
+#pragma GCC diagnostic pop
+
 #endif // SWORDFISH_X86
 
+/** True at the AVX2 and AVX-512 levels (the AVX2 bodies run at both). */
 inline bool
 useAvx2()
 {
 #if SWORDFISH_X86
-    return activeSimdLevel() == SimdLevel::Avx2;
+    return activeSimdLevel() >= SimdLevel::Avx2;
 #else
     return false;
 #endif
@@ -1246,17 +1594,31 @@ gemmBT(const Matrix& a, const Matrix& b, Matrix& c, bool accumulate)
     else if (c.rows() != m || c.cols() != n)
         panic("gemm: accumulate target has wrong shape");
 
-    const bool avx2 = useAvx2();
+    const SimdLevel level = activeSimdLevel();
+#if SWORDFISH_X86
+    if (level == SimdLevel::Avx512) {
+        // Rows 2p and 2p + 1 share each zmm; an odd last row runs alone.
+        forEachRow((m + 1) / 2, m * n * k, [&](std::size_t p) {
+            const std::size_t i = 2 * p;
+            if (i + 1 < m)
+                gemmBTRowPairAvx512(a.rowPtr(i), a.rowPtr(i + 1), b,
+                                    c.rowPtr(i), c.rowPtr(i + 1), k, n);
+            else
+                gemmBTRowAvx2(a.rowPtr(i), b, c.rowPtr(i), k, n);
+        });
+        return;
+    }
+#endif
+    (void)level;
     forEachRow(m, m * n * k, [&](std::size_t i) {
         float* crow = c.rowPtr(i);
         const float* arow = a.rowPtr(i);
 #if SWORDFISH_X86
-        if (avx2) {
+        if (level == SimdLevel::Avx2) {
             gemmBTRowAvx2(arow, b, crow, k, n);
             return;
         }
 #endif
-        (void)avx2;
         gemmBTRowScalar(arow, b, crow, k, n);
     });
 }
@@ -1360,6 +1722,10 @@ adcConvertRows(float* y, std::size_t n, const AdcTransfer& adc,
                const std::uint64_t* words, float scale)
 {
 #if SWORDFISH_X86
+    if (activeSimdLevel() == SimdLevel::Avx512) {
+        adcConvertAvx512(y, n, adc, words, scale);
+        return;
+    }
     if (useAvx2()) {
         adcConvertAvx2(y, n, adc, words, scale);
         return;
@@ -1382,15 +1748,20 @@ dacConvertRows(const float* x, float* out, std::size_t n,
 }
 
 double
-peakFmaFlops(std::size_t iters, bool avx2)
+peakFmaFlops(std::size_t iters, SimdLevel level)
 {
+    if (!simdLevelSupported(level))
+        panic("peakFmaFlops: this CPU lacks ", simdLevelName(level));
 #if SWORDFISH_X86
-    if (avx2 && cpuSupportsAvx2()) {
+    if (level == SimdLevel::Avx512) {
+        g_peak_sink = peakFmaAvx512(iters);
+        return static_cast<double>(iters) * 8.0 * 16.0 * 2.0;
+    }
+    if (level == SimdLevel::Avx2) {
         g_peak_sink = peakFmaAvx2(iters);
         return static_cast<double>(iters) * 8.0 * 8.0 * 2.0;
     }
 #endif
-    (void)avx2;
     g_peak_sink = peakFmaScalar(iters);
     return static_cast<double>(iters) * 8.0 * 2.0;
 }

@@ -2,11 +2,13 @@
  * @file
  * Vectorized hot-path kernels with runtime SIMD dispatch (tensor/simd.h).
  *
- * Every kernel here exists in two implementations — portable scalar and
- * AVX2+FMA — that are bitwise-identical by construction: both execute the
- * same fixed blocked-reduction order (8 independent fma lanes over the
- * reduction axis, tail elements folded into lanes 0..r-1, then the fixed
- * tree (l0+l4)+(l2+l6) + (l1+l5)+(l3+l7)), and every elementwise transcen-
+ * Every kernel here has a portable scalar body and an AVX2+FMA body, and
+ * gemmBT and adcConvertRows also an AVX-512 body; a kernel without one
+ * runs its AVX2 body at the AVX-512 level. All bodies of a kernel are
+ * bitwise-identical by construction: they execute the same fixed
+ * blocked-reduction order (8 independent fma lanes over the reduction
+ * axis, tail elements folded into lanes 0..r-1, then the fixed tree
+ * (l0+l4)+(l2+l6) + (l1+l5)+(l3+l7)), and every elementwise transcen-
  * dental is a shared polynomial approximation whose scalar form mirrors the
  * vector instruction semantics op for op (including NaN propagation). See
  * DESIGN.md §4.11 for the contract and dispatch rules.
@@ -24,6 +26,7 @@
 #include <cstdint>
 
 #include "tensor/matrix.h"
+#include "tensor/simd.h"
 
 namespace swordfish::kernels {
 
@@ -46,7 +49,9 @@ bool gemmForks(std::size_t work);
  * C = A * B^T with the blocked-reduction contract; the dispatch target
  * behind swordfish::gemmBT. A is m x k, B is n x k, C is m x n. Rows of C
  * are independent (they split over OpenMP threads when gemmForks()), so
- * thread count never changes the reduction order.
+ * thread count never changes the reduction order. The AVX-512 body runs
+ * two rows of A per register, one per 256-bit half, each half the AVX2
+ * row's reduction.
  */
 void gemmBT(const Matrix& a, const Matrix& b, Matrix& c, bool accumulate);
 
@@ -164,12 +169,12 @@ void dacConvertRows(const float* x, float* out, std::size_t n,
 
 /**
  * Roofline probes (bench/micro_kernels --roofline): run `iters` iterations
- * of a pure FMA dependency-free loop at the given level and return the
- * flop count executed (8 accumulators; x8 lanes on AVX2). The measured
- * rate is the practical peak the per-kernel achieved GFLOPs are normalized
- * against.
+ * of a pure FMA dependency-free loop at `level` and return the flop count
+ * executed (8 accumulators; x8 lanes on AVX2, x16 on AVX-512). The
+ * measured rate is the practical peak the per-kernel achieved GFLOPs are
+ * normalized against. Panics on a level the CPU lacks.
  */
-double peakFmaFlops(std::size_t iters, bool avx2);
+double peakFmaFlops(std::size_t iters, SimdLevel level);
 
 } // namespace swordfish::kernels
 

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <memory>
 #include <mutex>
+#include <new>
+
+#include <unistd.h>
 
 #include "util/env.h"
 
@@ -21,7 +24,7 @@ ThreadPool::inWorker()
     return tls_in_worker;
 }
 
-ThreadPool::ThreadPool(std::size_t threads)
+ThreadPool::ThreadPool(std::size_t threads) : ownerPid_(::getpid())
 {
     workers_.reserve(threads);
     for (std::size_t i = 0; i < threads; ++i)
@@ -30,6 +33,18 @@ ThreadPool::ThreadPool(std::size_t threads)
 
 ThreadPool::~ThreadPool()
 {
+    if (::getpid() != ownerPid_) {
+        // A fork()ed child (a gtest death test, say, leaving through
+        // exit()) holds copies of the worker handles but not the threads:
+        // a join would wait forever. So would destroying cv_, which waits
+        // for the waiters the workers registered before the fork. Let the
+        // handles go and end cv_'s lifetime by starting a fresh one in its
+        // storage, so the member destructors return at once.
+        for (std::thread& t : workers_)
+            t.detach();
+        new (&cv_) std::condition_variable;
+        return;
+    }
     {
         std::lock_guard<std::mutex> lock(mutex_);
         stopping_ = true;

@@ -29,6 +29,7 @@
 #include <functional>
 #include <future>
 #include <mutex>
+#include <sys/types.h>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -42,7 +43,11 @@ class ThreadPool
     /** Spawn `threads` workers (0 = no workers; everything runs inline). */
     explicit ThreadPool(std::size_t threads);
 
-    /** Drains nothing: joins after finishing already-queued tasks. */
+    /**
+     * Drains nothing: joins after finishing already-queued tasks. In a
+     * process other than the one that started the workers (a fork()ed
+     * child), returns at once without a join.
+     */
     ~ThreadPool();
 
     ThreadPool(const ThreadPool&) = delete;
@@ -115,6 +120,7 @@ class ThreadPool
     std::deque<std::function<void()>> queue_;
     std::vector<std::thread> workers_;
     bool stopping_ = false;
+    pid_t ownerPid_; ///< process that started the workers (getpid())
 };
 
 /**

@@ -197,9 +197,6 @@ TEST(Partition, DescribeListsEverySite)
 
 TEST(Partition, ZeroSizeIsFatal)
 {
-    // The tiling test above compiles on the thread pool; a forked child
-    // cannot join those workers at exit, so re-execute instead of fork.
-    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     auto m = model();
     EXPECT_EXIT(buildPartitionMap(m, 0), ::testing::ExitedWithCode(1),
                 "positive");

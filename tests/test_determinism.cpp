@@ -518,9 +518,10 @@ TEST(Determinism, FaultsDisabledMatchesEnabledWithZeroProbabilities)
 
 TEST(Determinism, BitwiseIdenticalAcrossSimdLevelGrid)
 {
-    // The SIMD contract: the scalar and AVX2 kernels share one blocked
+    // The SIMD contract: every level's kernels share one blocked
     // reduction order, so flipping the dispatch level must not change a
-    // single bit — across the whole threads x batch grid on top.
+    // single bit — across the whole threads x batch grid on top, at every
+    // level the CPU supports.
     if (!cpuSupportsAvx2())
         GTEST_SKIP() << "host lacks AVX2";
     AccuracySummary ref;
@@ -528,7 +529,7 @@ TEST(Determinism, BitwiseIdenticalAcrossSimdLevelGrid)
         const ScopedSimdLevel scoped(SimdLevel::Scalar);
         ref = evalBatched(1, 1, NonIdealityKind::Combined);
     }
-    for (const SimdLevel level : {SimdLevel::Scalar, SimdLevel::Avx2}) {
+    for (const SimdLevel level : swordfish::testing::supportedSimdLevels()) {
         const ScopedSimdLevel scoped(level);
         for (std::size_t batch : {std::size_t{1}, std::size_t{3},
                                   std::size_t{8}}) {
@@ -645,20 +646,21 @@ TEST(Determinism, SimdParityUnderNonDefaultRoundingMode)
 
 TEST(Determinism, MeasuredScenarioIndependentOfSimdLevel)
 {
-    // The measured-library fold uses the absmax kernel per lane; both
-    // levels must agree through the gain/offset arithmetic too.
+    // The measured-library fold uses the absmax kernel per lane; every
+    // level must agree through the gain/offset arithmetic too.
     if (!cpuSupportsAvx2())
         GTEST_SKIP() << "host lacks AVX2";
-    AccuracySummary scalar, avx2;
+    AccuracySummary scalar;
     {
         const ScopedSimdLevel scoped(SimdLevel::Scalar);
         scalar = evalBatched(2, 3, NonIdealityKind::Measured);
     }
-    {
-        const ScopedSimdLevel scoped(SimdLevel::Avx2);
-        avx2 = evalBatched(2, 3, NonIdealityKind::Measured);
+    for (const SimdLevel level : swordfish::testing::supportedSimdLevels()) {
+        const ScopedSimdLevel scoped(level);
+        SCOPED_TRACE(simdLevelName(level));
+        expectBitwiseEqual(scalar,
+                           evalBatched(2, 3, NonIdealityKind::Measured));
     }
-    expectBitwiseEqual(scalar, avx2);
 }
 
 TEST(Determinism, ComposedNoiseEnsembleBitwiseAcrossFullGrid)
@@ -669,9 +671,8 @@ TEST(Determinism, ComposedNoiseEnsembleBitwiseAcrossFullGrid)
     // source draws from its own (tile, source, cell) keyed stream,
     // replica seeds key off the tile seed, and the replica average is
     // quantized by one shared ADC pass.
-    std::vector<SimdLevel> levels = {SimdLevel::Scalar};
-    if (cpuSupportsAvx2())
-        levels.push_back(SimdLevel::Avx2);
+    const std::vector<SimdLevel> levels =
+        swordfish::testing::supportedSimdLevels();
     for (std::size_t runs : {std::size_t{1}, std::size_t{2}}) {
         AccuracySummary ref;
         {

@@ -22,6 +22,7 @@
 #include "core/evaluator.h"
 #include "core/nonideality.h"
 #include "genomics/dataset.h"
+#include "tensor/simd.h"
 #include "util/fault.h"
 #include "util/serialize.h"
 #include "util/thread_pool.h"
@@ -33,6 +34,7 @@ namespace {
 
 std::string g_golden_path;
 bool g_update_golden = false;
+bool g_pinned_leg = false; ///< a ctest leg that pins a lower SIMD level
 
 /** The snapshot: an ordered flat map so the JSON is stable and diffable. */
 using Snapshot = std::map<std::string, double>;
@@ -154,6 +156,12 @@ TEST(Golden, EvaluationMatchesSnapshot)
 {
     ASSERT_FALSE(g_golden_path.empty())
         << "pass --golden <path> (ctest wires this automatically)";
+    // ctest's test_golden_avx2 / test_golden_scalar pass --pinned-leg and
+    // pin a lower level through SWORDFISH_SIMD. Without AVX2 the plain run
+    // is already the scalar one, and the avx2 pin cannot run.
+    if (g_pinned_leg && !cpuSupportsAvx2())
+        GTEST_SKIP() << "this CPU lacks AVX2: test_golden already covers "
+                        "its one level";
 
     const Snapshot actual = computeSnapshot();
 
@@ -194,6 +202,8 @@ main(int argc, char** argv)
             g_golden_path = argv[++i];
         else if (std::strcmp(argv[i], "--update-golden") == 0)
             g_update_golden = true;
+        else if (std::strcmp(argv[i], "--pinned-leg") == 0)
+            g_pinned_leg = true;
     }
     return RUN_ALL_TESTS();
 }

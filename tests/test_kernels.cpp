@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the SIMD kernel layer: runtime dispatch, the bitwise
- * scalar==AVX2 contract of every vectorized kernel, the
+ * scalar==AVX2==AVX-512 contract of every vectorized kernel, the
+ * four-stream noise-word draw against serial draws, the
  * activation quantizer against the per-element Quantizer reference, the
  * DAC/ADC conversion kernels against the per-element converter reference
  * and their libm-free Gaussian source (exhaustive accuracy plus moment,
@@ -32,28 +33,26 @@
 #include "tensor/quantize.h"
 #include "tensor/simd.h"
 #include "test_util.h"
+#include "util/env.h"
 #include "util/thread_pool.h"
 
 using namespace swordfish;
 using swordfish::testing::randomMatrix;
+using swordfish::testing::supportedSimdLevels;
 
 namespace {
 
 constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
 constexpr float kInf = std::numeric_limits<float>::infinity();
 
-/** Run fn at both SIMD levels; skip the AVX2 leg on unsupported hosts. */
+/** Run fn at every SIMD level the CPU supports, scalar first. */
 template <typename F>
 void
-forBothLevels(F&& fn)
+forEveryLevel(F&& fn)
 {
-    {
-        const ScopedSimdLevel scoped(SimdLevel::Scalar);
-        fn(SimdLevel::Scalar);
-    }
-    if (cpuSupportsAvx2()) {
-        const ScopedSimdLevel scoped(SimdLevel::Avx2);
-        fn(SimdLevel::Avx2);
+    for (const SimdLevel level : supportedSimdLevels()) {
+        const ScopedSimdLevel scoped(level);
+        fn(level);
     }
 }
 
@@ -67,13 +66,13 @@ sameBits(float a, float b)
     return ua == ub;
 }
 
-/** out[i] for both levels must agree bitwise; returns the scalar result. */
+/** out[i] must agree bitwise at every level; returns the scalar result. */
 template <typename F>
 std::vector<float>
-sameAtBothLevels(std::size_t n, F&& run)
+sameAtEveryLevel(std::size_t n, F&& run)
 {
     std::vector<float> ref;
-    forBothLevels([&](SimdLevel level) {
+    forEveryLevel([&](SimdLevel level) {
         std::vector<float> out = run();
         if (level == SimdLevel::Scalar) {
             ref = out;
@@ -81,8 +80,8 @@ sameAtBothLevels(std::size_t n, F&& run)
         }
         for (std::size_t i = 0; i < n; ++i)
             EXPECT_TRUE(sameBits(ref[i], out[i]))
-                << "n=" << n << " i=" << i << " scalar=" << ref[i]
-                << " avx2=" << out[i];
+                << "n=" << n << " i=" << i << " scalar=" << ref[i] << " "
+                << simdLevelName(level) << "=" << out[i];
     });
     return ref;
 }
@@ -113,6 +112,8 @@ TEST(SimdConfig, RejectsUnknownSpecWithTypedError)
     EXPECT_FALSE(SimdConfig::parse("sse9", cfg, err));
     EXPECT_NE(err.find("unrecognized SIMD level"), std::string::npos) << err;
     EXPECT_NE(err.find("sse9"), std::string::npos) << err;
+    // AVX-512 has no spelling: "auto" picks it, and the pins are below it.
+    EXPECT_FALSE(SimdConfig::parse("avx512", cfg, err));
 }
 
 TEST(SimdDispatch, ScopedOverrideAppliesAndRestores)
@@ -121,19 +122,36 @@ TEST(SimdDispatch, ScopedOverrideAppliesAndRestores)
     {
         const ScopedSimdLevel scoped(SimdLevel::Scalar);
         EXPECT_EQ(activeSimdLevel(), SimdLevel::Scalar);
-        if (cpuSupportsAvx2()) {
-            const ScopedSimdLevel inner(SimdLevel::Avx2);
-            EXPECT_EQ(activeSimdLevel(), SimdLevel::Avx2);
+        for (const SimdLevel level : {SimdLevel::Avx2, SimdLevel::Avx512}) {
+            if (!simdLevelSupported(level))
+                continue;
+            const ScopedSimdLevel inner(level);
+            EXPECT_EQ(activeSimdLevel(), level);
         }
         EXPECT_EQ(activeSimdLevel(), SimdLevel::Scalar);
     }
     EXPECT_EQ(activeSimdLevel(), ambient);
 }
 
+TEST(SimdDispatch, AutoPicksTheHighestSupportedLevel)
+{
+    SimdConfig cfg;
+    std::string err;
+    ASSERT_TRUE(SimdConfig::parse(runtimeConfig().simd, cfg, err)) << err;
+    if (cfg.mode != SimdConfig::Mode::Auto)
+        GTEST_SKIP() << "SWORDFISH_SIMD pins " << cfg.name();
+    EXPECT_EQ(activeSimdLevel(), supportedSimdLevels().back());
+    // AVX-512 builds on AVX2, and the detection agrees with the level list.
+    EXPECT_TRUE(!cpuSupportsAvx512() || cpuSupportsAvx2());
+    EXPECT_EQ(simdLevelSupported(SimdLevel::Avx512), cpuSupportsAvx512());
+    EXPECT_TRUE(simdLevelSupported(SimdLevel::Scalar));
+}
+
 TEST(SimdDispatch, LevelNamesRoundTrip)
 {
     EXPECT_STREQ(simdLevelName(SimdLevel::Scalar), "scalar");
     EXPECT_STREQ(simdLevelName(SimdLevel::Avx2), "avx2");
+    EXPECT_STREQ(simdLevelName(SimdLevel::Avx512), "avx512");
 }
 
 TEST(MatrixAlignment, StorageIsCacheLineAligned)
@@ -151,24 +169,16 @@ TEST(MatrixAlignment, StorageIsCacheLineAligned)
     }
 }
 
-TEST(KernelDot, ScalarAndAvx2AreBitwiseIdentical)
+TEST(KernelDot, EveryLevelIsBitwiseIdentical)
 {
-    if (!cpuSupportsAvx2())
-        GTEST_SKIP() << "host lacks AVX2";
     // Cover every tail residue and the short (<8) path.
     for (std::size_t k = 1; k <= 40; ++k) {
         const Matrix a = randomMatrix(1, k, k * 7 + 1, 2.0);
         const Matrix b = randomMatrix(1, k, k * 7 + 2, 2.0);
-        float r_scalar, r_avx2;
-        {
-            const ScopedSimdLevel scoped(SimdLevel::Scalar);
-            r_scalar = kernels::dotBlocked(a.rowPtr(0), b.rowPtr(0), k);
-        }
-        {
-            const ScopedSimdLevel scoped(SimdLevel::Avx2);
-            r_avx2 = kernels::dotBlocked(a.rowPtr(0), b.rowPtr(0), k);
-        }
-        EXPECT_TRUE(sameBits(r_scalar, r_avx2)) << "k=" << k;
+        sameAtEveryLevel(1, [&] {
+            return std::vector<float>{
+                kernels::dotBlocked(a.rowPtr(0), b.rowPtr(0), k)};
+        });
     }
 }
 
@@ -216,48 +226,49 @@ gemmOperand(std::size_t rows, std::size_t cols, std::uint64_t seed)
 
 } // namespace
 
-TEST(KernelGemmBT, ScalarAndAvx2AreBitwiseIdentical)
+TEST(KernelGemmBT, EveryLevelIsBitwiseIdentical)
 {
-    if (!cpuSupportsAvx2())
-        GTEST_SKIP() << "host lacks AVX2";
     // Every n mod 8 below and above 8 (the 8-output passes, the 4-output
-    // pass, the per-output tail), every tail residue of k, plus the
+    // pass, the per-output tail), every tail residue of k, odd and even m
+    // (AVX-512 runs rows in pairs and an odd last row alone), plus the
     // model's own shapes (n x k): LSTM 64x32 and 128x32, conv0 32x5, head
-    // 5x32. Accumulates onto a non-zero C with ±0 and specials in it.
+    // 5x32. Accumulates onto a non-zero C with ±0 and specials in it, or
+    // writes a fresh C.
     std::vector<std::tuple<std::size_t, std::size_t, std::size_t>> shapes;
-    for (const std::size_t m : {1u, 3u, 8u})
-        for (const std::size_t k : {1u, 5u, 7u, 8u, 9u, 31u, 32u, 33u, 256u})
+    for (const std::size_t m : {1u, 2u, 3u, 8u})
+        for (const std::size_t k :
+             {1u, 5u, 7u, 8u, 9u, 13u, 31u, 32u, 33u, 37u, 256u})
             for (const std::size_t n :
                  {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 10u, 11u, 12u, 13u,
-                  14u, 15u, 16u, 17u, 31u, 32u, 33u, 64u, 65u, 128u})
+                  14u, 15u, 16u, 17u, 31u, 32u, 33u, 63u, 64u, 65u, 128u})
                 shapes.emplace_back(m, k, n);
     for (const auto& [n, k] : {std::pair<std::size_t, std::size_t>{64, 32},
                                {128, 32}, {32, 5}, {5, 32}})
-        shapes.emplace_back(6, k, n);
+        for (const std::size_t m : {6u, 7u})
+            shapes.emplace_back(m, k, n);
     for (const auto& [m, k, n] : shapes) {
         const std::uint64_t seed = 1000 * m + 37 * k + n;
         const Matrix a = gemmOperand(m, k, seed);
         const Matrix b = gemmOperand(n, k, seed + 1);
         const Matrix c0 = gemmOperand(m, n, seed + 2);
         for (const bool accumulate : {false, true}) {
-            Matrix y_scalar = c0, y_avx2 = c0;
-            {
-                const ScopedSimdLevel scoped(SimdLevel::Scalar);
-                kernels::gemmBT(a, b, y_scalar, accumulate);
-            }
-            {
-                const ScopedSimdLevel scoped(SimdLevel::Avx2);
-                kernels::gemmBT(a, b, y_avx2, accumulate);
-            }
-            ASSERT_EQ(y_scalar.rows(), m);
-            ASSERT_EQ(y_scalar.cols(), n);
-            for (std::size_t i = 0; i < y_scalar.size(); ++i)
-                ASSERT_TRUE(
-                    sameBitsOrBothNan(y_scalar.raw()[i], y_avx2.raw()[i]))
-                    << "m=" << m << " k=" << k << " n=" << n
-                    << " accumulate=" << accumulate << " i=" << i
-                    << " scalar=" << y_scalar.raw()[i]
-                    << " avx2=" << y_avx2.raw()[i];
+            Matrix ref;
+            forEveryLevel([&](SimdLevel level) {
+                Matrix y = c0;
+                kernels::gemmBT(a, b, y, accumulate);
+                ASSERT_EQ(y.rows(), m);
+                ASSERT_EQ(y.cols(), n);
+                if (level == SimdLevel::Scalar) {
+                    ref = y;
+                    return;
+                }
+                for (std::size_t i = 0; i < y.size(); ++i)
+                    ASSERT_TRUE(sameBitsOrBothNan(ref.raw()[i], y.raw()[i]))
+                        << simdLevelName(level) << " m=" << m << " k=" << k
+                        << " n=" << n << " accumulate=" << accumulate
+                        << " i=" << i << " scalar=" << ref.raw()[i]
+                        << " got=" << y.raw()[i];
+            });
         }
     }
 }
@@ -268,12 +279,13 @@ TEST(KernelGemmBT, NegativeZeroLanesKeepTheirSignThroughTheTail)
     // lane is -0 and the blocked sum is -0; accumulated onto a -0 C it
     // stays -0 only if the ragged-tail step leaves the lanes at or above
     // the tail untouched (0*0 + (-0) would make them +0).
-    for (const std::size_t k : {9u, 12u, 15u, 33u}) {
+    for (const std::size_t k : {9u, 12u, 15u, 33u, 37u}) {
         for (const std::size_t n : {5u, 8u, 13u, 16u}) {
-            Matrix a(2, k), b(n, k), c(2, n);
+            // Three rows: one AVX-512 row pair and an odd last row.
+            Matrix a(3, k), b(n, k), c(3, n);
             std::fill(a.raw().begin(), a.raw().end(), -1e-30f);
             std::fill(b.raw().begin(), b.raw().end(), 1e-30f);
-            forBothLevels([&](SimdLevel level) {
+            forEveryLevel([&](SimdLevel level) {
                 std::fill(c.raw().begin(), c.raw().end(), -0.0f);
                 kernels::gemmBT(a, b, c, true);
                 for (std::size_t i = 0; i < c.size(); ++i)
@@ -464,32 +476,27 @@ TEST(KernelActivations, ApproxMatchesLibmClosely)
     EXPECT_EQ(kernels::tanhApproxf(3.0f), -kernels::tanhApproxf(-3.0f));
 }
 
-TEST(KernelLstmGate, ScalarAndAvx2AreBitwiseIdentical)
+TEST(KernelLstmGate, EveryLevelIsBitwiseIdentical)
 {
-    if (!cpuSupportsAvx2())
-        GTEST_SKIP() << "host lacks AVX2";
     for (const std::size_t hidden : {1u, 3u, 8u, 13u, 24u, 40u}) {
         const Matrix zi = randomMatrix(1, 4 * hidden, hidden + 51, 1.5);
         const Matrix zr = randomMatrix(1, 4 * hidden, hidden + 52, 1.5);
         const Matrix b = randomMatrix(1, 4 * hidden, hidden + 53, 1.5);
         const Matrix c_prev = randomMatrix(1, hidden, hidden + 54);
-        std::vector<std::vector<float>> out(2);
-        for (int lvl = 0; lvl < 2; ++lvl) {
-            const ScopedSimdLevel scoped(static_cast<SimdLevel>(lvl));
+        SCOPED_TRACE("hidden=" + std::to_string(hidden));
+        sameAtEveryLevel(7 * hidden, [&] {
             std::vector<float> c(hidden), tc(hidden), h(hidden),
                 gates(4 * hidden);
             kernels::lstmGateBlock(zi.rowPtr(0), zr.rowPtr(0), b.rowPtr(0),
                                    hidden, c_prev.rowPtr(0), c.data(),
                                    tc.data(), h.data(), gates.data());
-            auto& flat = out[lvl];
+            std::vector<float> flat;
             flat.insert(flat.end(), c.begin(), c.end());
             flat.insert(flat.end(), tc.begin(), tc.end());
             flat.insert(flat.end(), h.begin(), h.end());
             flat.insert(flat.end(), gates.begin(), gates.end());
-        }
-        for (std::size_t i = 0; i < out[0].size(); ++i)
-            ASSERT_TRUE(sameBits(out[0][i], out[1][i]))
-                << "hidden=" << hidden << " i=" << i;
+            return flat;
+        });
     }
 }
 
@@ -523,40 +530,40 @@ TEST(KernelArgmax, MatchesNaiveFirstMaxScan)
         for (std::size_t i = 1; i < n; ++i)
             if (row.raw()[i] > row.raw()[naive])
                 naive = i;
-        forBothLevels([&](SimdLevel level) {
+        forEveryLevel([&](SimdLevel level) {
             EXPECT_EQ(kernels::argmaxRow(row.rowPtr(0), n), naive)
                 << "n=" << n << " level=" << simdLevelName(level);
         });
     }
 }
 
-TEST(KernelArgmax, TiesResolveToLowestIndexAtBothLevels)
+TEST(KernelArgmax, TiesResolveToLowestIndexAtEveryLevel)
 {
     std::vector<float> v(24, 0.25f);
     v[5] = 1.0f;
     v[13] = 1.0f; // same stripe family as 5 mod 8
     v[21] = 1.0f;
     Matrix row(1, v.size(), std::vector<float>(v));
-    forBothLevels([&](SimdLevel) {
+    forEveryLevel([&](SimdLevel) {
         EXPECT_EQ(kernels::argmaxRow(row.rowPtr(0), row.cols()), 5u);
     });
 }
 
 TEST(KernelArgmax, NanRowsAgreeAcrossLevels)
 {
-    if (!cpuSupportsAvx2())
-        GTEST_SKIP() << "host lacks AVX2";
     // NaN-poisoned rows have no universally "right" answer; the contract
-    // is only that both levels agree bitwise.
+    // is only that every level agrees bitwise.
     for (std::size_t pos = 0; pos < 20; ++pos) {
         Matrix row = randomMatrix(1, 20, pos + 81);
         row.raw()[pos] = kNan;
-        std::size_t r[2];
-        for (int lvl = 0; lvl < 2; ++lvl) {
-            const ScopedSimdLevel scoped(static_cast<SimdLevel>(lvl));
-            r[lvl] = kernels::argmaxRow(row.rowPtr(0), 20);
-        }
-        EXPECT_EQ(r[0], r[1]) << "NaN at " << pos;
+        std::size_t ref = 0;
+        forEveryLevel([&](SimdLevel level) {
+            const std::size_t got = kernels::argmaxRow(row.rowPtr(0), 20);
+            if (level == SimdLevel::Scalar)
+                ref = got;
+            EXPECT_EQ(got, ref)
+                << "NaN at " << pos << " " << simdLevelName(level);
+        });
     }
 }
 
@@ -567,7 +574,7 @@ TEST(KernelRowMax, MatchesMaxElementAndAgreesAcrossLevels)
         float expect = row.raw()[0];
         for (std::size_t i = 1; i < n; ++i)
             expect = std::max(expect, row.raw()[i]);
-        forBothLevels([&](SimdLevel level) {
+        forEveryLevel([&](SimdLevel level) {
             EXPECT_TRUE(sameBits(kernels::rowMax(row.rowPtr(0), n), expect))
                 << "n=" << n << " level=" << simdLevelName(level);
         });
@@ -582,7 +589,7 @@ TEST(KernelAbsMax, MatchesSequentialScan)
         float expect = 0.0f;
         for (std::size_t i = 0; i < n; ++i)
             expect = std::max(expect, std::fabs(v.raw()[i]));
-        forBothLevels([&](SimdLevel level) {
+        forEveryLevel([&](SimdLevel level) {
             EXPECT_TRUE(
                 sameBits(kernels::absMaxRange(v.rowPtr(0), n), expect))
                 << "n=" << n << " level=" << simdLevelName(level);
@@ -641,7 +648,7 @@ quantizedCopy(std::vector<float> v, float scale, float max_level)
 
 } // namespace
 
-TEST(KernelQuantize, ScalarAndAvx2AreBitwiseIdentical)
+TEST(KernelQuantize, EveryLevelIsBitwiseIdentical)
 {
     for (const int bits : kQuantBits) {
         const float max_level = maxLevelFor(bits);
@@ -649,7 +656,7 @@ TEST(KernelQuantize, ScalarAndAvx2AreBitwiseIdentical)
             for (const float scale : {0.015625f, 0.7f / max_level}) {
                 const std::vector<float> in =
                     quantizeInputs(n, scale, max_level, 17 * n + bits);
-                sameAtBothLevels(n, [&] {
+                sameAtEveryLevel(n, [&] {
                     return quantizedCopy(in, scale, max_level);
                 });
             }
@@ -657,7 +664,7 @@ TEST(KernelQuantize, ScalarAndAvx2AreBitwiseIdentical)
     }
 }
 
-TEST(KernelQuantize, MatchesPerElementReferenceAtBothLevels)
+TEST(KernelQuantize, MatchesPerElementReferenceAtEveryLevel)
 {
     for (const int bits : kQuantBits) {
         const Quantizer q(bits);
@@ -665,7 +672,7 @@ TEST(KernelQuantize, MatchesPerElementReferenceAtBothLevels)
         for (const float scale : {0.015625f, 0.7f / max_level}) {
             const std::vector<float> in =
                 quantizeInputs(257, scale, max_level, 900 + bits);
-            forBothLevels([&](SimdLevel level) {
+            forEveryLevel([&](SimdLevel level) {
                 const std::vector<float> out =
                     quantizedCopy(in, scale, max_level);
                 for (std::size_t i = 0; i < in.size(); ++i)
@@ -699,7 +706,7 @@ TEST(KernelQuantize, ApplyRowsOnStackedOperandEqualsPerLaneApply)
     const float lane_sigma[] = {0.2f, 3.0f, 40.0f};
     for (const int bits : kQuantBits) {
         const Quantizer q(bits);
-        forBothLevels([&](SimdLevel level) {
+        forEveryLevel([&](SimdLevel level) {
             std::vector<Matrix> lanes;
             Matrix stacked(9, cols);
             std::size_t row = 0;
@@ -739,12 +746,12 @@ TEST(KernelQuantize, ApplyRowsOnStackedOperandEqualsPerLaneApply)
 
 TEST(KernelPeak, PeakProbeReportsConsistentFlopCount)
 {
-    const double scalar_flops = kernels::peakFmaFlops(1000, false);
-    EXPECT_EQ(scalar_flops, 1000.0 * 8 * 2);
-    if (cpuSupportsAvx2()) {
-        const double avx2_flops = kernels::peakFmaFlops(1000, true);
-        EXPECT_EQ(avx2_flops, 1000.0 * 8 * 2 * 8);
-    }
+    // 8 accumulators x 2 flops per fma x the level's float lanes.
+    const double lanes[] = {1.0, 8.0, 16.0};
+    for (const SimdLevel level : supportedSimdLevels())
+        EXPECT_EQ(kernels::peakFmaFlops(1000, level),
+                  1000.0 * 8 * 2 * lanes[static_cast<int>(level)])
+            << simdLevelName(level);
 }
 
 // ---------------------------------------------------------------------------
@@ -804,11 +811,11 @@ convertInputs(std::size_t n, float lo_hi, float edge, std::uint64_t seed)
 
 } // namespace
 
-TEST(KernelConvert, GaussScalarAndAvx2AreBitwiseIdentical)
+TEST(KernelConvert, GaussEveryLevelIsBitwiseIdentical)
 {
     for (const std::size_t count : {1u, 7u, 8u, 9u, 16u, 23u, 257u}) {
         const std::vector<std::uint64_t> w = randomWords(count, count + 5);
-        sameAtBothLevels(2 * count, [&] {
+        sameAtEveryLevel(2 * count, [&] {
             std::vector<float> out(2 * count);
             kernels::gaussFromWords(w.data(), count, out.data());
             return out;
@@ -816,7 +823,7 @@ TEST(KernelConvert, GaussScalarAndAvx2AreBitwiseIdentical)
     }
 }
 
-TEST(KernelConvert, AdcScalarAndAvx2AreBitwiseIdentical)
+TEST(KernelConvert, AdcEveryLevelIsBitwiseIdentical)
 {
     const kernels::AdcTransfer adc = testAdc();
     for (const std::size_t n : kConvertLengths) {
@@ -824,7 +831,7 @@ TEST(KernelConvert, AdcScalarAndAvx2AreBitwiseIdentical)
             convertInputs(n, 1.2f * adc.range, adc.range, n);
         const std::vector<std::uint64_t> w =
             randomWords(kernels::adcNoiseWords(n), n + 100);
-        sameAtBothLevels(n, [&] {
+        sameAtEveryLevel(n, [&] {
             std::vector<float> out = y;
             kernels::adcConvertRows(out.data(), n, adc, w.data(), 1.7f);
             return out;
@@ -832,12 +839,32 @@ TEST(KernelConvert, AdcScalarAndAvx2AreBitwiseIdentical)
     }
 }
 
-TEST(KernelConvert, DacScalarAndAvx2AreBitwiseIdentical)
+TEST(KernelConvert, AdcEveryLengthModThirtyTwoAgreesAtEveryLevel)
+{
+    // Every n up to 97: each residue of AVX-512's 32-element step (and of
+    // AVX2's 16) over zero to three full steps, with NaN, ±Inf, ±range,
+    // ±0 and beyond-range inputs (uniform over ±1.2 range), accumulated
+    // values given from an offset into a larger buffer.
+    const kernels::AdcTransfer adc = testAdc();
+    for (std::size_t n = 1; n <= 97; ++n) {
+        const std::vector<float> y =
+            convertInputs(n, 1.2f * adc.range, adc.range, 300 + n);
+        const std::vector<std::uint64_t> w =
+            randomWords(kernels::adcNoiseWords(n), 400 + n);
+        sameAtEveryLevel(n, [&] {
+            std::vector<float> out = y;
+            kernels::adcConvertRows(out.data(), n, adc, w.data(), 0.6f);
+            return out;
+        });
+    }
+}
+
+TEST(KernelConvert, DacEveryLevelIsBitwiseIdentical)
 {
     const crossbar::DacModel dac(crossbar::DacConfig{}, 3, 0.6);
     for (const std::size_t n : kConvertLengths) {
         const std::vector<float> x = convertInputs(n, 1.3f, 1.0f, n + 7);
-        sameAtBothLevels(n, [&] {
+        sameAtEveryLevel(n, [&] {
             std::vector<float> out(n);
             dac.convertRows(x.data(), out.data(), n);
             return out;
@@ -864,7 +891,7 @@ TEST(KernelConvert, DacRowsMatchPerElementReferenceBitwise)
             x.push_back(std::nextafter(mid, kInf));
             x.push_back(std::nextafter(mid, -kInf));
         }
-        forBothLevels([&](SimdLevel) {
+        forEveryLevel([&](SimdLevel) {
             std::vector<float> out(x.size());
             dac.convertRows(x.data(), out.data(), x.size());
             for (std::size_t i = 0; i < x.size(); ++i)
@@ -886,7 +913,7 @@ TEST(KernelConvert, NonFiniteInputsKeepConverterSemantics)
     const kernels::AdcTransfer adc = testAdc();
     const float scale = 0.75f;
     const float top = std::fmaf(adc.maxCode, adc.step, -adc.range) * scale;
-    forBothLevels([&](SimdLevel) {
+    forEveryLevel([&](SimdLevel) {
         std::vector<float> x = {kNan, kInf, -kInf};
         std::vector<float> y = x;
         dac.convertRows(x.data(), x.data(), x.size());

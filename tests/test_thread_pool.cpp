@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "util/logging.h"
 #include "util/thread_pool.h"
 
 using swordfish::ThreadPool;
@@ -174,4 +175,18 @@ TEST(GlobalPool, ConcurrentFirstUseCreatesOnePool)
     // runs in a re-executed child process.
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     EXPECT_EXIT(raceFirstGlobalPoolUse(), ::testing::ExitedWithCode(0), "");
+}
+
+TEST(GlobalPool, FatalInForkedChildExitsPromptly)
+{
+    // A death test of a fatal() path in gtest's default (fork) style, once
+    // the global pool runs workers: the child leaves through exit(), whose
+    // static destructors destroy the pool, and must not wait for workers
+    // that exist only in the parent (ctest's TIMEOUT fails a hang).
+    if (swordfish::globalPool().threadCount() == 0)
+        swordfish::setGlobalPoolThreads(2);
+    swordfish::globalPool().parallelFor(8, [](std::size_t) {});
+    ::testing::GTEST_FLAG(death_test_style) = "fast";
+    EXPECT_EXIT(swordfish::fatal("no such spec"),
+                ::testing::ExitedWithCode(1), "no such spec");
 }

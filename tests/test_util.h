@@ -12,6 +12,7 @@
 #include <cmath>
 #include <csignal>
 #include <functional>
+#include <vector>
 #include <sys/types.h>
 #include <sys/wait.h>
 
@@ -20,6 +21,7 @@
 #include "basecall/eval_request.h"
 #include "nn/module.h"
 #include "tensor/matrix.h"
+#include "tensor/simd.h"
 #include "util/rng.h"
 
 namespace swordfish::testing {
@@ -34,6 +36,18 @@ randomMatrix(std::size_t rows, std::size_t cols, std::uint64_t seed,
     for (float& v : m.raw())
         v = static_cast<float>(rng.gauss(0.0, sigma));
     return m;
+}
+
+/** Every SIMD level this CPU runs, lowest first (scalar is always one). */
+inline std::vector<SimdLevel>
+supportedSimdLevels()
+{
+    std::vector<SimdLevel> levels;
+    for (const SimdLevel level :
+         {SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512})
+        if (simdLevelSupported(level))
+            levels.push_back(level);
+    return levels;
 }
 
 /**
