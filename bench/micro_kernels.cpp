@@ -429,21 +429,44 @@ BM_CtcGreedyDecode(benchmark::State& state)
 }
 BENCHMARK(BM_CtcGreedyDecode);
 
+/**
+ * Banded global alignment as the evaluator scores a read: each of D1's
+ * ground-truth reads against a seeded copy with about 7% substitutions,
+ * 7% insertions and 7% deletions, near the error rate of D1 basecalls.
+ * At that rate the aligner's direction picks go either way about half
+ * the time. One alignment per iteration, cycling through the 45 reads.
+ */
 void
 BM_BandedAlignment(benchmark::State& state)
 {
+    const genomics::PoreModel pore;
+    const genomics::Dataset d1 =
+        genomics::makeDataset(genomics::specById("D1"), pore);
     Rng rng(9);
-    const auto len = static_cast<std::size_t>(state.range(0));
-    genomics::Sequence a = genomics::generateGenome(len, 0.5, rng);
-    genomics::Sequence b = a;
-    for (std::size_t i = 0; i < b.size(); i += 37)
-        b[i] = static_cast<std::uint8_t>((b[i] + 1) % 4);
-    for (auto _ : state) {
-        auto res = genomics::alignGlobal(a, b);
-        benchmark::DoNotOptimize(res.matches);
+    std::vector<genomics::Sequence> calls;
+    for (const genomics::Read& read : d1.reads) {
+        genomics::Sequence call;
+        for (const std::uint8_t base : read.bases) {
+            if (rng.bernoulli(0.07))
+                call.push_back(static_cast<std::uint8_t>(rng.next(4)));
+            if (rng.bernoulli(0.07))
+                continue;
+            call.push_back(rng.bernoulli(0.07)
+                               ? static_cast<std::uint8_t>(
+                                     (base + 1 + rng.next(3)) % 4)
+                               : base);
+        }
+        calls.push_back(std::move(call));
     }
+    std::size_t k = 0;
+    for (auto _ : state) {
+        auto res = genomics::alignGlobal(calls[k], d1.reads[k].bases);
+        benchmark::DoNotOptimize(res);
+        k = (k + 1) % calls.size();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_BandedAlignment)->Arg(400)->Arg(1000);
+BENCHMARK(BM_BandedAlignment);
 
 void
 BM_SquiggleSimulation(benchmark::State& state)
@@ -624,17 +647,17 @@ runRoofline(bool quick, const std::string& baseline_path,
                     "gflops", rate / ceiling});
     };
 
-    // --- gemmBT: the projection / VMM workhorse, 2k flops per output.
+    // --- gemmBT: the projection / VMM workhorse, 2k flops per output. On
+    //     one OpenMP thread, so every level reads the kernel against its
+    //     one-thread peak rather than the team's scheduling.
     {
+        const SerialOmpScope serial;
         const std::size_t m = 128, k = 256, n = 1024;
         const Matrix x = randomMatrix(m, k, 1);
         const Matrix w = randomMatrix(n, k, 2);
         Matrix y;
         const double flops = 2.0 * static_cast<double>(m * k * n);
         flopsPoint("gemm_bt", flops, [&] { gemmBT(x, w, y); });
-        // On one OpenMP thread, so the line reads the row-pair kernel
-        // against its one-thread peak rather than the team's scheduling.
-        const SerialOmpScope serial;
         avx512Point("gemm_bt", flops, [&] { gemmBT(x, w, y); });
     }
 
@@ -678,8 +701,10 @@ runRoofline(bool quick, const std::string& baseline_path,
                    });
     }
 
-    // --- Batched multi-lane VMM (noise toggles off: pure compute path).
+    // --- Batched multi-lane VMM (noise toggles off: pure compute path), on
+    //     one OpenMP thread like gemm_bt: its gemmBT would fork a team.
     {
+        const SerialOmpScope serial;
         constexpr std::size_t kSize = 256, kRowsPerLane = 16;
         crossbar::CrossbarConfig config;
         config.size = kSize;

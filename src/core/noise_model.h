@@ -31,6 +31,14 @@
  *   tdrift.nu=F >=0       tdrift.nu_sigma=F >=0
  *   cwrite.sigma=F >=0    cwrite.len=F cells >=0
  *
+ * An extended source is on only when all its enabling keys are positive,
+ * and each of them defaults to 0: RTN needs rtn.amp; read disturb
+ * disturb.rate and disturb.reads; thermal drift tdrift.hours and
+ * tdrift.nu; correlated write cwrite.sigma and cwrite.len. The other keys
+ * only shape a source that is on. A spec that sets some but not all of a
+ * source's enabling keys parses and leaves that source off, and
+ * describe() omits it.
+ *
  * Later duplicates of the same key win; distinct keys commute, so any
  * token order yields the same model (the documented order-independence
  * law). Parsing never leaves partial state in `out` on failure.

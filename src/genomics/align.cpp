@@ -5,17 +5,22 @@
 #include <limits>
 #include <vector>
 
-#include "util/logging.h"
 #include "util/trace.h"
 
 namespace swordfish::genomics {
 
 namespace {
 
-constexpr long kMinScore = std::numeric_limits<long>::min() / 4;
+/** Score of a slot outside the band: no candidate built from it wins. */
+constexpr long kNeg = std::numeric_limits<long>::min() / 4;
 
 /** Traceback directions. */
 enum Dir : std::uint8_t { DirNone = 0, DirDiag = 1, DirUp = 2, DirLeft = 3 };
+
+// The cell builds its direction as (DirDiag + up wins) | (DirLeft if left
+// wins): DirUp must follow DirDiag, and DirLeft must cover both bits.
+static_assert(DirDiag + 1 == DirUp);
+static_assert((DirDiag | DirLeft) == DirLeft && (DirUp | DirLeft) == DirLeft);
 
 /**
  * Banded Needleman-Wunsch core shared by the global and glocal modes.
@@ -23,6 +28,18 @@ enum Dir : std::uint8_t { DirNone = 0, DirDiag = 1, DirUp = 2, DirLeft = 3 };
  * `a` character are free (fit alignment of a read inside a reference
  * window); they are still reported in the deletion/length counts, plus
  * separately as leading/trailingDeletions.
+ *
+ * Each score row is held in absolute column coordinates, column j in slot
+ * j + 1 (slot 0 is column -1). Row i's band [lo(i), hi(i)] has both ends
+ * nondecreasing in i, and consecutive bands overlap: the centre moves at
+ * most ceil(m / n) <= band columns per row, so lo(i) <= hi(i - 1) and
+ * every in-band cell has an in-band predecessor. Every slot a row reads
+ * outside the previous row's band holds kNeg: left of it the sentinel
+ * that row wrote at column lo - 1 (slot 0, which no cell writes, when lo
+ * is 0), right of it a slot no row of that buffer has reached. A
+ * candidate built from kNeg therefore never wins, so the cell needs no
+ * bounds checks. Ties go to the diagonal, then up, then left, each taking
+ * over only on a strict >.
  */
 AlignmentResult
 alignImpl(const Sequence& a, const Sequence& b, std::size_t band,
@@ -52,7 +69,8 @@ alignImpl(const Sequence& a, const Sequence& b, std::size_t band,
     band += len_diff;
 
     // Row i spans columns [lo(i), hi(i)] of the DP matrix; the band is
-    // centred on the main (resampled) diagonal j ~ i * m / n.
+    // centred on the main (resampled) diagonal j ~ i * m / n, so row 0
+    // starts at column 0 and row n ends at column m.
     auto lo_of = [&](std::size_t i) -> std::size_t {
         const std::size_t center = i * m / n;
         return center > band ? center - band : 0;
@@ -62,89 +80,77 @@ alignImpl(const Sequence& a, const Sequence& b, std::size_t band,
         return std::min(m, center + band);
     };
 
+    const long match = scores.match;
+    const long mismatch = scores.mismatch;
+    const long gap = scores.gapPenalty;
     const std::size_t width = 2 * band + 2;
-    std::vector<long> prev(width, kMinScore), cur(width, kMinScore);
+    std::vector<long> prev_row(m + 2, kNeg), cur_row(m + 2, kNeg);
+    long* prev = prev_row.data();
+    long* cur = cur_row.data();
     std::vector<std::uint8_t> trace((n + 1) * width, DirNone);
 
     // Row 0: leading gaps in b — free in glocal mode.
-    const std::size_t lo0 = lo_of(0), hi0 = hi_of(0);
-    for (std::size_t j = lo0; j <= hi0; ++j) {
-        prev[j - lo0] = free_b_ends
-            ? 0 : static_cast<long>(j) * scores.gapPenalty;
-        trace[j - lo0] = (j == 0 || free_b_ends) ? DirNone : DirLeft;
+    const std::size_t hi0 = hi_of(0);
+    for (std::size_t j = 0; j <= hi0; ++j) {
+        prev[j + 1] = free_b_ends ? 0 : static_cast<long>(j) * gap;
+        trace[j] = (j == 0 || free_b_ends) ? DirNone : DirLeft;
     }
 
     for (std::size_t i = 1; i <= n; ++i) {
         const std::size_t lo = lo_of(i), hi = hi_of(i);
-        const std::size_t plo = lo_of(i - 1), phi = hi_of(i - 1);
-        std::fill(cur.begin(), cur.end(), kMinScore);
         std::uint8_t* trow = trace.data() + i * width;
+        std::size_t j = lo;
+        if (lo == 0) {
+            // Column 0: only the cell above precedes it.
+            cur[1] = prev[1] + gap;
+            trow[0] = DirUp;
+            j = 1;
+        } else {
+            cur[lo] = kNeg;
+        }
 
-        for (std::size_t j = lo; j <= hi; ++j) {
-            long best = kMinScore;
-            std::uint8_t dir = DirNone;
-
-            if (j >= 1 && j - 1 >= plo && j - 1 <= phi
-                && prev[j - 1 - plo] > kMinScore) {
-                const bool is_match = a[i - 1] == b[j - 1];
-                const long s = prev[j - 1 - plo]
-                    + (is_match ? scores.match : scores.mismatch);
-                if (s > best) {
-                    best = s;
-                    dir = DirDiag;
-                }
-            }
-            if (j >= plo && j <= phi && prev[j - plo] > kMinScore) {
-                const long s = prev[j - plo] + scores.gapPenalty;
-                if (s > best) {
-                    best = s;
-                    dir = DirUp;
-                }
-            }
-            if (j >= 1 && j - 1 >= lo && cur[j - 1 - lo] > kMinScore) {
-                const long s = cur[j - 1 - lo] + scores.gapPenalty;
-                if (s > best) {
-                    best = s;
-                    dir = DirLeft;
-                }
-            }
-            if (j == 0) {
-                // First column: leading gaps in a.
-                const long s = static_cast<long>(i) * scores.gapPenalty;
-                if (s > best) {
-                    best = s;
-                    dir = DirUp;
-                }
-            }
-            cur[j - lo] = best;
+        const std::uint8_t base = a[i - 1];
+        long diag = prev[j]; // row i - 1, column j - 1
+        long left = cur[j];  // row i, column j - 1
+        for (; j <= hi; ++j) {
+            const long up = prev[j + 1];
+            const long from_diag =
+                diag + (base == b[j - 1] ? match : mismatch);
+            const long from_up = up + gap;
+            const long from_left = left + gap;
+            // Selects, not branches: on noisy reads each pick goes either
+            // way about half the time.
+            const bool up_wins = from_up > from_diag;
+            const long diag_or_up = up_wins ? from_up : from_diag;
+            const bool left_wins = from_left > diag_or_up;
+            const long best = left_wins ? from_left : diag_or_up;
+            const auto dir =
+                static_cast<std::uint8_t>((DirDiag + up_wins)
+                                          | (DirLeft * left_wins));
+            cur[j + 1] = best;
             trow[j - lo] = dir;
+            diag = up;
+            left = best;
         }
         std::swap(prev, cur);
     }
 
     // Select the traceback start: (n, m) for global, the best last-row
     // cell for glocal (trailing b-gaps free).
-    const std::size_t lo_n = lo_of(n), hi_n = hi_of(n);
     std::size_t j_start = m;
     if (free_b_ends) {
-        long best = kMinScore;
-        for (std::size_t j = lo_n; j <= hi_n; ++j) {
-            if (prev[j - lo_n] > best) {
-                best = prev[j - lo_n];
+        long best = kNeg;
+        for (std::size_t j = lo_of(n); j <= m; ++j) {
+            if (prev[j + 1] > best) {
+                best = prev[j + 1];
                 j_start = j;
             }
         }
-        if (best <= kMinScore)
-            panic("alignGlocal: band too narrow for inputs (", n, ", ", m,
-                  ")");
         res.score = best;
         res.trailingDeletions = m - j_start;
         res.deletions += m - j_start;
     } else {
-        if (m < lo_n || m > hi_n || prev[m - lo_n] <= kMinScore)
-            panic("alignGlobal: band too narrow for inputs (", n, ", ", m,
-                  ")");
-        res.score = prev[m - lo_n];
+        res.score = prev[m + 1];
     }
 
     // Traceback; ops are collected back-to-front for the CIGAR.

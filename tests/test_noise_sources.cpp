@@ -575,6 +575,37 @@ TEST(NoiseCompose, DescribeRoundTrips)
     EXPECT_TRUE(parsed == model) << model.describe();
 }
 
+TEST(NoiseCompose, SourceIsOnOnlyOnceItsEnablingKeysAreSet)
+{
+    // mc_ensemble_refresh's spec: thermal drift also needs tdrift.nu and
+    // correlated write cwrite.len, so only RTN and read disturb compose.
+    const std::string spec = "rtn.amp=0.05,disturb.rate=0.01,"
+                             "disturb.reads=1000,tdrift.hours=168,"
+                             "cwrite.sigma=0.05";
+    NoiseModel half;
+    std::string err;
+    ASSERT_TRUE(NoiseModel::parse(spec, half, err)) << err;
+    EXPECT_TRUE(half.extended.rtn.enabled());
+    EXPECT_TRUE(half.extended.disturb.enabled());
+    EXPECT_FALSE(half.extended.tdrift.enabled());
+    EXPECT_FALSE(half.extended.cwrite.enabled());
+    const std::string described = half.describe();
+    EXPECT_NE(described.find("rtn.amp=0.05"), std::string::npos) << described;
+    EXPECT_NE(described.find("disturb.reads=1000"), std::string::npos)
+        << described;
+    EXPECT_EQ(described.find("tdrift."), std::string::npos) << described;
+    EXPECT_EQ(described.find("cwrite."), std::string::npos) << described;
+
+    NoiseModel full;
+    ASSERT_TRUE(NoiseModel::parse(spec + ",tdrift.nu=0.05,cwrite.len=4",
+                                  full, err))
+        << err;
+    EXPECT_TRUE(full.extended.rtn.enabled());
+    EXPECT_TRUE(full.extended.disturb.enabled());
+    EXPECT_TRUE(full.extended.tdrift.enabled());
+    EXPECT_TRUE(full.extended.cwrite.enabled());
+}
+
 // ---------------------------------------------------------------------------
 // Keyed streams: sources never perturb each other, all-off is bitwise
 // ---------------------------------------------------------------------------
