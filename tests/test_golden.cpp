@@ -24,6 +24,7 @@
 #include "genomics/dataset.h"
 #include "tensor/simd.h"
 #include "util/fault.h"
+#include "util/metrics.h"
 #include "util/serialize.h"
 #include "util/thread_pool.h"
 
@@ -82,6 +83,95 @@ fromJson(std::istream& is, Snapshot& out)
         pos = static_cast<std::size_t>(end - text.c_str());
     }
     return !out.empty();
+}
+
+/** One metrics counter, summed over every thread shard. */
+double
+counterValue(const std::string& name)
+{
+    const MetricsSnapshot snap = metrics().snapshot();
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0.0 : static_cast<double>(it->second);
+}
+
+/**
+ * Ensemble (K = 4) evaluations under composed device noise and the
+ * self-healing runtime: the tile programming, aging, probing and
+ * re-programming of every replica. Scenario, noise spec, refresh policy
+ * and fault campaign are all explicit, so the legs ignore SWORDFISH_NOISE,
+ * SWORDFISH_REFRESH and SWORDFISH_FAULTS. Each leg also pins the
+ * programming faults and healing activity it caused (the evaluation runs
+ * serially, so the counter deltas are exact).
+ */
+void
+refreshLegs(nn::SequenceModel& model, const genomics::Dataset& dataset,
+            Snapshot& snap)
+{
+    const auto leg = [&](const std::string& prefix,
+                         const core::RefreshConfig& refresh,
+                         const FaultConfig& faults) {
+        core::NonIdealityConfig scenario;
+        scenario.kind = core::NonIdealityKind::Combined;
+        scenario.crossbar.size = 64;
+        scenario.noise = "preset=combined,rtn.amp=0.05,disturb.rate=0.01,"
+                         "disturb.reads=1000";
+        scenario.refresh = refresh;
+        const std::pair<const char*, const char*> kCounters[] = {
+            {"program_faults", "fault.injected.program_tiles"},
+            {"probes", "health.probe.count"},
+            {"unhealthy", "health.probe.unhealthy"},
+            {"refresh_attempts", "health.refresh.attempts"},
+            {"refresh_successes", "health.refresh.success"},
+            {"refresh_failures", "health.refresh.failure"},
+            {"failovers", "health.failover.count"},
+            {"dead_tiles", "health.tile.died"}};
+        std::map<std::string, double> before;
+        for (const auto& [key, counter] : kCounters)
+            before[key] = counterValue(counter);
+        const core::AccuracySummary s = core::evaluateNonIdealAccuracy(
+            model, {scenario},
+            core::EvalOptions(dataset).runs(2).maxReads(4).seedBase(11)
+                .ensembleK(4).faults(faults));
+        snap[prefix + ".mean"] = s.mean;
+        snap[prefix + ".stddev"] = s.stddev;
+        snap[prefix + ".min"] = s.min;
+        snap[prefix + ".max"] = s.max;
+        snap[prefix + ".runs"] = static_cast<double>(s.runs);
+        snap[prefix + ".ok"] = static_cast<double>(s.degraded.okReads);
+        snap[prefix + ".vmm_faults"] =
+            static_cast<double>(s.degraded.vmmFaults);
+        for (const auto& [key, counter] : kCounters)
+            snap[prefix + "." + key] = counterValue(counter) - before[key];
+    };
+
+    // (a) An interval schedule due at every epoch (one read, one hour):
+    // every tile and replica is re-programmed three times per run.
+    core::RefreshConfig interval;
+    interval.intervalHours = 1.0;
+    interval.ageHoursPerRead = 1.0;
+    interval.probeReads = 1;
+    leg("refresh.interval", interval, FaultConfig{});
+
+    // (b) Aging with no refresh policy: every replica keeps drifting.
+    core::RefreshConfig aging;
+    aging.ageHoursPerRead = 1.0;
+    aging.probeReads = 1;
+    leg("refresh.aging", aging, FaultConfig{});
+
+    // (c) A threshold policy with one spare per weight, one retry per
+    // array and tile-programming faults: a refresh zeroed by a fault, a
+    // backoff epoch, a failover and a dead tile (which degrades the
+    // reads after it) all occur.
+    core::RefreshConfig threshold;
+    threshold.thresholdError = 0.2;
+    threshold.ageHoursPerRead = 1.0;
+    threshold.probeReads = 1;
+    threshold.spares = 1;
+    threshold.retries = 1;
+    FaultConfig program_faults;
+    program_faults.seed = 1;
+    program_faults.setP(FaultSite::TileProgram, 0.5);
+    leg("refresh.threshold", threshold, program_faults);
 }
 
 /** Fixed-seed evaluation of every numeric the snapshot guards. */
@@ -147,6 +237,7 @@ computeSnapshot()
     snap["fault.vmm_faults"] =
         static_cast<double>(degraded.degraded.vmmFaults);
 
+    refreshLegs(model, dataset, snap);
     return snap;
 }
 
