@@ -4,9 +4,10 @@
  *
  * Default mode runs the google-benchmark suite over the hot computational
  * paths — GEMM (also at the model's own short-k shapes, one thread), ideal
- * vs. non-ideal crossbar VMM (serial and batched), the fused LSTM gate
- * block, the DAC and noisy ADC row kernels, CTC loss and decode, and banded
- * alignment.
+ * vs. non-ideal crossbar VMM (serial, batched, and over an ensemble of
+ * replicas), one health-monitor refresh of a replicated tile, the fused
+ * LSTM gate block, the DAC and noisy ADC row kernels, CTC loss and decode,
+ * and banded alignment.
  *
  * `--roofline` switches to a self-contained report: it measures the
  * machine's practical peak FMA throughput (scalar, AVX2 and AVX-512) and
@@ -37,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "core/vmm_backend.h"
 #include "crossbar/crossbar.h"
 #include "genomics/align.h"
 #include "genomics/dataset.h"
@@ -45,7 +47,9 @@
 #include "tensor/lanes.h"
 #include "tensor/matrix.h"
 #include "tensor/simd.h"
+#include "util/fault.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 using namespace swordfish;
 
@@ -218,17 +222,35 @@ BENCHMARK(BM_BatchedVmmLanes)
     ->Args({8, 0})->Args({8, 1});
 
 /**
+ * `lanes` lanes of `rows` rows each when rows == 1; otherwise each span is
+ * `rows` times a lognormal factor (sigma 0.25, as genomics::simulateRead
+ * draws read lengths), so the spans are unequal as in the model's conv and
+ * input layers.
+ */
+BatchLayout
+raggedLayout(std::size_t lanes, std::size_t rows)
+{
+    BatchLayout layout;
+    Rng length_rng(5);
+    for (std::size_t l = 0; l < lanes; ++l) {
+        const double factor =
+            rows == 1 ? 1.0 : std::exp(length_rng.gauss(0.0, 0.25));
+        layout.push_back(
+            {l, static_cast<std::size_t>(static_cast<double>(rows) * factor)});
+    }
+    return layout;
+}
+
+/**
  * One Combined-tile VMM of a BonitoLite LSTM weight tile (64 outputs x 32
- * inputs on a 64x64 array) over 8 lanes, per SIMD level: input scaling,
- * DAC, GEMM, sneak, and the noisy ADC on every lane's own stream. 1 row per
- * lane is a recurrent step of an 8-read batch. A larger `rows` is an input
- * projection over whole reads: each lane's span is `rows` times a
- * lognormal factor (sigma 0.25, as genomics::simulateRead draws read
- * lengths), so the spans are unequal as in the model's conv and input
- * layers. Args: rows per lane (mean), SimdLevel int.
+ * inputs on a 64x64 array) and `replicas` ensemble replicas of it over 8
+ * lanes, per SIMD level: input scaling, DAC, GEMM, sneak, and the noisy
+ * ADC on every lane's own stream. 1 row per lane is a recurrent step of an
+ * 8-read batch. A larger `rows` is an input projection over whole reads,
+ * on raggedLayout() spans. Args: rows per lane (mean), SimdLevel int.
  */
 void
-BM_TileVmmLanes(benchmark::State& state)
+tileVmmLanes(benchmark::State& state, std::size_t replicas)
 {
     const auto rows = static_cast<std::size_t>(state.range(0));
     const auto level = static_cast<SimdLevel>(state.range(1));
@@ -243,14 +265,11 @@ BM_TileVmmLanes(benchmark::State& state)
     const Matrix w = randomMatrix(kOut, kIn, 3);
     const crossbar::CrossbarTile tile(
         config, w, 0.0f, crossbar::NoiseToggles::combined(), 7);
-    BatchLayout layout;
-    Rng length_rng(5);
-    for (std::size_t l = 0; l < kLanes; ++l) {
-        const double factor =
-            rows == 1 ? 1.0 : std::exp(length_rng.gauss(0.0, 0.25));
-        layout.push_back(
-            {l, static_cast<std::size_t>(static_cast<double>(rows) * factor)});
-    }
+    std::vector<crossbar::CrossbarTile> extras;
+    for (std::size_t j = 1; j <= replicas; ++j)
+        extras.emplace_back(config, w, 0.0f,
+                            crossbar::NoiseToggles::combined(), 7 + j);
+    const BatchLayout layout = raggedLayout(kLanes, rows);
     const std::size_t total_rows = layoutRows(layout);
     const Matrix x = randomMatrix(total_rows, kIn, 4);
     std::vector<Rng> rngs;
@@ -261,16 +280,72 @@ BM_TileVmmLanes(benchmark::State& state)
         rng_ptrs.push_back(&r);
     crossbar::VmmScratch scratch;
     for (auto _ : state) {
-        tile.vmm(x, layout, rng_ptrs.data(), scratch);
+        tile.vmm(x, layout, rng_ptrs.data(), scratch, &extras);
         benchmark::DoNotOptimize(scratch.y.data());
     }
     // Items are ADC conversions.
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations())
                             * static_cast<std::int64_t>(total_rows * kOut));
 }
+
+/** The plain tile (no replicas). */
+void
+BM_TileVmmLanes(benchmark::State& state)
+{
+    tileVmmLanes(state, 0);
+}
 BENCHMARK(BM_TileVmmLanes)
     ->ArgNames({"rows", "level"})
     ->ArgsProduct({{1, 100}, {0, 1, 2}});
+
+/**
+ * Layer ensemble averaging at K = 4: the tile and three replicas, each
+ * applying its own DAC to one shared code pass, share one ADC pass.
+ */
+void
+BM_EnsembleTileVmm(benchmark::State& state)
+{
+    tileVmmLanes(state, 3);
+}
+BENCHMARK(BM_EnsembleTileVmm)
+    ->ArgNames({"rows", "level"})
+    ->ArgsProduct({{1, 100}, {0, 1, 2}});
+
+/**
+ * One health-monitor epoch of a 64x32 weight programmed at K = 4 under
+ * the Combined preset plus RTN and read disturb, with an interval refresh
+ * due at every epoch: the primary ages and is probed, then the tile and
+ * its three replicas are re-programmed and the new tile is verified.
+ */
+void
+BM_TileRefresh(benchmark::State& state)
+{
+    setGlobalPoolThreads(0);
+    core::NonIdealityConfig scenario;
+    scenario.kind = core::NonIdealityKind::Combined;
+    scenario.crossbar.size = 64;
+    scenario.noise = "preset=combined,rtn.amp=0.05,disturb.rate=0.01,"
+                     "disturb.reads=1000";
+    core::RefreshConfig refresh;
+    refresh.intervalHours = 1.0;
+    refresh.ageHoursPerRead = 1.0;
+    refresh.probeReads = 1;
+    scenario.refresh = refresh;
+    core::CrossbarVmmBackend backend(scenario, 7, FaultConfig{});
+    core::EnsembleConfig ensemble;
+    ensemble.k = 4;
+    backend.setEnsemble(ensemble);
+    if (!backend.compileWeight("w", randomMatrix(64, 32, 3)).ok()) {
+        state.SkipWithError("compile failed");
+        return;
+    }
+    for (auto _ : state)
+        backend.healthEpochAdvance();
+    if (backend.health()->stats().refreshAttempts
+        != static_cast<std::uint64_t>(state.iterations()))
+        state.SkipWithError("an epoch did not refresh the tile");
+}
+BENCHMARK(BM_TileRefresh);
 
 /** Fused LSTM gate block per (batch size, SIMD level). */
 void

@@ -208,13 +208,13 @@ TileHealthMonitor::captureReference(const std::string& name,
     }
     const double floor_scale = 0.2
         * static_cast<double>(backend_.weights_.find(name)->second.absMax)
-        * std::sqrt(static_cast<double>(ts.truth.cols()));
+        * std::sqrt(static_cast<double>(ts.truth.weights.cols()));
     ts.progError = columnError(ts.reference, ts.truthRef, floor_scale);
 }
 
 void
 TileHealthMonitor::registerWeight(const std::string& name,
-                                  std::vector<Matrix> truths)
+                                  std::vector<TileTruth> truths)
 {
     auto it = backend_.weights_.find(name);
     if (it == backend_.weights_.end())
@@ -235,10 +235,10 @@ TileHealthMonitor::registerWeight(const std::string& name,
         // seed): probing strategy is part of the maintenance procedure,
         // not of the sampled hardware instance.
         Rng pr(hashSeed({kProbeTag, name_hash, idx}));
-        ts.probe = Matrix(kProbeRows, ts.truth.cols());
+        ts.probe = Matrix(kProbeRows, ts.truth.weights.cols());
         for (float& v : ts.probe.raw())
             v = static_cast<float>(pr.uniform(-1.0, 1.0));
-        gemmBT(ts.probe, ts.truth, ts.truthRef);
+        gemmBT(ts.probe, ts.truth.weights, ts.truthRef);
     }
     WeightState& slot = states_[name] = std::move(ws);
     for (std::size_t idx = 0; idx < n; ++idx)
@@ -255,8 +255,19 @@ TileHealthMonitor::ageTile(const std::string& name, std::size_t idx,
     const std::uint64_t name_hash = std::hash<std::string>{}(name);
     Rng rng(hashSeed({backend_.runSeed_, name_hash, idx, e, kAgeTag}));
     liveTile(name, idx).applyDrift(hours, config_.drift, rng);
-    // Ensemble replicas age alongside the primary, each on its own
-    // replica-keyed stream (independent hardware, independent drift).
+}
+
+void
+TileHealthMonitor::ageReplicas(const std::string& name, std::size_t idx,
+                               std::uint64_t e)
+{
+    const double hours = config_.epochHours();
+    if (hours <= 0.0)
+        return;
+    // Independent hardware, independent drift: each replica's stream is
+    // keyed by its index, so whether another tile's replicas age this
+    // epoch never moves a draw.
+    const std::uint64_t name_hash = std::hash<std::string>{}(name);
     auto& reps = backend_.weights_.find(name)->second.extras[idx];
     for (std::size_t j = 0; j < reps.size(); ++j) {
         Rng rep_rng(hashSeed({backend_.runSeed_, name_hash, idx, e,
@@ -288,7 +299,7 @@ TileHealthMonitor::driftError(const std::string& name,
     }
     const double floor_scale = 0.2
         * static_cast<double>(backend_.weights_.find(name)->second.absMax)
-        * std::sqrt(static_cast<double>(ts.truth.cols()));
+        * std::sqrt(static_cast<double>(ts.truth.weights.cols()));
     return columnError(cur, ts.reference, floor_scale);
 }
 
@@ -306,7 +317,7 @@ TileHealthMonitor::checksumError(const std::string& name,
         max_ref = std::max(max_ref, std::fabs(v));
     const double floor_scale = 0.2
         * static_cast<double>(backend_.weights_.find(name)->second.absMax)
-        * std::sqrt(static_cast<double>(ts.truth.cols()));
+        * std::sqrt(static_cast<double>(ts.truth.weights.cols()));
     double worst = 0.0;
     for (std::size_t o = 0; o < eff.rows(); ++o) {
         double sum = 0.0;
@@ -332,18 +343,24 @@ TileHealthMonitor::attemptRefresh(const std::string& name, WeightState& ws,
     auto& mw = backend_.weights_.find(name)->second;
     const std::uint64_t name_hash = std::hash<std::string>{}(name);
 
-    // The rebuild starts from the probe truth, not the tile's own weights,
-    // which a programming fault may have zeroed. Each attempt is an
-    // independent R-V-W pass (on fresh hardware after a failover), so the
-    // programming fault re-draws per (generation, attempt, epoch) instead
-    // of replaying the original outcome.
-    Matrix sub = ts.truth;
+    // The rebuild starts from the probe truth and its mapping, not the
+    // tile's own weights, which a programming fault may have zeroed. Each
+    // attempt is an independent R-V-W pass (on fresh hardware after a
+    // failover), so the programming fault re-draws per (generation,
+    // attempt, epoch) instead of replaying the original outcome; a zeroed
+    // target is mapped afresh.
+    const TileTruth* target = &ts.truth;
+    TileTruth zeroed;
     const FaultInjector& inj = backend_.faults_;
     if (inj.enabled()
         && inj.fires(FaultSite::TileProgram,
                      hashSeed({name_hash, idx, ts.generation, ts.attempts,
-                               e, kRebuildTag})))
-        sub.zero();
+                               e, kRebuildTag}))) {
+        zeroed.weights =
+            Matrix(ts.truth.weights.rows(), ts.truth.weights.cols());
+        zeroed.mapped = backend_.mapTile(zeroed.weights, mw.absMax);
+        target = &zeroed;
+    }
 
     const std::uint64_t seed = hashSeed({backend_.runSeed_, name_hash, idx,
                                          ts.generation, ts.attempts, e,
@@ -351,12 +368,14 @@ TileHealthMonitor::attemptRefresh(const std::string& name, WeightState& ws,
     // SRAM cells are one digital store: the fresh tile and every replica
     // keep the remap. A refresh re-programs the whole replica group.
     const std::vector<std::uint8_t> mask = mw.tiles[idx].sramMask();
-    crossbar::CrossbarTile fresh = backend_.programTile(sub, mw.absMax, seed);
+    crossbar::CrossbarTile fresh = backend_.programTile(
+        target->weights, mw.absMax, target->mapped, seed);
     if (!mask.empty())
         fresh.remapCellsToSram(mask);
     mw.tiles[idx] = std::move(fresh);
-    mw.extras[idx] = backend_.programReplicas(sub, mw.absMax, seed, mask,
-                                              mw.extras[idx].size());
+    mw.extras[idx] = backend_.programReplicas(
+        target->weights, mw.absMax, target->mapped, seed, mask,
+        mw.extras[idx].size());
     captureReference(name, ws, idx);
 
     // Post-refresh verify probe: threshold-less (interval-only) configs
@@ -390,8 +409,10 @@ TileHealthMonitor::advanceWeight(const std::string& name, WeightState& ws,
 
     for (std::size_t idx = 0; idx < n; ++idx) {
         TileState& ts = ws.tiles[idx];
-        if (ts.dead)
+        if (ts.dead) {
+            ageReplicas(name, idx, e);
             continue;
+        }
         kProbes.add();
         ++stats_.probes;
         // Full probe plus the cheap checksum estimator: either crossing
@@ -408,8 +429,11 @@ TileHealthMonitor::advanceWeight(const std::string& name, WeightState& ws,
             kUnhealthy.add();
             ++stats_.unhealthy;
         }
-        if (!(unhealthy || due) || e < ts.nextAttemptEpoch)
+        if (!(unhealthy || due) || e < ts.nextAttemptEpoch) {
+            // No refresh replaces the replicas this epoch.
+            ageReplicas(name, idx, e);
             continue;
+        }
 
         if (attemptRefresh(name, ws, idx, e)) {
             kSuccess.add();

@@ -146,6 +146,17 @@ const RefreshConfig& envRefreshConfig();
 /** Env var naming the refresh spec ("" / unset disables healing). */
 inline constexpr const char* kRefreshEnv = "SWORDFISH_REFRESH";
 
+/**
+ * What a tile was meant to hold: its pre-fault digital sub-matrix and that
+ * sub-matrix's ideal conductance pair, from which a refresh re-programs
+ * the tile and its ensemble replicas without mapping it again.
+ */
+struct TileTruth
+{
+    Matrix weights;
+    crossbar::ConductancePair mapped;
+};
+
 /** Cumulative healing activity of one monitor (also exported as metrics). */
 struct HealthStats
 {
@@ -174,19 +185,22 @@ class TileHealthMonitor
 
     /**
      * Track a freshly-programmed weight. `truths` holds the pre-fault
-     * digital sub-matrix of each tile in grid order — the ground
-     * truth the probes compare against (a tile killed by a programming
-     * fault is detected precisely because its truth is *not* zero).
-     * Weights register at compile, before the first epoch; a resumed run
-     * replays its elapsed epochs afterwards, over every weight at once.
+     * truth of each tile in grid order — the ground truth the probes
+     * compare against (a tile killed by a programming fault is detected
+     * precisely because its truth is *not* zero) and the mapping its
+     * refreshes start from. Weights register at compile, before the first
+     * epoch; a resumed run replays its elapsed epochs afterwards, over
+     * every weight at once.
      */
     void registerWeight(const std::string& name,
-                        std::vector<Matrix> truths);
+                        std::vector<TileTruth> truths);
 
     /**
      * Close the current epoch: age every tile by epochHours(), probe tile
      * health, refresh / fail over unhealthy tiles, export metrics. Must
-     * not run concurrently with matmuls on this backend.
+     * not run concurrently with matmuls on this backend. Ensemble
+     * replicas age only when their tile is not re-programmed this epoch:
+     * a refresh replaces them, and nothing reads them in between.
      */
     void advanceEpoch();
 
@@ -212,7 +226,7 @@ class TileHealthMonitor
     /** Probe-side healing state of one tile. */
     struct TileState
     {
-        Matrix truth;      ///< pre-fault digital sub-weights
+        TileTruth truth;   ///< pre-fault sub-weights and conductances
         Matrix probe;      ///< fixed probe matrix P [kProbeRows x in]
         Matrix truthRef;   ///< P * truth^T: the ideal probe response
         Matrix reference;  ///< P * eff^T captured at last (re)program
@@ -239,6 +253,11 @@ class TileHealthMonitor
     /** Age one tile by epochHours() with a per-(tile, epoch) stream. */
     void ageTile(const std::string& name, std::size_t idx, std::uint64_t e);
 
+    /** Age the tile's ensemble replicas likewise, each on its own
+     *  replica-keyed stream. */
+    void ageReplicas(const std::string& name, std::size_t idx,
+                     std::uint64_t e);
+
     /**
      * Probe error of the tile's current state against its reference:
      * max over output columns of the relative response error, with a
@@ -253,11 +272,11 @@ class TileHealthMonitor
                          std::size_t idx) const;
 
     /**
-     * Re-program the tile and its ensemble replicas from the probe truth
-     * (fresh noise + fault re-draw for the current generation/attempt,
-     * through the backend's tile-programming path), re-apply its SRAM
-     * remap, capture the new reference, and verify it against the
-     * threshold. True on success.
+     * Re-program the tile and its ensemble replicas from the mapped probe
+     * truth (fresh noise + fault re-draw for the current
+     * generation/attempt, through the backend's tile-programming path),
+     * re-apply its SRAM remap, capture the new reference, and verify it
+     * against the threshold. True on success.
      */
     bool attemptRefresh(const std::string& name, WeightState& ws,
                         std::size_t idx, std::uint64_t e);

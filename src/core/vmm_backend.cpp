@@ -288,19 +288,28 @@ CrossbarVmmBackend::selectSramCells(const Matrix& error,
     return mask;
 }
 
+crossbar::ConductancePair
+CrossbarVmmBackend::mapTile(const Matrix& sub, float abs_max) const
+{
+    return crossbar::CrossbarTile::mapConductances(config_.crossbar, sub,
+                                                   abs_max, noise_.toggles);
+}
+
 crossbar::CrossbarTile
 CrossbarVmmBackend::programTile(const Matrix& sub, float abs_max,
+                                const crossbar::ConductancePair& mapped,
                                 std::uint64_t seed) const
 {
     // The resolved NoiseModel: explicit spec > SWORDFISH_NOISE override >
     // the kind's NoiseModel::preset (the legacy toggle set, with the
     // extended sources off).
-    return crossbar::CrossbarTile(config_.crossbar, sub, abs_max,
+    return crossbar::CrossbarTile(config_.crossbar, sub, abs_max, mapped,
                                   noise_.toggles, seed, noise_.extended);
 }
 
 std::vector<crossbar::CrossbarTile>
 CrossbarVmmBackend::programReplicas(const Matrix& sub, float abs_max,
+                                    const crossbar::ConductancePair& mapped,
                                     std::uint64_t seed,
                                     const std::vector<std::uint8_t>& mask,
                                     std::size_t count) const
@@ -308,8 +317,8 @@ CrossbarVmmBackend::programReplicas(const Matrix& sub, float abs_max,
     std::vector<crossbar::CrossbarTile> reps;
     reps.reserve(count);
     for (std::size_t j = 1; j <= count; ++j) {
-        reps.push_back(
-            programTile(sub, abs_max, hashSeed({seed, kEnsembleTag, j})));
+        reps.push_back(programTile(sub, abs_max, mapped,
+                                   hashSeed({seed, kEnsembleTag, j})));
         if (!mask.empty())
             reps.back().remapCellsToSram(mask);
     }
@@ -320,7 +329,7 @@ void
 CrossbarVmmBackend::programAnalytical(MappedWeight& mw,
                                       const std::string& name,
                                       const Matrix& w,
-                                      std::vector<Matrix>* truths)
+                                      std::vector<TileTruth>* truths)
 {
     static const SpanStat kProgramSpan = metrics().span("program");
     static const Counter kProgramTiles =
@@ -356,11 +365,14 @@ CrossbarVmmBackend::programAnalytical(MappedWeight& mw,
         for (std::size_t r = r0; r < r1; ++r)
             for (std::size_t c = c0; c < c1; ++c)
                 sub(r - r0, c - c0) = w(r, c);
+        // The tile and its replicas start from one mapping of the
+        // sub-matrix (paper Fig. 5 steps 2-4 precede all variation).
+        crossbar::ConductancePair mapped = mapTile(sub, mw.absMax);
         // The health monitor needs the *intended* weights: a tile killed
         // by the programming fault below is detected (and re-programmed)
         // precisely because its truth differs from what it computes.
         if (truths != nullptr)
-            (*truths)[idx] = sub;
+            (*truths)[idx] = {sub, mapped};
 
         // A failed tile programming leaves the tile dead (all-zero target
         // weights) instead of aborting the run; the key is pure in
@@ -369,12 +381,14 @@ CrossbarVmmBackend::programAnalytical(MappedWeight& mw,
             && faults_.fires(FaultSite::TileProgram,
                              tileFaultKey(name, rt, ct))) {
             sub.zero();
+            mapped = mapTile(sub, mw.absMax);
             kProgramFaultTiles.add();
         }
 
         const std::uint64_t tile_seed = hashSeed(
             {runSeed_, std::hash<std::string>{}(name), rt, ct});
-        crossbar::CrossbarTile tile = programTile(sub, mw.absMax, tile_seed);
+        crossbar::CrossbarTile tile =
+            programTile(sub, mw.absMax, mapped, tile_seed);
 
         std::vector<std::uint8_t> mask;
         if (remap_.fraction > 0.0) {
@@ -386,8 +400,8 @@ CrossbarVmmBackend::programAnalytical(MappedWeight& mw,
                         (r - r0) * (c1 - c0) + (c - c0)];
         }
 
-        mw.extras[idx] = programReplicas(sub, mw.absMax, tile_seed, mask,
-                                         replicas - 1);
+        mw.extras[idx] = programReplicas(sub, mw.absMax, mapped, tile_seed,
+                                         mask, replicas - 1);
         built[idx].emplace(std::move(tile));
     });
 
@@ -664,7 +678,7 @@ CrossbarVmmBackend::compileWeight(const std::string& name, const Matrix& w)
     MappedWeight mw(arch::TileGrid(w.rows(), w.cols(), config_.crossbar.size),
                     w.absMax() > 0.0f ? w.absMax() : 1.0f);
     sramMasks_[name].assign(w.size(), 0);
-    std::vector<Matrix> truths;
+    std::vector<TileTruth> truths;
     if (config_.usesLibrary())
         programMeasured(mw, name, w);
     else

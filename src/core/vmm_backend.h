@@ -309,28 +309,36 @@ class CrossbarVmmBackend : public nn::VmmBackend
                      const BatchLayout& layout);
     /**
      * When `truths` is non-null it receives each tile's pre-fault digital
-     * sub-matrix in grid order (the health monitor's ground truth for
-     * probes and re-programming).
+     * sub-matrix and its mapped conductance pair in grid order (the health
+     * monitor's ground truth for probes and re-programming).
      */
     void programAnalytical(MappedWeight& mw, const std::string& name,
                            const Matrix& w,
-                           std::vector<Matrix>* truths = nullptr);
+                           std::vector<TileTruth>* truths = nullptr);
     void programMeasured(MappedWeight& mw, const std::string& name,
                          const Matrix& w);
+    /** The ideal conductance pair of `sub` under the resolved toggles
+     *  (CrossbarTile::mapConductances). */
+    crossbar::ConductancePair mapTile(const Matrix& sub,
+                                      float abs_max) const;
     /**
-     * Program one tile under the resolved noise model; initial programming
-     * and the health monitor's refresh both build tiles here.
+     * Program one tile of `sub` from `mapped` = mapTile(sub, abs_max)
+     * under the resolved noise model; initial programming and the health
+     * monitor's refresh both build tiles here.
      */
     crossbar::CrossbarTile programTile(const Matrix& sub, float abs_max,
+                                       const crossbar::ConductancePair& mapped,
                                        std::uint64_t seed) const;
     /**
      * Program `count` ensemble replicas of the tile programmed with
-     * `seed`: replica j (1-based) is seeded hashSeed({seed, kEnsembleTag,
-     * j}) and shares the tile's SRAM `mask` (SRAM cells are one digital
-     * store, not re-programmed per replica).
+     * `seed`, from the same `mapped` pair: replica j (1-based) is seeded
+     * hashSeed({seed, kEnsembleTag, j}) and shares the tile's SRAM `mask`
+     * (SRAM cells are one digital store, not re-programmed per replica).
      */
     std::vector<crossbar::CrossbarTile>
-    programReplicas(const Matrix& sub, float abs_max, std::uint64_t seed,
+    programReplicas(const Matrix& sub, float abs_max,
+                    const crossbar::ConductancePair& mapped,
+                    std::uint64_t seed,
                     const std::vector<std::uint8_t>& mask,
                     std::size_t count) const;
     std::vector<std::uint8_t> selectSramCells(const Matrix& error,

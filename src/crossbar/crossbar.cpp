@@ -12,6 +12,17 @@ CrossbarTile::CrossbarTile(const CrossbarConfig& config,
                            const Matrix& weights, float abs_max,
                            const NoiseToggles& toggles, std::uint64_t seed,
                            const ExtendedNoise& extended)
+    : CrossbarTile(config, weights, abs_max,
+                   mapConductances(config, weights, abs_max, toggles),
+                   toggles, seed, extended)
+{
+}
+
+CrossbarTile::CrossbarTile(const CrossbarConfig& config,
+                           const Matrix& weights, float abs_max,
+                           const ConductancePair& mapped,
+                           const NoiseToggles& toggles, std::uint64_t seed,
+                           const ExtendedNoise& extended)
     : config_(config), extended_(extended),
       ideal_(weights),
       absMax_(abs_max > 0.0f ? abs_max : weights.absMax())
@@ -21,24 +32,44 @@ CrossbarTile::CrossbarTile(const CrossbarConfig& config,
               weights.cols(), " exceeds array size ", config.size);
     if (absMax_ <= 0.0f)
         absMax_ = 1.0f;
-    buildEffectiveWeights(toggles, seed);
+    // The scale ConductanceMapper::map derives from the absmax.
+    const auto scale = static_cast<float>(
+        static_cast<double>(absMax_)
+        / (config.device.gMax - config.device.gMin));
+    for (const Matrix* g : {&mapped.gPos, &mapped.gNeg})
+        if (g->rows() != weights.rows() || g->cols() != weights.cols())
+            panic("CrossbarTile: conductance pair of ", g->rows(), "x",
+                  g->cols(), " for a ", weights.rows(), "x",
+                  weights.cols(), " sub-matrix");
+    if (mapped.scale != scale)
+        panic("CrossbarTile: conductance pair scale ", mapped.scale,
+              " does not match absmax ", absMax_, " (scale ", scale, ")");
+    buildEffectiveWeights(mapped, toggles, seed);
+}
+
+ConductancePair
+CrossbarTile::mapConductances(const CrossbarConfig& config,
+                              const Matrix& weights, float abs_max,
+                              const NoiseToggles& toggles)
+{
+    DeviceConfig device = config.device;
+    if (!toggles.conductanceQuant)
+        device.conductanceLevels = 1 << 20; // effectively continuous
+    return ConductanceMapper(device).map(weights, abs_max);
 }
 
 void
-CrossbarTile::buildEffectiveWeights(const NoiseToggles& toggles,
+CrossbarTile::buildEffectiveWeights(ConductancePair pair,
+                                    const NoiseToggles& toggles,
                                     std::uint64_t seed)
 {
     const std::size_t out = ideal_.rows();
     const std::size_t in = ideal_.cols();
     Rng rng(hashSeed({seed, 0x7135bafULL}));
-
-    // Step 1 (paper Fig. 5 steps 3-4): digital weights -> conductances,
-    // through the (possibly quantized, nonlinear) device state map.
-    DeviceConfig device = config_.device;
-    if (!toggles.conductanceQuant)
-        device.conductanceLevels = 1 << 20; // effectively continuous
-    const ConductanceMapper mapper(device);
-    ConductancePair pair = mapper.map(ideal_, absMax_);
+    // Step 1 (paper Fig. 5 steps 3-4), digital weights -> conductances,
+    // is `pair` (mapConductances()). The steps below read only the
+    // device's conductance range, which the quantization toggle keeps.
+    const DeviceConfig& device = config_.device;
 
     // Step 2 (Fig. 5 step 5): synaptic (write/process) variation —
     // lognormal multiplicative conductance error, clamped to the device
@@ -290,16 +321,24 @@ CrossbarTile::vmm(const Matrix& x, const BatchLayout& layout,
     } else {
         // Every replica applies its own DAC instance to the shared
         // normalized input; the replica currents are then averaged in
-        // the analog domain.
+        // the analog domain. The replicas' DACs share one DacConfig, so
+        // the codes are computed once, over xn, and each replica looks
+        // up its own levels.
+        const bool ideal_dac = dac_->isIdeal();
+        for (const CrossbarTile& rep : *extras)
+            if (!rep.dac_->sharesCodes(*dac_))
+                panic("CrossbarTile::vmm: a replica's DAC codes its "
+                      "input differently from the tile's");
+        dac_->codeRows(xn.raw().data(), xn.size());
         const auto add_replica = [&](const CrossbarTile& tile) {
-            if (tile.dac_->isIdeal()) {
+            if (ideal_dac) {
                 add_response(tile, xn);
                 return;
             }
             Matrix& xd = scratch.xd;
             xd.resizeUninit(xn.rows(), xn.cols());
-            tile.dac_->convertRows(xn.raw().data(), xd.raw().data(),
-                                   xn.size());
+            tile.dac_->lookupRows(xn.raw().data(), xd.raw().data(),
+                                  xn.size());
             add_response(tile, xd);
         };
         add_replica(*this);

@@ -98,7 +98,9 @@ struct DriftConfig
  */
 struct VmmScratch
 {
-    Matrix xn; ///< normalized (and, without replicas, DAC-converted) input
+    /** Normalized input, then its DAC-converted values (one tile) or its
+     *  DAC codes (with replicas and non-ideal DACs). */
+    Matrix xn;
     Matrix xd; ///< per-replica DAC-converted input (ensemble only)
     Matrix y;  ///< tile output
     std::vector<float> laneScales; ///< per-lane input scales
@@ -125,6 +127,30 @@ class CrossbarTile
                  std::uint64_t seed, const ExtendedNoise& extended = {});
 
     /**
+     * Program a tile from `mapped`, the ideal conductance pair of
+     * `weights` (mapConductances() with the same config, weights, abs_max
+     * and toggles): the replicas of one sub-matrix share one mapping and
+     * differ only in the variation drawn from `seed`. Bitwise the tile the
+     * constructor above builds. Panics if the pair's shape or scale does
+     * not match `weights` and `abs_max`.
+     */
+    CrossbarTile(const CrossbarConfig& config, const Matrix& weights,
+                 float abs_max, const ConductancePair& mapped,
+                 const NoiseToggles& toggles, std::uint64_t seed,
+                 const ExtendedNoise& extended = {});
+
+    /**
+     * Paper Fig. 5 steps 2-4: `weights` mapped to their ideal, pre-
+     * variation conductance pair through the device's (possibly
+     * quantized, nonlinear) state map; `abs_max` <= 0 uses the weights'
+     * own absmax.
+     */
+    static ConductancePair mapConductances(const CrossbarConfig& config,
+                                           const Matrix& weights,
+                                           float abs_max,
+                                           const NoiseToggles& toggles);
+
+    /**
      * The tile VMM: y[T x out] from x[T x in] through DAC -> effective
      * weights -> sneak -> ADC, result in scratch.y.
      *
@@ -135,7 +161,10 @@ class CrossbarTile
      * bitwise what a one-lane call on that lane alone returns.
      *
      * `extras` (layer ensemble averaging) are replicas of this tile: the
-     * same sub-matrix programmed with independent noise draws. Their
+     * same sub-matrix programmed with independent noise draws. Each
+     * applies its own DAC; the codes depend only on the shared input and
+     * DacConfig, so they are computed once and each replica looks up its
+     * own levels (a replica whose DAC codes differently panics). Their
      * analog (pre-ADC) outputs are averaged with this tile's and the mean
      * goes through THIS tile's single shared ADC, so the conversion
      * streams advance exactly as without replicas. nullptr or empty = the
@@ -191,7 +220,8 @@ class CrossbarTile
     const CrossbarConfig& config() const { return config_; }
 
   private:
-    void buildEffectiveWeights(const NoiseToggles& toggles,
+    void buildEffectiveWeights(ConductancePair pair,
+                               const NoiseToggles& toggles,
                                std::uint64_t seed);
     void applyExtendedNoise(ConductancePair& pair,
                             const DeviceConfig& device, std::uint64_t seed);

@@ -24,6 +24,44 @@ dumpDouble(double v)
     return buf;
 }
 
+/**
+ * Append s, escaped, to out. The writers append in place rather than
+ * concatenate temporaries, whose inlined copies GCC 12 flags with
+ * -Wrestrict under ASan.
+ */
+void
+appendEscaped(std::string& out, const std::string& s)
+{
+    for (const char c : s) {
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\r': out += "\\r"; break;
+          case '\t': out += "\\t"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x",
+                              static_cast<unsigned>(
+                                  static_cast<unsigned char>(c)));
+                out += buf;
+            } else {
+                out.push_back(c);
+            }
+        }
+    }
+}
+
+/** Append s as a quoted, escaped JSON string. */
+void
+appendQuoted(std::string& out, const std::string& s)
+{
+    out += '"';
+    appendEscaped(out, s);
+    out += '"';
+}
+
 } // namespace
 
 const char*
@@ -44,25 +82,7 @@ jsonEscape(const std::string& s)
 {
     std::string out;
     out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out.push_back(c);
-            }
-        }
-    }
+    appendEscaped(out, s);
     return out;
 }
 
@@ -270,10 +290,17 @@ JsonValue::dump() const
       case Type::Null: return "null";
       case Type::Bool: return bool_ ? "true" : "false";
       case Type::Number:
-        if (integral_)
-            return (negative_ ? "-" : "") + std::to_string(magnitude_);
+        if (integral_) {
+            std::string out = negative_ ? "-" : "";
+            out += std::to_string(magnitude_);
+            return out;
+        }
         return dumpDouble(num_);
-      case Type::String: return "\"" + jsonEscape(str_) + "\"";
+      case Type::String: {
+        std::string out;
+        appendQuoted(out, str_);
+        return out;
+      }
       case Type::Array: {
         std::string out = "[";
         for (std::size_t i = 0; i < items_.size(); ++i) {
@@ -290,7 +317,9 @@ JsonValue::dump() const
             if (!first)
                 out += ",";
             first = false;
-            out += "\"" + jsonEscape(k) + "\":" + v.dump();
+            appendQuoted(out, k);
+            out += ':';
+            out += v.dump();
         }
         return out + "}";
       }
@@ -624,14 +653,15 @@ JsonWriter::key(const std::string& k)
     if (!first_)
         out_ += ",";
     first_ = false;
-    out_ += "\"" + jsonEscape(k) + "\":";
+    appendQuoted(out_, k);
+    out_ += ':';
     return *this;
 }
 
 JsonWriter&
 JsonWriter::field(const std::string& k, const std::string& value)
 {
-    key(k).out_ += "\"" + jsonEscape(value) + "\"";
+    appendQuoted(key(k).out_, value);
     return *this;
 }
 

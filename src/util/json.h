@@ -136,8 +136,6 @@ std::string jsonEscape(const std::string& s);
 class JsonWriter
 {
   public:
-    JsonWriter() { out_ = "{"; }
-
     JsonWriter& field(const std::string& key, const std::string& value);
     JsonWriter& field(const std::string& key, const char* value);
     JsonWriter& field(const std::string& key, bool value);
@@ -150,11 +148,17 @@ class JsonWriter
     JsonWriter& raw(const std::string& key, const std::string& json);
 
     /** Close the object and return the document. */
-    std::string str() const { return out_ + "}"; }
+    std::string
+    str() const
+    {
+        std::string doc = out_;
+        doc += '}';
+        return doc;
+    }
 
   private:
     JsonWriter& key(const std::string& k);
-    std::string out_;
+    std::string out_ = "{"; ///< appended in place, as in json.cpp
     bool first_ = true;
 };
 

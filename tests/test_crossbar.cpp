@@ -344,6 +344,102 @@ TEST(CrossbarTile, OversizedSubMatrixPanics)
                  "exceeds");
 }
 
+TEST(CrossbarTile, SharedMappingIsBitwiseTheSelfMappingTile)
+{
+    // The replicas of one sub-matrix are programmed from one mapped pair;
+    // each must be bitwise the tile that maps the weights itself: the
+    // effective weights, and through them, the sneak coefficients and the
+    // converters, a VMM on the same stream.
+    const auto bits = [](float v) {
+        std::uint32_t u = 0;
+        std::memcpy(&u, &v, sizeof(u));
+        return u;
+    };
+    ExtendedNoise ext;
+    ext.rtn.amplitude = 0.05;
+    ext.disturb.rate = 0.01;
+    ext.disturb.reads = 1000.0;
+    CrossbarConfig config;
+    config.size = 16;
+
+    Matrix with_neg_zero = randomMatrix(12, 10, 61);
+    with_neg_zero(0, 0) = -0.0f;
+    with_neg_zero(5, 3) = -0.0f;
+    const Matrix zero(12, 10);
+    NoiseToggles continuous = NoiseToggles::combined();
+    continuous.conductanceQuant = false;
+    const struct
+    {
+        const char* name;
+        const Matrix& w;
+        float absMax;
+        NoiseToggles toggles;
+    } cases[] = {
+        {"cquant on", with_neg_zero, 0.0f, NoiseToggles::combined()},
+        {"cquant off", with_neg_zero, 1.5f, continuous},
+        {"all zero", zero, 0.0f, NoiseToggles::combined()},
+        {"all zero, layer absmax", zero, 0.7f, NoiseToggles::combined()},
+    };
+    const Matrix x = randomMatrix(5, 10, 62);
+    for (const auto& c : cases) {
+        SCOPED_TRACE(c.name);
+        const ConductancePair mapped =
+            CrossbarTile::mapConductances(config, c.w, c.absMax, c.toggles);
+        for (std::uint64_t seed = 70; seed < 73; ++seed) {
+            const CrossbarTile self(config, c.w, c.absMax, c.toggles, seed,
+                                    ext);
+            const CrossbarTile shared(config, c.w, c.absMax, mapped,
+                                      c.toggles, seed, ext);
+            const Matrix& a = self.effectiveWeights();
+            const Matrix& b = shared.effectiveWeights();
+            ASSERT_EQ(a.size(), b.size());
+            for (std::size_t i = 0; i < a.size(); ++i)
+                EXPECT_EQ(bits(a.raw()[i]), bits(b.raw()[i])) << i;
+            Rng ra(seed), rb(seed);
+            const Matrix ya = self.vmmFast(x, ra);
+            const Matrix yb = shared.vmmFast(x, rb);
+            for (std::size_t i = 0; i < ya.size(); ++i)
+                EXPECT_EQ(bits(ya.raw()[i]), bits(yb.raw()[i])) << i;
+        }
+    }
+}
+
+TEST(CrossbarTile, MismatchedConductancePairPanics)
+{
+    CrossbarConfig config;
+    config.size = 16;
+    const Matrix w = randomMatrix(8, 6, 63);
+    const NoiseToggles toggles = NoiseToggles::combined();
+    const ConductancePair other_shape = CrossbarTile::mapConductances(
+        config, randomMatrix(6, 8, 63), 0.0f, toggles);
+    EXPECT_DEATH(CrossbarTile(config, w, 0.0f, other_shape, toggles, 1),
+                 "conductance pair of 6x8");
+    const ConductancePair other_scale =
+        CrossbarTile::mapConductances(config, w, 2.0f * w.absMax(), toggles);
+    EXPECT_DEATH(CrossbarTile(config, w, 0.0f, other_scale, toggles, 1),
+                 "does not match absmax");
+}
+
+TEST(CrossbarTile, ReplicaWithOtherDacCodesPanics)
+{
+    // Replicas share one DAC code pass, so a replica whose DAC codes over
+    // another range is a caller bug, not a silent mix.
+    CrossbarConfig config;
+    config.size = 16;
+    CrossbarConfig finer = config;
+    finer.dac.bits = 6;
+    const Matrix w = randomMatrix(8, 6, 64);
+    const CrossbarTile tile(config, w, 0.0f, NoiseToggles::combined(), 1);
+    const std::vector<CrossbarTile> extras = {
+        CrossbarTile(finer, w, 0.0f, NoiseToggles::combined(), 2)};
+    const Matrix x = randomMatrix(3, 6, 65);
+    Rng rng(3);
+    Rng* const rngs[] = {&rng};
+    VmmScratch scratch;
+    EXPECT_DEATH(tile.vmm(x, {{0, 3}}, rngs, scratch, &extras),
+                 "codes its input differently");
+}
+
 TEST(CrossbarTile, DeterministicForSameSeed)
 {
     CrossbarConfig config;

@@ -1,8 +1,9 @@
 /** @file Golden-snapshot regression test: evaluates a fixed-seed model on
- *  the ideal, non-ideal, and fault-injected paths and diffs the numbers
- *  against tests/golden/eval_golden.json. Any unintentional change to the
- *  numerics (noise streams, batching, reductions, fault schedule) shows up
- *  as a diff here even when the determinism invariants still hold.
+ *  the ideal, non-ideal, fault-injected and ensemble refresh paths and
+ *  diffs the numbers against tests/golden/eval_golden.json. Any
+ *  unintentional change to the numerics (noise streams, batching,
+ *  reductions, fault schedule, tile programming and healing) shows up as
+ *  a diff here even when the determinism invariants still hold.
  *
  *  Regenerate intentionally with:
  *      test_golden --golden <path> --update-golden
@@ -99,9 +100,12 @@ counterValue(const std::string& name)
  * self-healing runtime: the tile programming, aging, probing and
  * re-programming of every replica. Scenario, noise spec, refresh policy
  * and fault campaign are all explicit, so the legs ignore SWORDFISH_NOISE,
- * SWORDFISH_REFRESH and SWORDFISH_FAULTS. Each leg also pins the
- * programming faults and healing activity it caused (the evaluation runs
- * serially, so the counter deltas are exact).
+ * SWORDFISH_REFRESH and SWORDFISH_FAULTS. Each leg runs its two runs on
+ * two pool workers, which program, age and refresh their backends'
+ * replicas side by side (the tsan preset runs this test); by the
+ * determinism contract the values are bitwise the serial ones. Each leg
+ * also pins the programming faults and healing activity it caused: the
+ * counters sum every thread's shard, so the deltas are exact.
  */
 void
 refreshLegs(nn::SequenceModel& model, const genomics::Dataset& dataset,
@@ -131,7 +135,7 @@ refreshLegs(nn::SequenceModel& model, const genomics::Dataset& dataset,
         const core::AccuracySummary s = core::evaluateNonIdealAccuracy(
             model, {scenario},
             core::EvalOptions(dataset).runs(2).maxReads(4).seedBase(11)
-                .ensembleK(4).faults(faults));
+                .ensembleK(4).faults(faults).threads(2));
         snap[prefix + ".mean"] = s.mean;
         snap[prefix + ".stddev"] = s.stddev;
         snap[prefix + ".min"] = s.min;
