@@ -25,13 +25,14 @@ dumpDouble(double v)
 }
 
 /**
- * Append s, escaped, to out. The writers append in place rather than
- * concatenate temporaries, whose inlined copies GCC 12 flags with
- * -Wrestrict under ASan.
+ * Append s to out as a quoted, escaped JSON string. The writers append in
+ * place rather than concatenate temporaries, whose inlined copies GCC 12
+ * flags with -Wrestrict under ASan.
  */
 void
-appendEscaped(std::string& out, const std::string& s)
+appendQuoted(std::string& out, const std::string& s)
 {
+    out += '"';
     for (const char c : s) {
         switch (c) {
           case '"': out += "\\\""; break;
@@ -51,14 +52,6 @@ appendEscaped(std::string& out, const std::string& s)
             }
         }
     }
-}
-
-/** Append s as a quoted, escaped JSON string. */
-void
-appendQuoted(std::string& out, const std::string& s)
-{
-    out += '"';
-    appendEscaped(out, s);
     out += '"';
 }
 
@@ -75,15 +68,6 @@ jsonFailureName(JsonFailure failure)
       case JsonFailure::DuplicateKey: return "duplicate_key";
       default: return "trailing";
     }
-}
-
-std::string
-jsonEscape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size());
-    appendEscaped(out, s);
-    return out;
 }
 
 // ---------------------------------------------------------------------------

@@ -125,9 +125,6 @@ class JsonValue
     std::vector<std::pair<std::string, JsonValue>> members_;
 };
 
-/** Escape a string for embedding in a JSON document (no quotes added). */
-std::string jsonEscape(const std::string& s);
-
 /**
  * Incremental object writer for hand-rolled one-line dumps (metrics
  * snapshots, wire responses) — keeps field order explicit and escaping in

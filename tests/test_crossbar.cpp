@@ -16,6 +16,15 @@ using swordfish::testing::randomMatrix;
 
 namespace {
 
+/** The bit pattern of v, so -0.0f and NaN payloads compare exactly. */
+std::uint32_t
+bits(float v)
+{
+    std::uint32_t u = 0;
+    std::memcpy(&u, &v, sizeof(u));
+    return u;
+}
+
 /** One value through the ADC's row API, as a one-element lane. */
 float
 adcConvertOne(const AdcModel& adc, float y, Rng& rng)
@@ -227,11 +236,6 @@ TEST(CrossbarTile, StackedRaggedLanesMatchOneLaneCallsBitwise)
     for (std::size_t c = 0; c < x.cols(); ++c)
         x(3, c) *= 5.0f; // lane 1 alone sets a much larger input scale
 
-    auto bits = [](float v) {
-        std::uint32_t u = 0;
-        std::memcpy(&u, &v, sizeof(u));
-        return u;
-    };
     const std::vector<CrossbarTile>* const replica_cases[] = {nullptr,
                                                               &extras};
     for (const std::vector<CrossbarTile>* reps : replica_cases) {
@@ -350,11 +354,6 @@ TEST(CrossbarTile, SharedMappingIsBitwiseTheSelfMappingTile)
     // each must be bitwise the tile that maps the weights itself: the
     // effective weights, and through them, the sneak coefficients and the
     // converters, a VMM on the same stream.
-    const auto bits = [](float v) {
-        std::uint32_t u = 0;
-        std::memcpy(&u, &v, sizeof(u));
-        return u;
-    };
     ExtendedNoise ext;
     ext.rtn.amplitude = 0.05;
     ext.disturb.rate = 0.01;
