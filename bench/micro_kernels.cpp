@@ -458,9 +458,7 @@ BM_DacConvertRows(benchmark::State& state)
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations())
                             * static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_DacConvertRows)
-    ->Args({256, 0})->Args({256, 1})
-    ->Args({2048, 0})->Args({2048, 1});
+BENCHMARK(BM_DacConvertRows)->ArgsProduct({{256, 2048}, {0, 1, 2}});
 
 void
 BM_CrossbarProgram(benchmark::State& state)

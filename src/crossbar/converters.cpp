@@ -70,23 +70,9 @@ DacModel::convertRows(const float* x, float* out, std::size_t n) const
             std::copy(x, x + n, out);
         return;
     }
-    kernels::dacConvertRows(x, out, n, transfer());
-}
-
-void
-DacModel::codeRows(float* x, std::size_t n) const
-{
-    if (!ideal_)
-        kernels::dacCodeRows(x, n, transfer());
-}
-
-void
-DacModel::lookupRows(const float* codes, float* out, std::size_t n) const
-{
-    if (ideal_)
-        std::copy(codes, codes + n, out);
-    else
-        kernels::dacLookupRows(codes, out, n, transfer());
+    kernels::dacConvertRows(
+        x, out, n,
+        {levels_.data(), step_, static_cast<float>(levels_.size() - 1)});
 }
 
 AdcModel::AdcModel(const AdcConfig& config, std::uint64_t seed,

@@ -54,43 +54,11 @@ class DacModel
      */
     void convertRows(const float* x, float* out, std::size_t n) const;
 
-    /**
-     * The half of convertRows that depends on the DacConfig alone:
-     * overwrite x[0..n) with its codes (kernels::dacCodeRows; an ideal
-     * DAC leaves x as it is). Every DAC that sharesCodes() with this one
-     * codes alike.
-     */
-    void codeRows(float* x, std::size_t n) const;
-
-    /**
-     * The other half: out[i] = this DAC's level of codes[i] (an ideal DAC
-     * copies), for codes from codeRows() of a DAC that sharesCodes() with
-     * this one. Together they are convertRows, bitwise.
-     */
-    void lookupRows(const float* codes, float* out, std::size_t n) const;
-
-    /** True when both DACs are ideal, or both code over the same step
-     *  and code range. */
-    bool
-    sharesCodes(const DacModel& other) const
-    {
-        return ideal_ == other.ideal_ && step_ == other.step_
-            && levels_.size() == other.levels_.size();
-    }
-
     bool isIdeal() const { return ideal_; }
 
   private:
     /** Delivered voltage of one code (INL and droop applied). */
     float level(long code) const;
-
-    /** The kernels' view of the transfer function. */
-    kernels::DacTransfer
-    transfer() const
-    {
-        return {levels_.data(), step_,
-                static_cast<float>(levels_.size() - 1)};
-    }
 
     DacConfig config_;
     bool ideal_;

@@ -321,24 +321,16 @@ CrossbarTile::vmm(const Matrix& x, const BatchLayout& layout,
     } else {
         // Every replica applies its own DAC instance to the shared
         // normalized input; the replica currents are then averaged in
-        // the analog domain. The replicas' DACs share one DacConfig, so
-        // the codes are computed once, over xn, and each replica looks
-        // up its own levels.
-        const bool ideal_dac = dac_->isIdeal();
-        for (const CrossbarTile& rep : *extras)
-            if (!rep.dac_->sharesCodes(*dac_))
-                panic("CrossbarTile::vmm: a replica's DAC codes its "
-                      "input differently from the tile's");
-        dac_->codeRows(xn.raw().data(), xn.size());
+        // the analog domain.
         const auto add_replica = [&](const CrossbarTile& tile) {
-            if (ideal_dac) {
+            if (tile.dac_->isIdeal()) {
                 add_response(tile, xn);
                 return;
             }
             Matrix& xd = scratch.xd;
             xd.resizeUninit(xn.rows(), xn.cols());
-            tile.dac_->lookupRows(xn.raw().data(), xd.raw().data(),
-                                  xn.size());
+            tile.dac_->convertRows(xn.raw().data(), xd.raw().data(),
+                                   xn.size());
             add_response(tile, xd);
         };
         add_replica(*this);

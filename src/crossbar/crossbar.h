@@ -98,9 +98,7 @@ struct DriftConfig
  */
 struct VmmScratch
 {
-    /** Normalized input, then its DAC-converted values (one tile) or its
-     *  DAC codes (with replicas and non-ideal DACs). */
-    Matrix xn;
+    Matrix xn; ///< normalized (and, without replicas, DAC-converted) input
     Matrix xd; ///< per-replica DAC-converted input (ensemble only)
     Matrix y;  ///< tile output
     std::vector<float> laneScales; ///< per-lane input scales
@@ -161,10 +159,7 @@ class CrossbarTile
      * bitwise what a one-lane call on that lane alone returns.
      *
      * `extras` (layer ensemble averaging) are replicas of this tile: the
-     * same sub-matrix programmed with independent noise draws. Each
-     * applies its own DAC; the codes depend only on the shared input and
-     * DacConfig, so they are computed once and each replica looks up its
-     * own levels (a replica whose DAC codes differently panics). Their
+     * same sub-matrix programmed with independent noise draws. Their
      * analog (pre-ADC) outputs are averaged with this tile's and the mean
      * goes through THIS tile's single shared ADC, so the conversion
      * streams advance exactly as without replicas. nullptr or empty = the

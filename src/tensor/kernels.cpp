@@ -703,22 +703,6 @@ dacConvertScalar(const float* x, float* out, std::size_t begin,
         out[i] = d.levels[dacCodeScalar(x[i], d)];
 }
 
-SWORDFISH_NO_AUTOVEC void
-dacCodesScalar(float* x, std::size_t begin, std::size_t n,
-               const DacTransfer& d)
-{
-    for (std::size_t i = begin; i < n; ++i)
-        x[i] = static_cast<float>(dacCodeScalar(x[i], d));
-}
-
-SWORDFISH_NO_AUTOVEC void
-dacLookupScalar(const float* codes, float* out, std::size_t begin,
-                std::size_t n, const DacTransfer& d)
-{
-    for (std::size_t i = begin; i < n; ++i)
-        out[i] = d.levels[static_cast<std::size_t>(codes[i])];
-}
-
 SWORDFISH_NO_AUTOVEC float
 peakFmaScalar(std::size_t iters)
 {
@@ -1228,58 +1212,25 @@ adcConvertAvx2(float* y, std::size_t n, const AdcTransfer& a,
     adcConvertScalar(y, n16, n, a, words, scale);
 }
 
-/** dacCodeScalar, lanewise. */
-SWORDFISH_AVX2_TARGET inline __m256
-dacCodeOctAvx2(__m256 x, __m256 step, __m256 max_code)
-{
-    const __m256 one = _mm256_set1_ps(1.0f);
-    const __m256 c =
-        _mm256_min_ps(_mm256_max_ps(x, _mm256_set1_ps(-1.0f)), one);
-    return roundHalfUpCodeAvx2(_mm256_div_ps(_mm256_add_ps(c, one), step),
-                               max_code);
-}
-
 SWORDFISH_AVX2_TARGET void
 dacConvertAvx2(const float* x, float* out, std::size_t n,
                const DacTransfer& d)
 {
+    const __m256 one = _mm256_set1_ps(1.0f);
+    const __m256 neg_one = _mm256_set1_ps(-1.0f);
     const __m256 step = _mm256_set1_ps(d.step);
     const __m256 max_code = _mm256_set1_ps(d.maxCode);
     const std::size_t n8 = n & ~std::size_t{7};
     for (std::size_t i = 0; i < n8; i += 8) {
-        const __m256 code =
-            dacCodeOctAvx2(_mm256_loadu_ps(x + i), step, max_code);
+        const __m256 c = _mm256_min_ps(
+            _mm256_max_ps(_mm256_loadu_ps(x + i), neg_one), one);
+        const __m256 code = roundHalfUpCodeAvx2(
+            _mm256_div_ps(_mm256_add_ps(c, one), step), max_code);
         _mm256_storeu_ps(out + i,
                          _mm256_i32gather_ps(d.levels,
                                              _mm256_cvttps_epi32(code), 4));
     }
     dacConvertScalar(x, out, n8, n, d);
-}
-
-SWORDFISH_AVX2_TARGET void
-dacCodesAvx2(float* x, std::size_t n, const DacTransfer& d)
-{
-    const __m256 step = _mm256_set1_ps(d.step);
-    const __m256 max_code = _mm256_set1_ps(d.maxCode);
-    const std::size_t n8 = n & ~std::size_t{7};
-    for (std::size_t i = 0; i < n8; i += 8)
-        _mm256_storeu_ps(
-            x + i, dacCodeOctAvx2(_mm256_loadu_ps(x + i), step, max_code));
-    dacCodesScalar(x, n8, n, d);
-}
-
-SWORDFISH_AVX2_TARGET void
-dacLookupAvx2(const float* codes, float* out, std::size_t n,
-              const DacTransfer& d)
-{
-    const std::size_t n8 = n & ~std::size_t{7};
-    for (std::size_t i = 0; i < n8; i += 8)
-        _mm256_storeu_ps(
-            out + i,
-            _mm256_i32gather_ps(
-                d.levels, _mm256_cvttps_epi32(_mm256_loadu_ps(codes + i)),
-                4));
-    dacLookupScalar(codes, out, n8, n, d);
 }
 
 // ---------------------------------------------------------------------------
@@ -1574,48 +1525,56 @@ adcConvertAvx512(float* y, std::size_t n, const AdcTransfer& a,
     adcConvertAvx2(y + n32, n - n32, a, words + n32 / 2, scale);
 }
 
-SWORDFISH_AVX512_TARGET void
-dacCodesAvx512(float* x, std::size_t n, const DacTransfer& d)
+/** The codes of dacConvertAvx2 on 16 lanes, as indices. */
+SWORDFISH_AVX512_TARGET inline __m512i
+dacCodeHexAvx512(__m512 x, __m512 step, __m512 max_code)
 {
     const __m512 one = _mm512_set1_ps(1.0f);
-    const __m512 neg_one = _mm512_set1_ps(-1.0f);
-    const __m512 step = _mm512_set1_ps(d.step);
-    const __m512 max_code = _mm512_set1_ps(d.maxCode);
-    const std::size_t n16 = n & ~std::size_t{15};
-    for (std::size_t i = 0; i < n16; i += 16) {
-        const __m512 c = _mm512_min_ps(
-            _mm512_max_ps(_mm512_loadu_ps(x + i), neg_one), one);
-        _mm512_storeu_ps(
-            x + i, roundHalfUpCodeAvx512(
-                       _mm512_div_ps(_mm512_add_ps(c, one), step), max_code));
-    }
-    dacCodesAvx2(x + n16, n - n16, d);
+    const __m512 c =
+        _mm512_min_ps(_mm512_max_ps(x, _mm512_set1_ps(-1.0f)), one);
+    return _mm512_cvttps_epi32(roundHalfUpCodeAvx512(
+        _mm512_div_ps(_mm512_add_ps(c, one), step), max_code));
 }
 
 /**
- * A table of up to 32 levels in two registers (the masked loads read no
- * entry past maxCode), 16 codes per vpermt2ps: its index's bit 4 picks
- * the register and bits 0-3 the lane.
+ * dacConvertAvx2 on 16 lanes. A table of up to 32 levels (the default
+ * 5-bit DAC) sits in two registers, the masked loads reading no entry past
+ * maxCode, and 16 codes take one vpermt2ps: bit 4 of a code picks the
+ * register, bits 0-3 the lane. Larger tables gather.
  */
 SWORDFISH_AVX512_TARGET void
-dacLookupAvx512(const float* codes, float* out, std::size_t n,
-                const DacTransfer& d)
+dacConvertAvx512(const float* x, float* out, std::size_t n,
+                 const DacTransfer& d)
 {
-    const auto count = static_cast<unsigned>(d.maxCode) + 1;
-    const auto mask = [](unsigned k) {
-        return static_cast<__mmask16>(k >= 16 ? 0xffffu : (1u << k) - 1u);
-    };
-    const __m512 lo = _mm512_maskz_loadu_ps(mask(count), d.levels);
-    const __m512 hi = count > 16
-        ? _mm512_maskz_loadu_ps(mask(count - 16), d.levels + 16)
-        : _mm512_setzero_ps();
+    const __m512 step = _mm512_set1_ps(d.step);
+    const __m512 max_code = _mm512_set1_ps(d.maxCode);
     const std::size_t n16 = n & ~std::size_t{15};
-    for (std::size_t i = 0; i < n16; i += 16)
-        _mm512_storeu_ps(
-            out + i,
-            _mm512_permutex2var_ps(
-                lo, _mm512_cvttps_epi32(_mm512_loadu_ps(codes + i)), hi));
-    dacLookupAvx2(codes + n16, out + n16, n - n16, d);
+    if (d.maxCode < 32.0f) {
+        const auto count = static_cast<unsigned>(d.maxCode) + 1;
+        const auto first = [](unsigned k) {
+            return static_cast<__mmask16>(k >= 16 ? 0xffffu
+                                                  : (1u << k) - 1u);
+        };
+        const __m512 lo = _mm512_maskz_loadu_ps(first(count), d.levels);
+        const __m512 hi = count > 16
+            ? _mm512_maskz_loadu_ps(first(count - 16), d.levels + 16)
+            : _mm512_setzero_ps();
+        for (std::size_t i = 0; i < n16; i += 16)
+            _mm512_storeu_ps(
+                out + i,
+                _mm512_permutex2var_ps(
+                    lo, dacCodeHexAvx512(_mm512_loadu_ps(x + i), step,
+                                         max_code),
+                    hi));
+    } else {
+        for (std::size_t i = 0; i < n16; i += 16)
+            _mm512_storeu_ps(
+                out + i,
+                _mm512_i32gather_ps(dacCodeHexAvx512(_mm512_loadu_ps(x + i),
+                                                     step, max_code),
+                                    d.levels, 4));
+    }
+    dacConvertAvx2(x + n16, out + n16, n - n16, d);
 }
 
 SWORDFISH_AVX512_TARGET float
@@ -1832,45 +1791,16 @@ dacConvertRows(const float* x, float* out, std::size_t n,
                const DacTransfer& dac)
 {
 #if SWORDFISH_X86
+    if (activeSimdLevel() == SimdLevel::Avx512) {
+        dacConvertAvx512(x, out, n, dac);
+        return;
+    }
     if (useAvx2()) {
         dacConvertAvx2(x, out, n, dac);
         return;
     }
 #endif
     dacConvertScalar(x, out, 0, n, dac);
-}
-
-void
-dacCodeRows(float* x, std::size_t n, const DacTransfer& dac)
-{
-#if SWORDFISH_X86
-    if (activeSimdLevel() == SimdLevel::Avx512) {
-        dacCodesAvx512(x, n, dac);
-        return;
-    }
-    if (useAvx2()) {
-        dacCodesAvx2(x, n, dac);
-        return;
-    }
-#endif
-    dacCodesScalar(x, 0, n, dac);
-}
-
-void
-dacLookupRows(const float* codes, float* out, std::size_t n,
-              const DacTransfer& dac)
-{
-#if SWORDFISH_X86
-    if (activeSimdLevel() == SimdLevel::Avx512 && dac.maxCode < 32.0f) {
-        dacLookupAvx512(codes, out, n, dac);
-        return;
-    }
-    if (useAvx2()) {
-        dacLookupAvx2(codes, out, n, dac);
-        return;
-    }
-#endif
-    dacLookupScalar(codes, out, 0, n, dac);
 }
 
 double

@@ -3,15 +3,15 @@
  * Vectorized hot-path kernels with runtime SIMD dispatch (tensor/simd.h).
  *
  * Every kernel here has a portable scalar body and an AVX2+FMA body, and
- * gemmBT, adcConvertRows, dacCodeRows and dacLookupRows also an AVX-512
- * body; a kernel without one runs its AVX2 body at the AVX-512 level. All
- * bodies of a kernel are bitwise-identical by construction: they execute
- * the same fixed blocked-reduction order (8 independent fma lanes over the
+ * gemmBT, adcConvertRows and dacConvertRows also an AVX-512 body; a kernel
+ * without one runs its AVX2 body at the AVX-512 level. All bodies of a
+ * kernel are bitwise-identical by construction: they execute the same
+ * fixed blocked-reduction order (8 independent fma lanes over the
  * reduction axis, tail elements folded into lanes 0..r-1, then the fixed
- * tree (l0+l4)+(l2+l6) + (l1+l5)+(l3+l7)), and every elementwise
- * transcendental is a shared polynomial approximation whose scalar form
- * mirrors the vector instruction semantics op for op (including NaN
- * propagation). See DESIGN.md §4.11 for the contract and dispatch rules.
+ * tree (l0+l4)+(l2+l6) + (l1+l5)+(l3+l7)), and every elementwise transcen-
+ * dental is a shared polynomial approximation whose scalar form mirrors the
+ * vector instruction semantics op for op (including NaN propagation). See
+ * DESIGN.md §4.11 for the contract and dispatch rules.
  *
  * Float kernels: gemmBT (the VMM/projection workhorse), the fused LSTM
  * gate block, CTC row max/argmax, abs-max scans, the activation quantizer,
@@ -163,26 +163,13 @@ struct DacTransfer
     float maxCode = 0.0f;          ///< 2^bits - 1
 };
 
-/** Convert x[0..n) through `dac` into out[0..n) (out may alias x). */
+/**
+ * Convert x[0..n) through `dac` into out[0..n) (out may alias x). The
+ * AVX-512 body looks a table of up to 32 levels up from two registers, 16
+ * codes per two-table permute.
+ */
 void dacConvertRows(const float* x, float* out, std::size_t n,
                     const DacTransfer& dac);
-
-/**
- * The code half of dacConvertRows: overwrite x[0..n) with each element's
- * code, an exact float in [0, maxCode]; dac.levels is not read. The codes
- * depend only on x, step and maxCode, so DACs that share those (a tile's
- * ensemble replicas) share one code pass.
- */
-void dacCodeRows(float* x, std::size_t n, const DacTransfer& dac);
-
-/**
- * The lookup half: out[i] = dac.levels[codes[i]] for codes from
- * dacCodeRows with the same maxCode, so the two passes are bitwise
- * dacConvertRows. The AVX-512 body holds a table of up to 32 levels in two
- * registers and looks up 16 codes with one two-table permute.
- */
-void dacLookupRows(const float* codes, float* out, std::size_t n,
-                   const DacTransfer& dac);
 
 /**
  * Roofline probes (bench/micro_kernels --roofline): run `iters` iterations

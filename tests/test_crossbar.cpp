@@ -419,26 +419,6 @@ TEST(CrossbarTile, MismatchedConductancePairPanics)
                  "does not match absmax");
 }
 
-TEST(CrossbarTile, ReplicaWithOtherDacCodesPanics)
-{
-    // Replicas share one DAC code pass, so a replica whose DAC codes over
-    // another range is a caller bug, not a silent mix.
-    CrossbarConfig config;
-    config.size = 16;
-    CrossbarConfig finer = config;
-    finer.dac.bits = 6;
-    const Matrix w = randomMatrix(8, 6, 64);
-    const CrossbarTile tile(config, w, 0.0f, NoiseToggles::combined(), 1);
-    const std::vector<CrossbarTile> extras = {
-        CrossbarTile(finer, w, 0.0f, NoiseToggles::combined(), 2)};
-    const Matrix x = randomMatrix(3, 6, 65);
-    Rng rng(3);
-    Rng* const rngs[] = {&rng};
-    VmmScratch scratch;
-    EXPECT_DEATH(tile.vmm(x, {{0, 3}}, rngs, scratch, &extras),
-                 "codes its input differently");
-}
-
 TEST(CrossbarTile, DeterministicForSameSeed)
 {
     CrossbarConfig config;

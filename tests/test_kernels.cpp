@@ -869,6 +869,11 @@ TEST(KernelConvert, DacEveryLevelIsBitwiseIdentical)
             dac.convertRows(x.data(), out.data(), n);
             return out;
         });
+        sameAtEveryLevel(n, [&] {
+            std::vector<float> out = x;
+            dac.convertRows(out.data(), out.data(), n);
+            return out;
+        });
     }
 }
 
@@ -876,8 +881,10 @@ TEST(KernelConvert, DacRowsMatchPerElementReferenceBitwise)
 {
     // Every code boundary: the midpoint between adjacent code values and
     // one ulp either side, where an inexact lround emulation would flip a
-    // code; plus the range ends and non-finite inputs.
-    for (const int bits : {3, 5, 8}) {
+    // code; plus the range ends and non-finite inputs. 3 bits takes the
+    // AVX-512 body's one-register table, 5 bits both registers, 6 and 8
+    // bits the gather.
+    for (const int bits : {3, 5, 6, 8}) {
         crossbar::DacConfig cfg;
         cfg.bits = bits;
         const crossbar::DacModel dac(cfg, 11, 0.4);
@@ -899,75 +906,6 @@ TEST(KernelConvert, DacRowsMatchPerElementReferenceBitwise)
                     << "bits=" << bits << " x=" << x[i];
         });
     }
-}
-
-TEST(KernelConvert, SharedDacCodesMatchEachReplicaBitwise)
-{
-    // A tile's ensemble replicas share one code pass over the input, and
-    // each looks up its own levels: per replica that must be its own
-    // convertRows, at every level and length, with inputs beyond both
-    // clamp ends, non-finite ones, and every code boundary (the midpoint
-    // between adjacent codes, where ties round up, and one ulp either
-    // side). 3 bits takes the AVX-512 permute's one-register table, 5 bits
-    // (the default) both registers, 6 bits the gather.
-    for (const int bits : {3, 5, 6}) {
-        crossbar::DacConfig cfg;
-        cfg.bits = bits;
-        std::vector<crossbar::DacModel> replicas;
-        for (std::uint64_t seed = 1; seed <= 4; ++seed)
-            replicas.emplace_back(cfg, seed, 0.2 * static_cast<double>(seed));
-        const float codes = static_cast<float>((1 << bits) - 1);
-        std::vector<float> boundaries;
-        for (float c = 0.0f; c < codes; c += 1.0f) {
-            const float mid = -1.0f + (c + 0.5f) * (2.0f / codes);
-            boundaries.push_back(mid);
-            boundaries.push_back(std::nextafter(mid, kInf));
-            boundaries.push_back(std::nextafter(mid, -kInf));
-        }
-        std::vector<std::vector<float>> inputs = {boundaries};
-        for (const std::size_t n : kConvertLengths)
-            inputs.push_back(convertInputs(n, 1.3f, 1.0f, n + 31));
-        for (const std::vector<float>& x : inputs) {
-            const std::size_t n = x.size();
-            forEveryLevel([&](SimdLevel level) {
-                std::vector<float> codes = x;
-                replicas[0].codeRows(codes.data(), n);
-                for (const crossbar::DacModel& dac : replicas) {
-                    std::vector<float> want(n), got(n);
-                    dac.convertRows(x.data(), want.data(), n);
-                    dac.lookupRows(codes.data(), got.data(), n);
-                    for (std::size_t i = 0; i < n; ++i)
-                        EXPECT_TRUE(sameBits(got[i], want[i]))
-                            << "bits=" << bits << " n=" << n << " i=" << i
-                            << " x=" << x[i] << " "
-                            << simdLevelName(level);
-                }
-            });
-        }
-    }
-}
-
-TEST(KernelConvert, DacCodesClampToTheRangeEnds)
-{
-    // Codes are exact floats in [0, maxCode]: below -1 and NaN take code
-    // 0, above 1 the top code, at every level.
-    const crossbar::DacModel dac(crossbar::DacConfig{}, 5, 0.5);
-    const float top = 31.0f;
-    const std::vector<float> x = {-2.0f, -1.0f, kNan, -kInf, 0.0f,
-                                  1.0f,  2.0f,  kInf, -0.0f};
-    const std::vector<float> want = {0.0f, 0.0f, 0.0f, 0.0f, 16.0f,
-                                     top,  top,  top,  16.0f};
-    const std::size_t n = x.size();
-    forEveryLevel([&](SimdLevel level) {
-        // Twice over, so the vector bodies code the values too.
-        std::vector<float> codes(2 * n);
-        std::copy(x.begin(), x.end(), codes.begin());
-        std::copy(x.begin(), x.end(), codes.begin() + n);
-        dac.codeRows(codes.data(), codes.size());
-        for (std::size_t i = 0; i < codes.size(); ++i)
-            EXPECT_TRUE(sameBits(codes[i], want[i % n]))
-                << "x=" << x[i % n] << " " << simdLevelName(level);
-    });
 }
 
 TEST(KernelConvert, NonFiniteInputsKeepConverterSemantics)
