@@ -356,9 +356,9 @@ TileHealthMonitor::attemptRefresh(const std::string& name, WeightState& ws,
         && inj.fires(FaultSite::TileProgram,
                      hashSeed({name_hash, idx, ts.generation, ts.attempts,
                                e, kRebuildTag}))) {
-        zeroed.weights =
-            Matrix(ts.truth.weights.rows(), ts.truth.weights.cols());
-        zeroed.mapped = backend_.mapTile(zeroed.weights, mw.absMax);
+        zeroed = backend_.mapTile(
+            Matrix(ts.truth.weights.rows(), ts.truth.weights.cols()),
+            mw.absMax);
         target = &zeroed;
     }
 
@@ -368,14 +368,13 @@ TileHealthMonitor::attemptRefresh(const std::string& name, WeightState& ws,
     // SRAM cells are one digital store: the fresh tile and every replica
     // keep the remap. A refresh re-programs the whole replica group.
     const std::vector<std::uint8_t> mask = mw.tiles[idx].sramMask();
-    crossbar::CrossbarTile fresh = backend_.programTile(
-        target->weights, mw.absMax, target->mapped, seed);
+    crossbar::CrossbarTile fresh =
+        backend_.programTile(*target, mw.absMax, seed);
     if (!mask.empty())
         fresh.remapCellsToSram(mask);
     mw.tiles[idx] = std::move(fresh);
-    mw.extras[idx] = backend_.programReplicas(
-        target->weights, mw.absMax, target->mapped, seed, mask,
-        mw.extras[idx].size());
+    mw.extras[idx] = backend_.programReplicas(*target, mw.absMax, seed, mask,
+                                              mw.extras[idx].size());
     captureReference(name, ws, idx);
 
     // Post-refresh verify probe: threshold-less (interval-only) configs

@@ -288,28 +288,28 @@ CrossbarVmmBackend::selectSramCells(const Matrix& error,
     return mask;
 }
 
-crossbar::ConductancePair
-CrossbarVmmBackend::mapTile(const Matrix& sub, float abs_max) const
+TileTruth
+CrossbarVmmBackend::mapTile(Matrix sub, float abs_max) const
 {
-    return crossbar::CrossbarTile::mapConductances(config_.crossbar, sub,
-                                                   abs_max, noise_.toggles);
+    crossbar::ConductancePair mapped = crossbar::CrossbarTile::mapConductances(
+        config_.crossbar, sub, abs_max, noise_.toggles);
+    return {std::move(sub), std::move(mapped)};
 }
 
 crossbar::CrossbarTile
-CrossbarVmmBackend::programTile(const Matrix& sub, float abs_max,
-                                const crossbar::ConductancePair& mapped,
+CrossbarVmmBackend::programTile(const TileTruth& truth, float abs_max,
                                 std::uint64_t seed) const
 {
     // The resolved NoiseModel: explicit spec > SWORDFISH_NOISE override >
     // the kind's NoiseModel::preset (the legacy toggle set, with the
     // extended sources off).
-    return crossbar::CrossbarTile(config_.crossbar, sub, abs_max, mapped,
-                                  noise_.toggles, seed, noise_.extended);
+    return crossbar::CrossbarTile(config_.crossbar, truth.weights, abs_max,
+                                  truth.mapped, noise_.toggles, seed,
+                                  noise_.extended);
 }
 
 std::vector<crossbar::CrossbarTile>
-CrossbarVmmBackend::programReplicas(const Matrix& sub, float abs_max,
-                                    const crossbar::ConductancePair& mapped,
+CrossbarVmmBackend::programReplicas(const TileTruth& truth, float abs_max,
                                     std::uint64_t seed,
                                     const std::vector<std::uint8_t>& mask,
                                     std::size_t count) const
@@ -317,8 +317,8 @@ CrossbarVmmBackend::programReplicas(const Matrix& sub, float abs_max,
     std::vector<crossbar::CrossbarTile> reps;
     reps.reserve(count);
     for (std::size_t j = 1; j <= count; ++j) {
-        reps.push_back(programTile(sub, abs_max, mapped,
-                                   hashSeed({seed, kEnsembleTag, j})));
+        reps.push_back(
+            programTile(truth, abs_max, hashSeed({seed, kEnsembleTag, j})));
         if (!mask.empty())
             reps.back().remapCellsToSram(mask);
     }
@@ -367,28 +367,25 @@ CrossbarVmmBackend::programAnalytical(MappedWeight& mw,
                 sub(r - r0, c - c0) = w(r, c);
         // The tile and its replicas start from one mapping of the
         // sub-matrix (paper Fig. 5 steps 2-4 precede all variation).
-        crossbar::ConductancePair mapped = mapTile(sub, mw.absMax);
-        // The health monitor needs the *intended* weights: a tile killed
-        // by the programming fault below is detected (and re-programmed)
-        // precisely because its truth differs from what it computes.
-        if (truths != nullptr)
-            (*truths)[idx] = {sub, mapped};
+        TileTruth truth = mapTile(std::move(sub), mw.absMax);
 
         // A failed tile programming leaves the tile dead (all-zero target
         // weights) instead of aborting the run; the key is pure in
         // (name, tile), so the same tiles die for any build schedule.
+        const TileTruth* target = &truth;
+        TileTruth zeroed;
         if (faults_.enabled()
             && faults_.fires(FaultSite::TileProgram,
                              tileFaultKey(name, rt, ct))) {
-            sub.zero();
-            mapped = mapTile(sub, mw.absMax);
+            zeroed = mapTile(Matrix(r1 - r0, c1 - c0), mw.absMax);
+            target = &zeroed;
             kProgramFaultTiles.add();
         }
 
         const std::uint64_t tile_seed = hashSeed(
             {runSeed_, std::hash<std::string>{}(name), rt, ct});
         crossbar::CrossbarTile tile =
-            programTile(sub, mw.absMax, mapped, tile_seed);
+            programTile(*target, mw.absMax, tile_seed);
 
         std::vector<std::uint8_t> mask;
         if (remap_.fraction > 0.0) {
@@ -400,9 +397,14 @@ CrossbarVmmBackend::programAnalytical(MappedWeight& mw,
                         (r - r0) * (c1 - c0) + (c - c0)];
         }
 
-        mw.extras[idx] = programReplicas(sub, mw.absMax, mapped, tile_seed,
-                                         mask, replicas - 1);
+        mw.extras[idx] = programReplicas(*target, mw.absMax, tile_seed, mask,
+                                         replicas - 1);
         built[idx].emplace(std::move(tile));
+        // The health monitor needs the *intended* weights: a tile killed
+        // by the programming fault above is detected (and re-programmed)
+        // precisely because its truth differs from what it computes.
+        if (truths != nullptr)
+            (*truths)[idx] = std::move(truth);
     });
 
     mw.tiles.reserve(n_tiles);

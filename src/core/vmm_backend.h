@@ -317,28 +317,24 @@ class CrossbarVmmBackend : public nn::VmmBackend
                            std::vector<TileTruth>* truths = nullptr);
     void programMeasured(MappedWeight& mw, const std::string& name,
                          const Matrix& w);
-    /** The ideal conductance pair of `sub` under the resolved toggles
+    /** `sub` with its ideal conductance pair under the resolved toggles
      *  (CrossbarTile::mapConductances). */
-    crossbar::ConductancePair mapTile(const Matrix& sub,
-                                      float abs_max) const;
+    TileTruth mapTile(Matrix sub, float abs_max) const;
     /**
-     * Program one tile of `sub` from `mapped` = mapTile(sub, abs_max)
-     * under the resolved noise model; initial programming and the health
-     * monitor's refresh both build tiles here.
+     * Program one tile of `truth` = mapTile(weights, abs_max) under the
+     * resolved noise model; initial programming and the health monitor's
+     * refresh both build tiles here.
      */
-    crossbar::CrossbarTile programTile(const Matrix& sub, float abs_max,
-                                       const crossbar::ConductancePair& mapped,
+    crossbar::CrossbarTile programTile(const TileTruth& truth, float abs_max,
                                        std::uint64_t seed) const;
     /**
-     * Program `count` ensemble replicas of the tile programmed with
-     * `seed`, from the same `mapped` pair: replica j (1-based) is seeded
-     * hashSeed({seed, kEnsembleTag, j}) and shares the tile's SRAM `mask`
-     * (SRAM cells are one digital store, not re-programmed per replica).
+     * Program `count` ensemble replicas of the tile programmed from
+     * `truth` with `seed`: replica j (1-based) is seeded hashSeed({seed,
+     * kEnsembleTag, j}) and shares the tile's SRAM `mask` (SRAM cells are
+     * one digital store, not re-programmed per replica).
      */
     std::vector<crossbar::CrossbarTile>
-    programReplicas(const Matrix& sub, float abs_max,
-                    const crossbar::ConductancePair& mapped,
-                    std::uint64_t seed,
+    programReplicas(const TileTruth& truth, float abs_max, std::uint64_t seed,
                     const std::vector<std::uint8_t>& mask,
                     std::size_t count) const;
     std::vector<std::uint8_t> selectSramCells(const Matrix& error,
