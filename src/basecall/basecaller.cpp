@@ -125,52 +125,23 @@ allFinite(const Matrix& m)
 }
 
 /**
- * basecallRead with poisoned-output detection: when `check` is set (fault
- * injection active) and the model emits non-finite logits, skips the
- * decode and reports finite=false (the caller records the read as
- * degraded). Without `check` the scan is skipped entirely: that is
- * basecallRead.
+ * Forward a gathered lane group through the batched path and CTC-decode
+ * each lane. When `check` is set (fault injection active), a lane whose
+ * logits are not all finite skips the decode and reports finite[l] = false
+ * (the caller records the read as degraded); without `check` nothing is
+ * scanned: that is basecallBatch.
  */
-genomics::Sequence
-basecallReadChecked(nn::SequenceModel& model, const genomics::Read& read,
-                    Decoder decoder, std::size_t beam_width, bool check,
-                    bool& finite)
-{
-    const Matrix signal = normalizeSignal(read.signal);
-    const Matrix logits = model.forward(signal);
-    finite = !check || allFinite(logits);
-    if (!finite)
-        return {};
-    return decodeLogits(logits, decoder, beam_width);
-}
-
-/** Batched counterpart: finite[k] mirrors reads[k]; without `check`
- *  this is basecallBatch. */
 std::vector<genomics::Sequence>
-basecallBatchChecked(nn::SequenceModel& model,
-                     const genomics::Dataset& dataset,
-                     const std::vector<std::size_t>& reads, Decoder decoder,
-                     std::size_t beam_width, bool check,
-                     std::vector<bool>& finite)
+basecallLanes(nn::SequenceModel& model, nn::SequenceBatch batch,
+              Decoder decoder, std::size_t beam_width, bool check,
+              std::vector<bool>& finite)
 {
-    finite.assign(reads.size(), true);
+    finite.assign(batch.laneCount(), true);
     std::vector<genomics::Sequence> out;
-    out.reserve(reads.size());
-    if (reads.empty())
-        return out;
-    if (reads.size() == 1) {
-        // A group of one takes the serial path verbatim.
-        model.beginRead(reads[0]);
-        bool ok = true;
-        out.push_back(basecallReadChecked(model, dataset.reads[reads[0]],
-                                          decoder, beam_width, check, ok));
-        finite[0] = ok;
-        return out;
-    }
-
-    nn::SequenceBatch batch =
-        gatherSignalBatch(dataset, reads.data(), reads.size());
+    if (batch.laneCount() == 0)
+        return out; // e.g. every read of a group faulted before the forward
     model.forwardBatch(batch);
+    out.reserve(batch.laneCount());
     for (std::size_t l = 0; l < batch.laneCount(); ++l) {
         const Matrix logits = batch.laneMatrix(l);
         if (check && !allFinite(logits)) {
@@ -186,9 +157,9 @@ basecallBatchChecked(nn::SequenceModel& model,
 /**
  * Basecall the read group [begin, end) with fault classification — the
  * per-group step of basecallReads. Reads whose decode/chunk fault fires in
- * `inj` are skipped; transient worker-task faults retry serially on fresh
- * noise streams (bounded by the injector's retry budget); poisoned
- * (non-finite) outputs are detected and skipped. Surviving reads flow
+ * `inj` are skipped; transient worker-task faults retry one at a time on
+ * fresh noise streams (bounded by the injector's retry budget); poisoned
+ * (non-finite) outputs are detected and skipped. The other reads flow
  * through the batched forward path together.
  *
  * outcomes/calls address the group's local slots: outcomes[i - begin] and
@@ -244,8 +215,9 @@ basecallGroupDegraded(nn::SequenceModel& model,
     }
 
     std::vector<bool> finite;
-    auto group_calls = basecallBatchChecked(model, dataset, idx, decoder,
-                                            beam_width, faults, finite);
+    auto group_calls = basecallLanes(
+        model, gatherSignalBatch(dataset, idx.data(), idx.size()), decoder,
+        beam_width, faults, finite);
     for (std::size_t k = 0; k < group_calls.size(); ++k) {
         const std::size_t slot = idx[k] - begin;
         if (!finite[k]) {
@@ -255,9 +227,10 @@ basecallGroupDegraded(nn::SequenceModel& model,
         calls[slot] = std::move(group_calls[k]);
     }
 
-    // Bounded serial retries: attempt k >= 1 reruns the read on a fresh
-    // conversion-noise stream; the attempt itself may hit another
-    // transient fault (keyed on the retry stream) or come back poisoned.
+    // Bounded retries: attempt k >= 1 reruns the read as a one-lane group
+    // on a fresh conversion-noise stream; the attempt itself may hit
+    // another transient fault (keyed on the retry stream) or come back
+    // poisoned.
     for (const std::size_t i : transient) {
         ReadOutcome outcome = ReadOutcome::VmmFault;
         bool exhausted = true;
@@ -267,13 +240,13 @@ basecallGroupDegraded(nn::SequenceModel& model,
             if (inj.fires(FaultSite::WorkerTask, stream))
                 continue;
             exhausted = false;
-            model.beginRead(stream);
-            bool ok = true;
-            genomics::Sequence called = basecallReadChecked(
-                model, dataset.reads[i], decoder, beam_width, faults, ok);
-            if (ok) {
+            nn::SequenceBatch lane = gatherSignalBatch(dataset, &i, 1);
+            lane.streams[0] = stream;
+            auto called = basecallLanes(model, std::move(lane), decoder,
+                                        beam_width, faults, finite);
+            if (finite[0]) {
                 outcome = ReadOutcome::Retried;
-                calls[i - begin] = std::move(called);
+                calls[i - begin] = std::move(called[0]);
             } else {
                 outcome = classify_nan(stream);
             }
@@ -300,9 +273,8 @@ genomics::Sequence
 basecallRead(nn::SequenceModel& model, const genomics::Read& read,
              Decoder decoder, std::size_t beam_width)
 {
-    bool finite = true;
-    return basecallReadChecked(model, read, decoder, beam_width, false,
-                               finite);
+    return decodeLogits(model.forward(normalizeSignal(read.signal)),
+                        decoder, beam_width);
 }
 
 std::vector<genomics::Sequence>
@@ -311,8 +283,10 @@ basecallBatch(nn::SequenceModel& model, const genomics::Dataset& dataset,
               std::size_t beam_width)
 {
     std::vector<bool> finite;
-    return basecallBatchChecked(model, dataset, reads, decoder, beam_width,
-                                false, finite);
+    return basecallLanes(model,
+                         gatherSignalBatch(dataset, reads.data(),
+                                           reads.size()),
+                         decoder, beam_width, false, finite);
 }
 
 std::vector<nn::SequenceModel>
@@ -331,38 +305,21 @@ makeWorkerReplicas(nn::SequenceModel& model, std::size_t count)
 }
 
 void
-forEachShard(
-    nn::SequenceModel& model, std::size_t count,
-    std::vector<nn::SequenceModel>& replicas,
-    const std::function<void(nn::SequenceModel&, std::size_t, std::size_t)>&
-        body)
+forEachShard(std::size_t count,
+             const std::function<void(std::size_t, std::size_t)>& body)
 {
     ThreadPool& pool = globalPool();
     const std::size_t shards = pool.shardCount(count);
-    if (shards <= 1) {
-        body(model, 0, count);
-        return;
-    }
-    if (replicas.size() < shards)
-        replicas = makeWorkerReplicas(model, shards);
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(shards);
-    for (std::size_t s = 0; s < shards; ++s) {
-        tasks.push_back([&, s] {
-            const auto [begin, end] = ThreadPool::shardRange(count, shards, s);
-            body(replicas[s], begin, end);
-        });
-    }
-    pool.runTasks(std::move(tasks));
+    pool.parallelFor(shards, [&](std::size_t s) {
+        const auto [begin, end] = ThreadPool::shardRange(count, shards, s);
+        body(begin, end);
+    });
 }
 
 AccuracyResult
 evaluateAccuracy(nn::SequenceModel& model, const genomics::Dataset& dataset,
                  std::size_t max_reads, Decoder decoder)
 {
-    // batch(1) routes every group through the serial beginRead(i) +
-    // basecallRead path, so this stays bitwise identical to the historic
-    // per-read loop while sharing the degraded-evaluation machinery.
     return evaluateAccuracy(model, EvalOptions(dataset)
                                        .maxReads(max_reads)
                                        .decoder(decoder)
@@ -432,27 +389,21 @@ basecallReads(nn::SequenceModel& model, const EvalRequest& req,
     std::vector<std::size_t> bases(n, 0);
     std::vector<ReadOutcome> outcomes(n, ReadOutcome::Ok);
 
-    // Worker replicas are grown lazily and reused across blocks so a
-    // block-mode run pays the model copies once, like the single-pass run.
-    std::vector<nn::SequenceModel> replicas;
-
     // One block of reads [r0, r1): the reads split into one contiguous
     // slice per pool worker, and each slice basecalls in lane groups of at
-    // most req.batch. A small job thus keeps every idle core busy, while a
-    // block on a pool worker (a Monte-Carlo run) is one slice whose groups
-    // start at r0, batch apart. Lanes are independent, so any split gives
-    // the same bits.
+    // most req.batch through the shared model. A small job thus keeps every
+    // idle core busy, while a block on a pool worker (a Monte-Carlo run) is
+    // one slice whose groups start at r0, batch apart. Lanes are
+    // independent, so any split gives the same bits.
     auto run_block = [&](std::size_t r0, std::size_t r1) {
-        forEachShard(model, r1 - r0, replicas,
-                     [&](nn::SequenceModel& m, std::size_t s0,
-                         std::size_t s1) {
+        forEachShard(r1 - r0, [&](std::size_t s0, std::size_t s1) {
             std::vector<genomics::Sequence> calls;
             for (std::size_t begin = r0 + s0; begin < r0 + s1;
                  begin += batch) {
                 const std::size_t end = std::min(r0 + s1, begin + batch);
                 calls.resize(end - begin);
-                basecallGroupDegraded(m, dataset, begin, end, req.decoder,
-                                      req.beamWidth, inj,
+                basecallGroupDegraded(model, dataset, begin, end,
+                                      req.decoder, req.beamWidth, inj,
                                       outcomes.data() + begin, calls.data());
                 for (std::size_t i = begin; i < end; ++i) {
                     if (!survives(outcomes[i]))

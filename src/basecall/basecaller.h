@@ -18,7 +18,12 @@
 
 namespace swordfish::basecall {
 
-/** Basecall one read: whole-signal forward pass + CTC decode. */
+/**
+ * Basecall one read through the serial (training) forward pass + CTC
+ * decode, on the noise stream the caller last announced with beginRead().
+ * The reference the batched path is tested against: no evaluation loop
+ * calls it, they run every read through basecallBatch's path.
+ */
 genomics::Sequence basecallRead(nn::SequenceModel& model,
                                 const genomics::Read& read,
                                 Decoder decoder = Decoder::Greedy,
@@ -28,7 +33,8 @@ genomics::Sequence basecallRead(nn::SequenceModel& model,
  * Basecall a group of reads through the batched forward path: the reads'
  * signals stack into one SequenceBatch (noise streams keyed by read index)
  * and every layer processes the whole group per backend call. Per-read
- * results are bitwise-identical to beginRead(i) + basecallRead() per read.
+ * results are bitwise-identical to beginRead(i) + basecallRead() per read,
+ * a one-read group included.
  */
 std::vector<genomics::Sequence>
 basecallBatch(nn::SequenceModel& model, const genomics::Dataset& dataset,
@@ -36,27 +42,23 @@ basecallBatch(nn::SequenceModel& model, const genomics::Dataset& dataset,
               Decoder decoder = Decoder::Greedy, std::size_t beam_width = 8);
 
 /**
- * Deep-copy `count` worker replicas of a model, each wired to the
- * original's VMM backend. Forward passes cache per-layer state, so every
- * read-sharding worker basecalls through its own replica while sharing the
- * one set of programmed tiles (safe: CrossbarVmmBackend::matmul is
- * thread-safe after programming).
+ * Deep-copy `count` replicas of a model, each wired to the original's VMM
+ * backend. The library no longer needs them (read slices share one model,
+ * see forEachShard()); the benchmark's traced replay still shards through
+ * them.
  */
 std::vector<nn::SequenceModel> makeWorkerReplicas(nn::SequenceModel& model,
                                                   std::size_t count);
 
 /**
  * Split [0, count) into one contiguous range per pool worker and run
- * body(m, begin, end) on each, where m is that worker's replica of
- * `model`: `replicas` grows on first need and later calls reuse it. When
- * the count yields one shard (a zero-worker pool, a call from a pool
- * worker, count <= 1) the body runs inline as body(model, 0, count).
+ * body(begin, end) on each. When the count yields one shard (a zero-worker
+ * pool, a call from a pool worker, count <= 1) the body runs inline as
+ * body(0, count). The read loop's slices all basecall through the caller's
+ * model: the batched forward pass writes no layer state.
  */
-void forEachShard(
-    nn::SequenceModel& model, std::size_t count,
-    std::vector<nn::SequenceModel>& replicas,
-    const std::function<void(nn::SequenceModel&, std::size_t, std::size_t)>&
-        body);
+void forEachShard(std::size_t count,
+                  const std::function<void(std::size_t, std::size_t)>& body);
 
 /** Accuracy evaluation result over a dataset. */
 struct AccuracyResult
@@ -95,13 +97,15 @@ using ReadScorer =
 /**
  * The read loop every evaluation runs, after prepareReads(): the reads
  * split into one contiguous slice per pool worker (one slice when called
- * from a worker), and each slice basecalls in lane groups of at most
- * req.batch and scores each surviving call. Block mode — needed by a
- * healing backend (epoch-aligned blocks; dead tiles degrade the rest of
- * the reads), a checkpoint, a block sink or a stop flag — adds block
- * events, the checkpoint write and resume (with epoch replay), and a stop
- * on shutdown or on req.stopFlag after each block. Results are
- * bitwise-identical for any batch size, thread count and block length.
+ * from a worker), all sharing `model`, and each slice basecalls in lane
+ * groups of at most req.batch through SequenceModel::forwardBatch (a lone
+ * read or a retry is a one-lane group) and scores each surviving call.
+ * Block mode — needed by a healing backend (epoch-aligned blocks; dead
+ * tiles degrade the rest of the reads), a checkpoint, a block sink or a
+ * stop flag — adds block events, the checkpoint write and resume (with
+ * epoch replay), and a stop on shutdown or on req.stopFlag after each
+ * block. Results are bitwise-identical for any batch size, thread count
+ * and block length.
  */
 AccuracyResult basecallReads(nn::SequenceModel& model,
                              const EvalRequest& req,
@@ -109,7 +113,8 @@ AccuracyResult basecallReads(nn::SequenceModel& model,
 
 /**
  * Basecall up to max_reads reads of a dataset and align each call against
- * its ground-truth bases. Equivalent to the request form with batch(1).
+ * its ground-truth bases: the request form with batch(1), so it ignores
+ * SWORDFISH_BATCH (the results are the same at any batch size).
  */
 AccuracyResult evaluateAccuracy(nn::SequenceModel& model,
                                 const genomics::Dataset& dataset,

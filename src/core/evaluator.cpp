@@ -3,6 +3,7 @@
 #include "core/deploy.h"
 #include "core/registry.h"
 #include "util/shutdown.h"
+#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace swordfish::core {
@@ -31,14 +32,14 @@ makeBackend(const char* where, const std::string& family,
 } // namespace
 
 AccuracySummary
-evaluateNonIdealAccuracy(nn::SequenceModel& model, const NonIdealSetup& setup,
-                         const EvalRequest& req)
+evaluateNonIdealAccuracy(const nn::SequenceModel& model,
+                         const NonIdealSetup& setup, const EvalRequest& req)
 {
     // One Monte-Carlo run = program a fresh backend (req.seedBase + r) and
-    // basecall the dataset through it. Runs are independent, so they fan
-    // out across the pool, each worker owning a model replica and backend;
-    // per-run accuracies land in indexed slots and reduce in run order, so
-    // the summary is bitwise identical for any worker count.
+    // basecall the dataset through it on a copy of the model. Runs are
+    // independent, so they fan out across the pool; per-run accuracies
+    // land in indexed slots and reduce in run order, so the summary is
+    // bitwise identical for any worker count.
     static const SpanStat kMcRunSpan = metrics().span("mc_run");
     static const Counter kMcRuns = metrics().counter("mc.runs");
 
@@ -63,7 +64,7 @@ evaluateNonIdealAccuracy(nn::SequenceModel& model, const NonIdealSetup& setup,
     std::vector<DegradedResult> run_degraded(runs);
     std::vector<std::uint8_t> run_complete(runs, 0);
     const bool checkpointing = !req.checkpointPath.empty();
-    auto run_one = [&](nn::SequenceModel& m, std::size_t r) {
+    auto run_one = [&](std::size_t r) {
         // A graceful-shutdown request stops a checkpointed sweep before
         // starting further runs; the in-flight ones checkpoint themselves.
         // A per-request stop flag (daemon cancellation) skips further runs
@@ -94,7 +95,9 @@ evaluateNonIdealAccuracy(nn::SequenceModel& model, const NonIdealSetup& setup,
                 req.onBlock(stamped);
             };
         }
-        const auto acc = api->runProgram(m, this_run);
+        // The run's backend goes on its own copy; `model` stays as given.
+        nn::SequenceModel instance = model;
+        const auto acc = api->runProgram(instance, this_run);
         run_mean[r] = acc.meanIdentity;
         run_degraded[r] = acc.degraded;
         run_complete[r] = acc.interrupted ? 0 : 1;
@@ -103,14 +106,7 @@ evaluateNonIdealAccuracy(nn::SequenceModel& model, const NonIdealSetup& setup,
     // One shard of runs per worker. A single shard runs serially on the
     // caller, and then each run's read loop slices its reads across the
     // workers instead.
-    std::vector<nn::SequenceModel> replicas;
-    basecall::forEachShard(model, runs, replicas,
-                           [&](nn::SequenceModel& m, std::size_t begin,
-                               std::size_t end) {
-                               for (std::size_t r = begin; r < end; ++r)
-                                   run_one(m, r);
-                           });
-    model.setBackend(nullptr);
+    globalPool().parallelFor(runs, run_one);
 
     // Fold complete runs only, in run order — an interrupted sweep reports
     // what finished and flags itself; resuming it completes the remaining

@@ -84,12 +84,12 @@ struct NonIdealSetup
  * for any batch size and worker count. The scenario implies the backend
  * family: "measured" when it uses the library, else "analytical".
  *
- * @param model deployed (quantized) model; restored to the ideal backend
- *              before returning
+ * @param model deployed (quantized) model; each run installs its backend
+ *              on its own copy, so `model` is never modified
  * @param setup scenario (+ optional SRAM remap) to program
  * @param req   everything else — see core::EvalOptions
  */
-AccuracySummary evaluateNonIdealAccuracy(nn::SequenceModel& model,
+AccuracySummary evaluateNonIdealAccuracy(const nn::SequenceModel& model,
                                          const NonIdealSetup& setup,
                                          const EvalRequest& req);
 

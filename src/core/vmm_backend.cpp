@@ -48,15 +48,12 @@ thread_local TlsMatmulScratch tls_scratch;
 /**
  * Per-(thread, backend) batched-pass state: one conversion stream per lane
  * of the open batch, each seeded the way beginRead() seeds a serial read.
- * activeLane routes serial matmul() calls (the generic per-lane layer
- * fallback) to the right lane stream.
  */
 struct TlsBatchState
 {
     std::uint64_t owner = 0; ///< backend instanceId_ the streams belong to
     std::vector<Rng> laneRngs;
     std::vector<std::uint64_t> laneStreams; ///< stream ids (fault keys)
-    std::size_t activeLane = kNoLane;
     std::vector<Rng*> rngPtrs; ///< per-span stream table scratch
 };
 thread_local TlsBatchState tls_batch;
@@ -124,21 +121,6 @@ tileFaultKey(const std::string& name, std::size_t rt, std::size_t ct)
     return hashSeed({std::hash<std::string>{}(name), rt, ct});
 }
 
-/**
- * The read-stream id serial matmul calls on this thread execute under: the
- * selected batch lane's stream inside an open batch, the beginRead() stream
- * otherwise, and 0 for threads that never announced a read (mirroring
- * conversionRng()'s fallback).
- */
-std::uint64_t
-currentStreamKey(std::uint64_t instance_id)
-{
-    if (tls_batch.owner == instance_id && tls_batch.activeLane != kNoLane
-        && tls_batch.activeLane < tls_batch.laneStreams.size())
-        return tls_batch.laneStreams[tls_batch.activeLane];
-    return tls_stream.owner == instance_id ? tls_stream.streamKey : 0;
-}
-
 /** The VMM hot-path metric handles. */
 struct VmmCounters
 {
@@ -194,11 +176,6 @@ CrossbarVmmBackend::beginRead(std::uint64_t read_stream)
 Rng&
 CrossbarVmmBackend::conversionRng() const
 {
-    // Inside an open batch with a lane selected, serial calls draw from
-    // that lane's stream (the generic per-lane forwardBatch fallback).
-    if (tls_batch.owner == instanceId_ && tls_batch.activeLane != kNoLane
-        && tls_batch.activeLane < tls_batch.laneRngs.size())
-        return tls_batch.laneRngs[tls_batch.activeLane];
     // Threads that never saw beginRead() (direct matmul callers) run on
     // the read-0 stream.
     if (tls_stream.owner != instanceId_) {
@@ -218,7 +195,6 @@ CrossbarVmmBackend::beginBatch(const std::vector<std::uint64_t>& streams)
         tls_batch.laneRngs[i].reseed(
             hashSeed({runSeed_, streams[i], kConversionTag}));
     tls_batch.laneStreams = streams;
-    tls_batch.activeLane = kNoLane;
 }
 
 void
@@ -227,13 +203,6 @@ CrossbarVmmBackend::endBatch()
     tls_batch.owner = 0;
     tls_batch.laneRngs.clear();
     tls_batch.laneStreams.clear();
-    tls_batch.activeLane = kNoLane;
-}
-
-void
-CrossbarVmmBackend::selectBatchLane(std::size_t lane)
-{
-    tls_batch.activeLane = lane;
 }
 
 void
@@ -535,8 +504,7 @@ CrossbarVmmBackend::matmul(const std::string& name, const Matrix& w,
     BatchLayout& one_lane = tls_scratch.oneLane;
     one_lane.assign(1, {0, x.rows()});
     Rng* const rng = &conversionRng();
-    const std::uint64_t key = currentStreamKey(instanceId_);
-    execute(name, w, x, y, one_lane, &rng, &key);
+    execute(name, w, x, y, one_lane, &rng, &tls_stream.streamKey);
 }
 
 void

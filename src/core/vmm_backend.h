@@ -208,9 +208,6 @@ class CrossbarVmmBackend : public nn::VmmBackend
 
     void endBatch() override;
 
-    /** Route serial matmul()/onActivations() calls to one lane's stream. */
-    void selectBatchLane(std::size_t lane) override;
-
     /**
      * Batched tiled VMM: executes the stacked operand as one multi-column
      * pass per tile — one trace span, one conversion pass, and one

@@ -66,25 +66,6 @@ struct SequenceBatch
         return l;
     }
 
-    /** Replace the payload with per-lane matrices (lane count unchanged). */
-    void
-    assignLanes(const std::vector<Matrix>& lanes)
-    {
-        offsets.assign(1, 0);
-        std::size_t cols = lanes.empty() ? 0 : lanes.front().cols();
-        for (const Matrix& m : lanes) {
-            if (m.cols() != cols)
-                panic("SequenceBatch: lane width mismatch (", m.cols(),
-                      " vs ", cols, ")");
-            offsets.push_back(offsets.back() + m.rows());
-        }
-        data.resize(offsets.back(), cols);
-        for (std::size_t i = 0; i < lanes.size(); ++i) {
-            float* dst = data.raw().data() + offsets[i] * cols;
-            std::copy(lanes[i].raw().begin(), lanes[i].raw().end(), dst);
-        }
-    }
-
     /** Build a batch by stacking per-lane matrices. */
     static SequenceBatch
     fromLanes(const std::vector<Matrix>& lanes,
@@ -92,7 +73,19 @@ struct SequenceBatch
     {
         SequenceBatch batch;
         batch.streams = std::move(lane_streams);
-        batch.assignLanes(lanes);
+        batch.offsets.assign(1, 0);
+        const std::size_t cols = lanes.empty() ? 0 : lanes.front().cols();
+        for (const Matrix& m : lanes) {
+            if (m.cols() != cols)
+                panic("SequenceBatch: lane width mismatch (", m.cols(),
+                      " vs ", cols, ")");
+            batch.offsets.push_back(batch.offsets.back() + m.rows());
+        }
+        batch.data.resize(batch.offsets.back(), cols);
+        for (std::size_t i = 0; i < lanes.size(); ++i) {
+            float* dst = batch.data.raw().data() + batch.offsets[i] * cols;
+            std::copy(lanes[i].raw().begin(), lanes[i].raw().end(), dst);
+        }
         return batch;
     }
 };

@@ -70,7 +70,8 @@ class SequenceModel
      * Batched forward pass over a group of stacked lanes (inference only).
      * Opens one noise stream per lane on the backend, runs every layer's
      * batched path, and closes the streams; per-lane outputs are
-     * bitwise-identical to beginRead(stream) + forward(lane) per lane.
+     * bitwise-identical to beginRead(stream) + forward(lane) per lane. No
+     * layer state is written, so threads may run it on one model at once.
      */
     void
     forwardBatch(SequenceBatch& batch)

@@ -7,14 +7,16 @@
  *
  * Design notes
  * ------------
- * Sequences are time-major float matrices [T x channels]; there is no batch
- * dimension — the basecaller trains chunk-by-chunk with gradient
+ * Sequences are time-major float matrices [T x channels]; training has no
+ * batch dimension — the basecaller trains chunk-by-chunk with gradient
  * accumulation, which is the right tradeoff on a small-core machine and
  * mirrors how the accelerator streams chunks (paper Section 3.2: "the input
- * streams into the first layer").
+ * streams into the first layer"). Inference stacks reads as the lanes of a
+ * SequenceBatch (nn/batch.h) and runs Module::forwardBatch.
  *
  * Every weight matrix that is large enough to be mapped onto crossbars is
- * applied through VmmBackend::matmul(name, W, X, Y) computing Y = X * W^T.
+ * applied through VmmBackend::matmul(name, W, X, Y) computing Y = X * W^T
+ * (matmulBatched for stacked lanes).
  * The default backend is an exact GEMM; the Swordfish core installs a
  * backend that routes each named matrix through programmed crossbar tiles
  * with DAC/ADC transfer functions (paper Fig. 4/5).
@@ -80,13 +82,14 @@ class VmmBackend
     virtual void onActivations(Matrix&) {}
 
     /**
-     * Per-read noise-stream hook: the evaluation loops call this on the
-     * processing thread before each read's forward pass with a stable
-     * stream id (the read index). Backends that consume randomness at
-     * inference time (per-conversion ADC noise) derive that read's noise
+     * Per-read noise-stream hook of the serial forward pass: a caller
+     * announces a stable stream id (the read index) on the processing
+     * thread before the read's forward(). Backends that consume randomness
+     * at inference time (per-conversion ADC noise) derive that read's noise
      * stream from it, making results independent of which thread runs
-     * which read — the determinism contract of the parallel evaluator.
-     * Default: stateless backends ignore it.
+     * which read — the determinism contract of the parallel evaluator. The
+     * evaluation loops open lane streams with beginBatch() instead; this is
+     * the serial reference's hook. Default: stateless backends ignore it.
      */
     virtual void beginRead(std::uint64_t /*read_stream*/) {}
 
@@ -102,10 +105,10 @@ class VmmBackend
     virtual void endBatch() {}
 
     /**
-     * Route subsequent *serial* matmul()/onActivations() calls to the given
-     * lane's noise stream (kNoLane deselects). Used by the generic per-lane
-     * forwardBatch() fallback so layers without a native batched path still
-     * draw from the right stream.
+     * A no-op that nothing in the library calls: every layer has a native
+     * batched path, so no serial call runs inside a batch and no lane is
+     * selected. It stays only because the benchmark's timing decorator
+     * (benchmark/tracing.cpp) overrides it.
      */
     virtual void selectBatchLane(std::size_t /*lane*/) {}
 
@@ -167,19 +170,13 @@ class VmmBackend
 
     /**
      * onActivations() restricted to rows [row_begin, row_end) of a stacked
-     * operand — one lane's slice. Default: copy out, apply, copy back.
+     * operand — one lane's slice. A backend that overrides onActivations()
+     * overrides this too. Default: leave exact.
      */
     virtual void
-    onActivationsRows(Matrix& m, std::size_t row_begin, std::size_t row_end)
-    {
-        if (row_begin >= row_end)
-            return;
-        Matrix slice(row_end - row_begin, m.cols());
-        float* base = m.raw().data() + row_begin * m.cols();
-        std::copy(base, base + slice.size(), slice.raw().begin());
-        onActivations(slice);
-        std::copy(slice.raw().begin(), slice.raw().end(), base);
-    }
+    onActivationsRows(Matrix& /*m*/, std::size_t /*row_begin*/,
+                      std::size_t /*row_end*/)
+    {}
 };
 
 /** Exact float GEMM backend (the digital / training path). */
@@ -217,24 +214,12 @@ class Module
     virtual Matrix backward(const Matrix& dy) = 0;
 
     /**
-     * Batched forward pass over a group of stacked lanes (inference only —
-     * no backward caches are maintained). The generic fallback runs each
-     * lane through forward() with the backend pointed at that lane's noise
-     * stream; layers whose work amortizes across lanes override this with
-     * a native stacked implementation. Either way the per-lane results are
-     * bitwise-identical to serial forward() calls.
+     * Batched forward pass over a group of stacked lanes (inference only).
+     * It writes no layer state (no backward cache), so several threads may
+     * run it on one model at once; each lane's result is bitwise-identical
+     * to forward() on that lane after beginRead(its stream).
      */
-    virtual void
-    forwardBatch(SequenceBatch& batch)
-    {
-        std::vector<Matrix> outs(batch.laneCount());
-        for (std::size_t lane = 0; lane < batch.laneCount(); ++lane) {
-            backend().selectBatchLane(lane);
-            outs[lane] = forward(batch.laneMatrix(lane));
-        }
-        backend().selectBatchLane(kNoLane);
-        batch.assignLanes(outs);
-    }
+    virtual void forwardBatch(SequenceBatch& batch) = 0;
 
     /** All trainable parameters of this layer (may be empty). */
     virtual std::vector<Parameter*> parameters() { return {}; }

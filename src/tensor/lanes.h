@@ -18,9 +18,6 @@
 
 namespace swordfish {
 
-/** Sentinel lane index: "no lane selected". */
-inline constexpr std::size_t kNoLane = static_cast<std::size_t>(-1);
-
 /** One contiguous row range of a stacked operand, owned by one lane. */
 struct LaneSpan
 {

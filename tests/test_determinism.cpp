@@ -109,7 +109,7 @@ evalWithThreads(std::size_t threads, NonIdealityKind kind)
  * With two runs and two or more threads every run lands on a pool worker
  * and basecalls its reads there in groups of `batch`; one run stays on the
  * calling thread, which slices the 5 reads across the workers first (at 4
- * threads 2/1/1/1, the 1-read slices taking the serial path).
+ * threads 2/1/1/1, the 1-read slices running as one-lane groups).
  */
 AccuracySummary
 evalBatched(std::size_t threads, std::size_t batch, NonIdealityKind kind,
@@ -199,12 +199,6 @@ class LaneWidthRecorder : public nn::VmmBackend
     }
 
     void endBatch() override { inner_.endBatch(); }
-
-    void
-    selectBatchLane(std::size_t lane) override
-    {
-        inner_.selectBatchLane(lane);
-    }
 
     void
     prepareWeight(const std::string& name, const Matrix& w) override
@@ -433,7 +427,7 @@ TEST(Determinism, BatchedBasecallsIdenticalToSerial)
 {
     // Per-call check under a non-ideal backend: basecallBatch must emit
     // the exact base sequences the serial beginRead + basecallRead loop
-    // produces, for both a full group and a ragged split.
+    // produces, for a full group, a ragged split and one-read groups.
     Fixture& f = Fixture::get();
     setGlobalPoolThreads(0);
     NonIdealityConfig scenario;
@@ -465,6 +459,12 @@ TEST(Determinism, BatchedBasecallsIdenticalToSerial)
         EXPECT_EQ(head[i], serial[i]) << "read " << i;
     for (std::size_t i = 0; i < 2; ++i)
         EXPECT_EQ(tail[i], serial[3 + i]) << "read " << (3 + i);
+
+    for (std::size_t i = 0; i < 5; ++i) {
+        const auto lone = basecall::basecallBatch(f.model, f.dataset5, {i});
+        ASSERT_EQ(lone.size(), 1u);
+        EXPECT_EQ(lone[0], serial[i]) << "read " << i << " alone";
+    }
 
     f.model.setBackend(nullptr);
 }

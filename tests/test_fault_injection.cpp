@@ -411,6 +411,100 @@ TEST(FaultDegradation, RetriesExhaustedBecomesVmmFault)
     EXPECT_EQ(res.readsEvaluated, 0u);
 }
 
+TEST(FaultDegradation, RetriedReadsMatchTheSerialCallOnTheirRetryStream)
+{
+    // The read loop runs every read through the batched forward pass: an
+    // Ok read in its lane group on its own index, a retried read as a
+    // one-lane group on the stream of its succeeding attempt k. On a noisy
+    // crossbar each call must equal the serial reference, beginRead(stream)
+    // + basecallRead, on exactly that stream, at any batch and thread
+    // count. Seed 3 gives reads 0 and 2 Ok, 1 and 5 retried on attempt 1,
+    // 4 on attempt 2 and 3 out of retries.
+    Fixture& f = Fixture::get();
+    const std::size_t n = f.dataset.reads.size();
+    const FaultConfig faults =
+        configWith(3, {{FaultSite::WorkerTask, 0.4}}, 2);
+    const FaultInjector inj(faults);
+
+    // The stream each surviving read must be basecalled on.
+    std::vector<std::optional<std::uint64_t>> stream(n);
+    std::size_t retried = 0;
+    std::size_t second_attempts = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (!inj.fires(FaultSite::WorkerTask, i)) {
+            stream[i] = i;
+            continue;
+        }
+        for (std::size_t k = 1; k <= inj.maxRetries(); ++k) {
+            const std::uint64_t retry = FaultInjector::retryStream(i, k);
+            if (!inj.fires(FaultSite::WorkerTask, retry)) {
+                stream[i] = retry;
+                ++retried;
+                second_attempts += k == 2 ? 1 : 0;
+                break;
+            }
+        }
+    }
+    ASSERT_EQ(expectedOutcome(inj, 0), ReadOutcome::Ok);
+    ASSERT_GT(second_attempts, 0u);
+
+    core::NonIdealityConfig scenario;
+    scenario.kind = core::NonIdealityKind::Combined;
+    scenario.crossbar.size = 64;
+    core::CrossbarVmmBackend backend(scenario, 13, faults);
+    f.model.setBackend(&backend);
+    f.model.compileBackend();
+
+    std::vector<genomics::Sequence> reference(n);
+    std::size_t own_stream_differs = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (!stream[i])
+            continue;
+        f.model.beginRead(*stream[i]);
+        reference[i] = basecallRead(f.model, f.dataset.reads[i]);
+        if (*stream[i] != i) {
+            f.model.beginRead(i);
+            if (basecallRead(f.model, f.dataset.reads[i]) != reference[i])
+                ++own_stream_differs;
+        }
+    }
+    // The check has power only if a retried read's own stream would give
+    // another call.
+    ASSERT_GT(own_stream_differs, 0u);
+
+    for (const std::size_t threads : {std::size_t{0}, std::size_t{2}}) {
+        for (const std::size_t batch : {std::size_t{1}, std::size_t{4}}) {
+            SCOPED_TRACE("threads=" + std::to_string(threads)
+                         + " batch=" + std::to_string(batch));
+            const EvalRequest req = EvalOptions(f.dataset)
+                                        .maxReads(n)
+                                        .batch(batch)
+                                        .threads(threads)
+                                        .faults(faults);
+            prepareReads(f.model, req, "retry test");
+            std::vector<genomics::Sequence> calls(n);
+            std::vector<std::uint8_t> scored(n, 0);
+            const AccuracyResult res = basecallReads(
+                f.model, req,
+                [&](std::size_t i, genomics::Sequence& call) {
+                    calls[i] = call;
+                    scored[i] = 1;
+                    return 0.0;
+                });
+            EXPECT_EQ(res.degraded.retriedReads, retried);
+            for (std::size_t i = 0; i < n; ++i) {
+                EXPECT_EQ(scored[i] != 0, stream[i].has_value())
+                    << "read " << i;
+                if (stream[i]) {
+                    EXPECT_EQ(calls[i], reference[i]) << "read " << i;
+                }
+            }
+        }
+    }
+    f.model.setBackend(nullptr);
+    setGlobalPoolThreads(0);
+}
+
 TEST(FaultDegradation, PipelineSkipsFaultedReadsInLaterStages)
 {
     // Stage 1 is the evaluation read loop, so the report must not move a
