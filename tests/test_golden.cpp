@@ -3,7 +3,10 @@
  *  diffs the numbers against tests/golden/eval_golden.json. Any
  *  unintentional change to the numerics (noise streams, batching,
  *  reductions, fault schedule, tile programming and healing) shows up as
- *  a diff here even when the determinism invariants still hold.
+ *  a diff here even when the determinism invariants still hold. The
+ *  crossbar legs set their noise spec and refresh policy and every leg
+ *  its fault campaign, so SWORDFISH_NOISE, SWORDFISH_REFRESH and
+ *  SWORDFISH_FAULTS cannot move the snapshot.
  *
  *  Regenerate intentionally with:
  *      test_golden --golden <path> --update-golden
@@ -195,9 +198,10 @@ computeSnapshot()
 
     Snapshot snap;
 
-    // Ideal digital execution.
-    const AccuracyResult ideal =
-        evaluateAccuracy(model, EvalOptions(dataset).maxReads(4));
+    // Ideal digital execution. This leg and the non-ideal one set an
+    // empty fault campaign, so SWORDFISH_FAULTS cannot move them.
+    const AccuracyResult ideal = evaluateAccuracy(
+        model, EvalOptions(dataset).maxReads(4).faults(FaultConfig{}));
     snap["ideal.mean_identity"] = ideal.meanIdentity;
     snap["ideal.min_identity"] = ideal.minIdentity;
     snap["ideal.reads"] = static_cast<double>(ideal.readsEvaluated);
@@ -208,14 +212,17 @@ computeSnapshot()
     // through the composable-noise layer: it must reproduce the
     // pre-NoiseModel numbers bitwise, and (explicit spec > process
     // override) it makes the snapshot immune to a SWORDFISH_NOISE value
-    // set in the environment, e.g. by a CI matrix leg.
+    // set in the environment, e.g. by a CI matrix leg. The all-off
+    // refresh policy does the same for SWORDFISH_REFRESH.
     core::NonIdealityConfig scenario;
     scenario.kind = core::NonIdealityKind::Combined;
     scenario.crossbar.size = 64;
     scenario.noise = "preset=combined";
+    scenario.refresh = core::RefreshConfig{};
     const core::AccuracySummary nonideal = core::evaluateNonIdealAccuracy(
         model, {scenario},
-        core::EvalOptions(dataset).runs(2).maxReads(4).seedBase(7));
+        core::EvalOptions(dataset).runs(2).maxReads(4).seedBase(7).faults(
+            FaultConfig{}));
     snap["nonideal.mean"] = nonideal.mean;
     snap["nonideal.stddev"] = nonideal.stddev;
     snap["nonideal.min"] = nonideal.min;
