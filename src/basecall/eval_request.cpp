@@ -177,6 +177,12 @@ EvalRequest::fromJson(const std::string& text, EvalRequest& out)
     JsonValue doc;
     if (const JsonError err = JsonValue::parse(text, doc))
         return {JobErrorKind::BadJson, "", err.message};
+    return fromJsonValue(doc, out);
+}
+
+JobError
+EvalRequest::fromJsonValue(const JsonValue& doc, EvalRequest& out)
+{
     if (!doc.isObject())
         return {JobErrorKind::BadJson, "",
                 "request document must be a JSON object"};

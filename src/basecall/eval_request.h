@@ -24,6 +24,10 @@
 #include "util/env.h"
 #include "util/fault.h"
 
+namespace swordfish {
+class JsonValue;
+}
+
 namespace swordfish::genomics {
 struct Dataset;
 }
@@ -313,6 +317,9 @@ struct EvalRequest
      * errors, and `out` is left untouched on failure.
      */
     static JobError fromJson(const std::string& text, EvalRequest& out);
+
+    /** fromJson() on an already-parsed document (a JobSpec's request). */
+    static JobError fromJsonValue(const JsonValue& doc, EvalRequest& out);
 };
 
 /**

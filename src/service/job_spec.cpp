@@ -364,9 +364,8 @@ JobSpec::fromJsonValue(const JsonValue& doc, JobSpec& out)
         } else if (key == "request") {
             if (!value.isObject())
                 return badField(key);
-            if (JobError err =
-                    basecall::EvalRequest::fromJson(value.dump(),
-                                                    spec.request)) {
+            if (JobError err = basecall::EvalRequest::fromJsonValue(
+                    value, spec.request)) {
                 err.field = err.field.empty()
                     ? "request" : "request." + err.field;
                 return err;
