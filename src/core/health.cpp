@@ -60,6 +60,57 @@ columnError(const Matrix& got, const Matrix& want, double floor_scale)
     return worst;
 }
 
+/** The full-tile floor of a tile's probe errors (see columnError()):
+ *  ~the response of a healthy tile at absMax. */
+double
+floorScale(const MappedWeight& mw, const TileHealth& ts)
+{
+    return 0.2 * static_cast<double>(mw.absMax)
+        * std::sqrt(static_cast<double>(ts.truth.weights.cols()));
+}
+
+/** Capture reference + checksumRef + progError from the live tile. */
+void
+captureReference(MappedWeight& mw, std::size_t idx)
+{
+    TileHealth& ts = mw.health.tiles[idx];
+    const Matrix& eff = mw.tiles[idx].effectiveWeights();
+    gemmBT(ts.probe, eff, ts.reference);
+    ts.checksumRef.assign(eff.rows(), 0.0f);
+    for (std::size_t o = 0; o < eff.rows(); ++o) {
+        double sum = 0.0;
+        for (std::size_t i = 0; i < eff.cols(); ++i)
+            sum += eff(o, i);
+        ts.checksumRef[o] = static_cast<float>(sum);
+    }
+    ts.progError =
+        columnError(ts.reference, ts.truthRef, floorScale(mw, ts));
+}
+
+/** Checksum-column estimate: worst per-output weight-sum deviation. */
+double
+checksumError(const MappedWeight& mw, std::size_t idx)
+{
+    const TileHealth& ts = mw.health.tiles[idx];
+    const Matrix& eff = mw.tiles[idx].effectiveWeights();
+    if (ts.checksumRef.size() != eff.rows())
+        return 0.0;
+    float max_ref = 0.0f;
+    for (const float v : ts.checksumRef)
+        max_ref = std::max(max_ref, std::fabs(v));
+    const double floor_scale = floorScale(mw, ts);
+    double worst = 0.0;
+    for (std::size_t o = 0; o < eff.rows(); ++o) {
+        double sum = 0.0;
+        for (std::size_t i = 0; i < eff.cols(); ++i)
+            sum += eff(o, i);
+        worst = std::max(worst,
+                         std::fabs(sum - ts.checksumRef[o])
+                             / (max_ref + floor_scale + 1e-12));
+    }
+    return worst;
+}
+
 } // namespace
 
 std::size_t
@@ -183,54 +234,14 @@ TileHealthMonitor::TileHealthMonitor(CrossbarVmmBackend& backend,
 {
 }
 
-crossbar::CrossbarTile&
-TileHealthMonitor::liveTile(const std::string& name, std::size_t idx) const
-{
-    auto it = backend_.weights_.find(name);
-    if (it == backend_.weights_.end())
-        panic("TileHealthMonitor: weight ", name, " vanished");
-    return it->second.tiles[idx];
-}
-
 void
-TileHealthMonitor::captureReference(const std::string& name,
-                                    WeightState& ws, std::size_t idx)
+TileHealthMonitor::registerWeight(const std::string& name, MappedWeight& mw)
 {
-    TileState& ts = ws.tiles[idx];
-    const Matrix& eff = liveTile(name, idx).effectiveWeights();
-    gemmBT(ts.probe, eff, ts.reference);
-    ts.checksumRef.assign(eff.rows(), 0.0f);
-    for (std::size_t o = 0; o < eff.rows(); ++o) {
-        double sum = 0.0;
-        for (std::size_t i = 0; i < eff.cols(); ++i)
-            sum += eff(o, i);
-        ts.checksumRef[o] = static_cast<float>(sum);
-    }
-    const double floor_scale = 0.2
-        * static_cast<double>(backend_.weights_.find(name)->second.absMax)
-        * std::sqrt(static_cast<double>(ts.truth.weights.cols()));
-    ts.progError = columnError(ts.reference, ts.truthRef, floor_scale);
-}
-
-void
-TileHealthMonitor::registerWeight(const std::string& name,
-                                  std::vector<TileTruth> truths)
-{
-    auto it = backend_.weights_.find(name);
-    if (it == backend_.weights_.end())
-        panic("TileHealthMonitor::registerWeight: ", name,
-              " not programmed");
-    WeightState ws;
-    ws.sparesLeft = config_.spares;
-    const std::size_t n = it->second.tiles.size();
-    if (truths.size() != n)
-        panic("TileHealthMonitor::registerWeight: ", name, " has ", n,
-              " tiles but ", truths.size(), " truth blocks");
-    ws.tiles.resize(n);
+    WeightHealth& wh = mw.health;
+    wh.sparesLeft = config_.spares;
     const std::uint64_t name_hash = std::hash<std::string>{}(name);
-    for (std::size_t idx = 0; idx < n; ++idx) {
-        TileState& ts = ws.tiles[idx];
-        ts.truth = std::move(truths[idx]);
+    for (std::size_t idx = 0; idx < wh.tiles.size(); ++idx) {
+        TileHealth& ts = wh.tiles[idx];
         // The probe matrix is keyed by tile position only (not the run
         // seed): probing strategy is part of the maintenance procedure,
         // not of the sampled hardware instance.
@@ -240,26 +251,25 @@ TileHealthMonitor::registerWeight(const std::string& name,
             v = static_cast<float>(pr.uniform(-1.0, 1.0));
         gemmBT(ts.probe, ts.truth.weights, ts.truthRef);
     }
-    WeightState& slot = states_[name] = std::move(ws);
-    for (std::size_t idx = 0; idx < n; ++idx)
-        captureReference(name, slot, idx);
+    for (std::size_t idx = 0; idx < wh.tiles.size(); ++idx)
+        captureReference(mw, idx);
 }
 
 void
-TileHealthMonitor::ageTile(const std::string& name, std::size_t idx,
-                           std::uint64_t e)
+TileHealthMonitor::ageTile(const std::string& name, MappedWeight& mw,
+                           std::size_t idx, std::uint64_t e)
 {
     const double hours = config_.epochHours();
     if (hours <= 0.0)
         return;
     const std::uint64_t name_hash = std::hash<std::string>{}(name);
     Rng rng(hashSeed({backend_.runSeed_, name_hash, idx, e, kAgeTag}));
-    liveTile(name, idx).applyDrift(hours, config_.drift, rng);
+    mw.tiles[idx].applyDrift(hours, config_.drift, rng);
 }
 
 void
-TileHealthMonitor::ageReplicas(const std::string& name, std::size_t idx,
-                               std::uint64_t e)
+TileHealthMonitor::ageReplicas(const std::string& name, MappedWeight& mw,
+                               std::size_t idx, std::uint64_t e)
 {
     const double hours = config_.epochHours();
     if (hours <= 0.0)
@@ -268,7 +278,7 @@ TileHealthMonitor::ageReplicas(const std::string& name, std::size_t idx,
     // keyed by its index, so whether another tile's replicas age this
     // epoch never moves a draw.
     const std::uint64_t name_hash = std::hash<std::string>{}(name);
-    auto& reps = backend_.weights_.find(name)->second.extras[idx];
+    auto& reps = mw.extras[idx];
     for (std::size_t j = 0; j < reps.size(); ++j) {
         Rng rep_rng(hashSeed({backend_.runSeed_, name_hash, idx, e,
                               kAgeTag, kEnsembleTag, j + 1}));
@@ -278,11 +288,11 @@ TileHealthMonitor::ageReplicas(const std::string& name, std::size_t idx,
 
 double
 TileHealthMonitor::driftError(const std::string& name,
-                              const WeightState& ws, std::size_t idx) const
+                              const MappedWeight& mw, std::size_t idx) const
 {
-    const TileState& ts = ws.tiles[idx];
+    const TileHealth& ts = mw.health.tiles[idx];
     Matrix cur;
-    gemmBT(ts.probe, liveTile(name, idx).effectiveWeights(), cur);
+    gemmBT(ts.probe, mw.tiles[idx].effectiveWeights(), cur);
     // Persistently-stuck output column (a defective sense amp on this
     // physical array): keyed per hardware generation, so only failover —
     // not re-programming — can clear it.
@@ -297,41 +307,11 @@ TileHealthMonitor::driftError(const std::string& name,
                 cur(r, col) = 0.0f;
         }
     }
-    const double floor_scale = 0.2
-        * static_cast<double>(backend_.weights_.find(name)->second.absMax)
-        * std::sqrt(static_cast<double>(ts.truth.weights.cols()));
-    return columnError(cur, ts.reference, floor_scale);
-}
-
-double
-TileHealthMonitor::checksumError(const std::string& name,
-                                 const WeightState& ws,
-                                 std::size_t idx) const
-{
-    const TileState& ts = ws.tiles[idx];
-    const Matrix& eff = liveTile(name, idx).effectiveWeights();
-    if (ts.checksumRef.size() != eff.rows())
-        return 0.0;
-    float max_ref = 0.0f;
-    for (const float v : ts.checksumRef)
-        max_ref = std::max(max_ref, std::fabs(v));
-    const double floor_scale = 0.2
-        * static_cast<double>(backend_.weights_.find(name)->second.absMax)
-        * std::sqrt(static_cast<double>(ts.truth.weights.cols()));
-    double worst = 0.0;
-    for (std::size_t o = 0; o < eff.rows(); ++o) {
-        double sum = 0.0;
-        for (std::size_t i = 0; i < eff.cols(); ++i)
-            sum += eff(o, i);
-        worst = std::max(worst,
-                         std::fabs(sum - ts.checksumRef[o])
-                             / (max_ref + floor_scale + 1e-12));
-    }
-    return worst;
+    return columnError(cur, ts.reference, floorScale(mw, ts));
 }
 
 bool
-TileHealthMonitor::attemptRefresh(const std::string& name, WeightState& ws,
+TileHealthMonitor::attemptRefresh(const std::string& name, MappedWeight& mw,
                                   std::size_t idx, std::uint64_t e)
 {
     static const Counter kAttempts =
@@ -339,8 +319,7 @@ TileHealthMonitor::attemptRefresh(const std::string& name, WeightState& ws,
     kAttempts.add();
     ++stats_.refreshAttempts;
 
-    TileState& ts = ws.tiles[idx];
-    auto& mw = backend_.weights_.find(name)->second;
+    TileHealth& ts = mw.health.tiles[idx];
     const std::uint64_t name_hash = std::hash<std::string>{}(name);
 
     // The rebuild starts from the probe truth and its mapping, not the
@@ -375,19 +354,19 @@ TileHealthMonitor::attemptRefresh(const std::string& name, WeightState& ws,
     mw.tiles[idx] = std::move(fresh);
     mw.extras[idx] = backend_.programReplicas(*target, mw.absMax, seed, mask,
                                               mw.extras[idx].size());
-    captureReference(name, ws, idx);
+    captureReference(mw, idx);
 
     // Post-refresh verify probe: threshold-less (interval-only) configs
     // accept any re-programming result.
     const double verify_threshold = config_.thresholdError > 0.0
         ? config_.thresholdError
         : std::numeric_limits<double>::infinity();
-    const double err = std::max(ts.progError, driftError(name, ws, idx));
+    const double err = std::max(ts.progError, driftError(name, mw, idx));
     return err <= verify_threshold;
 }
 
 void
-TileHealthMonitor::advanceWeight(const std::string& name, WeightState& ws,
+TileHealthMonitor::advanceWeight(const std::string& name, MappedWeight& mw,
                                  std::uint64_t e)
 {
     static const Counter kProbes = metrics().counter("health.probe.count");
@@ -402,14 +381,15 @@ TileHealthMonitor::advanceWeight(const std::string& name, WeightState& ws,
     static const Counter kDead = metrics().counter("health.tile.died");
 
     const double sim_h = static_cast<double>(e) * config_.epochHours();
-    const std::size_t n = ws.tiles.size();
+    WeightHealth& wh = mw.health;
+    const std::size_t n = wh.tiles.size();
     for (std::size_t idx = 0; idx < n; ++idx)
-        ageTile(name, idx, e);
+        ageTile(name, mw, idx, e);
 
     for (std::size_t idx = 0; idx < n; ++idx) {
-        TileState& ts = ws.tiles[idx];
+        TileHealth& ts = wh.tiles[idx];
         if (ts.dead) {
-            ageReplicas(name, idx, e);
+            ageReplicas(name, mw, idx, e);
             continue;
         }
         kProbes.add();
@@ -417,8 +397,8 @@ TileHealthMonitor::advanceWeight(const std::string& name, WeightState& ws,
         // Full probe plus the cheap checksum estimator: either crossing
         // the threshold flags the tile.
         const double err = std::max({ts.progError,
-                                     driftError(name, ws, idx),
-                                     checksumError(name, ws, idx)});
+                                     driftError(name, mw, idx),
+                                     checksumError(mw, idx)});
         stats_.worstError = std::max(stats_.worstError, err);
         const bool unhealthy = config_.thresholdError > 0.0
             && err > config_.thresholdError;
@@ -430,11 +410,11 @@ TileHealthMonitor::advanceWeight(const std::string& name, WeightState& ws,
         }
         if (!(unhealthy || due) || e < ts.nextAttemptEpoch) {
             // No refresh replaces the replicas this epoch.
-            ageReplicas(name, idx, e);
+            ageReplicas(name, mw, idx, e);
             continue;
         }
 
-        if (attemptRefresh(name, ws, idx, e)) {
+        if (attemptRefresh(name, mw, idx, e)) {
             kSuccess.add();
             ++stats_.refreshSuccesses;
             ts.attempts = 0;
@@ -452,18 +432,18 @@ TileHealthMonitor::advanceWeight(const std::string& name, WeightState& ws,
             continue;
         }
         // Retries exhausted on this physical array: fail over to a spare.
-        if (ws.sparesLeft == 0) {
+        if (wh.sparesLeft == 0) {
             ts.dead = true;
             ++deadTiles_;
             kDead.add();
             continue;
         }
-        --ws.sparesLeft;
+        --wh.sparesLeft;
         ++ts.generation;
         ts.attempts = 0;
         kFailover.add();
         ++stats_.failovers;
-        if (attemptRefresh(name, ws, idx, e)) {
+        if (attemptRefresh(name, mw, idx, e)) {
             kSuccess.add();
             ++stats_.refreshSuccesses;
             ts.lastRefreshHours = sim_h;
@@ -486,13 +466,12 @@ TileHealthMonitor::advanceEpoch()
         metrics().gauge("health.spares.left");
 
     ++epoch_;
-    simHours_ = static_cast<double>(epoch_) * config_.epochHours();
     ++stats_.epochs;
     stats_.worstError = 0.0;
     std::size_t spares_left = 0;
-    for (auto& [name, ws] : states_) {
-        advanceWeight(name, ws, epoch_);
-        spares_left += ws.sparesLeft;
+    for (auto& [name, mw] : backend_.weights_) {
+        advanceWeight(name, mw, epoch_);
+        spares_left += mw.health.sparesLeft;
     }
     stats_.deadTiles = deadTiles_;
     kErrGauge.set(stats_.worstError);

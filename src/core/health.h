@@ -53,7 +53,6 @@
 #define SWORDFISH_CORE_HEALTH_H
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -63,6 +62,7 @@
 namespace swordfish::core {
 
 class CrossbarVmmBackend;
+struct MappedWeight;
 
 /**
  * The refresh / self-healing policy. All fields default to "off"; the
@@ -157,6 +157,29 @@ struct TileTruth
     crossbar::ConductancePair mapped;
 };
 
+/** Probe-side healing state of one tile. */
+struct TileHealth
+{
+    TileTruth truth;   ///< pre-fault sub-weights and conductances
+    Matrix probe;      ///< fixed probe matrix P [kProbeRows x in]
+    Matrix truthRef;   ///< P * truth^T: the ideal probe response
+    Matrix reference;  ///< P * eff^T captured at last (re)program
+    std::vector<float> checksumRef; ///< per-output column sums of eff
+    double progError = 0.0;     ///< reference-vs-truth probe error
+    std::size_t attempts = 0;   ///< failed refreshes since last success
+    std::uint64_t nextAttemptEpoch = 0; ///< backoff gate
+    std::uint64_t generation = 0;       ///< physical array instance
+    double lastRefreshHours = 0.0;      ///< schedule anchor
+    bool dead = false;
+};
+
+/** Healing state of one weight matrix (owns its spare pool). */
+struct WeightHealth
+{
+    std::size_t sparesLeft = 0;
+    std::vector<TileHealth> tiles; ///< grid order, as the weight's tiles
+};
+
 /** Cumulative healing activity of one monitor (also exported as metrics). */
 struct HealthStats
 {
@@ -184,23 +207,24 @@ class TileHealthMonitor
                       const RefreshConfig& config);
 
     /**
-     * Track a freshly-programmed weight. `truths` holds the pre-fault
-     * truth of each tile in grid order — the ground truth the probes
-     * compare against (a tile killed by a programming fault is detected
-     * precisely because its truth is *not* zero) and the mapping its
-     * refreshes start from. Weights register at compile, before the first
+     * Track a freshly-programmed weight. `mw.health.tiles` holds the
+     * pre-fault truth of each tile in grid order — the ground truth the
+     * probes compare against (a tile killed by a programming fault is
+     * detected precisely because its truth is *not* zero) and the mapping
+     * its refreshes start from; this fills in the rest of each tile's
+     * healing state. Weights register at compile, before the first
      * epoch; a resumed run replays its elapsed epochs afterwards, over
      * every weight at once.
      */
-    void registerWeight(const std::string& name,
-                        std::vector<TileTruth> truths);
+    void registerWeight(const std::string& name, MappedWeight& mw);
 
     /**
      * Close the current epoch: age every tile by epochHours(), probe tile
-     * health, refresh / fail over unhealthy tiles, export metrics. Must
-     * not run concurrently with matmuls on this backend. Ensemble
-     * replicas age only when their tile is not re-programmed this epoch:
-     * a refresh replaces them, and nothing reads them in between.
+     * health, refresh / fail over unhealthy tiles, export metrics. Walks
+     * the backend's weights in name order. Must not run concurrently
+     * with matmuls on this backend. Ensemble replicas age only when their
+     * tile is not re-programmed this epoch: a refresh replaces them, and
+     * nothing reads them in between.
      */
     void advanceEpoch();
 
@@ -213,9 +237,6 @@ class TileHealthMonitor
     /** Epochs advanced so far. */
     std::uint64_t epoch() const { return epoch_; }
 
-    /** Simulated hours elapsed so far. */
-    double simHours() const { return simHours_; }
-
     const HealthStats& stats() const { return stats_; }
     const RefreshConfig& config() const { return config_; }
 
@@ -223,40 +244,18 @@ class TileHealthMonitor
     TileHealthMonitor& operator=(const TileHealthMonitor&) = delete;
 
   private:
-    /** Probe-side healing state of one tile. */
-    struct TileState
-    {
-        TileTruth truth;   ///< pre-fault sub-weights and conductances
-        Matrix probe;      ///< fixed probe matrix P [kProbeRows x in]
-        Matrix truthRef;   ///< P * truth^T: the ideal probe response
-        Matrix reference;  ///< P * eff^T captured at last (re)program
-        std::vector<float> checksumRef; ///< per-output column sums of eff
-        double progError = 0.0;     ///< reference-vs-truth probe error
-        std::size_t attempts = 0;   ///< failed refreshes since last success
-        std::uint64_t nextAttemptEpoch = 0; ///< backoff gate
-        std::uint64_t generation = 0;       ///< physical array instance
-        double lastRefreshHours = 0.0;      ///< schedule anchor
-        bool dead = false;
-    };
-
-    /** Healing state of one weight matrix (owns its spare pool). */
-    struct WeightState
-    {
-        std::size_t sparesLeft = 0;
-        std::vector<TileState> tiles; ///< grid order, as the backend's
-    };
-
     /** Run epoch `e` (aging + probe + refresh) over one weight. */
-    void advanceWeight(const std::string& name, WeightState& ws,
+    void advanceWeight(const std::string& name, MappedWeight& mw,
                        std::uint64_t e);
 
     /** Age one tile by epochHours() with a per-(tile, epoch) stream. */
-    void ageTile(const std::string& name, std::size_t idx, std::uint64_t e);
+    void ageTile(const std::string& name, MappedWeight& mw, std::size_t idx,
+                 std::uint64_t e);
 
     /** Age the tile's ensemble replicas likewise, each on its own
      *  replica-keyed stream. */
-    void ageReplicas(const std::string& name, std::size_t idx,
-                     std::uint64_t e);
+    void ageReplicas(const std::string& name, MappedWeight& mw,
+                     std::size_t idx, std::uint64_t e);
 
     /**
      * Probe error of the tile's current state against its reference:
@@ -264,12 +263,8 @@ class TileHealthMonitor
      * persistently-stuck column (FaultSite::VmmStuck keyed per hardware
      * generation) emulated on the probe response.
      */
-    double driftError(const std::string& name, const WeightState& ws,
+    double driftError(const std::string& name, const MappedWeight& mw,
                       std::size_t idx) const;
-
-    /** Checksum-column estimate: worst per-output weight-sum deviation. */
-    double checksumError(const std::string& name, const WeightState& ws,
-                         std::size_t idx) const;
 
     /**
      * Re-program the tile and its ensemble replicas from the mapped probe
@@ -278,24 +273,14 @@ class TileHealthMonitor
      * re-apply its SRAM remap, capture the new reference, and verify it
      * against the threshold. True on success.
      */
-    bool attemptRefresh(const std::string& name, WeightState& ws,
+    bool attemptRefresh(const std::string& name, MappedWeight& mw,
                         std::size_t idx, std::uint64_t e);
-
-    /** Capture reference + checksumRef + progError from the live tile. */
-    void captureReference(const std::string& name, WeightState& ws,
-                          std::size_t idx);
-
-    /** The live tile behind states_[name].tiles[idx]. */
-    crossbar::CrossbarTile& liveTile(const std::string& name,
-                                     std::size_t idx) const;
 
     CrossbarVmmBackend& backend_;
     RefreshConfig config_;
     std::uint64_t epoch_ = 0;
-    double simHours_ = 0.0;
     std::size_t deadTiles_ = 0;
     HealthStats stats_;
-    std::map<std::string, WeightState> states_; ///< name order = walk order
 };
 
 } // namespace swordfish::core

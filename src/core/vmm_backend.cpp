@@ -22,32 +22,19 @@ namespace {
  *  recycled address after a backend is destroyed. */
 std::atomic<std::uint64_t> next_instance_id{1};
 
-/**
- * One conversion-noise stream per (thread, backend): reads announce their
- * stream via beginRead(); matmul draws from the calling thread's stream.
- * Keeping it thread-local (instead of a member) is what makes a programmed
- * backend shareable across read-sharding workers.
- */
-struct TlsConversionStream
-{
-    std::uint64_t owner = 0; ///< backend instanceId_ the rng is seeded for
-    std::uint64_t streamKey = 0; ///< read-stream id (fault-site key)
-    Rng rng;
-};
-thread_local TlsConversionStream tls_stream;
-
 /** Per-thread scratch for the tiled matmul hot path. */
 struct TlsMatmulScratch
 {
     Matrix xSub;                 ///< column-tile input slice
     crossbar::VmmScratch tile;   ///< tile-kernel input copy + partial sums
-    BatchLayout oneLane;         ///< the layout of a serial matmul
 };
 thread_local TlsMatmulScratch tls_scratch;
 
 /**
- * Per-(thread, backend) batched-pass state: one conversion stream per lane
- * of the open batch, each seeded the way beginRead() seeds a serial read.
+ * The one per-(thread, backend) stream table: one conversion stream per
+ * lane of the batch open on this thread (a serial read is a one-lane
+ * batch). Keeping it thread-local (instead of a member) is what makes a
+ * programmed backend shareable across read-sharding workers.
  */
 struct TlsBatchState
 {
@@ -167,23 +154,7 @@ CrossbarVmmBackend::CrossbarVmmBackend(const NonIdealityConfig& config,
 void
 CrossbarVmmBackend::beginRead(std::uint64_t read_stream)
 {
-    tls_stream.owner = instanceId_;
-    tls_stream.streamKey = read_stream;
-    tls_stream.rng.reseed(hashSeed({runSeed_, read_stream,
-                                    kConversionTag}));
-}
-
-Rng&
-CrossbarVmmBackend::conversionRng() const
-{
-    // Threads that never saw beginRead() (direct matmul callers) run on
-    // the read-0 stream.
-    if (tls_stream.owner != instanceId_) {
-        tls_stream.owner = instanceId_;
-        tls_stream.streamKey = 0;
-        tls_stream.rng.reseed(hashSeed({runSeed_, 0, kConversionTag}));
-    }
-    return tls_stream.rng;
+    beginBatch({read_stream});
 }
 
 void
@@ -297,8 +268,7 @@ CrossbarVmmBackend::programReplicas(const TileTruth& truth, float abs_max,
 void
 CrossbarVmmBackend::programAnalytical(MappedWeight& mw,
                                       const std::string& name,
-                                      const Matrix& w,
-                                      std::vector<TileTruth>* truths)
+                                      const Matrix& w)
 {
     static const SpanStat kProgramSpan = metrics().span("program");
     static const Counter kProgramTiles =
@@ -322,8 +292,8 @@ CrossbarVmmBackend::programAnalytical(MappedWeight& mw,
     // the result identical to the serial order.
     std::vector<std::optional<crossbar::CrossbarTile>> built(n_tiles);
     mw.extras.resize(n_tiles);
-    if (truths != nullptr)
-        truths->resize(n_tiles);
+    if (health_ != nullptr)
+        mw.health.tiles.resize(n_tiles);
     globalPool().parallelFor(n_tiles, [&](std::size_t idx) {
         const std::size_t rt = idx / g.colTiles;
         const std::size_t ct = idx % g.colTiles;
@@ -372,8 +342,8 @@ CrossbarVmmBackend::programAnalytical(MappedWeight& mw,
         // The health monitor needs the *intended* weights: a tile killed
         // by the programming fault above is detected (and re-programmed)
         // precisely because its truth differs from what it computes.
-        if (truths != nullptr)
-            (*truths)[idx] = std::move(truth);
+        if (health_ != nullptr)
+            mw.health.tiles[idx].truth = std::move(truth);
     });
 
     mw.tiles.reserve(n_tiles);
@@ -499,12 +469,7 @@ void
 CrossbarVmmBackend::matmul(const std::string& name, const Matrix& w,
                            const Matrix& x, Matrix& y)
 {
-    // A serial call is the one-lane layout over the calling thread's
-    // current stream.
-    BatchLayout& one_lane = tls_scratch.oneLane;
-    one_lane.assign(1, {0, x.rows()});
-    Rng* const rng = &conversionRng();
-    execute(name, w, x, y, one_lane, &rng, &tls_stream.streamKey);
+    matmulBatched(name, w, x, y, {{0, x.rows()}});
 }
 
 void
@@ -512,13 +477,10 @@ CrossbarVmmBackend::matmulBatched(const std::string& name, const Matrix& w,
                                   const Matrix& x, Matrix& y,
                                   const BatchLayout& layout)
 {
-    // Without an open batch there are no lane streams to draw from; the
-    // serial path (whole-operand scaling, calling thread's stream) is the
-    // defined behaviour.
-    if (tls_batch.owner != instanceId_ || layout.empty()) {
-        matmul(name, w, x, y);
-        return;
-    }
+    // Threads that never opened a batch on this backend (direct matmul
+    // callers) run on the read-0 lane.
+    if (tls_batch.owner != instanceId_)
+        beginBatch({0});
     execute(name, w, x, y, layout, laneRngTable(layout).data(),
             tls_batch.laneStreams.data());
 }
@@ -648,15 +610,13 @@ CrossbarVmmBackend::compileWeight(const std::string& name, const Matrix& w)
     MappedWeight mw(arch::TileGrid(w.rows(), w.cols(), config_.crossbar.size),
                     w.absMax() > 0.0f ? w.absMax() : 1.0f);
     sramMasks_[name].assign(w.size(), 0);
-    std::vector<TileTruth> truths;
     if (config_.usesLibrary())
         programMeasured(mw, name, w);
     else
-        programAnalytical(mw, name, w,
-                          health_ != nullptr ? &truths : nullptr);
-    weights_.emplace(name, std::move(mw));
+        programAnalytical(mw, name, w);
+    MappedWeight& slot = weights_.emplace(name, std::move(mw)).first->second;
     if (health_ != nullptr)
-        health_->registerWeight(name, std::move(truths));
+        health_->registerWeight(name, slot);
     return {};
 }
 

@@ -108,6 +108,38 @@ validateRemapConfig(const SramRemapConfig& remap)
     return {};
 }
 
+/**
+ * One weight matrix as a CrossbarVmmBackend holds it: its tiling, its
+ * programmed tiles (or, in the measured mode, its effective matrix) and,
+ * when healing is on, each tile's healing state and truth.
+ */
+struct MappedWeight
+{
+    MappedWeight(const arch::TileGrid& g, float abs_max)
+        : grid(g), absMax(abs_max)
+    {
+    }
+
+    arch::TileGrid grid;
+    float absMax;
+    // Analytical tiles in grid order (rt * grid.colTiles + ct).
+    std::vector<crossbar::CrossbarTile> tiles;
+    // Ensemble replicas 1..K-1 of each tile, in grid order (each empty
+    // when the ensemble is off for this weight). `tiles` is replica 0
+    // and owns the shared ADC pass.
+    std::vector<std::vector<crossbar::CrossbarTile>> extras;
+    // Measured mode: one effective weight matrix (profile applied),
+    // per-output gain, and per-output offset * absMax. The fold
+    // offset[o] * absMax * x_max evaluates left to right, so folding
+    // the first product once at programming is bitwise neutral.
+    Matrix measuredWeights;
+    std::vector<float> measuredGain;
+    std::vector<float> measuredOffsetFold;
+    // The health monitor's state of each tile in grid order, its truth
+    // included; empty when healing is off.
+    WeightHealth health;
+};
+
 /** Crossbar-backed implementation of nn::VmmBackend. */
 class CrossbarVmmBackend : public nn::VmmBackend
 {
@@ -166,9 +198,10 @@ class CrossbarVmmBackend : public nn::VmmBackend
 
     /**
      * The one place a weight is programmed: tile it (arch::TileGrid),
-     * program its tiles (or its measured matrix) and register it with the
-     * health monitor. Compiling a known name again with the same shape
-     * does nothing; another shape is a typed ShapeMismatch, not a panic.
+     * program its tiles (or its measured matrix) into its MappedWeight,
+     * and register that record with the health monitor. Compiling a known
+     * name again with the same shape does nothing; another shape is a
+     * typed ShapeMismatch, not a panic.
      */
     CompileError compileWeight(const std::string& name, const Matrix& w);
 
@@ -177,11 +210,11 @@ class CrossbarVmmBackend : public nn::VmmBackend
     void prepareWeight(const std::string& name, const Matrix& w) override;
 
     /**
-     * Runs matmulBatched()'s body over a one-lane layout on the calling
-     * thread's per-read conversion stream (see beginRead()). The weight
-     * must have been compiled: a matmul on an uncompiled weight, or on a
-     * compiled one whose shape changed, panics. Concurrent calls only read
-     * the compiled weight map.
+     * matmulBatched() over the one-lane layout {{0, x.rows()}}: lane 0 of
+     * the calling thread's batch, which beginRead() opens (read 0 when
+     * none is open). The weight must have been compiled: a matmul on an
+     * uncompiled weight, or on a compiled one whose shape changed,
+     * panics. Concurrent calls only read the compiled weight map.
      */
     void matmul(const std::string& name, const Matrix& w, const Matrix& x,
                 Matrix& y) override;
@@ -189,20 +222,19 @@ class CrossbarVmmBackend : public nn::VmmBackend
     void onActivations(Matrix& activations) override;
 
     /**
-     * Seed the calling thread's conversion-noise stream for one read:
-     * stream = hash(runSeed, read_stream). Every matmul of that read then
-     * draws ADC noise from this stream, so a read's result depends only on
-     * (runSeed, read index) — never on which thread executes it or how
-     * reads are interleaved. Threads that never call this get the
-     * read_stream = 0 stream.
+     * beginBatch({read_stream}): open a one-lane batch for one read on the
+     * calling thread. Every serial matmul of that read then draws ADC
+     * noise from the lane's stream, hash(runSeed, read_stream), so a
+     * read's result depends only on (runSeed, read index) — never on
+     * which thread executes it or how reads are interleaved.
      */
     void beginRead(std::uint64_t read_stream) override;
 
     /**
-     * Open a batched pass on the calling thread: one conversion stream per
-     * lane, seeded exactly like beginRead(stream) would seed a serial
-     * read's stream. Batched matmuls then interleave draws from the lane
-     * streams so each lane reproduces its serial noise sequence bitwise.
+     * Open a batch on the calling thread: one conversion stream per lane,
+     * seeded hash(runSeed, stream, tag) and keyed by the stream id for
+     * execution faults. Batched matmuls interleave draws from the lane
+     * streams so each lane reproduces its one-lane noise sequence bitwise.
      */
     void beginBatch(const std::vector<std::uint64_t>& streams) override;
 
@@ -212,7 +244,9 @@ class CrossbarVmmBackend : public nn::VmmBackend
      * Batched tiled VMM: executes the stacked operand as one multi-column
      * pass per tile — one trace span, one conversion pass, and one
      * gain/offset fold per batch — while normalizing inputs and drawing
-     * conversion noise per lane.
+     * conversion noise per lane. A thread with no batch open on this
+     * backend first opens the read-0 lane; a lane outside the open batch
+     * panics.
      */
     void matmulBatched(const std::string& name, const Matrix& w,
                        const Matrix& x, Matrix& y,
@@ -266,30 +300,6 @@ class CrossbarVmmBackend : public nn::VmmBackend
 
   private:
     friend class TileHealthMonitor;
-    /** Tiled non-ideal representation of one weight matrix. */
-    struct MappedWeight
-    {
-        MappedWeight(const arch::TileGrid& g, float abs_max)
-            : grid(g), absMax(abs_max)
-        {
-        }
-
-        arch::TileGrid grid;
-        float absMax;
-        // Analytical tiles in grid order (rt * grid.colTiles + ct).
-        std::vector<crossbar::CrossbarTile> tiles;
-        // Ensemble replicas 1..K-1 of each tile, in grid order (each empty
-        // when the ensemble is off for this weight). `tiles` is replica 0
-        // and owns the shared ADC pass.
-        std::vector<std::vector<crossbar::CrossbarTile>> extras;
-        // Measured mode: one effective weight matrix (profile applied),
-        // per-output gain, and per-output offset * absMax. The fold
-        // offset[o] * absMax * x_max evaluates left to right, so folding
-        // the first product once at programming is bitwise neutral.
-        Matrix measuredWeights;
-        std::vector<float> measuredGain;
-        std::vector<float> measuredOffsetFold;
-    };
 
     /**
      * Run one VMM over stacked lanes: rngs[i] is the conversion stream of
@@ -305,13 +315,12 @@ class CrossbarVmmBackend : public nn::VmmBackend
     void runMeasured(const MappedWeight& mw, const Matrix& x, Matrix& y,
                      const BatchLayout& layout);
     /**
-     * When `truths` is non-null it receives each tile's pre-fault digital
-     * sub-matrix and its mapped conductance pair in grid order (the health
-     * monitor's ground truth for probes and re-programming).
+     * When healing is on it writes each tile's pre-fault digital
+     * sub-matrix and its mapped conductance pair into mw.health (the
+     * health monitor's ground truth for probes and re-programming).
      */
     void programAnalytical(MappedWeight& mw, const std::string& name,
-                           const Matrix& w,
-                           std::vector<TileTruth>* truths = nullptr);
+                           const Matrix& w);
     void programMeasured(MappedWeight& mw, const std::string& name,
                          const Matrix& w);
     /** `sub` with its ideal conductance pair under the resolved toggles
@@ -337,9 +346,6 @@ class CrossbarVmmBackend : public nn::VmmBackend
     std::vector<std::uint8_t> selectSramCells(const Matrix& error,
                                               const std::string& name,
                                               std::size_t tile_index) const;
-
-    /** The calling thread's conversion stream for this backend instance. */
-    Rng& conversionRng() const;
 
     NonIdealityConfig config_;
     NoiseModel noise_; ///< resolved composition (see noiseModel())
