@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+
 #include "basecall/bonito_lite.h"
 #include "core/deploy.h"
 #include "core/noise_model.h"
@@ -323,4 +326,92 @@ TEST(VmmBackend, MatmulBeforeCompilePanics)
     ASSERT_TRUE(backend.compileWeight("w", w).ok());
     EXPECT_DEATH(backend.matmul("v", w, randomMatrix(2, 6, 13), y),
                  "not compiled");
+}
+
+namespace {
+
+/** A fresh Combined backend on 8x8 tiles with the weight "w" compiled. */
+std::unique_ptr<CrossbarVmmBackend>
+combinedBackendWith(const Matrix& w)
+{
+    NonIdealityConfig cfg;
+    cfg.kind = NonIdealityKind::Combined;
+    cfg.crossbar.size = 8;
+    auto backend = std::make_unique<CrossbarVmmBackend>(cfg, 21);
+    EXPECT_TRUE(backend->compileWeight("w", w).ok());
+    return backend;
+}
+
+/** Two serial matmuls of x through "w", in a row on one stream. */
+std::vector<Matrix>
+twoSerialMatmuls(CrossbarVmmBackend& backend, const Matrix& w,
+                 const Matrix& x)
+{
+    std::vector<Matrix> ys(2);
+    for (Matrix& y : ys)
+        backend.matmul("w", w, x, y);
+    return ys;
+}
+
+bool
+sameBits(const Matrix& a, const Matrix& b)
+{
+    return a.rows() == b.rows() && a.cols() == b.cols()
+        && std::memcmp(a.raw().data(), b.raw().data(),
+                       a.size() * sizeof(float))
+        == 0;
+}
+
+} // namespace
+
+TEST(VmmBackend, MatmulWithoutBeginReadRunsOnReadZero)
+{
+    // A thread that never announced a read runs on the read-0 lane, the
+    // stream beginRead(0) opens. Two calls in a row pin the stream's
+    // continuation too; ADC noise makes them differ from each other.
+    const Matrix w = randomMatrix(12, 10, 31);
+    const Matrix x = randomMatrix(5, 10, 32);
+    auto plain = combinedBackendWith(w);
+    const std::vector<Matrix> ys_plain = twoSerialMatmuls(*plain, w, x);
+    auto read0 = combinedBackendWith(w);
+    read0->beginRead(0);
+    const std::vector<Matrix> ys_read0 = twoSerialMatmuls(*read0, w, x);
+    EXPECT_FALSE(sameBits(ys_plain[0], ys_plain[1]));
+    for (std::size_t call = 0; call < 2; ++call)
+        EXPECT_TRUE(sameBits(ys_plain[call], ys_read0[call]))
+            << "call " << call;
+}
+
+TEST(VmmBackend, BeginReadIsAOneLaneBatch)
+{
+    // beginRead(s) + matmul and beginBatch({s}) + a one-lane
+    // matmulBatched draw from the same stream and key the same faults.
+    const Matrix w = randomMatrix(12, 10, 31);
+    const Matrix x = randomMatrix(5, 10, 32);
+    auto serial = combinedBackendWith(w);
+    serial->beginRead(5);
+    const std::vector<Matrix> ys_serial = twoSerialMatmuls(*serial, w, x);
+
+    auto batched = combinedBackendWith(w);
+    batched->beginBatch({5});
+    std::vector<Matrix> ys_batched(2);
+    for (Matrix& y : ys_batched)
+        batched->matmulBatched("w", w, x, y, {{0, x.rows()}});
+    batched->endBatch();
+    for (std::size_t call = 0; call < 2; ++call)
+        EXPECT_TRUE(sameBits(ys_serial[call], ys_batched[call]))
+            << "call " << call;
+}
+
+TEST(VmmBackend, TwoLaneMatmulWithoutOpenBatchPanics)
+{
+    // With no batch open on the thread the backend opens the read-0 lane
+    // alone, so a layout naming lane 1 is a caller bug, as it is inside
+    // any batch that does not have that lane.
+    const Matrix w = randomMatrix(12, 10, 31);
+    auto backend = combinedBackendWith(w);
+    Matrix y;
+    EXPECT_DEATH(backend->matmulBatched("w", w, randomMatrix(4, 10, 33), y,
+                                        {{0, 2}, {1, 2}}),
+                 "outside the open batch");
 }
