@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
 
 #include "core/vmm_backend.h"
 #include "util/env.h"
 #include "util/fault.h"
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/spec.h"
@@ -204,15 +204,18 @@ RefreshConfig::parse(const std::string& spec, RefreshConfig& out,
 std::string
 RefreshConfig::toJson() const
 {
-    std::ostringstream os;
-    os << "{\"threshold\":" << thresholdError
-       << ",\"interval_h\":" << intervalHours
-       << ",\"age_h_per_read\":" << ageHoursPerRead
-       << ",\"spares\":" << spares << ",\"retries\":" << retries
-       << ",\"probe_reads\":" << probeReads << ",\"probe_h\":" << probeHours
-       << ",\"nu\":" << drift.nu << ",\"nu_sigma\":" << drift.nuSigma
-       << ",\"t0_h\":" << drift.t0Hours << "}";
-    return os.str();
+    return JsonWriter()
+        .field("threshold", thresholdError)
+        .field("interval_h", intervalHours)
+        .field("age_h_per_read", ageHoursPerRead)
+        .field("spares", spares)
+        .field("retries", retries)
+        .field("probe_reads", probeReads)
+        .field("probe_h", probeHours)
+        .field("nu", drift.nu)
+        .field("nu_sigma", drift.nuSigma)
+        .field("t0_h", drift.t0Hours)
+        .str();
 }
 
 const RefreshConfig&

@@ -1,8 +1,7 @@
 #include "fault.h"
 
-#include <sstream>
-
 #include "util/env.h"
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/spec.h"
 
@@ -93,12 +92,11 @@ FaultConfig::parse(const std::string& spec, FaultConfig& out,
 std::string
 FaultConfig::toJson() const
 {
-    std::ostringstream os;
-    os << "{\"seed\":" << seed << ",\"retries\":" << maxRetries;
+    JsonWriter out;
+    out.field("seed", seed).field("retries", maxRetries);
     for (std::size_t i = 0; i < kFaultSiteCount; ++i)
-        os << ",\"" << kSiteNames[i] << "\":" << probability[i];
-    os << "}";
-    return os.str();
+        out.field(kSiteNames[i], probability[i]);
+    return out.str();
 }
 
 FaultInjector::FaultInjector(const FaultConfig& cfg)

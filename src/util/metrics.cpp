@@ -1,15 +1,14 @@
 #include "metrics.h"
 
 #include "env.h"
+#include "json.h"
 #include "sanitize.h"
 #include "serialize.h"
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <cstdlib>
 #include <deque>
-#include <fstream>
 #include <memory>
 #include <mutex>
 
@@ -43,37 +42,6 @@ struct SpanCell
     std::atomic<double> seconds{0.0};
     std::atomic<double> maxSeconds{0.0};
 };
-
-void
-appendJsonString(std::string& out, const std::string& s)
-{
-    out += '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-}
-
-void
-appendJsonDouble(std::string& out, double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    out += buf;
-}
 
 } // namespace
 
@@ -455,71 +423,47 @@ MetricsRegistry::reset()
 std::string
 MetricsSnapshot::toJson() const
 {
-    std::string out = "{\"counters\":{";
-    bool first = true;
-    for (const auto& [name, value] : counters) {
-        if (!first)
-            out += ',';
-        first = false;
-        appendJsonString(out, name);
-        out += ':';
-        out += std::to_string(value);
-    }
-    out += "},\"gauges\":{";
-    first = true;
-    for (const auto& [name, value] : gauges) {
-        if (!first)
-            out += ',';
-        first = false;
-        appendJsonString(out, name);
-        out += ':';
-        appendJsonDouble(out, value);
-    }
-    out += "},\"histograms\":{";
-    first = true;
+    // JsonWriter writes a non-finite gauge or sum as null, so the export
+    // stays JSON whatever a metric holds.
+    JsonWriter counters_json;
+    for (const auto& [name, value] : counters)
+        counters_json.field(name, value);
+    JsonWriter gauges_json;
+    for (const auto& [name, value] : gauges)
+        gauges_json.field(name, value);
+    JsonWriter hists_json;
     for (const auto& [name, h] : histograms) {
-        if (!first)
-            out += ',';
-        first = false;
-        appendJsonString(out, name);
-        out += ":{\"bounds\":[";
-        for (std::size_t i = 0; i < h.bounds.size(); ++i) {
-            if (i > 0)
-                out += ',';
-            appendJsonDouble(out, h.bounds[i]);
-        }
-        out += "],\"counts\":[";
-        for (std::size_t i = 0; i < h.counts.size(); ++i) {
-            if (i > 0)
-                out += ',';
-            out += std::to_string(h.counts[i]);
-        }
-        out += "],\"count\":" + std::to_string(h.count) + ",\"sum\":";
-        appendJsonDouble(out, h.sum);
-        out += ",\"min\":";
-        appendJsonDouble(out, h.min);
-        out += ",\"max\":";
-        appendJsonDouble(out, h.max);
-        out += '}';
+        JsonValue bounds = JsonValue::array();
+        for (const double b : h.bounds)
+            bounds.push(JsonValue::of(b));
+        JsonValue counts = JsonValue::array();
+        for (const std::uint64_t c : h.counts)
+            counts.push(JsonValue::of(c));
+        hists_json.raw(name, JsonWriter()
+                                 .raw("bounds", bounds.dump())
+                                 .raw("counts", counts.dump())
+                                 .field("count", h.count)
+                                 .field("sum", h.sum)
+                                 .field("min", h.min)
+                                 .field("max", h.max)
+                                 .str());
     }
-    out += "},\"spans\":{";
-    first = true;
-    for (const auto& [name, s] : spans) {
-        if (!first)
-            out += ',';
-        first = false;
-        appendJsonString(out, name);
-        out += ":{\"calls\":" + std::to_string(s.calls) + ",\"seconds\":";
-        appendJsonDouble(out, s.seconds);
-        out += ",\"max_seconds\":";
-        appendJsonDouble(out, s.maxSeconds);
-        out += '}';
-    }
+    JsonWriter spans_json;
+    for (const auto& [name, s] : spans)
+        spans_json.raw(name, JsonWriter()
+                                 .field("calls", s.calls)
+                                 .field("seconds", s.seconds)
+                                 .field("max_seconds", s.maxSeconds)
+                                 .str());
     // Record the runtime knobs that produced this snapshot so every
     // exported artifact is self-describing.
-    out += "},\"config\":" + runtimeConfig().toJson();
-    out += '}';
-    return out;
+    return JsonWriter()
+        .raw("counters", counters_json.str())
+        .raw("gauges", gauges_json.str())
+        .raw("histograms", hists_json.str())
+        .raw("spans", spans_json.str())
+        .raw("config", runtimeConfig().toJson())
+        .str();
 }
 
 bool

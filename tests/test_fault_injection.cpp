@@ -24,6 +24,7 @@
 #include "genomics/align.h"
 #include "genomics/dataset.h"
 #include "util/fault.h"
+#include "util/json.h"
 #include "util/thread_pool.h"
 
 using namespace swordfish;
@@ -120,6 +121,24 @@ TEST(FaultConfig, ParseFullSpec)
     EXPECT_DOUBLE_EQ(cfg.p(FaultSite::VmmStuck), 0.0625);
     EXPECT_DOUBLE_EQ(cfg.p(FaultSite::WorkerTask), 1.0);
     EXPECT_TRUE(cfg.anyEnabled());
+}
+
+TEST(FaultConfig, JsonDumpKeepsEveryDigit)
+{
+    // Configs are compared through their dumps, so two probabilities that
+    // differ in the 7th significant digit must dump differently, and the
+    // dump must read back to the same double.
+    FaultConfig a;
+    FaultConfig b;
+    std::string error;
+    ASSERT_TRUE(FaultConfig::parse("vmm.nan=0.1234567", a, error)) << error;
+    ASSERT_TRUE(FaultConfig::parse("vmm.nan=0.1234568", b, error)) << error;
+    EXPECT_NE(a.toJson(), b.toJson());
+    JsonValue doc;
+    const JsonError err = JsonValue::parse(a.toJson(), doc);
+    ASSERT_FALSE(err) << err.message;
+    EXPECT_EQ(doc.get("vmm.nan").asDouble(), 0.1234567);
+    EXPECT_EQ(doc.get("seed").asU64(), a.seed);
 }
 
 TEST(FaultConfig, ParseAcceptsAlternateSeparators)

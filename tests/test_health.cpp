@@ -24,6 +24,7 @@
 #include "core/vmm_backend.h"
 #include "genomics/dataset.h"
 #include "util/fault.h"
+#include "util/json.h"
 #include "util/metrics.h"
 #include "util/shutdown.h"
 #include "util/thread_pool.h"
@@ -145,6 +146,23 @@ TEST(RefreshConfigParse, FullSpecRoundTrips)
     EXPECT_EQ(cfg.epochReads(), 8u);
     EXPECT_DOUBLE_EQ(cfg.epochHours(), 16.0);
     EXPECT_FALSE(cfg.toJson().empty());
+}
+
+TEST(RefreshConfigParse, JsonDumpKeepsEveryDigit)
+{
+    // As for FaultConfig: thresholds that differ in the 7th significant
+    // digit dump differently, and the dump reads back exactly.
+    RefreshConfig a;
+    RefreshConfig b;
+    std::string err;
+    ASSERT_TRUE(RefreshConfig::parse("threshold=0.1234567", a, err)) << err;
+    ASSERT_TRUE(RefreshConfig::parse("threshold=0.1234568", b, err)) << err;
+    EXPECT_NE(a.toJson(), b.toJson());
+    JsonValue doc;
+    const JsonError parse_err = JsonValue::parse(a.toJson(), doc);
+    ASSERT_FALSE(parse_err) << parse_err.message;
+    EXPECT_EQ(doc.get("threshold").asDouble(), 0.1234567);
+    EXPECT_EQ(doc.get("retries").asU64(), a.retries);
 }
 
 TEST(RefreshConfigParse, ProbeHoursOverridesProbeReads)

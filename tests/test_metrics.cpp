@@ -6,11 +6,13 @@
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "util/json.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
@@ -185,6 +187,29 @@ TEST_F(MetricsTest, JsonEscapesNames)
     const std::string json = metrics().snapshot().toJson();
     EXPECT_NE(json.find("\"test.\\\"quoted\\\"\\\\name\":1"),
               std::string::npos);
+}
+
+TEST_F(MetricsTest, JsonWritesNonFiniteValuesAsNull)
+{
+    // JSON has no inf or nan: the export writes them as null and stays
+    // parseable, as health.tile.error and train.last_loss may diverge.
+    metrics().gauge("test.inf_gauge").set(
+        std::numeric_limits<double>::infinity());
+    metrics().gauge("test.nan_gauge").set(
+        std::numeric_limits<double>::quiet_NaN());
+    metrics().gauge("test.finite_gauge").set(0.1);
+    metrics().histogram("test.inf_hist", {1.0}).observe(
+        -std::numeric_limits<double>::infinity());
+    JsonValue doc;
+    const JsonError err = JsonValue::parse(metrics().snapshot().toJson(), doc);
+    ASSERT_FALSE(err) << err.message;
+    const JsonValue& gauges = doc.get("gauges");
+    EXPECT_TRUE(gauges.get("test.inf_gauge").isNull());
+    EXPECT_TRUE(gauges.get("test.nan_gauge").isNull());
+    EXPECT_EQ(gauges.get("test.finite_gauge").asDouble(), 0.1);
+    const JsonValue& hist = doc.get("histograms").get("test.inf_hist");
+    EXPECT_TRUE(hist.get("sum").isNull());
+    EXPECT_EQ(hist.get("count").asU64(), 1u);
 }
 
 TEST_F(MetricsTest, WriteMetricsIfConfiguredHonorsEnv)
