@@ -6,7 +6,9 @@
 #include "basecall/basecaller.h"
 #include "basecall/trainer.h"
 #include "core/deploy.h"
+#include "core/noise_model.h"
 #include "util/env.h"
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
@@ -150,6 +152,57 @@ ExperimentContext::baselineAccuracy(std::size_t dataset_index)
     return acc.meanIdentity;
 }
 
+std::string
+ExperimentContext::enhancedCacheName(const NonIdealityConfig& scenario,
+                                     const EnhancerConfig& config)
+{
+    // The knobs behind the retrained weights: the tile programming the
+    // RSA+KD probe picks its SRAM cells from (device, write variation,
+    // wires, the resolved noise composition, the measured library), and
+    // the retraining itself. DAC and ADC act only at read time.
+    const crossbar::CrossbarConfig& xb = scenario.crossbar;
+    const crossbar::LibraryStats& lib = scenario.library;
+    const std::string knobs =
+        JsonWriter()
+            .field("g_min", xb.device.gMin)
+            .field("g_max", xb.device.gMax)
+            .field("levels", xb.device.conductanceLevels)
+            .field("read_v", xb.device.readVoltage)
+            .field("sense_v", xb.device.senseMarginV)
+            .field("nonlinearity", xb.device.stateNonlinearity)
+            .field("scheme", static_cast<int>(xb.scheme))
+            .field("verify", xb.verifyIterations)
+            .field("wv", xb.writeVariationRate)
+            .field("wv_add", xb.writeVariationAddFactor)
+            .field("wire", xb.wire.segmentResistanceRatio)
+            .field("sneak", xb.wire.sneakCoefficient)
+            .field("lib_cell", lib.cellSigma)
+            .field("lib_add", lib.cellAddSigma)
+            .field("lib_tail_p", lib.cellTailProb)
+            .field("lib_tail", lib.cellTailScale)
+            .field("lib_gain", lib.columnGainSigma)
+            .field("lib_offset", lib.columnOffsetSigma)
+            .field("lib_stuck", lib.stuckProb)
+            .field("noise", resolveNoiseModel(scenario).describe())
+            .field("sram", config.sramFraction)
+            .field("lr", static_cast<double>(config.retrainLr))
+            .field("seed", config.seed)
+            .str();
+    std::ostringstream key;
+    key << "enh_" << techniqueName(config.technique) << "_"
+        << nonIdealityName(scenario.kind) << "_" << xb.size << "_"
+        << scenario.quant.weightBits << "-" << scenario.quant.activationBits
+        << "_wv" << static_cast<int>(xb.writeVariationRate * 100) << "_sr"
+        << static_cast<int>(config.sramFraction * 1000) << "_e"
+        << config.retrainEpochs << "_" << std::hex
+        << std::hash<std::string>{}(knobs) << ".bin";
+    std::string fname = key.str();
+    for (char& c : fname)
+        if (c == '+')
+            c = 'p'; // "RSA+KD" -> filesystem-safe
+    return fname;
+}
+
 EnhancedModel
 ExperimentContext::enhanced(const NonIdealityConfig& scenario,
                             const EnhancerConfig& config)
@@ -158,20 +211,7 @@ ExperimentContext::enhanced(const NonIdealityConfig& scenario,
         enhancer_ = std::make_unique<AccuracyEnhancer>(teacher(),
                                                        trainChunks());
 
-    // Cache key: every knob that changes the retrained weights.
-    std::ostringstream key;
-    key << "enh_" << techniqueName(config.technique) << "_"
-        << nonIdealityName(scenario.kind) << "_" << scenario.crossbar.size
-        << "_" << scenario.quant.weightBits << "-"
-        << scenario.quant.activationBits << "_wv"
-        << static_cast<int>(scenario.crossbar.writeVariationRate * 100)
-        << "_sr" << static_cast<int>(config.sramFraction * 1000) << "_e"
-        << config.retrainEpochs << ".bin";
-    std::string fname = key.str();
-    for (char& c : fname)
-        if (c == '+')
-            c = 'p'; // "RSA+KD" -> filesystem-safe
-    const std::string path = cachePath(fname);
+    const std::string path = cachePath(enhancedCacheName(scenario, config));
 
     const nn::SequenceModel deployed = quantizeModel(teacher(),
                                                      scenario.quant);

@@ -53,10 +53,20 @@ class ExperimentContext
 
     /**
      * Enhanced model for (technique, scenario), trained on first use and
-     * cached on disk by a key derived from every knob that affects it.
+     * cached on disk under enhancedCacheName(scenario, config).
      */
     EnhancedModel enhanced(const NonIdealityConfig& scenario,
                            const EnhancerConfig& config);
+
+    /**
+     * The cache file name of an enhanced model: a readable head naming
+     * the figure axes (technique, kind, size, quant bits, write variation,
+     * SRAM fraction, epochs) and a digest of every knob that changes the
+     * retrained weights, so two scenarios that share the head never share
+     * a file.
+     */
+    static std::string enhancedCacheName(const NonIdealityConfig& scenario,
+                                         const EnhancerConfig& config);
 
     /** FP32 baseline accuracy of dataset index (cached). */
     double baselineAccuracy(std::size_t dataset_index);
@@ -66,8 +76,6 @@ class ExperimentContext
 
     /** Noisy instantiations per error-bar measurement (env/fast aware). */
     static std::size_t evalRuns(std::size_t dflt = 5);
-
-    const std::string& artifactDir() const { return artifactDir_; }
 
     /** BonitoLite architecture used across all experiments. */
     static basecall::BonitoLiteConfig modelConfig();

@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "basecall/bonito_lite.h"
+#include "core/context.h"
 #include "core/deploy.h"
 #include "core/enhancer.h"
 #include "core/evaluator.h"
@@ -209,6 +210,61 @@ TEST(Enhancer, OutputWeightsAreQuantized)
                                p->value.raw().end());
         EXPECT_LE(levels.size(), 16u) << p->name;
     }
+}
+
+TEST(Enhancer, CacheNameCoversEveryRetrainingKnob)
+{
+    // Fig. 11's RSA+KD point at 10% write variation turns the wires off;
+    // Fig. 12's Synaptic+Wires point at 64x64 keeps them. RSA+KD picks its
+    // SRAM cells from cell errors that include IR drop, so the two share
+    // the readable head but must not share a cached model.
+    NonIdealityConfig wire_free;
+    wire_free.kind = NonIdealityKind::SynapticWires;
+    wire_free.crossbar.size = 64;
+    wire_free.crossbar.writeVariationRate = 0.10;
+    wire_free.crossbar.wire.segmentResistanceRatio = 0.0;
+    wire_free.crossbar.wire.sneakCoefficient = 0.0;
+    NonIdealityConfig wired;
+    wired.kind = NonIdealityKind::SynapticWires;
+    wired.crossbar.size = 64;
+    EnhancerConfig ec;
+    ec.technique = Technique::RsaKd;
+    ec.retrainEpochs = 1;
+
+    const std::string name =
+        ExperimentContext::enhancedCacheName(wire_free, ec);
+    EXPECT_EQ(name.rfind("enh_RSApKD_SynapticpWires_64_16-16_wv10_sr50_e1_",
+                         0),
+              0u)
+        << name;
+    EXPECT_EQ(name, ExperimentContext::enhancedCacheName(wire_free, ec));
+    EXPECT_NE(name, ExperimentContext::enhancedCacheName(wired, ec));
+
+    // The knobs the head leaves out move the digest; read-time converter
+    // settings do not change the retrained weights, so they leave it.
+    const auto renamed = [&](const NonIdealityConfig& scenario,
+                             const EnhancerConfig& config) {
+        return ExperimentContext::enhancedCacheName(scenario, config)
+            != name;
+    };
+    NonIdealityConfig s = wire_free;
+    s.noise = "rtn.amp=0.01";
+    EXPECT_TRUE(renamed(s, ec));
+    s = wire_free;
+    s.crossbar.device.gMin = 2e-6;
+    EXPECT_TRUE(renamed(s, ec));
+    s = wire_free;
+    s.crossbar.writeVariationAddFactor = 0.5;
+    EXPECT_TRUE(renamed(s, ec));
+    s = wire_free;
+    s.crossbar.adc.bits = 6;
+    EXPECT_FALSE(renamed(s, ec));
+    EnhancerConfig c = ec;
+    c.retrainLr = 1e-3f;
+    EXPECT_TRUE(renamed(wire_free, c));
+    c = ec;
+    c.seed = 7;
+    EXPECT_TRUE(renamed(wire_free, c));
 }
 
 TEST(Evaluator, QuantAccuracyAtFullPrecisionMatchesPlainEval)
