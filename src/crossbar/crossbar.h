@@ -179,9 +179,6 @@ class CrossbarTile
     /** The non-ideal weight matrix the tile effectively implements. */
     const Matrix& effectiveWeights() const { return effective_; }
 
-    /** The ideal (pre-variation, unquantized) weights it was given. */
-    const Matrix& idealWeights() const { return ideal_; }
-
     /**
      * Per-cell programming-error magnitude |effective - ideal|; RSA uses
      * this as the "error-prone device" knowledge when chip measurements

@@ -81,7 +81,6 @@ class MeasurementLibrary
     }
 
     std::size_t instances() const { return instances_; }
-    std::size_t arraySize() const { return arraySize_; }
     const LibraryStats& stats() const { return stats_; }
 
   private:

@@ -52,7 +52,6 @@ class Conv1d : public Module
 
     std::size_t kernel() const { return kernel_; }
     std::size_t stride() const { return stride_; }
-    std::size_t inChannels() const { return inChannels_; }
     Parameter& weight() { return weight_; }
 
     /** Output timesteps for a given input length (0 if too short). */

@@ -56,10 +56,6 @@ class Lstm : public Module
 
     std::size_t outChannels(std::size_t) const override { return hidden_; }
 
-    std::size_t hiddenSize() const { return hidden_; }
-    std::size_t inFeatures() const { return in_; }
-    bool isReverse() const { return reverse_; }
-
     Parameter& inputWeight() { return wih_; }
     Parameter& recurrentWeight() { return whh_; }
 

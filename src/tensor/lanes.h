@@ -38,32 +38,6 @@ layoutRows(const BatchLayout& layout)
     return rows;
 }
 
-/** A lane's span resolved to absolute row offsets of the stacked operand. */
-struct LaneBlock
-{
-    std::size_t lane = 0;     ///< batch-lane index
-    std::size_t rowBegin = 0; ///< first stacked row owned by the lane
-    std::size_t rowEnd = 0;   ///< one past the last stacked row
-};
-
-/**
- * Flatten a layout into absolute row ranges, in stacking order — the
- * lane-major form the per-lane kernel loops (activation quantization,
- * conversion noise) iterate over.
- */
-inline std::vector<LaneBlock>
-laneBlocks(const BatchLayout& layout)
-{
-    std::vector<LaneBlock> blocks;
-    blocks.reserve(layout.size());
-    std::size_t row = 0;
-    for (const LaneSpan& span : layout) {
-        blocks.push_back({span.lane, row, row + span.rows});
-        row += span.rows;
-    }
-    return blocks;
-}
-
 } // namespace swordfish
 
 #endif // SWORDFISH_TENSOR_LANES_H

@@ -89,13 +89,6 @@ class Quantizer
         applyRange(v.data(), v.size());
     }
 
-    /** Number of representable levels (2^bits), capped for bits==32. */
-    long
-    levels() const
-    {
-        return bits_ >= 31 ? (1L << 31) : (1L << bits_);
-    }
-
   private:
     /**
      * Quantize v[0..n) in place with the scale of its own absmax: the
