@@ -481,16 +481,8 @@ CrossbarVmmBackend::matmulBatched(const std::string& name, const Matrix& w,
     // callers) run on the read-0 lane.
     if (tls_batch.owner != instanceId_)
         beginBatch({0});
-    execute(name, w, x, y, layout, laneRngTable(layout).data(),
-            tls_batch.laneStreams.data());
-}
+    Rng* const* rngs = laneRngTable(layout).data();
 
-void
-CrossbarVmmBackend::execute(const std::string& name, const Matrix& w,
-                            const Matrix& x, Matrix& y,
-                            const BatchLayout& layout, Rng* const* rngs,
-                            const std::uint64_t* lane_keys)
-{
     VmmCounters& counters = vmmCounters();
     TraceSpan trace(counters.span);
     counters.calls.add();
@@ -515,7 +507,7 @@ CrossbarVmmBackend::execute(const std::string& name, const Matrix& w,
     std::size_t row = 0;
     for (const LaneSpan& span : layout) {
         applyExecutionFaults(faults_, y, row, row + span.rows,
-                             lane_keys[span.lane]);
+                             tls_batch.laneStreams[span.lane]);
         row += span.rows;
     }
 }

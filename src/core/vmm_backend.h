@@ -301,14 +301,6 @@ class CrossbarVmmBackend : public nn::VmmBackend
   private:
     friend class TileHealthMonitor;
 
-    /**
-     * Run one VMM over stacked lanes: rngs[i] is the conversion stream of
-     * layout[i], lane_keys[lane] the read-stream id that keys that lane's
-     * execution faults.
-     */
-    void execute(const std::string& name, const Matrix& w, const Matrix& x,
-                 Matrix& y, const BatchLayout& layout, Rng* const* rngs,
-                 const std::uint64_t* lane_keys);
     /** The execution body of each modeling approach. */
     void runAnalytical(const MappedWeight& mw, const Matrix& x, Matrix& y,
                        const BatchLayout& layout, Rng* const* rngs);
