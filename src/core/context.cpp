@@ -211,8 +211,6 @@ ExperimentContext::enhanced(const NonIdealityConfig& scenario,
         enhancer_ = std::make_unique<AccuracyEnhancer>(teacher(),
                                                        trainChunks());
 
-    const std::string path = cachePath(enhancedCacheName(scenario, config));
-
     const nn::SequenceModel deployed = quantizeModel(teacher(),
                                                      scenario.quant);
 
@@ -222,6 +220,7 @@ ExperimentContext::enhanced(const NonIdealityConfig& scenario,
         || config.technique == Technique::Rsa) {
         return enhancer_->enhance(deployed, scenario, config);
     }
+    const std::string path = cachePath(enhancedCacheName(scenario, config));
 
     // Try the disk cache: rebuild the EnhancedModel scaffolding, then
     // load the retrained weights into it.
